@@ -10,7 +10,7 @@ that imitation learning consumes.
 """
 
 from autoeda import synth
-from autoeda.env import EdaEnv, HeadLayout, replay
+from autoeda.env import replay, walk
 from autoeda.tabular import display_fingerprint
 from autoeda.train import derive_rng
 
@@ -36,13 +36,7 @@ print("  display stack ends at the root:", len(final.display_stack) == 1)
 print("  episode finished:", final.done)
 
 # the stack trace: depth after each action
-env = EdaEnv(dataset, HeadLayout(len(dataset.columns)),
-             horizon=len(traj.actions))
-state = env.reset()
-depths = []
-for action in traj.actions:
-    state = env.step(state, action)
-    depths.append(len(state.display_stack))
-print("  stack depth trace:", depths)
+states = walk(dataset, traj.actions)
+print("  stack depth trace:", [len(s.display_stack) for s in states[1:]])
 print("  distinct views visited:",
-      len({display_fingerprint(d) for d in state.history}))
+      len({display_fingerprint(d) for d in states[-1].history}))

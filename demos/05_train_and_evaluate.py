@@ -11,7 +11,8 @@ compute; the trained policy should clearly beat an untrained (uniform) one.
 from autoeda import nn, synth
 from autoeda.evaluation import (evaluate_sessions, generate_session,
                                 report_text)
-from autoeda.train import (TrainConfig, derive_rng, state_vec_len, train_gail)
+from autoeda.env import state_vec_len
+from autoeda.train import TrainConfig, derive_rng, train_gail
 
 
 def build(seed, idx):

@@ -96,6 +96,16 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _load_sessions(path, what: str = "session file"):
+    """Trajectories of a session file; an unreadable or malformed file is a
+    data error."""
+    from . import env as env_mod
+    try:
+        return env_mod.load_trajectories(path)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise DataError(f"cannot read {what} {path}: {exc}") from exc
+
+
 def _load_dataset(path):
     from . import tabular
     path = Path(path)
@@ -199,14 +209,11 @@ def _resolve_datasets(data_dir: Path, names):
 
 
 def _load_expert(data_dir: Path, names, split: str):
-    from . import env as env_mod
     trajectories = []
     paths = []
     for name in names:
         path = data_dir / f"{name}.{split}.json"
-        if not path.exists():
-            raise DataError(f"missing expert sessions {path}")
-        trajectories.extend(env_mod.load_trajectories(path))
+        trajectories.extend(_load_sessions(path, "expert sessions"))
         paths.append(path)
     return trajectories, paths
 
@@ -312,8 +319,10 @@ def _check_checkpoint_schema(result, dataset):
             f"checkpoint schema does not match dataset {dataset.name!r}")
 
 
-def cmd_generate(args) -> int:
-    from . import env as env_mod
+def _policy_sessions(args, datasets):
+    """(`args.n` sessions per dataset, seed, config) from `args.checkpoint`,
+    loaded once. Each dataset draws from a fresh STREAM_GENERATE generator,
+    so its sessions do not depend on the datasets listed before it."""
     from .evaluation import generate_session
     from .train import STREAM_GENERATE, derive_rng, load_checkpoint
 
@@ -321,16 +330,22 @@ def cmd_generate(args) -> int:
         result, cfg = load_checkpoint(args.checkpoint)
     except (OSError, ValueError, KeyError) as exc:
         raise DataError(f"cannot load checkpoint {args.checkpoint}: {exc}") from exc
-    dataset, _ = _load_dataset(args.dataset)
-    _check_checkpoint_schema(result, dataset)
-
     seed = args.seed if args.seed is not None else cfg.seed
-    rng = derive_rng(seed, STREAM_GENERATE)
-    sessions = [
-        generate_session(result.policy, dataset, result.layout, cfg.horizon,
-                         args.mode, rng)
-        for _ in range(args.n)
-    ]
+    per_dataset = []
+    for dataset in datasets:
+        _check_checkpoint_schema(result, dataset)
+        rng = derive_rng(seed, STREAM_GENERATE)
+        per_dataset.append([generate_session(result.policy, dataset, result.layout,
+                                             cfg.horizon, args.mode, rng)
+                            for _ in range(args.n)])
+    return per_dataset, seed, cfg
+
+
+def cmd_generate(args) -> int:
+    from . import env as env_mod
+
+    dataset, _ = _load_dataset(args.dataset)
+    (sessions,), seed, cfg = _policy_sessions(args, [dataset])
     out_path = Path(args.out or "sessions.json")
     if out_path.is_dir():
         out_path = out_path / "sessions.json"
@@ -382,9 +397,7 @@ def cmd_measure(args) -> int:
                            normalize_session, score_session)
 
     dataset, _ = _load_dataset(args.dataset)
-    if not Path(args.session).exists():
-        raise DataError(f"session file {args.session} does not exist")
-    trajectories = env_mod.load_trajectories(args.session)
+    trajectories = _load_sessions(args.session)
     if not trajectories:
         raise DataError(f"{args.session} holds no sessions")
     ruleset = EMPTY_RULESET
@@ -436,9 +449,7 @@ def cmd_measure(args) -> int:
 # eval
 
 def cmd_eval(args) -> int:
-    from . import env as env_mod
     from .evaluation import evaluate_sessions, report_text, METRIC_COLUMNS
-    from .train import STREAM_GENERATE, derive_rng, load_checkpoint
     import numpy as np
 
     if bool(args.checkpoint) == bool(args.sessions):
@@ -452,31 +463,22 @@ def cmd_eval(args) -> int:
     manifest = Manifest("eval", args, {"gold_split": args.gold_split,
                                        "n": args.n, "mode": args.mode,
                                        "threshold": args.threshold})
-    rows = []
+    datasets, golds = [], []
     for name in names:
-        dataset, _ = _load_dataset(data_dir / f"{name}.csv")
+        datasets.append(_load_dataset(data_dir / f"{name}.csv")[0])
         gold_path = data_dir / f"{name}.{args.gold_split}.json"
-        if not gold_path.exists():
-            raise DataError(f"missing gold sessions {gold_path}")
-        gold = env_mod.load_trajectories(gold_path)
+        golds.append(_load_sessions(gold_path, "gold sessions"))
         manifest.add_input(gold_path)
-        if args.checkpoint:
-            try:
-                result, cfg = load_checkpoint(args.checkpoint)
-            except (OSError, ValueError, KeyError) as exc:
-                raise DataError(f"cannot load checkpoint: {exc}") from exc
-            _check_checkpoint_schema(result, dataset)
-            seed = args.seed if args.seed is not None else cfg.seed
-            rng = derive_rng(seed, STREAM_GENERATE)
-            from .evaluation import generate_session
-            sessions = [generate_session(result.policy, dataset, result.layout,
-                                         cfg.horizon, args.mode, rng)
-                        for _ in range(args.n)]
-        else:
-            sessions = [t for t in env_mod.load_trajectories(args.sessions)
-                        if t.dataset == dataset.name]
+    if args.checkpoint:
+        generated, _, _ = _policy_sessions(args, datasets)
+    else:
+        pool = _load_sessions(args.sessions)
+        generated = [[t for t in pool if t.dataset == ds.name] for ds in datasets]
+        for name, sessions in zip(names, generated):
             if not sessions:
                 raise DataError(f"{args.sessions} has no sessions for {name}")
+    rows = []
+    for name, dataset, gold, sessions in zip(names, datasets, golds, generated):
         try:
             metrics = evaluate_sessions(dataset, sessions, gold, args.threshold)
         except ValueError as exc:

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import nn
 from .tabular import (AGG_FUNCS, FILTER_OPS, ColumnKind, Dataset, Display,
                       FilterPredicate, Grouping, apply_filter, apply_group,
                       canonical_number, column_histogram, display_fingerprint,
@@ -25,14 +26,11 @@ FEATURES_PER_COLUMN = 4
 HISTORY_WINDOW = 3
 DEFAULT_HORIZON = 12
 
-HEAD_NAMES = ("kind", "column", "agg_func", "filter_op", "term_bin")
-# heads that parameterize each action kind; the rest are ignored
-RELEVANT_HEADS = {
-    "GROUP": (0, 1, 2),
-    "FILTER": (0, 1, 3, 4),
-    "BACK": (0,),
-    "STOP": (0,),
-}
+# heads: kind, column, agg_func, filter_op, term_bin
+N_HEADS = 5
+# heads that parameterize each action kind, in ACTION_KINDS order; the rest
+# are ignored
+RELEVANT_HEADS = ((0, 1, 2), (0, 1, 3, 4), (0,), (0,))
 
 
 @dataclass(frozen=True)
@@ -81,13 +79,15 @@ class HeadLayout:
     def action_dim(self) -> int:
         return sum(self.sizes)
 
-
-def display_vec_len(dataset: Dataset) -> int:
-    return FEATURES_PER_COLUMN * len(dataset.columns) + GLOBAL_FEATURES
+    @property
+    def state_dim(self) -> int:
+        """Width of a state vector: the last three display encodings."""
+        return HISTORY_WINDOW * (FEATURES_PER_COLUMN * self.n_columns
+                                 + GLOBAL_FEATURES)
 
 
 def state_vec_len(dataset: Dataset) -> int:
-    return HISTORY_WINDOW * display_vec_len(dataset)
+    return HeadLayout(len(dataset.columns)).state_dim
 
 
 def encode_display(display: Display, base: Dataset) -> np.ndarray:
@@ -137,12 +137,9 @@ def encode_display(display: Display, base: Dataset) -> np.ndarray:
 
 def state_from_history(history, base: Dataset) -> np.ndarray:
     """Concatenate encodings of the last three displays, zero-padded on the left."""
-    block = display_vec_len(base)
-    out = np.zeros(HISTORY_WINDOW * block)
-    recent = history[-HISTORY_WINDOW:]
-    for slot, display in enumerate(recent, start=HISTORY_WINDOW - len(recent)):
-        out[slot * block:(slot + 1) * block] = encode_display(display, base)
-    return out
+    recent = [encode_display(d, base) for d in history[-HISTORY_WINDOW:]]
+    pad = np.zeros((HISTORY_WINDOW - len(recent)) * len(recent[0]))
+    return np.concatenate([pad, *recent])
 
 
 @dataclass(frozen=True)
@@ -314,13 +311,12 @@ def _term_bin(pred, display, base, idx, layout):
     return 0
 
 
-def encode_action(action: ActionSpec, layout: HeadLayout, display: Display,
-                  base: Dataset) -> np.ndarray:
-    """One-hot blocks per head; heads unused by the action's kind stay zero."""
-    heads = heads_from_action(action, display, base, layout)
+def encode_action(heads, layout: HeadLayout) -> np.ndarray:
+    """One-hot blocks per head of canonical head indices (from
+    heads_from_action); heads unused by the kind in head 0 stay zero."""
     vec = np.zeros(layout.action_dim)
     offset = 0
-    relevant = RELEVANT_HEADS[action.kind]
+    relevant = RELEVANT_HEADS[heads[0]]
     for h, size in enumerate(layout.sizes):
         if h in relevant:
             vec[offset + heads[h]] = 1.0
@@ -329,9 +325,30 @@ def encode_action(action: ActionSpec, layout: HeadLayout, display: Display,
 
 
 def head_mask(kind: str) -> np.ndarray:
-    mask = np.zeros(len(HEAD_NAMES), dtype=bool)
-    mask[list(RELEVANT_HEADS[kind])] = True
+    mask = np.zeros(N_HEADS, dtype=bool)
+    mask[list(RELEVANT_HEADS[ACTION_KINDS.index(kind)])] = True
     return mask
+
+
+def policy_step(policy: nn.PolicyNet, env: EdaEnv, state: EpisodeState,
+                rng: np.random.Generator | None = None, svec=None):
+    """One policy decision at `state`, applied to the environment.
+
+    Returns (state vector, sampled heads, log-prob, action, next state).
+    With `rng` the heads are sampled and the log-prob covers the heads the
+    sampled kind uses; without it every head takes its argmax and the
+    log-prob is None. `svec` is the state's encoding when the caller
+    already holds it.
+    """
+    if svec is None:
+        svec = env.encode_state(state)
+    dists = policy.head_probs(svec)
+    if rng is None:
+        heads, logp = nn.greedy_action(dists), None
+    else:
+        heads, logp = nn.sample_action(dists, rng, RELEVANT_HEADS)
+    action = action_from_heads(heads, state.current, env.dataset, env.layout)
+    return svec, heads, logp, action, env.step(state, action)
 
 
 @dataclass(frozen=True)
@@ -349,48 +366,50 @@ class ReplayStep:
     mask: np.ndarray
     action: ActionSpec
     action_vec: np.ndarray
-    display_before: Display
-    display_after: Display
     next_state: np.ndarray
     done: bool
 
 
-def walk_displays(dataset: Dataset, actions, horizon: int | None = None):
-    """Replay actions cheaply; yields (prev_display, action, cur_display, state).
+def walk(dataset: Dataset, actions, layout: HeadLayout | None = None,
+         horizon: int | None = None) -> list[EpisodeState]:
+    """The episode states of a session: the reset state, then one per action.
 
-    The returned `history` list holds every display seen including d0, in
-    order, which is what the diversity measure consumes.
+    The horizon defaults to the session length. Raises ValueError when an
+    action follows the end of the episode.
     """
-    env = EdaEnv(dataset, horizon=horizon or max(len(actions), 1))
-    state = env.reset()
-    steps = []
+    env = EdaEnv(dataset, layout, horizon=horizon or max(len(actions), 1))
+    states = [env.reset()]
     for action in actions:
-        prev = state.current
-        state = env.step(state, action)
-        steps.append((prev, action, state.current))
-    return steps, list(state.history)
+        states.append(env.step(states[-1], action))
+    return states
+
+
+def walk_displays(dataset: Dataset, actions, horizon: int | None = None):
+    """Displays of a session: (prev_display, action, cur_display) per step,
+    and the `history` list of every display seen including d0, in order,
+    which is what the diversity measure consumes.
+    """
+    states = walk(dataset, actions, horizon=horizon)
+    steps = [(before.current, action, after.current)
+             for before, action, after in zip(states, actions, states[1:])]
+    return steps, list(states[-1].history)
 
 
 def replay(dataset: Dataset, actions, layout: HeadLayout | None = None,
            horizon: int | None = None):
-    """Full replay producing training-ready step records."""
+    """Training-ready step records of a session, and its final state."""
     if layout is None:
         layout = HeadLayout(len(dataset.columns))
-    env = EdaEnv(dataset, layout, horizon=horizon or max(len(actions), 1))
-    state = env.reset()
+    states = walk(dataset, actions, layout, horizon)
+    vecs = [state_from_history(s.history, dataset) for s in states]
     records = []
     for t, action in enumerate(actions, start=1):
-        svec = env.encode_state(state)
-        heads = heads_from_action(action, state.current, dataset, layout)
-        avec = encode_action(action, layout, state.current, dataset)
-        before = state.current
-        state = env.step(state, action)
+        heads = heads_from_action(action, states[t - 1].current, dataset, layout)
         records.append(ReplayStep(
-            t=t, state=svec, heads=heads, mask=head_mask(action.kind),
-            action=action, action_vec=avec, display_before=before,
-            display_after=state.current, next_state=env.encode_state(state),
-            done=state.done))
-    return records, state
+            t=t, state=vecs[t - 1], heads=heads, mask=head_mask(action.kind),
+            action=action, action_vec=encode_action(heads, layout),
+            next_state=vecs[t], done=states[t].done))
+    return records, states[-1]
 
 
 def action_to_json(action: ActionSpec) -> dict:

@@ -15,15 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .env import (ACTION_KINDS, RELEVANT_HEADS, EdaEnv, HeadLayout,
-                  Trajectory, action_from_heads, walk_displays)
+from .env import (EdaEnv, HeadLayout, Trajectory, encode_display, policy_step,
+                  walk_displays)
 from .tabular import Dataset, display_fingerprint
-from .env import encode_display
 
 DEFAULT_SIM_THRESHOLD = 0.9
 METRIC_COLUMNS = ("precision", "tbleu1", "tbleu2", "tbleu3", "eda_sim")
-
-_RELEVANT_BY_KIND = tuple(RELEVANT_HEADS[k] for k in ACTION_KINDS)
 
 
 @dataclass(frozen=True)
@@ -149,17 +146,10 @@ def generate_session(policy: nn.PolicyNet, dataset: Dataset,
         raise ValueError("sample mode needs an rng")
     env = EdaEnv(dataset, layout, horizon)
     state = env.reset()
-    actions = []
     while not state.done:
-        dists = policy.head_probs(env.encode_state(state))
-        if mode == "greedy":
-            heads = nn.greedy_action(dists)
-        else:
-            heads, _ = nn.sample_action(dists, rng, _RELEVANT_BY_KIND)
-        action = action_from_heads(heads, state.current, dataset, layout)
-        state = env.step(state, action)
-        actions.append(action)
-    return Trajectory(dataset.name, tuple(actions))
+        *_, state = policy_step(policy, env, state,
+                                rng if mode == "sample" else None)
+    return Trajectory(dataset.name, state.action_history)
 
 
 def evaluate_sessions(dataset: Dataset, sessions, gold_trajectories,
@@ -178,27 +168,6 @@ def evaluate_sessions(dataset: Dataset, sessions, gold_trajectories,
         else:
             rows.append(all_metrics(gen_views, gold_views, threshold))
     return {key: float(np.mean([r[key] for r in rows])) for key in METRIC_COLUMNS}
-
-
-def evaluate_model(policy: nn.PolicyNet, datasets, gold_by_dataset: dict,
-                   n_sessions: int = 1, horizon: int = 12,
-                   layout: HeadLayout | None = None, mode: str = "greedy",
-                   rng: np.random.Generator | None = None,
-                   threshold: float = DEFAULT_SIM_THRESHOLD) -> list[dict]:
-    """Per-dataset metric rows plus an aggregate mean row."""
-    rows = []
-    for ds in datasets:
-        lay = layout or HeadLayout(len(ds.columns))
-        sessions = [generate_session(policy, ds, lay, horizon, mode, rng)
-                    for _ in range(n_sessions)]
-        metrics = evaluate_sessions(ds, sessions, gold_by_dataset[ds.name],
-                                    threshold)
-        rows.append({"dataset": ds.name, **metrics})
-    if len(rows) > 1:
-        agg = {key: float(np.mean([r[key] for r in rows]))
-               for key in METRIC_COLUMNS}
-        rows.append({"dataset": "mean", **agg})
-    return rows
 
 
 def report_text(rows) -> str:

@@ -181,10 +181,6 @@ class ValueNet:
         out, cache = self.net.forward(states)
         return out[:, 0], cache
 
-    def value(self, state: np.ndarray) -> float:
-        v, _ = self.forward(state.reshape(1, -1))
-        return float(v[0])
-
     def td_loss_grads(self, states: np.ndarray, targets: np.ndarray):
         """Mean squared TD error and its semi-gradient (targets held fixed)."""
         v, cache = self.forward(states)

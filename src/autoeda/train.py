@@ -16,9 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from . import nn
-from .env import (ACTION_KINDS, RELEVANT_HEADS, EdaEnv, HeadLayout,
-                  action_from_heads, encode_action, head_mask, replay,
-                  state_vec_len)
+from .env import (EdaEnv, HeadLayout, encode_action, head_mask,
+                  heads_from_action, policy_step, replay)
 
 CHECKPOINT_VERSION = 1
 
@@ -31,8 +30,6 @@ STREAM_SYNTH = 4
 STREAM_TRAJECTORIES = 5
 STREAM_SPLIT = 6
 STREAM_GENERATE = 7
-
-_RELEVANT_BY_KIND = tuple(RELEVANT_HEADS[k] for k in ACTION_KINDS)
 
 
 def derive_rng(seed: int, *path: int) -> np.random.Generator:
@@ -278,12 +275,14 @@ class RolloutCollector:
         self._env_idx = 0
         self._env = self.envs[0]
         self._state = self._env.reset()
+        self._svec = None  # encoding of _state once a step has computed it
         self.episode_lengths: list[int] = []
 
     def _next_episode(self):
         self._env_idx = (self._env_idx + 1) % len(self.envs)
         self._env = self.envs[self._env_idx]
         self._state = self._env.reset()
+        self._svec = None
 
     def collect(self, policy: nn.PolicyNet, disc: nn.DiscriminatorNet,
                 n_steps: int, buffer: ReplayBuffer):
@@ -293,31 +292,30 @@ class RolloutCollector:
         cfg = self.cfg
         for _ in range(n_steps):
             env, state = self._env, self._state
-            svec = env.encode_state(state)
-            dists = policy.head_probs(svec)
-            heads, logp = nn.sample_action(dists, self.rng, _RELEVANT_BY_KIND)
-            action = action_from_heads(heads, state.current, env.dataset,
-                                       self.layout)
-            avec = encode_action(action, self.layout, state.current, env.dataset)
-            new_state = env.step(state, action)
+            svec, heads, logp, action, new_state = policy_step(
+                policy, env, state, self.rng, self._svec)
+            # the discriminator sees the canonical heads, as for expert steps
+            avec = encode_action(heads_from_action(action, state.current,
+                                                   env.dataset, self.layout),
+                                 self.layout)
             penalty = 0.0
             if cfg.penalty_enabled:
                 penalty = incoherence_penalty(new_state.action_history,
                                               cfg.penalty_scope)
             reward = imitation_reward(disc.prob(np.concatenate([svec, avec])),
                                       penalty)
+            next_svec = env.encode_state(new_state)
             tr = Transition(
                 state=svec, heads=np.asarray(heads), mask=head_mask(action.kind),
                 action_vec=avec, reward=reward, penalty=penalty,
-                next_state=env.encode_state(new_state), done=new_state.done,
-                logprob=logp)
+                next_state=next_svec, done=new_state.done, logprob=logp)
             buffer.add(tr)
             out.append(tr)
             if new_state.done:
                 self.episode_lengths.append(new_state.step)
                 self._next_episode()
             else:
-                self._state = new_state
+                self._state, self._svec = new_state, next_svec
         return out
 
 
@@ -450,7 +448,7 @@ def train_gail(cfg: TrainConfig, datasets, expert, metrics_sink=None,
         raise ValueError("need at least one training dataset")
     schema = _check_schemas(datasets)
     layout = HeadLayout(len(schema), cfg.term_bins)
-    state_dim = state_vec_len(datasets[0])
+    state_dim = layout.state_dim
 
     init_rng = derive_rng(cfg.seed, STREAM_INIT)
     policy = nn.PolicyNet(state_dim, layout.sizes, cfg.policy_hidden, init_rng)
@@ -547,10 +545,10 @@ def load_checkpoint(path) -> tuple[TrainResult, TrainConfig]:
     from .tabular import ColumnKind
     schema = tuple((c, ColumnKind(k)) for c, k in payload["schema"])
     layout = HeadLayout(**payload["layout"])
-    state_dim = 3 * (4 * layout.n_columns + 3)
-    policy = nn.PolicyNet(state_dim, layout.sizes, cfg.policy_hidden)
-    value = nn.ValueNet(state_dim, cfg.policy_hidden)
-    disc = nn.DiscriminatorNet(state_dim + layout.action_dim, cfg.disc_hidden)
+    policy = nn.PolicyNet(layout.state_dim, layout.sizes, cfg.policy_hidden)
+    value = nn.ValueNet(layout.state_dim, cfg.policy_hidden)
+    disc = nn.DiscriminatorNet(layout.state_dim + layout.action_dim,
+                               cfg.disc_hidden)
     _load_params(policy, payload["policy"])
     _load_params(value, payload["value"])
     _load_params(disc, payload["discriminator"])

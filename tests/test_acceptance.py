@@ -14,7 +14,7 @@ import numpy as np
 
 from autoeda import nn, synth
 from autoeda.cli import main as cli_main
-from autoeda.env import BACK, STOP, ActionSpec, HeadLayout
+from autoeda.env import BACK, STOP, ActionSpec, HeadLayout, state_vec_len
 from autoeda.evaluation import (View, eda_sim, evaluate_sessions,
                                 generate_session, precision, tbleu)
 from autoeda.measures import (classify_session, default_measure_specs,
@@ -25,7 +25,7 @@ from autoeda.tabular import (ColumnKind, FilterPredicate, Grouping,
 from autoeda.train import (TrainConfig, action_agreement, bc_pretrain,
                            clipped_surrogate, derive_rng, incoherence_penalty,
                            ppo_clip_target, prepare_expert_steps, train_gail,
-                           state_vec_len, STREAM_SYNTH, STREAM_TRAJECTORIES,
+                           STREAM_SYNTH, STREAM_TRAJECTORIES,
                            STREAM_SPLIT, STREAM_GENERATE)
 
 

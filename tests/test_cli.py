@@ -173,7 +173,7 @@ def test_eval_self_scores_one(data_dir, capsys, tmp_path):
     for key in ("precision", "tbleu1", "tbleu2", "tbleu3", "eda_sim"):
         assert rows[0][key] == pytest.approx(1.0), key
     text = capsys.readouterr().out
-    assert "Precision" in text and "TBLEU-3" in text
+    assert "Precision" in text and "TBLEU-3" in text and "EDA-Sim" in text
 
 
 def test_eval_with_checkpoint(run_dir, data_dir, tmp_path):
@@ -182,7 +182,36 @@ def test_eval_with_checkpoint(run_dir, data_dir, tmp_path):
                "--out", tmp_path) == 0
     rows = json.loads((tmp_path / "report.json").read_text())["rows"]
     assert [r["dataset"] for r in rows] == ["ds1", "ds2", "mean"]
-    assert (tmp_path / "report.txt").exists()
+    lines = (tmp_path / "report.txt").read_text().splitlines()
+    assert lines[0].split() == ["Dataset", "Precision", "TBLEU-1", "TBLEU-2",
+                                "TBLEU-3", "EDA-Sim"]
+    assert [line.split()[0] for line in lines[2:]] == ["ds1", "ds2", "mean"]
+
+
+def test_eval_checkpoint_sessions_do_not_depend_on_other_datasets(
+        run_dir, data_dir, tmp_path):
+    def rows(datasets, out):
+        assert run("eval", "--checkpoint", run_dir / "checkpoint.json",
+                   "--data", data_dir, "--datasets", datasets, "--n", "3",
+                   "--mode", "sample", "--seed", "9", "--out", out) == 0
+        return json.loads((out / "report.json").read_text())["rows"]
+
+    both = rows("ds1,ds2", tmp_path / "both")
+    assert both[:2] == rows("ds1", tmp_path / "one") + rows("ds2", tmp_path / "two")
+
+
+def test_eval_checkpoint_matches_generated_sessions(run_dir, data_dir, tmp_path):
+    sample = ("--n", "2", "--mode", "sample", "--seed", "9")
+    sessions = tmp_path / "sessions.json"
+    assert run("generate", "--checkpoint", run_dir / "checkpoint.json",
+               "--dataset", data_dir / "ds2.csv", *sample, "--out", sessions) == 0
+    assert run("eval", "--sessions", sessions, "--data", data_dir,
+               "--datasets", "ds2", "--out", tmp_path / "files") == 0
+    assert run("eval", "--checkpoint", run_dir / "checkpoint.json",
+               "--data", data_dir, "--datasets", "ds2", *sample,
+               "--out", tmp_path / "direct") == 0
+    assert ((tmp_path / "direct" / "report.json").read_bytes()
+            == (tmp_path / "files" / "report.json").read_bytes())
 
 
 def test_usage_errors_exit_one():
@@ -200,3 +229,19 @@ def test_data_errors_exit_two(tmp_path, data_dir):
     bad.write_text("{not json")
     assert run("train", "--data", data_dir, "--datasets", "ds1",
                "--config", bad, "--out", tmp_path) == 2
+    assert run("eval", "--sessions", tmp_path / "missing.json",
+               "--data", data_dir, "--datasets", "ds1") == 2
+    for malformed in ("{not json", "[]", '{"sessions": []}',
+                      '{"dataset": "ds1", "sessions": [[{"action": {}}]]}',
+                      '{"dataset": "ds1", "sessions": [[{"action": {"kind": "JUMP"}}]]}'):
+        bad.write_text(malformed)
+        assert run("measure", "--session", bad,
+                   "--dataset", data_dir / "ds1.csv") == 2, malformed
+        assert run("eval", "--sessions", bad,
+                   "--data", data_dir, "--datasets", "ds1") == 2, malformed
+    # a split without session files, for expert and for gold sessions
+    assert run("train", "--data", data_dir, "--datasets", "ds1",
+               "--split", "nosuch", "--out", tmp_path) == 2
+    assert run("eval", "--sessions", data_dir / "ds1.eval.json",
+               "--data", data_dir, "--datasets", "ds1",
+               "--gold-split", "nosuch") == 2

@@ -262,15 +262,17 @@ def test_group_reconstruction_forces_valid_agg(toy):
 
 def test_encode_action_back_one_hot(toy):
     layout = HeadLayout(3)
-    vec = encode_action(BACK, layout, initial_display(toy), toy)
+    d = initial_display(toy)
+    vec = encode_action(heads_from_action(BACK, d, toy, layout), layout)
     assert vec.shape == (layout.action_dim,)
     assert vec.sum() == 1.0 and vec[2] == 1.0
 
 
 def test_encode_action_group_blocks(toy):
     layout = HeadLayout(3)
-    vec = encode_action(GROUP("score", "color", "COUNT"), layout,
-                        initial_display(toy), toy)
+    d = initial_display(toy)
+    action = GROUP("score", "color", "COUNT")
+    vec = encode_action(heads_from_action(action, d, toy, layout), layout)
     k, c, g, o, b = layout.sizes
     assert vec[0] == 1.0                      # kind block
     assert vec[k + 1] == 1.0                  # column block: score
@@ -294,7 +296,7 @@ def test_head_round_trip_exhaustive():
         again = action_from_heads(back, d, ds, layout)
         assert again == action
         # argmax of the encoded blocks equals the canonical heads
-        vec = encode_action(action, layout, d, ds)
+        vec = encode_action(back, layout)
         offset = 0
         for h, size in enumerate(layout.sizes):
             block = vec[offset:offset + size]

@@ -5,13 +5,12 @@ import numpy as np
 import pytest
 
 from autoeda import nn
-from autoeda.env import ActionSpec, BACK, STOP, HeadLayout
+from autoeda.env import ActionSpec, BACK, STOP, HeadLayout, state_vec_len
 from autoeda.evaluation import (METRIC_COLUMNS, View, display_similarity,
-                                eda_sim, evaluate_model, evaluate_sessions,
-                                generate_session, precision, report_text,
-                                tbleu, views_from_actions)
+                                eda_sim, evaluate_sessions, generate_session,
+                                precision, tbleu, views_from_actions)
 from autoeda.tabular import FilterPredicate, Grouping
-from autoeda.train import derive_rng, state_vec_len
+from autoeda.train import derive_rng
 
 
 def mk_views(symbols, dim=4, spread=1.0):
@@ -292,17 +291,3 @@ def test_evaluate_sessions_identity_scores_one(synthetic_bundle):
     metrics = evaluate_sessions(dataset, [gold[0]], gold)
     for column in METRIC_COLUMNS:
         assert metrics[column] == pytest.approx(1.0), column
-
-
-def test_evaluate_model_report_shape(synthetic_bundle):
-    dataset, _, _, trajectories = synthetic_bundle
-    layout = HeadLayout(len(dataset.columns))
-    policy = nn.PolicyNet(state_vec_len(dataset), layout.sizes, (16, 16),
-                          derive_rng(2, 0))
-    rows = evaluate_model(policy, [dataset], {dataset.name: trajectories[:2]},
-                          n_sessions=1, horizon=6, layout=layout)
-    assert rows[0]["dataset"] == dataset.name
-    assert set(METRIC_COLUMNS) <= set(rows[0])
-    text = report_text(rows)
-    assert "Precision" in text and "EDA-Sim" in text
-    assert dataset.name in text

@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from autoeda import nn
-from autoeda.env import ACTION_KINDS, RELEVANT_HEADS
-
-RELEVANT_BY_KIND = tuple(RELEVANT_HEADS[k] for k in ACTION_KINDS)
+from autoeda.env import RELEVANT_HEADS
 
 
 def fd_gradient(params, loss_fn, h=1e-5):
@@ -113,7 +111,7 @@ def test_sample_action_deterministic_distribution():
     dists = [np.array([0.0, 1.0, 0.0, 0.0]), np.array([1.0, 0.0]),
              np.array([0.0, 1.0]), np.array([1.0, 0.0]), np.array([1.0, 0.0])]
     idx, logp = nn.sample_action(dists, np.random.default_rng(0),
-                                 RELEVANT_BY_KIND)
+                                 RELEVANT_HEADS)
     assert idx[0] == 1 and idx[1] == 0 and idx[2] == 1
     assert logp == pytest.approx(0.0)
 
@@ -123,7 +121,7 @@ def test_sample_action_back_masks_other_heads():
     dists = [np.array([0.0, 0.0, 1.0, 0.0]),  # kind = BACK
              np.array([0.5, 0.5]), np.array([0.25] * 4),
              np.array([0.2] * 5), np.array([0.1] * 10)]
-    idx, logp = nn.sample_action(dists, rng, RELEVANT_BY_KIND)
+    idx, logp = nn.sample_action(dists, rng, RELEVANT_HEADS)
     assert idx[0] == 2
     assert logp == pytest.approx(math.log(1.0))
 
@@ -136,7 +134,7 @@ def test_sample_action_frequencies_within_three_sigma():
     n = 100_000
     counts = np.zeros(4)
     for _ in range(n):
-        idx, _ = nn.sample_action(dists, rng, RELEVANT_BY_KIND)
+        idx, _ = nn.sample_action(dists, rng, RELEVANT_HEADS)
         counts[idx[0]] += 1
     for k, p in enumerate(probs):
         sigma = math.sqrt(p * (1 - p) / n)

@@ -445,6 +445,19 @@ def test_checkpoint_round_trip(tmp_path, synthetic_bundle):
         assert np.array_equal(pa, pb)
 
 
+def test_checkpoint_round_trip_three_columns(tmp_path, toy):
+    from autoeda.env import Trajectory
+    cfg = small_cfg()
+    result = train_gail(cfg, [toy], [Trajectory("toy", (F_A, G_A, BACK, STOP))])
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(path, result, cfg)
+    loaded, _ = load_checkpoint(path)
+    assert loaded.policy.state_dim == state_vec_len(toy)
+    for name in ("policy", "value", "discriminator"):
+        assert np.array_equal(nn.get_flat(getattr(loaded, name).params),
+                              nn.get_flat(getattr(result, name).params)), name
+
+
 def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(clip_eps=1.5)
