@@ -39,6 +39,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def _sha256(path: Path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -112,13 +119,14 @@ def _load_dataset(path):
     if not path.exists():
         raise DataError(f"dataset file {path} does not exist")
     sidecar = path.with_suffix(".schema.json")
-    schema = None
-    if sidecar.exists():
-        schema = {c: k.value for c, k in tabular.load_schema_sidecar(sidecar).items()}
     try:
+        schema = None
+        if sidecar.exists():
+            schema = {c: k.value
+                      for c, k in tabular.load_schema_sidecar(sidecar).items()}
         return tabular.load_dataset(path, schema=schema), sidecar if schema else None
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
+    except (OSError, ValueError) as exc:
+        raise DataError(f"cannot load dataset {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +336,7 @@ def _policy_sessions(args, datasets):
 
     try:
         result, cfg = load_checkpoint(args.checkpoint)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         raise DataError(f"cannot load checkpoint {args.checkpoint}: {exc}") from exc
     seed = args.seed if args.seed is not None else cfg.seed
     per_dataset = []
@@ -540,7 +548,7 @@ def build_parser() -> _Parser:
     common(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--dataset", required=True, help="dataset csv path")
-    p.add_argument("--n", type=int, default=1)
+    p.add_argument("--n", type=_positive_int, default=1)
     p.add_argument("--mode", choices=("greedy", "sample"), default="greedy")
     p.set_defaults(fn=cmd_generate)
 
@@ -561,7 +569,7 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--datasets", required=True, help="comma-separated names")
     p.add_argument("--gold-split", default="eval")
-    p.add_argument("--n", type=int, default=1)
+    p.add_argument("--n", type=_positive_int, default=1)
     p.add_argument("--mode", choices=("greedy", "sample"), default="greedy")
     p.add_argument("--threshold", type=float, default=0.9)
     p.set_defaults(fn=cmd_eval)

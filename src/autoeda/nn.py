@@ -1,9 +1,12 @@
 """Small fully-connected networks with hand-written backprop.
 
 Three architectures: a multi-head softmax policy (tanh trunk), a scalar
-value net, and a logistic discriminator over state-action vectors. Analytic
-gradients are exact; the test suite pins them against central finite
-differences. Everything is float64 numpy and deterministic.
+value net, and a logistic discriminator over state-action vectors. Each
+network keeps its parameters in one float64 vector, `flat`, whose reshaped
+views are the weight and bias arrays; gradients, Adam and the L2 term work on
+whole vectors in the same order. Analytic gradients are exact; the test suite
+pins them against central finite differences. Everything is float64 numpy and
+deterministic.
 """
 
 from __future__ import annotations
@@ -31,35 +34,47 @@ def _act_grad(name: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.ones_like(z)
 
 
-def init_layer(n_in: int, n_out: int, rng: np.random.Generator):
-    limit = np.sqrt(6.0 / (n_in + n_out))
-    return rng.uniform(-limit, limit, size=(n_in, n_out)), np.zeros(n_out)
+def _layer_shapes(sizes):
+    """Parameter shapes of a dense stack, weight before bias per layer."""
+    return [shape for n_in, n_out in zip(sizes, sizes[1:])
+            for shape in ((n_in, n_out), (n_out,))]
+
+
+def _split(flat: np.ndarray, shapes):
+    """Reshaped views of consecutive segments of `flat`, one per shape."""
+    views, offset = [], 0
+    for shape in shapes:
+        n = int(np.prod(shape))
+        views.append(flat[offset:offset + n].reshape(shape))
+        offset += n
+    return views
+
+
+def _size(shapes) -> int:
+    return sum(int(np.prod(shape)) for shape in shapes)
 
 
 class Mlp:
-    """Dense stack; one activation name per layer."""
+    """Dense stack; one activation name per layer.
 
-    def __init__(self, sizes, activations, rng: np.random.Generator | None = None):
+    Weights and biases are views into one flat vector, `flat`, which is
+    allocated here or carved from a caller's larger buffer.
+    """
+
+    def __init__(self, sizes, activations, rng: np.random.Generator | None = None,
+                 flat: np.ndarray | None = None):
         if len(activations) != len(sizes) - 1:
             raise ValueError("need one activation per layer")
         self.sizes = tuple(sizes)
         self.activations = tuple(activations)
-        self.weights = []
-        self.biases = []
-        for n_in, n_out in zip(sizes, sizes[1:]):
-            if rng is None:
-                w, b = np.zeros((n_in, n_out)), np.zeros(n_out)
-            else:
-                w, b = init_layer(n_in, n_out, rng)
-            self.weights.append(w)
-            self.biases.append(b)
-
-    @property
-    def params(self):
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.extend((w, b))
-        return out
+        self.shapes = _layer_shapes(self.sizes)
+        self.flat = np.zeros(_size(self.shapes)) if flat is None else flat
+        views = _split(self.flat, self.shapes)
+        self.weights, self.biases = views[0::2], views[1::2]
+        if rng is not None:  # fan-in/fan-out scaled uniform; biases stay 0
+            for w in self.weights:
+                limit = np.sqrt(6.0 / (w.shape[0] + w.shape[1]))
+                w[...] = rng.uniform(-limit, limit, size=w.shape)
 
     def forward(self, x: np.ndarray):
         if x.shape[-1] != self.sizes[0]:
@@ -73,16 +88,18 @@ class Mlp:
             h = a
         return h, cache
 
-    def backward(self, cache, dout: np.ndarray):
-        """Gradients of a scalar loss given d(loss)/d(output)."""
-        grads = [None] * (2 * len(self.weights))
+    def backward(self, cache, dout: np.ndarray, grad: np.ndarray | None = None):
+        """Flat gradient of a scalar loss given d(loss)/d(output), written
+        into `grad` when given, and d(loss)/d(input)."""
+        grad = np.empty_like(self.flat) if grad is None else grad
+        views = _split(grad, self.shapes)
         for layer in range(len(self.weights) - 1, -1, -1):
             h, z, a = cache[layer]
             dz = dout * _act_grad(self.activations[layer], z, a)
-            grads[2 * layer] = h.T @ dz
-            grads[2 * layer + 1] = dz.sum(axis=0)
+            np.matmul(h.T, dz, out=views[2 * layer])
+            dz.sum(axis=0, out=views[2 * layer + 1])
             dout = dz @ self.weights[layer].T
-        return grads, dout
+        return grad, dout
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -100,7 +117,8 @@ class PolicyNet:
     """tanh trunk feeding one linear+softmax head per action component.
 
     Head layers start at zero so the untrained policy is uniform on every
-    head; the trunk uses fan-in scaled uniform init.
+    head; the trunk uses fan-in scaled uniform init. `flat` holds the trunk
+    parameters, then each head's weight and bias.
     """
 
     def __init__(self, state_dim: int, head_sizes, hidden=(50, 50, 50),
@@ -108,17 +126,15 @@ class PolicyNet:
         rng = rng if rng is not None else np.random.default_rng(0)
         self.state_dim = state_dim
         self.head_sizes = tuple(head_sizes)
-        self.trunk = Mlp((state_dim, *hidden), ("tanh",) * len(hidden), rng)
-        feat = hidden[-1]
-        self.head_weights = [np.zeros((feat, k)) for k in self.head_sizes]
-        self.head_biases = [np.zeros(k) for k in self.head_sizes]
-
-    @property
-    def params(self):
-        out = list(self.trunk.params)
-        for w, b in zip(self.head_weights, self.head_biases):
-            out.extend((w, b))
-        return out
+        trunk_sizes = (state_dim, *hidden)
+        self.head_shapes = [shape for k in self.head_sizes
+                            for shape in ((hidden[-1], k), (k,))]
+        self.n_trunk = _size(_layer_shapes(trunk_sizes))
+        self.flat = np.zeros(self.n_trunk + _size(self.head_shapes))
+        self.trunk = Mlp(trunk_sizes, ("tanh",) * len(hidden), rng,
+                         self.flat[:self.n_trunk])
+        heads = _split(self.flat[self.n_trunk:], self.head_shapes)
+        self.head_weights, self.head_biases = heads[0::2], heads[1::2]
 
     def forward(self, states: np.ndarray):
         """Per-head probability rows for a batch of states."""
@@ -149,20 +165,22 @@ class PolicyNet:
 
     def backward_logprob(self, ctx, head_idx: np.ndarray, masks: np.ndarray,
                          coeffs: np.ndarray):
-        """Gradient of sum_i coeffs[i] * logprob_i w.r.t. params."""
+        """Flat gradient of sum_i coeffs[i] * logprob_i w.r.t. `flat`."""
         states, feat, cache, logits = ctx
         batch = np.arange(head_idx.shape[0])
-        head_grads = []
+        grad = np.empty_like(self.flat)
+        head_grads = _split(grad[self.n_trunk:], self.head_shapes)
         dfeat = np.zeros_like(feat)
         for h, head_logits in enumerate(logits):
             p = softmax(head_logits)
             dlogits = -p * coeffs[:, None]
             dlogits[batch, head_idx[:, h]] += coeffs
             dlogits *= masks[:, h:h + 1]
-            head_grads.extend((feat.T @ dlogits, dlogits.sum(axis=0)))
+            np.matmul(feat.T, dlogits, out=head_grads[2 * h])
+            dlogits.sum(axis=0, out=head_grads[2 * h + 1])
             dfeat += dlogits @ self.head_weights[h].T
-        trunk_grads, _ = self.trunk.backward(cache, dfeat)
-        return trunk_grads + head_grads
+        self.trunk.backward(cache, dfeat, grad[:self.n_trunk])
+        return grad
 
 
 class ValueNet:
@@ -171,10 +189,7 @@ class ValueNet:
         rng = rng if rng is not None else np.random.default_rng(0)
         self.net = Mlp((state_dim, *hidden, 1),
                        ("tanh",) * len(hidden) + ("linear",), rng)
-
-    @property
-    def params(self):
-        return self.net.params
+        self.flat = self.net.flat
 
     def forward(self, states: np.ndarray):
         states = np.atleast_2d(states)
@@ -187,8 +202,8 @@ class ValueNet:
         err = v - targets
         loss = float(np.mean(err * err))
         dout = (2.0 * err / err.shape[0])[:, None]
-        grads, _ = self.net.backward(cache, dout)
-        return loss, grads
+        grad, _ = self.net.backward(cache, dout)
+        return loss, grad
 
 
 class DiscriminatorNet:
@@ -199,10 +214,7 @@ class DiscriminatorNet:
         rng = rng if rng is not None else np.random.default_rng(0)
         self.net = Mlp((input_dim, *hidden, 1),
                        ("relu",) * len(hidden) + ("linear",), rng)
-
-    @property
-    def params(self):
-        return self.net.params
+        self.flat = self.net.flat
 
     def forward(self, x: np.ndarray):
         x = np.atleast_2d(x)
@@ -228,43 +240,33 @@ class DiscriminatorNet:
                               + (1 - labels) * np.log(1 - eps_free)))
         passthrough = (np.abs(raw) < LOGIT_CLAMP).astype(float)
         dz = (probs - labels) * passthrough / labels.shape[0]
-        grads, _ = self.net.backward(cache, dz[:, None])
-        return loss, grads, probs
+        grad, _ = self.net.backward(cache, dz[:, None])
+        return loss, grad, probs
 
 
 class Adam:
-    """Bias-corrected adaptive-moment optimizer over a fixed param list."""
+    """Bias-corrected adaptive-moment optimizer over one flat vector."""
 
-    def __init__(self, params, lr: float, beta1: float = 0.9,
+    def __init__(self, flat: np.ndarray, lr: float, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self.m = np.zeros_like(flat)
+        self.v = np.zeros_like(flat)
 
-    def step(self, params, grads) -> None:
+    def step(self, flat: np.ndarray, grad: np.ndarray) -> None:
+        """Update `flat` in place, so every view into it sees the step."""
         self.t += 1
         b1c = 1.0 - self.beta1 ** self.t
         b2c = 1.0 - self.beta2 ** self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
-
-    def state_dict(self) -> dict:
-        return {"t": self.t,
-                "m": [arr_to_json(a) for a in self.m],
-                "v": [arr_to_json(a) for a in self.v]}
-
-    def load_state_dict(self, state: dict) -> None:
-        self.t = state["t"]
-        self.m = [arr_from_json(a) for a in state["m"]]
-        self.v = [arr_from_json(a) for a in state["v"]]
+        self.m *= self.beta1
+        self.m += (1.0 - self.beta1) * grad
+        self.v *= self.beta2
+        self.v += (1.0 - self.beta2) * grad * grad
+        flat -= self.lr * (self.m / b1c) / (np.sqrt(self.v / b2c) + self.eps)
 
 
 def sample_action(dists, rng: np.random.Generator, relevant_by_kind):
@@ -284,23 +286,9 @@ def greedy_action(dists):
     return tuple(int(np.argmax(p)) for p in dists)
 
 
-def get_flat(params) -> np.ndarray:
-    return np.concatenate([p.ravel() for p in params])
-
-
-def set_flat(params, vec: np.ndarray) -> None:
-    offset = 0
-    for p in params:
-        n = p.size
-        p[...] = vec[offset:offset + n].reshape(p.shape)
-        offset += n
-
-
-def l2_penalty(params, coeff: float):
-    """coeff * squared L2 norm over every parameter, with its gradient."""
-    value = coeff * sum(float((p * p).sum()) for p in params)
-    grads = [2.0 * coeff * p for p in params]
-    return value, grads
+def l2_penalty(flat: np.ndarray, coeff: float) -> np.ndarray:
+    """Gradient of coeff * ||flat||^2."""
+    return 2.0 * coeff * flat
 
 
 def arr_to_json(a: np.ndarray) -> dict:

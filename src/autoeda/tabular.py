@@ -407,7 +407,10 @@ def load_dataset(path, schema: dict | None = None, delimiter: str = ",",
 
 def load_schema_sidecar(path) -> dict:
     with open(path) as fh:
-        return {col: ColumnKind(kind) for col, kind in json.load(fh).items()}
+        obj = json.load(fh)
+    if not isinstance(obj, dict):
+        raise ValueError(f"schema sidecar {path} is not a column -> kind object")
+    return {col: ColumnKind(kind) for col, kind in obj.items()}
 
 
 def write_dataset(dataset: Dataset, path, delimiter: str = ",") -> None:

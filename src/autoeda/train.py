@@ -19,7 +19,7 @@ from . import nn
 from .env import (EdaEnv, HeadLayout, encode_action, head_mask,
                   heads_from_action, policy_step, replay)
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 # rng sub-stream ids, combined with the run seed through SeedSequence
 STREAM_INIT = 0
@@ -226,7 +226,7 @@ def bc_pretrain(policy: nn.PolicyNet, expert_steps, cfg: TrainConfig,
     heads = np.stack([s.heads for s in expert_steps])
     masks = np.stack([s.mask for s in expert_steps])
     n = len(expert_steps)
-    opt = nn.Adam(policy.params, cfg.lr_bc)
+    opt = nn.Adam(policy.flat, cfg.lr_bc)
     history = []
     for _ in range(cfg.bc_epochs):
         perm = rng.permutation(n)
@@ -235,10 +235,10 @@ def bc_pretrain(policy: nn.PolicyNet, expert_steps, cfg: TrainConfig,
             idx = perm[start:start + cfg.bc_batch]
             logp, ctx = policy.logprob(states[idx], heads[idx], masks[idx])
             batch = len(idx)
-            grads = policy.backward_logprob(ctx, heads[idx], masks[idx],
-                                            np.full(batch, -1.0 / batch))
-            _, l2_grads = nn.l2_penalty(policy.params, cfg.l2_coeff)
-            opt.step(policy.params, [g + lg for g, lg in zip(grads, l2_grads)])
+            grad = policy.backward_logprob(ctx, heads[idx], masks[idx],
+                                           np.full(batch, -1.0 / batch))
+            grad += nn.l2_penalty(policy.flat, cfg.l2_coeff)
+            opt.step(policy.flat, grad)
             total_nll += float(-logp.sum())
         history.append(total_nll / n)
     return history
@@ -334,8 +334,8 @@ def update_discriminator(disc: nn.DiscriminatorNet, opt: nn.Adam,
     x = np.stack([np.concatenate([t.state, t.action_vec]) for t in gen]
                  + [np.concatenate([e.state, e.action_vec]) for e in exp])
     labels = np.concatenate([np.zeros(half), np.ones(half)])
-    loss, grads, probs = disc.bce_loss_grads(x, labels)
-    opt.step(disc.params, grads)
+    loss, grad, probs = disc.bce_loss_grads(x, labels)
+    opt.step(disc.flat, grad)
     acc = 0.5 * (float(np.mean(probs[:half] < 0.5))
                  + float(np.mean(probs[half:] > 0.5)))
     return loss, acc
@@ -397,8 +397,8 @@ def ppo_update(policy: nn.PolicyNet, opt: nn.Adam, value: nn.ValueNet,
     surrogate = float(np.mean(np.minimum(lhs, target)))
     active = (lhs <= target).astype(float)
     coeffs = active * adv * ratio / len(adv)
-    grads = policy.backward_logprob(ctx, batch["heads"], batch["masks"], coeffs)
-    opt.step(policy.params, [-g for g in grads])
+    grad = policy.backward_logprob(ctx, batch["heads"], batch["masks"], coeffs)
+    opt.step(policy.flat, -grad)
     return {"surrogate": surrogate,
             "clip_fraction": float(np.mean(1.0 - active)),
             "mean_ratio": float(np.mean(ratio))}
@@ -408,8 +408,8 @@ def value_update(value: nn.ValueNet, opt: nn.Adam, batch: dict,
                  cfg: TrainConfig) -> float:
     """One semi-gradient step on the mean squared one-step TD error."""
     _, targets = _advantages(value, batch, cfg)
-    loss, grads = value.td_loss_grads(batch["states"], targets)
-    opt.step(value.params, grads)
+    loss, grad = value.td_loss_grads(batch["states"], targets)
+    opt.step(value.flat, grad)
     return loss
 
 
@@ -422,7 +422,6 @@ class TrainResult:
     schema: tuple
     metrics: list = field(default_factory=list)
     bc_history: list = field(default_factory=list)
-    optimizer_states: dict = field(default_factory=dict)
 
 
 def _check_schemas(datasets):
@@ -470,9 +469,9 @@ def train_gail(cfg: TrainConfig, datasets, expert, metrics_sink=None,
     collector = RolloutCollector(datasets, layout, cfg,
                                  derive_rng(cfg.seed, STREAM_ROLLOUT))
     update_rng = derive_rng(cfg.seed, STREAM_UPDATE)
-    policy_opt = nn.Adam(policy.params, cfg.lr_adv)
-    value_opt = nn.Adam(value.params, cfg.lr_adv)
-    disc_opt = nn.Adam(disc.params, cfg.lr_adv)
+    policy_opt = nn.Adam(policy.flat, cfg.lr_adv)
+    value_opt = nn.Adam(value.flat, cfg.lr_adv)
+    disc_opt = nn.Adam(disc.flat, cfg.lr_adv)
 
     done_interactions = 0
     interval = 0
@@ -500,21 +499,15 @@ def train_gail(cfg: TrainConfig, datasets, expert, metrics_sink=None,
         result.metrics.append(record)
         if metrics_sink is not None:
             metrics_sink(record)
-    result.optimizer_states = {
-        "policy": policy_opt.state_dict(),
-        "value": value_opt.state_dict(),
-        "discriminator": disc_opt.state_dict(),
-    }
     return result
 
 
-def _net_json(net) -> dict:
-    return {"params": [nn.arr_to_json(p) for p in net.params]}
-
-
-def _load_params(net, obj) -> None:
-    for p, stored in zip(net.params, obj["params"]):
-        p[...] = nn.arr_from_json(stored)
+def _load_flat(net, obj, name: str) -> None:
+    stored = nn.arr_from_json(obj)
+    if stored.shape != net.flat.shape:
+        raise ValueError(f"checkpoint {name} holds {stored.size} parameters, "
+                         f"the network has {net.flat.size}")
+    net.flat[...] = stored
 
 
 def save_checkpoint(path, result: TrainResult, cfg: TrainConfig) -> None:
@@ -525,10 +518,9 @@ def save_checkpoint(path, result: TrainResult, cfg: TrainConfig) -> None:
         "schema": [[c, k.value] for c, k in result.schema],
         "layout": {"n_columns": result.layout.n_columns,
                    "term_bins": result.layout.term_bins},
-        "policy": _net_json(result.policy),
-        "value": _net_json(result.value),
-        "discriminator": _net_json(result.discriminator),
-        "optimizers": result.optimizer_states,
+        "policy": nn.arr_to_json(result.policy.flat),
+        "value": nn.arr_to_json(result.value.flat),
+        "discriminator": nn.arr_to_json(result.discriminator.flat),
     }
     with open(path, "w") as fh:
         json.dump(payload, fh)
@@ -549,9 +541,7 @@ def load_checkpoint(path) -> tuple[TrainResult, TrainConfig]:
     value = nn.ValueNet(layout.state_dim, cfg.policy_hidden)
     disc = nn.DiscriminatorNet(layout.state_dim + layout.action_dim,
                                cfg.disc_hidden)
-    _load_params(policy, payload["policy"])
-    _load_params(value, payload["value"])
-    _load_params(disc, payload["discriminator"])
-    result = TrainResult(policy, value, disc, layout, schema,
-                         optimizer_states=payload.get("optimizers", {}))
-    return result, cfg
+    _load_flat(policy, payload["policy"], "policy")
+    _load_flat(value, payload["value"], "value")
+    _load_flat(disc, payload["discriminator"], "discriminator")
+    return TrainResult(policy, value, disc, layout, schema), cfg

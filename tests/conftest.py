@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from autoeda import synth
@@ -42,3 +43,22 @@ def synthetic_bundle():
 @pytest.fixture(scope="session")
 def synthetic_dataset(synthetic_bundle) -> Dataset:
     return synthetic_bundle[0]
+
+
+@pytest.fixture(scope="session")
+def fd_gradient():
+    """Central finite differences of `loss_fn` over every coordinate of
+    `net.flat`, perturbed in place and restored."""
+    def gradient(net, loss_fn, h=1e-5):
+        flat = net.flat
+        grad = np.zeros_like(flat)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + h
+            hi = loss_fn()
+            flat[i] = orig - h
+            lo = loss_fn()
+            flat[i] = orig
+            grad[i] = (hi - lo) / (2 * h)
+        return grad
+    return gradient

@@ -214,10 +214,17 @@ def test_eval_checkpoint_matches_generated_sessions(run_dir, data_dir, tmp_path)
             == (tmp_path / "files" / "report.json").read_bytes())
 
 
-def test_usage_errors_exit_one():
+def test_usage_errors_exit_one(run_dir, data_dir, tmp_path):
     assert run("train", "--data", "somewhere") == 1  # missing --datasets
     assert run("eval", "--data", "x", "--datasets", "ds1") == 1  # no source
     assert run("nonsense") == 1
+    for n in ("0", "-3"):
+        assert run("generate", "--checkpoint", run_dir / "checkpoint.json",
+                   "--dataset", data_dir / "ds1.csv", "--n", n,
+                   "--out", tmp_path / "sessions.json") == 1, n
+        assert run("eval", "--checkpoint", run_dir / "checkpoint.json",
+                   "--data", data_dir, "--datasets", "ds1", "--n", n) == 1, n
+    assert not (tmp_path / "sessions.json").exists()
 
 
 def test_data_errors_exit_two(tmp_path, data_dir):
@@ -245,3 +252,25 @@ def test_data_errors_exit_two(tmp_path, data_dir):
     assert run("eval", "--sessions", data_dir / "ds1.eval.json",
                "--data", data_dir, "--datasets", "ds1",
                "--gold-split", "nosuch") == 2
+    # a malformed schema sidecar next to the dataset
+    (tmp_path / "ds1.csv").write_bytes((data_dir / "ds1.csv").read_bytes())
+    for malformed in ("{bad", '["c1"]', '{"c1": "weird"}'):
+        (tmp_path / "ds1.schema.json").write_text(malformed)
+        assert run("measure", "--session", data_dir / "ds1.eval.json",
+                   "--dataset", tmp_path / "ds1.csv") == 2, malformed
+
+
+def test_malformed_checkpoints_exit_two(run_dir, data_dir, tmp_path):
+    good = json.loads((run_dir / "checkpoint.json").read_text())
+    short = dict(good, policy={"shape": [len(good["policy"]["data"]) - 1],
+                               "data": good["policy"]["data"][:-1]})
+    for name, payload in (("version one", dict(good, format_version=1)),
+                          ("policy one entry short", short),
+                          ("network not an object", dict(good, policy=5))):
+        bad = tmp_path / "ckpt.json"
+        bad.write_text(json.dumps(payload))
+        assert run("generate", "--checkpoint", bad,
+                   "--dataset", data_dir / "ds1.csv",
+                   "--out", tmp_path / "sessions.json") == 2, name
+        assert run("eval", "--checkpoint", bad, "--data", data_dir,
+                   "--datasets", "ds1") == 2, name

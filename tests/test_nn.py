@@ -7,24 +7,6 @@ from autoeda import nn
 from autoeda.env import RELEVANT_HEADS
 
 
-def fd_gradient(params, loss_fn, h=1e-5):
-    """Central finite differences over every parameter coordinate."""
-    flat = nn.get_flat(params)
-    grad = np.zeros_like(flat)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        nn.set_flat(params, flat)
-        hi = loss_fn()
-        flat[i] = orig - h
-        nn.set_flat(params, flat)
-        lo = loss_fn()
-        flat[i] = orig
-        grad[i] = (hi - lo) / (2 * h)
-    nn.set_flat(params, flat)
-    return grad
-
-
 def assert_close_grads(analytic, numeric, rtol=1e-4, atol=1e-7):
     err = np.abs(analytic - numeric)
     bound = atol + rtol * np.maximum(np.abs(analytic), np.abs(numeric))
@@ -78,8 +60,7 @@ def test_policy_pinned_toy_forward_matches_hand_computation():
 
 def test_value_zero_net_is_bias_path():
     value = nn.ValueNet(4, (3, 3), np.random.default_rng(0))
-    for p in value.params:
-        p[...] = 0.0
+    value.flat[...] = 0.0
     v, _ = value.forward(np.random.default_rng(1).normal(size=(5, 4)))
     assert np.allclose(v, 0.0)
     value.net.biases[-1][...] = 0.7
@@ -89,16 +70,14 @@ def test_value_zero_net_is_bias_path():
 
 def test_discriminator_zero_net_outputs_half():
     disc = nn.DiscriminatorNet(6, (4, 4), np.random.default_rng(0))
-    for p in disc.params:
-        p[...] = 0.0
+    disc.flat[...] = 0.0
     probs, _ = disc.forward(np.random.default_rng(1).normal(size=(8, 6)))
     assert np.allclose(probs, 0.5)
 
 
 def test_discriminator_output_strictly_inside_unit_interval():
     disc = nn.DiscriminatorNet(3, (4, 4), np.random.default_rng(0))
-    for p in disc.params:
-        p[...] = 100.0  # force saturated logits
+    disc.flat[...] = 100.0  # force saturated logits
     probs, _ = disc.forward(np.ones((1, 3)) * 100)
     assert 0.0 < probs[0] < 1.0
     assert probs[0] == pytest.approx(1.0 / (1.0 + math.exp(-nn.LOGIT_CLAMP)))
@@ -144,7 +123,7 @@ def test_sample_action_frequencies_within_three_sigma():
 # ---------------------------------------------------------------------------
 # gradients vs finite differences
 
-def test_policy_logprob_gradient_matches_fd():
+def test_policy_logprob_gradient_matches_fd(fd_gradient):
     rng = np.random.default_rng(7)
     policy = random_policy(rng)
     states = rng.normal(size=(3, 6))
@@ -159,8 +138,8 @@ def test_policy_logprob_gradient_matches_fd():
         return float(np.dot(coeffs, logp))
 
     logp, ctx = policy.logprob(states, heads, masks)
-    analytic = nn.get_flat(policy.backward_logprob(ctx, heads, masks, coeffs))
-    assert_close_grads(analytic, fd_gradient(policy.params, loss))
+    analytic = policy.backward_logprob(ctx, heads, masks, coeffs)
+    assert_close_grads(analytic, fd_gradient(policy, loss))
 
 
 def test_policy_irrelevant_head_gradient_is_zero():
@@ -172,25 +151,21 @@ def test_policy_irrelevant_head_gradient_is_zero():
     masks = np.zeros((1, 5), dtype=bool)
     masks[0, 0] = True
     _, ctx = policy.logprob(states, heads, masks)
-    grads = policy.backward_logprob(ctx, heads, masks, np.ones(1))
-    n_trunk = len(policy.trunk.params)
-    for h in range(1, 5):
-        assert np.all(grads[n_trunk + 2 * h] == 0.0)
-        assert np.all(grads[n_trunk + 2 * h + 1] == 0.0)
+    grad = policy.backward_logprob(ctx, heads, masks, np.ones(1))
+    # the kind head (0) follows the trunk; heads 1-4 fill the rest of `flat`
+    kind_end = (policy.n_trunk + policy.head_weights[0].size
+                + policy.head_biases[0].size)
+    assert np.all(grad[kind_end:] == 0.0)
 
 
 def test_l2_penalty_gradient_is_linear():
     rng = np.random.default_rng(9)
     policy = random_policy(rng)
     coeff = 1e-3
-    value, grads = nn.l2_penalty(policy.params, coeff)
-    assert value == pytest.approx(
-        coeff * sum(float((p * p).sum()) for p in policy.params))
-    for p, g in zip(policy.params, grads):
-        assert np.allclose(g, 2 * coeff * p)
+    assert np.allclose(nn.l2_penalty(policy.flat, coeff), 2 * coeff * policy.flat)
 
 
-def test_value_td_gradient_matches_fd():
+def test_value_td_gradient_matches_fd(fd_gradient):
     rng = np.random.default_rng(10)
     value = nn.ValueNet(5, (6, 6), rng)
     states = rng.normal(size=(4, 5))
@@ -200,9 +175,9 @@ def test_value_td_gradient_matches_fd():
         v, _ = value.forward(states)
         return float(np.mean((v - targets) ** 2))
 
-    analytic_loss, grads = value.td_loss_grads(states, targets)
+    analytic_loss, grad = value.td_loss_grads(states, targets)
     assert analytic_loss == pytest.approx(loss())
-    assert_close_grads(nn.get_flat(grads), fd_gradient(value.params, loss))
+    assert_close_grads(grad, fd_gradient(value, loss))
 
 
 def test_value_zero_td_error_zero_gradient():
@@ -210,12 +185,12 @@ def test_value_zero_td_error_zero_gradient():
     value = nn.ValueNet(5, (6, 6), rng)
     states = rng.normal(size=(3, 5))
     v, _ = value.forward(states)
-    loss, grads = value.td_loss_grads(states, v.copy())
+    loss, grad = value.td_loss_grads(states, v.copy())
     assert loss == 0.0
-    assert all(np.all(g == 0.0) for g in grads)
+    assert np.all(grad == 0.0)
 
 
-def test_discriminator_bce_gradient_matches_fd():
+def test_discriminator_bce_gradient_matches_fd(fd_gradient):
     rng = np.random.default_rng(12)
     disc = nn.DiscriminatorNet(7, (6, 5), rng)
     x = rng.normal(size=(6, 7))
@@ -226,9 +201,9 @@ def test_discriminator_bce_gradient_matches_fd():
         return float(-np.mean(labels * np.log(probs)
                               + (1 - labels) * np.log(1 - probs)))
 
-    analytic_loss, grads, _ = disc.bce_loss_grads(x, labels)
+    analytic_loss, grad, _ = disc.bce_loss_grads(x, labels)
     assert analytic_loss == pytest.approx(loss())
-    assert_close_grads(nn.get_flat(grads), fd_gradient(disc.params, loss))
+    assert_close_grads(grad, fd_gradient(disc, loss))
 
 
 def _relu_kink_margin(mlp, x):
@@ -240,7 +215,7 @@ def _relu_kink_margin(mlp, x):
     return min(margins) if margins else np.inf
 
 
-def test_gradients_match_fd_on_many_random_networks():
+def test_gradients_match_fd_on_many_random_networks(fd_gradient):
     """Twenty randomized nets per architecture family."""
     for trial in range(20):
         rng = np.random.default_rng(100 + trial)
@@ -259,8 +234,8 @@ def test_gradients_match_fd_on_many_random_networks():
             return float(np.dot(coeffs, logp))
 
         _, ctx = policy.logprob(states, heads, masks)
-        analytic = nn.get_flat(policy.backward_logprob(ctx, heads, masks, coeffs))
-        assert_close_grads(analytic, fd_gradient(policy.params, policy_loss))
+        analytic = policy.backward_logprob(ctx, heads, masks, coeffs)
+        assert_close_grads(analytic, fd_gradient(policy, policy_loss))
 
         value = nn.ValueNet(sd, (5, 4), rng)
         targets = rng.normal(size=2)
@@ -269,8 +244,8 @@ def test_gradients_match_fd_on_many_random_networks():
             v, _ = value.forward(states)
             return float(np.mean((v - targets) ** 2))
 
-        _, vgrads = value.td_loss_grads(states, targets)
-        assert_close_grads(nn.get_flat(vgrads), fd_gradient(value.params, value_loss))
+        _, vgrad = value.td_loss_grads(states, targets)
+        assert_close_grads(vgrad, fd_gradient(value, value_loss))
 
         disc = nn.DiscriminatorNet(sd, (5, 4), rng)
         for b in disc.net.biases:
@@ -285,8 +260,8 @@ def test_gradients_match_fd_on_many_random_networks():
             p, _ = disc.forward(states)
             return float(-np.mean(labels * np.log(p) + (1 - labels) * np.log(1 - p)))
 
-        _, dgrads, _ = disc.bce_loss_grads(states, labels)
-        assert_close_grads(nn.get_flat(dgrads), fd_gradient(disc.params, disc_loss))
+        _, dgrad, _ = disc.bce_loss_grads(states, labels)
+        assert_close_grads(dgrad, fd_gradient(disc, disc_loss))
 
 
 # ---------------------------------------------------------------------------
@@ -295,14 +270,14 @@ def test_gradients_match_fd_on_many_random_networks():
 def test_discriminator_separates_toy_clusters():
     rng = np.random.default_rng(13)
     disc = nn.DiscriminatorNet(4, (32, 32), rng)
-    opt = nn.Adam(disc.params, lr=1e-2)
+    opt = nn.Adam(disc.flat, lr=1e-2)
     gen = rng.normal(loc=-1.0, scale=0.3, size=(64, 4))
     exp = rng.normal(loc=1.0, scale=0.3, size=(64, 4))
     x = np.vstack([gen, exp])
     labels = np.concatenate([np.zeros(64), np.ones(64)])
     for _ in range(200):
-        _, grads, _ = disc.bce_loss_grads(x, labels)
-        opt.step(disc.params, grads)
+        _, grad, _ = disc.bce_loss_grads(x, labels)
+        opt.step(disc.flat, grad)
     probs, _ = disc.forward(x)
     accuracy = float(np.mean((probs > 0.5) == (labels > 0.5)))
     assert accuracy >= 0.95
@@ -312,25 +287,25 @@ def test_discriminator_separates_toy_clusters():
 # optimizer
 
 def test_adam_zero_gradient_keeps_params():
-    p = [np.array([1.0, -2.0])]
+    p = np.array([1.0, -2.0])
     opt = nn.Adam(p, lr=0.1)
-    opt.step(p, [np.zeros(2)])
-    assert np.allclose(p[0], [1.0, -2.0])
+    opt.step(p, np.zeros(2))
+    assert np.allclose(p, [1.0, -2.0])
 
 
 def test_adam_first_step_is_signed_lr():
-    p = [np.array([1.0, -2.0, 0.5])]
-    g = [np.array([0.3, -0.7, 1e-3])]
+    p = np.array([1.0, -2.0, 0.5])
+    g = np.array([0.3, -0.7, 1e-3])
     opt = nn.Adam(p, lr=0.01)
-    before = p[0].copy()
+    before = p.copy()
     opt.step(p, g)
-    steps = before - p[0]
-    assert np.allclose(steps, 0.01 * np.sign(g[0]), atol=1e-6)
+    steps = before - p
+    assert np.allclose(steps, 0.01 * np.sign(g), atol=1e-6)
 
 
 def test_adam_three_step_hand_trace():
     lr, b1, b2, eps = 0.1, 0.9, 0.999, 1e-8
-    p = [np.array([1.0])]
+    p = np.array([1.0])
     opt = nn.Adam(p, lr=lr, beta1=b1, beta2=b2, eps=eps)
     grads = [0.5, -0.2, 0.1]
     x, m, v = 1.0, 0.0, 0.0
@@ -340,31 +315,68 @@ def test_adam_three_step_hand_trace():
         mh = m / (1 - b1 ** t)
         vh = v / (1 - b2 ** t)
         x -= lr * mh / (math.sqrt(vh) + eps)
-        opt.step(p, [np.array([g])])
-        assert p[0][0] == pytest.approx(x, abs=1e-12)
+        opt.step(p, np.array([g]))
+        assert p[0] == pytest.approx(x, abs=1e-12)
 
 
-def test_adam_state_round_trip():
-    p = [np.array([1.0, 2.0])]
-    opt = nn.Adam(p, lr=0.1)
-    opt.step(p, [np.array([0.5, -0.5])])
-    state = opt.state_dict()
-    opt2 = nn.Adam(p, lr=0.1)
-    opt2.load_state_dict(state)
-    assert opt2.t == 1
-    assert np.allclose(opt2.m[0], opt.m[0])
+def _param_arrays(policy):
+    """The policy's arrays in `flat` order: trunk layers, then heads."""
+    layers = (list(zip(policy.trunk.weights, policy.trunk.biases))
+              + list(zip(policy.head_weights, policy.head_biases)))
+    return [a for layer in layers for a in layer]
+
+
+def _reference_bc_step(arrays, grads, ms, vs, t, coeff, lr,
+                       b1=0.9, b2=0.999, eps=1e-8):
+    """L2 plus Adam, one array at a time, as before parameters were flat."""
+    b1c, b2c = 1.0 - b1 ** t, 1.0 - b2 ** t
+    for p, g, m, v in zip(arrays, grads, ms, vs):
+        g = g + 2.0 * coeff * p
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        p -= lr * (m / b1c) / (np.sqrt(v / b2c) + eps)
+
+
+def test_flat_adam_step_matches_per_array_reference():
+    rng = np.random.default_rng(15)
+    policy = random_policy(rng)
+    coeff, lr, head_sizes = 1e-3, 1e-2, (4, 3, 5, 5, 4)
+    ref = [a.copy() for a in _param_arrays(policy)]
+    ms, vs = [np.zeros_like(a) for a in ref], [np.zeros_like(a) for a in ref]
+    opt = nn.Adam(policy.flat, lr)
+    for t in range(1, 6):
+        states = rng.normal(size=(8, 6))
+        heads = np.stack([rng.integers(0, head_sizes) for _ in range(8)])
+        masks = rng.random((8, 5)) < 0.7
+        _, ctx = policy.logprob(states, heads, masks)
+        grad = policy.backward_logprob(ctx, heads, masks, np.full(8, -1 / 8))
+        parts = np.split(grad, np.cumsum([a.size for a in ref])[:-1])
+        _reference_bc_step(ref, [g.reshape(a.shape) for g, a in zip(parts, ref)],
+                           ms, vs, t, coeff, lr)
+        opt.step(policy.flat, grad + nn.l2_penalty(policy.flat, coeff))
+        assert np.array_equal(np.concatenate([a.ravel() for a in ref]),
+                              policy.flat), t
 
 
 # ---------------------------------------------------------------------------
 # helpers
 
-def test_flat_round_trip():
+def test_parameter_arrays_are_views_of_flat():
     rng = np.random.default_rng(14)
     policy = random_policy(rng)
-    flat = nn.get_flat(policy.params)
-    vec = rng.normal(size=flat.shape)
-    nn.set_flat(policy.params, vec)
-    assert np.allclose(nn.get_flat(policy.params), vec)
+    assert np.shares_memory(policy.head_weights[0], policy.flat)
+    assert np.array_equal(
+        np.concatenate([a.ravel() for a in _param_arrays(policy)]), policy.flat)
+    for net in (nn.ValueNet(6, (5,), rng), nn.DiscriminatorNet(6, (5,), rng)):
+        assert np.shares_memory(net.net.weights[0], net.flat)
+    x = rng.normal(size=(1, 6))
+    before, _ = policy.forward(x)
+    policy.flat[-1] += 1.0  # the last head's last bias
+    after, _ = policy.forward(x)
+    assert after[-1][0, -1] > before[-1][0, -1]
+    assert all(np.array_equal(a, b) for a, b in zip(before[:-1], after[:-1]))
 
 
 def test_arr_json_round_trip():

@@ -8,7 +8,7 @@ from autoeda import nn
 from autoeda.env import BACK, STOP, ActionSpec, HeadLayout, state_vec_len
 from autoeda.tabular import FilterPredicate, Grouping
 from autoeda.train import (ExpertStep, ReplayBuffer, RolloutCollector,
-                           TrainConfig,
+                           TrainConfig, TrainResult,
                            Transition, action_agreement, assemble_mixed_batch,
                            bc_pretrain, clipped_surrogate, derive_rng,
                            imitation_reward, incoherence_penalty,
@@ -169,10 +169,10 @@ def test_bc_large_l2_shrinks_parameters(toy):
     policy = nn.PolicyNet(state_vec_len(toy), layout.sizes, (8, 8),
                           derive_rng(1, 0))
     cfg = small_cfg(lr_bc=1e-3, bc_epochs=1, l2_coeff=1000.0)
-    norms = [float(np.linalg.norm(nn.get_flat(policy.params)))]
+    norms = [float(np.linalg.norm(policy.flat))]
     for i in range(5):
         bc_pretrain(policy, steps, cfg, derive_rng(1, i + 1))
-        norms.append(float(np.linalg.norm(nn.get_flat(policy.params))))
+        norms.append(float(np.linalg.norm(policy.flat)))
     assert all(a > b for a, b in zip(norms, norms[1:]))
 
 
@@ -228,14 +228,13 @@ def test_rollouts_deterministic(toy):
 def test_discriminator_symmetric_batch_zero_gradient(toy):
     cfg = small_cfg()
     layout, policy, _, disc = _fresh_nets(toy, cfg)
-    for p in disc.params:
-        p[...] = 0.0  # D == 0.5 everywhere
+    disc.flat[...] = 0.0  # D == 0.5 everywhere
     rng = derive_rng(0, 3)
     x = rng.normal(size=(8, state_vec_len(toy) + layout.action_dim))
     both = np.vstack([x, x])
     labels = np.concatenate([np.zeros(8), np.ones(8)])
-    _, grads, _ = disc.bce_loss_grads(both, labels)
-    assert all(np.allclose(g, 0.0) for g in grads)
+    _, grad, _ = disc.bce_loss_grads(both, labels)
+    assert np.allclose(grad, 0.0)
 
 
 def test_discriminator_update_equalizes_batch_sizes(toy):
@@ -247,7 +246,7 @@ def test_discriminator_update_equalizes_batch_sizes(toy):
     from autoeda.env import Trajectory
     expert = prepare_expert_steps([toy], [Trajectory("toy", (F_A, G_A, BACK))],
                                   layout, cfg)
-    opt = nn.Adam(disc.params, 1e-3)
+    opt = nn.Adam(disc.flat, 1e-3)
     loss, acc = update_discriminator(disc, opt, buf, expert, cfg,
                                      derive_rng(0, 4))
     assert math.isfinite(loss) and 0.0 <= acc <= 1.0
@@ -274,7 +273,7 @@ def test_discriminator_separates_toy_streams(toy):
                                  np.zeros(5, dtype=int), np.zeros(5, dtype=bool),
                                  row[state_vec_len(toy):],
                                  row[:state_vec_len(toy)], False, 0.0))
-    opt = nn.Adam(disc.params, 1e-3)
+    opt = nn.Adam(disc.flat, 1e-3)
     for _ in range(500):
         update_discriminator(disc, opt, buf, expert, cfg, rng)
     d_exp = np.mean([disc.prob(np.concatenate([e.state, e.action_vec]))
@@ -312,11 +311,11 @@ def test_ppo_update_moves_policy_and_reports_surrogate(toy):
                                   layout, cfg)
     batch = assemble_mixed_batch(buf, expert, policy, disc, cfg, derive_rng(2, 3))
     assert len(batch["states"]) == cfg.batch_policy
-    before = nn.get_flat(policy.params).copy()
-    opt = nn.Adam(policy.params, 1e-3)
+    before = policy.flat.copy()
+    opt = nn.Adam(policy.flat, 1e-3)
     stats = ppo_update(policy, opt, value, batch, cfg)
     assert math.isfinite(stats["surrogate"])
-    assert not np.allclose(before, nn.get_flat(policy.params))
+    assert not np.allclose(before, policy.flat)
 
 
 def test_expert_half_ratio_starts_at_one(toy):
@@ -334,8 +333,7 @@ def test_expert_half_ratio_starts_at_one(toy):
 def test_value_update_constant_parameter_closed_form(toy):
     cfg = small_cfg(use_discount=True, gamma=0.5)
     layout, policy, value, disc = _fresh_nets(toy, cfg)
-    for p in value.params:
-        p[...] = 0.0
+    value.flat[...] = 0.0
     value.net.biases[-1][...] = 2.0  # V(s) == 2 for every state
     states = np.ones((4, state_vec_len(toy)))
     batch = {
@@ -346,9 +344,9 @@ def test_value_update_constant_parameter_closed_form(toy):
     b = 2.0
     targets = batch["rewards"] + 0.5 * b * (1 - batch["dones"])
     expected_grad_b = float(np.mean(2 * (b - targets)))
-    loss, grads = value.td_loss_grads(states, targets)
-    assert grads[-1][0] == pytest.approx(expected_grad_b)
-    assert all(np.allclose(g, 0.0) for g in grads[:-1])
+    loss, grad = value.td_loss_grads(states, targets)
+    assert grad[-1] == pytest.approx(expected_grad_b)  # the output bias
+    assert np.allclose(grad[:-1], 0.0)
 
 
 def test_value_update_descends_fixed_batch(toy):
@@ -361,7 +359,7 @@ def test_value_update_descends_fixed_batch(toy):
         "rewards": rng.normal(size=16),
         "dones": np.zeros(16),
     }
-    opt = nn.Adam(value.params, 1e-2)
+    opt = nn.Adam(value.flat, 1e-2)
     losses = [value_update(value, opt, batch, cfg) for _ in range(100)]
     assert losses[-1] < losses[0]
 
@@ -416,8 +414,7 @@ def test_train_gail_deterministic(synthetic_bundle):
     _, a = _mini_training(synthetic_bundle)
     _, b = _mini_training(synthetic_bundle)
     assert json.dumps(a.metrics) == json.dumps(b.metrics)
-    assert np.array_equal(nn.get_flat(a.policy.params),
-                          nn.get_flat(b.policy.params))
+    assert np.array_equal(a.policy.flat, b.policy.flat)
 
 
 def test_train_gail_bc_only(synthetic_bundle):
@@ -432,12 +429,8 @@ def test_checkpoint_round_trip(tmp_path, synthetic_bundle):
     save_checkpoint(path, result, cfg)
     loaded, cfg2 = load_checkpoint(path)
     assert cfg2 == cfg
-    assert np.array_equal(nn.get_flat(loaded.policy.params),
-                          nn.get_flat(result.policy.params))
+    assert np.array_equal(loaded.policy.flat, result.policy.flat)
     assert loaded.schema == result.schema
-    # optimizer moments travel with the checkpoint
-    assert set(loaded.optimizer_states) == {"policy", "value", "discriminator"}
-    assert loaded.optimizer_states["policy"]["t"] == 2
     x = derive_rng(0, 0).normal(size=state_vec_len(synthetic_bundle[0]))
     a, _ = result.policy.forward(x.reshape(1, -1))
     b, _ = loaded.policy.forward(x.reshape(1, -1))
@@ -454,8 +447,27 @@ def test_checkpoint_round_trip_three_columns(tmp_path, toy):
     loaded, _ = load_checkpoint(path)
     assert loaded.policy.state_dim == state_vec_len(toy)
     for name in ("policy", "value", "discriminator"):
-        assert np.array_equal(nn.get_flat(getattr(loaded, name).params),
-                              nn.get_flat(getattr(result, name).params)), name
+        assert np.array_equal(getattr(loaded, name).flat,
+                              getattr(result, name).flat), name
+
+
+def test_load_checkpoint_refuses_old_version_and_wrong_length(tmp_path, toy):
+    cfg = small_cfg(policy_hidden=(16, 16), disc_hidden=(8, 8))
+    layout, policy, value, disc = _fresh_nets(toy, cfg)
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(path, TrainResult(policy, value, disc, layout,
+                                      tuple(toy.columns)), cfg)
+    loaded, _ = load_checkpoint(path)
+    assert np.array_equal(loaded.discriminator.flat, disc.flat)
+    good = json.loads(path.read_text())
+    assert "optimizers" not in good
+    short = good["value"]["data"][:-1]
+    for payload in (dict(good, format_version=1),
+                    dict(good, value={"shape": [len(short)], "data": short}),
+                    dict(good, policy={"shape": [1], "data": [0.5]})):
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError):
+            load_checkpoint(path)
 
 
 def test_train_config_validation():
