@@ -61,7 +61,7 @@ class Manifest:
     def __init__(self, command: str, args: argparse.Namespace, config: dict):
         self.data = {
             "command": command,
-            "argv": sys.argv[1:],
+            "argv": list(args.argv),
             "seed": getattr(args, "seed", None),
             "deterministic": bool(getattr(args, "deterministic", False)),
             "config": config,
@@ -103,17 +103,20 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _load_sessions(path, what: str = "session file"):
-    """Trajectories of a session file; an unreadable or malformed file is a
-    data error."""
+def _load_sessions(path, manifest: Manifest, what: str = "session file"):
+    """Trajectories of a session file, recorded as a manifest input; an
+    unreadable or malformed file is a data error."""
     from . import env as env_mod
     try:
-        return env_mod.load_trajectories(path)
+        trajectories = env_mod.load_trajectories(path)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise DataError(f"cannot read {what} {path}: {exc}") from exc
+    manifest.add_input(path)
+    return trajectories
 
 
 def _load_dataset(path):
+    """(dataset, its schema sidecar path or None when it has none)."""
     from . import tabular
     path = Path(path)
     if not path.exists():
@@ -124,9 +127,22 @@ def _load_dataset(path):
         if sidecar.exists():
             schema = {c: k.value
                       for c, k in tabular.load_schema_sidecar(sidecar).items()}
-        return tabular.load_dataset(path, schema=schema), sidecar if schema else None
+        dataset = tabular.load_dataset(path, schema=schema)
     except (OSError, ValueError) as exc:
         raise DataError(f"cannot load dataset {path}: {exc}") from exc
+    return dataset, sidecar if schema is not None else None
+
+
+def _load_datasets(paths, manifest: Manifest):
+    """Datasets of CSV paths; each CSV and sidecar read is a manifest input."""
+    datasets = []
+    for path in paths:
+        dataset, sidecar = _load_dataset(path)
+        for p in (path, sidecar):
+            if p is not None:
+                manifest.add_input(p)
+        datasets.append(dataset)
+    return datasets
 
 
 # ---------------------------------------------------------------------------
@@ -205,25 +221,10 @@ def cmd_synth(args) -> int:
 # ---------------------------------------------------------------------------
 # train
 
-def _resolve_datasets(data_dir: Path, names):
-    datasets = []
-    sidecars = []
-    for name in names:
-        ds, sidecar = _load_dataset(data_dir / f"{name}.csv")
-        datasets.append(ds)
-        if sidecar:
-            sidecars.append(sidecar)
-    return datasets, sidecars
-
-
-def _load_expert(data_dir: Path, names, split: str):
-    trajectories = []
-    paths = []
-    for name in names:
-        path = data_dir / f"{name}.{split}.json"
-        trajectories.extend(_load_sessions(path, "expert sessions"))
-        paths.append(path)
-    return trajectories, paths
+def _load_expert(data_dir: Path, names, split: str, manifest: Manifest):
+    return [t for name in names
+            for t in _load_sessions(data_dir / f"{name}.{split}.json", manifest,
+                                    "expert sessions")]
 
 
 def _train_once(args, cfg, datasets, expert, out: Path, manifest: Manifest) -> None:
@@ -297,19 +298,16 @@ def cmd_train(args) -> int:
             raise UsageError("--leave-one-out needs at least two datasets")
         for held_out in names:
             train_names = [n for n in names if n != held_out]
-            datasets, _ = _resolve_datasets(data_dir, train_names)
-            expert, paths = _load_expert(data_dir, train_names, args.split)
-            for p in paths:
-                manifest.add_input(p)
+            datasets = _load_datasets([data_dir / f"{n}.csv" for n in train_names],
+                                      manifest)
+            expert = _load_expert(data_dir, train_names, args.split, manifest)
             sub = out / f"leave_out_{held_out}"
             sub.mkdir(parents=True, exist_ok=True)
             _train_once(args, cfg, datasets, expert, sub, manifest)
             print(f"trained without {held_out} -> {sub}")
     else:
-        datasets, _ = _resolve_datasets(data_dir, names)
-        expert, paths = _load_expert(data_dir, names, args.split)
-        for p in paths:
-            manifest.add_input(p)
+        datasets = _load_datasets([data_dir / f"{n}.csv" for n in names], manifest)
+        expert = _load_expert(data_dir, names, args.split, manifest)
         _train_once(args, cfg, datasets, expert, out, manifest)
         print(f"trained on {', '.join(names)} -> {out}")
 
@@ -327,10 +325,11 @@ def _check_checkpoint_schema(result, dataset):
             f"checkpoint schema does not match dataset {dataset.name!r}")
 
 
-def _policy_sessions(args, datasets):
+def _policy_sessions(args, datasets, manifest: Manifest):
     """(`args.n` sessions per dataset, seed, config) from `args.checkpoint`,
-    loaded once. Each dataset draws from a fresh STREAM_GENERATE generator,
-    so its sessions do not depend on the datasets listed before it."""
+    loaded once and recorded as a manifest input. Each dataset draws from a
+    fresh STREAM_GENERATE generator, so its sessions do not depend on the
+    datasets listed before it."""
     from .evaluation import generate_session
     from .train import STREAM_GENERATE, derive_rng, load_checkpoint
 
@@ -338,6 +337,7 @@ def _policy_sessions(args, datasets):
         result, cfg = load_checkpoint(args.checkpoint)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise DataError(f"cannot load checkpoint {args.checkpoint}: {exc}") from exc
+    manifest.add_input(args.checkpoint)
     seed = args.seed if args.seed is not None else cfg.seed
     per_dataset = []
     for dataset in datasets:
@@ -352,19 +352,17 @@ def _policy_sessions(args, datasets):
 def cmd_generate(args) -> int:
     from . import env as env_mod
 
-    dataset, _ = _load_dataset(args.dataset)
-    (sessions,), seed, cfg = _policy_sessions(args, [dataset])
+    manifest = Manifest("generate", args, {"n": args.n, "mode": args.mode})
+    (dataset,) = _load_datasets([args.dataset], manifest)
+    (sessions,), seed, cfg = _policy_sessions(args, [dataset], manifest)
     out_path = Path(args.out or "sessions.json")
     if out_path.is_dir():
         out_path = out_path / "sessions.json"
     out_path.parent.mkdir(parents=True, exist_ok=True)
     env_mod.save_trajectories(out_path, dataset, sessions)
 
-    manifest = Manifest("generate", args, {"n": args.n, "mode": args.mode,
-                                           "horizon": cfg.horizon})
+    manifest.data["config"]["horizon"] = cfg.horizon
     manifest.data["seed"] = seed
-    manifest.add_input(args.checkpoint)
-    manifest.add_input(args.dataset)
     manifest.add_output(out_path)
     manifest.write(out_path.with_name(out_path.stem + ".manifest.json"))
     print(f"wrote {args.n} session(s) to {out_path}")
@@ -404,8 +402,9 @@ def cmd_measure(args) -> int:
     from .measures import (EMPTY_RULESET, MEASURE_NAMES, CoherenceRuleset,
                            normalize_session, score_session)
 
-    dataset, _ = _load_dataset(args.dataset)
-    trajectories = _load_sessions(args.session)
+    manifest = Manifest("measure", args, {"threshold": args.threshold})
+    (dataset,) = _load_datasets([args.dataset], manifest)
+    trajectories = _load_sessions(args.session, manifest)
     if not trajectories:
         raise DataError(f"{args.session} holds no sessions")
     ruleset = EMPTY_RULESET
@@ -414,6 +413,7 @@ def cmd_measure(args) -> int:
             ruleset = CoherenceRuleset.from_json(args.ruleset)
         except (OSError, ValueError) as exc:
             raise DataError(str(exc)) from exc
+        manifest.add_input(args.ruleset)
 
     report = {"dataset": dataset.name, "threshold": args.threshold, "sessions": []}
     tables = []
@@ -438,9 +438,6 @@ def cmd_measure(args) -> int:
 
     text = ("\n\n".join(tables)) + "\n"
     print(text, end="")
-    manifest = Manifest("measure", args, {"threshold": args.threshold})
-    manifest.add_input(args.session)
-    manifest.add_input(args.dataset)
     if args.out:
         out = _out_dir(args)
         with open(out / "measures.json", "w") as fh:
@@ -471,16 +468,13 @@ def cmd_eval(args) -> int:
     manifest = Manifest("eval", args, {"gold_split": args.gold_split,
                                        "n": args.n, "mode": args.mode,
                                        "threshold": args.threshold})
-    datasets, golds = [], []
-    for name in names:
-        datasets.append(_load_dataset(data_dir / f"{name}.csv")[0])
-        gold_path = data_dir / f"{name}.{args.gold_split}.json"
-        golds.append(_load_sessions(gold_path, "gold sessions"))
-        manifest.add_input(gold_path)
+    datasets = _load_datasets([data_dir / f"{n}.csv" for n in names], manifest)
+    golds = [_load_sessions(data_dir / f"{n}.{args.gold_split}.json", manifest,
+                            "gold sessions") for n in names]
     if args.checkpoint:
-        generated, _, _ = _policy_sessions(args, datasets)
+        generated, _, _ = _policy_sessions(args, datasets, manifest)
     else:
-        pool = _load_sessions(args.sessions)
+        pool = _load_sessions(args.sessions, manifest)
         generated = [[t for t in pool if t.dataset == ds.name] for ds in datasets]
         for name, sessions in zip(names, generated):
             if not sessions:
@@ -586,6 +580,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        args.argv = argv
         if getattr(args, "seed", None) is None and args.fn in (cmd_synth,):
             args.seed = 0
         return args.fn(args)

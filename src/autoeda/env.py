@@ -90,6 +90,12 @@ def state_vec_len(dataset: Dataset) -> int:
     return HeadLayout(len(dataset.columns)).state_dim
 
 
+def _uniform_entropy_bits(n: int) -> float:
+    """Entropy in bits of n equal shares, added up one share at a time."""
+    p = 1.0 / n
+    return -float(np.cumsum(np.full(n, p * math.log2(p)))[-1])
+
+
 def encode_display(display: Display, base: Dataset) -> np.ndarray:
     """Fixed-length feature vector for one display.
 
@@ -106,6 +112,7 @@ def encode_display(display: Display, base: Dataset) -> np.ndarray:
     vec = np.zeros(FEATURES_PER_COLUMN * n_cols + GLOBAL_FEATURES)
     n = base.row_count
     g = display.grouping
+    entropy = display.entropy_bits() if n and display.row_count else None
     for i, (col, _) in enumerate(base.columns):
         base_off = FEATURES_PER_COLUMN * i
         role = 0.0
@@ -117,13 +124,15 @@ def encode_display(display: Display, base: Dataset) -> np.ndarray:
         vec[base_off + 3] = role
         if n == 0 or display.row_count == 0:
             continue
-        hist = column_histogram(display, col)
-        if hist:
-            entropy = -sum(p * math.log2(p) for p in hist.values() if p > 0)
+        codes, _, nulls = display.column_stats(i)
+        distinct = len(codes)
+        bits = entropy[i] if distinct else None
+        if g is not None and col == g.grp_col:  # one visible row per group
+            bits = _uniform_entropy_bits(len(column_histogram(display, col)))
+        if bits is not None:
             norm = math.log2(max(2, base.distinct_count(i)))
-            vec[base_off] = min(1.0, entropy / norm)
-        counts, nulls = display.column_stats(i)
-        vec[base_off + 1] = len(counts) / n
+            vec[base_off] = min(1.0, bits / norm)
+        vec[base_off + 1] = distinct / n
         vec[base_off + 2] = nulls / n
     if g is not None and display.group_count > 0 and n > 0:
         sizes = np.asarray(display.group_sizes, dtype=float)

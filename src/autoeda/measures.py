@@ -128,7 +128,7 @@ def diversity(cur: Display, history, base: Dataset) -> float:
 
 def _compactness(display: Display, specs: MeasureSpecs) -> float:
     g = display.group_count if display.grouping is not None else 1
-    c = sigmoid(float(g * len(display.visible_rows)), specs.compactness)
+    c = sigmoid(float(g * display.visible_count), specs.compactness)
     return max(c, 1e-9)
 
 
@@ -211,9 +211,7 @@ def coherence(prev: Display, cur: Display, action, prior_actions,
               ruleset: CoherenceRuleset = EMPTY_RULESET) -> float:
     """Rule score in [-1, 1]. Empty or unchanged views are incoherent (-1)
     regardless of the ruleset; otherwise matching rule scores add up."""
-    if len(cur.visible_rows) == 0:
-        return -1.0
-    if cur.visible_rows == prev.visible_rows:
+    if cur.visible_count == 0 or cur.shows_same_rows(prev):
         return -1.0
     score = 0.0
     col = _action_column(action)

@@ -1,10 +1,12 @@
 """In-memory tabular data model and the FILTER/GROUP display engine.
 
-A Dataset is an immutable named table with typed columns. A Display is the
-view produced by applying an ordered stack of filter predicates and at most
-one grouping to a dataset. Displays materialize deterministically, expose
-per-column value distributions, and carry a canonical fingerprint so that
-two operation stacks with the same meaning compare equal.
+A Dataset is an immutable named table with typed columns, stored
+column-wise as dictionary codes. A Display is the view produced by applying
+an ordered stack of filter predicates and at most one grouping to a dataset;
+it holds the index array of its rows. Displays materialize
+deterministically, expose per-column value distributions as counts over the
+codes, and carry a canonical fingerprint so that two operation stacks with
+the same meaning compare equal.
 """
 
 from __future__ import annotations
@@ -12,10 +14,12 @@ from __future__ import annotations
 import csv
 import json
 import math
-from collections import Counter
+import weakref
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+
+import numpy as np
 
 
 class ColumnKind(Enum):
@@ -68,7 +72,14 @@ class Grouping:
 
 
 class Dataset:
-    """Immutable table. Cells are float (numeric columns), str, or None."""
+    """Immutable table. Cells are float (numeric columns), str, or None.
+
+    Every column is also stored dictionary-coded: `dictionaries[i]` holds the
+    column's K distinct non-null values in sorted order followed by None, and
+    `codes[i]` gives each row's position in it. Code K is thus the null
+    sentinel, and code order is value order with nulls last. Values that
+    compare equal (0.0 and -0.0) share one code.
+    """
 
     def __init__(self, name: str, columns, rows):
         names = [c for c, _ in columns]
@@ -88,7 +99,32 @@ class Dataset:
                 for cell, (cname, kind) in zip(row, self.columns)
             ))
         self.rows = tuple(coerced)
-        self._distinct: list[int | None] = [None] * width
+        self.codes = np.empty((width, len(coerced)), dtype=np.int32)
+        dictionaries, numbers = [], []
+        for i, (_, kind) in enumerate(self.columns):
+            cells = [row[i] for row in coerced]
+            distinct = sorted({c for c in cells if c is not None})
+            code = {v: k for k, v in enumerate(distinct)}
+            null = len(distinct)
+            self.codes[i] = [null if c is None else code[c] for c in cells]
+            dictionaries.append(np.array(distinct + [None], dtype=object))
+            numbers.append(np.array(distinct + [math.nan])
+                           if kind is ColumnKind.NUMERIC else None)
+        self.codes.setflags(write=False)
+        self.dictionaries = tuple(dictionaries)
+        self._numbers = tuple(numbers)  # numeric dictionaries, NaN for null
+        # every column's codes shifted into one slot space, so that one
+        # bincount counts all columns: column i owns slots offsets[i] to
+        # offsets[i + 1] - 1, its null slot last
+        sizes = [len(d) for d in dictionaries]
+        self._offsets = np.cumsum([0] + sizes)
+        self._slot_column = np.repeat(np.arange(width), sizes)
+        self._null_slot = np.zeros(self._offsets[-1], dtype=bool)
+        self._null_slot[self._offsets[1:] - 1] = True
+        # the shared initial display, held weakly: a strong reference would
+        # form a cycle that keeps every loaded table alive until the cyclic
+        # garbage collector runs
+        self._root = None
 
     @staticmethod
     def _coerce(cell, kind, r, cname):
@@ -120,33 +156,32 @@ class Dataset:
 
     def distinct_count(self, idx: int) -> int:
         """Distinct non-null values in the full table for one column."""
-        if self._distinct[idx] is None:
-            self._distinct[idx] = len({r[idx] for r in self.rows if r[idx] is not None})
-        return self._distinct[idx]
+        return len(self.dictionaries[idx]) - 1
 
 
 class Display:
     """A dataset view: ordered filters, optional single grouping, rows.
 
-    `rows` is the underlying filtered row set; `visible_rows` is what a user
-    would see (the group table when grouped). Instances are immutable and
-    cache per-column statistics.
+    `rows` is the ascending int32 array of the dataset rows that pass the
+    filters. A grouped display also holds its group keys (in code order,
+    null last), group sizes and aggregate values; `visible_rows` is what a
+    user would see. Instances are immutable and cache per-column statistics.
     """
 
     __slots__ = ("dataset", "filters", "grouping", "rows",
-                 "group_keys", "group_sizes", "group_rows",
-                 "_stats", "_ranked", "_vec", "_fp")
+                 "group_keys", "group_sizes", "group_aggs",
+                 "_summary", "_ranked", "_vec", "_fp", "__weakref__")
 
     def __init__(self, dataset, filters, grouping, rows,
-                 group_keys=(), group_sizes=(), group_rows=()):
+                 group_keys=(), group_sizes=(), group_aggs=()):
         self.dataset = dataset
         self.filters = tuple(filters)
         self.grouping = grouping
-        self.rows = tuple(rows)
-        self.group_keys = tuple(group_keys)
-        self.group_sizes = tuple(group_sizes)
-        self.group_rows = tuple(group_rows)
-        self._stats = {}
+        self.rows = rows
+        self.group_keys = group_keys
+        self.group_sizes = group_sizes
+        self.group_aggs = group_aggs
+        self._summary = None
         self._ranked = {}
         self._vec = None
         self._fp = None
@@ -160,69 +195,134 @@ class Display:
         return len(self.group_sizes)
 
     @property
+    def group_rows(self):
+        """(key, aggregate) pairs, one per group."""
+        return tuple(zip(self.group_keys, self.group_aggs))
+
+    @property
+    def visible_count(self) -> int:
+        return self.group_count if self.grouping is not None else self.row_count
+
+    @property
     def visible_rows(self):
-        return self.group_rows if self.grouping is not None else self.rows
+        """The group table when grouped, else the filtered row tuples."""
+        if self.grouping is not None:
+            return self.group_rows
+        rows = self.dataset.rows
+        return tuple(rows[r] for r in self.rows.tolist())
+
+    def shows_same_rows(self, other: Display) -> bool:
+        """Whether two displays of one dataset show equal visible rows."""
+        if self.visible_count != other.visible_count:
+            return False
+        if self.grouping is None and other.grouping is None:
+            codes = self.dataset.codes
+            return np.array_equal(codes[:, self.rows], codes[:, other.rows])
+        # a group table can equal plain rows only in a two-column dataset
+        return self.visible_rows == other.visible_rows
+
+    def _summarize(self):
+        """(non-null slots present, their counts, null count per column,
+        where each column's run of slots starts). A column's run lists its
+        values in the order of their first row, the order in which a
+        row-by-row count meets them."""
+        if self._summary is None:
+            ds = self.dataset
+            slots = (ds.codes[:, self.rows] + ds._offsets[:-1, None]).ravel()
+            counts = np.bincount(slots, minlength=ds._offsets[-1])
+            first = np.full(len(counts), len(slots))
+            np.minimum.at(first, slots, np.arange(len(slots)))
+            is_first = np.zeros(len(slots) + 1, dtype=bool)
+            is_first[first] = True  # absent slots mark the spare last entry
+            present = slots[is_first[:-1]]
+            present = present[~ds._null_slot[present]]
+            starts = np.searchsorted(ds._slot_column[present],
+                                     np.arange(len(ds.columns) + 1))
+            self._summary = (present, counts[present],
+                             counts[ds._offsets[1:] - 1], starts)
+        return self._summary
 
     def column_stats(self, idx: int):
-        """(Counter of non-null values, null count) over the underlying rows."""
-        if idx not in self._stats:
-            counts = Counter()
-            nulls = 0
-            for row in self.rows:
-                cell = row[idx]
-                if cell is None:
-                    nulls += 1
-                else:
-                    counts[cell] += 1
-            self._stats[idx] = (counts, nulls)
-        return self._stats[idx]
+        """(codes, counts, nulls): the codes of the non-null values present
+        in the underlying rows, in the order of their first row, how often
+        each occurs, and the number of null cells."""
+        present, counts, nulls, starts = self._summarize()
+        run = slice(starts[idx], starts[idx + 1])
+        return present[run] - self.dataset._offsets[idx], counts[run], int(nulls[idx])
+
+    def entropy_bits(self) -> np.ndarray:
+        """Per column, the entropy in bits of its non-null value counts.
+
+        The terms p * log2(p) add up in column_stats order, as a row-by-row
+        count would add them, and log2 comes from `math`, once per distinct
+        count of a column: numpy's log2 can differ from it in the last bit.
+        """
+        present, counts, _, _ = self._summarize()
+        width = len(self.dataset.columns)
+        if len(present) == 0:
+            return np.zeros(width)
+        column = self.dataset._slot_column[present]
+        totals = np.bincount(column, weights=counts, minlength=width)
+        span = int(counts.max()) + 1
+        key = column * span + counts
+        terms = np.zeros(width * span)
+        for k in np.flatnonzero(np.bincount(key)).tolist():
+            p = (k % span) / totals[k // span]
+            terms[k] = p * math.log2(p)
+        return -np.bincount(column, weights=terms[key], minlength=width)
 
     def ranked_values(self, idx: int):
         """Distinct non-null values, most frequent first (ties by value)."""
         if idx not in self._ranked:
-            counts, _ = self.column_stats(idx)
-            self._ranked[idx] = tuple(sorted(counts, key=lambda v: (-counts[v], v)))
+            codes, counts, _ = self.column_stats(idx)
+            codes = codes[np.lexsort((codes, -counts))]
+            self._ranked[idx] = tuple(self.dataset.dictionaries[idx][codes].tolist())
         return self._ranked[idx]
 
 
 def initial_display(dataset: Dataset) -> Display:
-    return Display(dataset, (), None, dataset.rows)
-
-
-def _null_sort_key(values):
-    # nulls group last; within a column all non-null values share a type
-    return sorted((v for v in values if v is not None)) + \
-        ([None] if any(v is None for v in values) else [])
+    """The unfiltered, ungrouped view: one instance per dataset, shared by
+    every caller while any of them holds it."""
+    root = dataset._root() if dataset._root is not None else None
+    if root is None:
+        rows = np.arange(dataset.row_count, dtype=np.int32)
+        rows.setflags(write=False)
+        root = Display(dataset, (), None, rows)
+        dataset._root = weakref.ref(root)
+    return root
 
 
 def _compute_groups(dataset: Dataset, rows, grouping: Grouping):
+    """Group keys, sizes and aggregates; keys in code order, null last.
+
+    Aggregates add their cells in row order, as a running sum would.
+    """
     gi = dataset.column_index(grouping.grp_col)
-    ai = dataset.column_index(grouping.agg_col)
-    buckets: dict = {}
-    for row in rows:
-        buckets.setdefault(row[gi], []).append(row[ai])
-    keys = _null_sort_key(buckets.keys())
-    sizes = []
-    out_rows = []
-    for key in keys:
-        cells = buckets[key]
-        sizes.append(len(cells))
-        if grouping.agg_func == "COUNT":
-            agg = float(len(cells))
+    keys = dataset.codes[gi, rows]
+    sizes = np.bincount(keys, minlength=len(dataset.dictionaries[gi]))
+    present = np.flatnonzero(sizes)
+    func = grouping.agg_func
+    if func == "COUNT":
+        aggs = sizes[present].astype(float).tolist()
+    else:
+        ai = dataset.column_index(grouping.agg_col)
+        numbers = dataset._numbers[ai]
+        cells = dataset.codes[ai, rows]
+        valid = cells < len(numbers) - 1
+        keys_v, values = keys[valid], numbers[cells[valid]]
+        filled = np.bincount(keys_v, minlength=len(sizes))
+        if func in ("SUM", "MEAN"):
+            acc = np.bincount(keys_v, weights=values,
+                              minlength=len(sizes)).astype(float, copy=False)
+            if func == "MEAN":
+                acc = np.divide(acc, filled, out=acc, where=filled > 0)
         else:
-            nums = [c for c in cells if c is not None]
-            if not nums:
-                agg = None
-            elif grouping.agg_func == "SUM":
-                agg = float(sum(nums))
-            elif grouping.agg_func == "MEAN":
-                agg = float(sum(nums) / len(nums))
-            elif grouping.agg_func == "MIN":
-                agg = float(min(nums))
-            else:
-                agg = float(max(nums))
-        out_rows.append((key, agg))
-    return tuple(keys), tuple(sizes), tuple(out_rows)
+            acc = np.full(len(sizes), math.nan)
+            (np.fmin if func == "MIN" else np.fmax).at(acc, keys_v, values)
+        aggs = [v if n else None
+                for v, n in zip(acc[present].tolist(), filled[present].tolist())]
+    return (tuple(dataset.dictionaries[gi][present].tolist()),
+            tuple(sizes[present].tolist()), tuple(aggs))
 
 
 def _cell_text(cell, kind: ColumnKind) -> str:
@@ -254,17 +354,26 @@ def _build_predicate(pred: FilterPredicate, kind: ColumnKind):
 
 
 def apply_filter(display: Display, pred: FilterPredicate) -> Display:
-    """Filter the underlying rows and re-apply any active grouping."""
+    """Filter the underlying rows and re-apply any active grouping.
+
+    The predicate runs once per distinct value present in the view (the
+    null sentinel included), never once per row.
+    """
     ds = display.dataset
     idx = ds.column_index(pred.column)
     match = _build_predicate(pred, ds.columns[idx][1])
-    rows = tuple(r for r in display.rows if match(r[idx]))
+    codes, _, nulls = display.column_stats(idx)
+    values = ds.dictionaries[idx]
+    if nulls:
+        codes = np.append(codes, len(values) - 1)
+    keep = np.zeros(len(values), dtype=bool)
+    keep[codes] = [match(v) for v in values[codes].tolist()]
+    rows = display.rows[keep[ds.codes[idx, display.rows]]]
     filters = display.filters + (pred,)
     g = display.grouping
     if g is None:
         return Display(ds, filters, None, rows)
-    keys, sizes, grows = _compute_groups(ds, rows, g)
-    return Display(ds, filters, g, rows, keys, sizes, grows)
+    return Display(ds, filters, g, rows, *_compute_groups(ds, rows, g))
 
 
 def apply_group(display: Display, grouping: Grouping) -> Display:
@@ -276,8 +385,8 @@ def apply_group(display: Display, grouping: Grouping) -> Display:
         raise ValueError(
             f"{grouping.agg_func} requires a numeric aggregate column, "
             f"{grouping.agg_col!r} is {agg_kind.value}")
-    keys, sizes, grows = _compute_groups(ds, display.rows, grouping)
-    return Display(ds, display.filters, grouping, display.rows, keys, sizes, grows)
+    return Display(ds, display.filters, grouping, display.rows,
+                   *_compute_groups(ds, display.rows, grouping))
 
 
 def canonical_term(term: str, kind: ColumnKind) -> str:
@@ -332,11 +441,11 @@ def column_histogram(display: Display, column: str) -> dict:
             return {}
         share = 1.0 / n
         return {key: share for key in display.group_keys}
-    counts, _ = display.column_stats(idx)
-    total = sum(counts.values())
-    if total == 0:
+    codes, counts, _ = display.column_stats(idx)
+    if len(codes) == 0:
         return {}
-    return {v: c / total for v, c in counts.items()}
+    values = ds.dictionaries[idx][codes].tolist()
+    return dict(zip(values, (counts / counts.sum()).tolist()))
 
 
 def _infer_kind(cells, n_rows, max_categorical, categorical_fraction):

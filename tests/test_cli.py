@@ -1,4 +1,6 @@
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +9,12 @@ from autoeda.cli import main
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def input_names(manifest_path):
+    """File names of a manifest's hashed inputs, sorted."""
+    inputs = json.loads(Path(manifest_path).read_text())["inputs"]
+    return sorted(Path(p).name for p in inputs)
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +83,9 @@ def test_train_outputs(run_dir):
     assert (run_dir / "bc_log.ndjson").exists()
     manifest = json.loads((run_dir / "manifest.json").read_text())
     assert str(run_dir / "checkpoint.json") in manifest["outputs"]
+    assert input_names(run_dir / "manifest.json") == [
+        "ds1.csv", "ds1.schema.json", "ds1.train.json",
+        "ds2.csv", "ds2.schema.json", "ds2.train.json", "train.json"]
 
 
 def test_train_no_penalty_flag(data_dir, tmp_path):
@@ -118,7 +129,8 @@ def test_generate_sessions_replay(run_dir, data_dir, tmp_path):
     assert len(sessions) == 3
     for traj in sessions:
         walk_displays(ds, traj.actions)
-    assert out.with_name("sessions.manifest.json").exists()
+    assert input_names(out.with_name("sessions.manifest.json")) == [
+        "checkpoint.json", "ds1.csv", "ds1.schema.json"]
 
 
 def test_generate_greedy_deterministic(run_dir, data_dir, tmp_path):
@@ -155,6 +167,8 @@ def test_measure_json_report(data_dir, tmp_path):
     assert run("measure", "--session", data_dir / "ds1.eval.json",
                "--dataset", data_dir / "ds1.csv", "--ruleset", ruleset,
                "--out", tmp_path) == 0
+    assert input_names(tmp_path / "manifest.json") == [
+        "ds1.csv", "ds1.eval.json", "ds1.schema.json", "rules.json"]
     report = json.loads((tmp_path / "measures.json").read_text())
     steps = report["sessions"][0]["steps"]
     assert {"step", "action", "raw", "normalized", "highlight"} <= set(steps[0])
@@ -186,6 +200,9 @@ def test_eval_with_checkpoint(run_dir, data_dir, tmp_path):
     assert lines[0].split() == ["Dataset", "Precision", "TBLEU-1", "TBLEU-2",
                                 "TBLEU-3", "EDA-Sim"]
     assert [line.split()[0] for line in lines[2:]] == ["ds1", "ds2", "mean"]
+    assert input_names(tmp_path / "manifest.json") == [
+        "checkpoint.json", "ds1.csv", "ds1.eval.json", "ds1.schema.json",
+        "ds2.csv", "ds2.eval.json", "ds2.schema.json"]
 
 
 def test_eval_checkpoint_sessions_do_not_depend_on_other_datasets(
@@ -212,6 +229,17 @@ def test_eval_checkpoint_matches_generated_sessions(run_dir, data_dir, tmp_path)
                "--out", tmp_path / "direct") == 0
     assert ((tmp_path / "direct" / "report.json").read_bytes()
             == (tmp_path / "files" / "report.json").read_bytes())
+    assert input_names(tmp_path / "files" / "manifest.json") == [
+        "ds2.csv", "ds2.eval.json", "ds2.schema.json", "sessions.json"]
+
+
+def test_manifest_records_the_parsed_argv(data_dir, tmp_path, monkeypatch):
+    """An in-process call records its own arguments, not the host's."""
+    monkeypatch.setattr(sys, "argv", ["host", "--something"])
+    argv = ["measure", "--session", str(data_dir / "ds1.eval.json"),
+            "--dataset", str(data_dir / "ds1.csv"), "--out", str(tmp_path)]
+    assert main(argv) == 0
+    assert json.loads((tmp_path / "manifest.json").read_text())["argv"] == argv
 
 
 def test_usage_errors_exit_one(run_dir, data_dir, tmp_path):

@@ -1,0 +1,138 @@
+"""Property tests: the columnar display engine against the row-at-a-time
+reference in `row_engine.py`, on random tables and sessions."""
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import row_engine as ref
+from autoeda.env import ActionSpec, EdaEnv, encode_display, walk
+from autoeda.measures import coherence
+from autoeda.tabular import (FILTER_OPS, ColumnKind, Dataset, FilterPredicate,
+                             Grouping, column_histogram, display_fingerprint,
+                             initial_display)
+
+TOL = 1e-12  # encodings and histogram shares; every other quantity is exact
+
+CELLS = {
+    ColumnKind.CATEGORICAL: st.sampled_from(["a", "b", "ab", "B", " a"]),
+    # sums of 0.1, 0.2, 0.3 or of +-1e20 and 1.0 depend on the order of addition
+    ColumnKind.NUMERIC: st.sampled_from([0.0, -0.0, 1.0, 5.0, 0.5, 15.0, 0.1, 0.2, 0.3,
+                                         1e20, -1e20]),
+    ColumnKind.TEXT: st.sampled_from(["x5", "5x", "xy", "yx5y", "5", "1.5"]),
+}
+TERMS = ["a", "b", "ab", " a", "x", "y", "5", "5.0", "1", ".", "-", "0", "1e+20", "0.1", ""]
+
+
+@st.composite
+def tables(draw):
+    kinds = draw(st.lists(st.sampled_from(list(ColumnKind)), min_size=1, max_size=4))
+    names = [f"c{i}" for i in range(len(kinds))]
+    row = st.tuples(*[st.one_of(st.none(), CELLS[k]) for k in kinds])
+    rows = draw(st.lists(row, max_size=12))
+    rows += draw(st.lists(st.sampled_from(rows), max_size=3)) if rows else []  # duplicates
+    return Dataset("t", list(zip(names, kinds)), rows)
+
+
+@st.composite
+def sessions(draw, ds):
+    actions = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["FILTER", "FILTER", "GROUP", "BACK"]))
+        col = draw(st.sampled_from(ds.column_names))
+        if kind == "FILTER":
+            pred = FilterPredicate(col, draw(st.sampled_from(FILTER_OPS)), draw(st.sampled_from(TERMS)))
+            actions.append(ActionSpec("FILTER", filter=pred))
+        elif kind == "GROUP":
+            agg_col = draw(st.sampled_from(ds.column_names))
+            funcs = ["COUNT"] + (["SUM", "MEAN", "MIN", "MAX"]
+                                 if ds.kind_of(agg_col) is ColumnKind.NUMERIC else [])
+            actions.append(ActionSpec("GROUP", group=Grouping(col, agg_col, draw(st.sampled_from(funcs)))))
+        else:
+            actions.append(ActionSpec(kind))
+    if draw(st.booleans()):
+        actions.append(ActionSpec("STOP"))
+    return actions
+
+
+def reference_walk(ds, actions):
+    """The current reference view after the reset and after each action."""
+    stack = [ref.root(ds)]
+    views = [stack[-1]]
+    for action in actions:
+        if action.kind == "FILTER":
+            stack.append(ref.filtered(stack[-1], action.filter))
+        elif action.kind == "GROUP":
+            stack.append(ref.grouped(stack[-1], action.group))
+        elif action.kind == "BACK" and len(stack) > 1:
+            stack.pop()
+        views.append(stack[-1])
+    return views
+
+
+def assert_same_view(d, view, ds):
+    assert [ds.rows[i] for i in d.rows] == list(view.rows)
+    for idx, col in enumerate(ds.column_names):
+        codes, counts, nulls = d.column_stats(idx)
+        expected, expected_nulls = ref.stats(view, idx)
+        # the same values and counts, in the order of their first row
+        assert list(zip(ds.dictionaries[idx][codes], counts)) == list(expected.items())
+        assert nulls == expected_nulls
+        assert d.ranked_values(idx) == ref.ranked(view, idx)
+        assert ds.distinct_count(idx) == len({r[idx] for r in ds.rows if r[idx] is not None})
+        hist, expected = column_histogram(d, col), ref.histogram(view, col)
+        assert list(hist) == list(expected)  # same keys, in the same order
+        assert all(abs(hist[k] - expected[k]) <= TOL for k in hist)
+    assert d.group_keys == view.keys
+    assert d.group_sizes == view.sizes
+    assert d.group_rows == view.group_rows
+    assert display_fingerprint(d) == display_fingerprint(view)
+    assert np.max(np.abs(encode_display(d, ds) - ref.encode(view, ds))) <= TOL
+
+
+PAIR = Dataset("pair", [("c", "categorical"), ("n", "numeric")], [["a", 1.0], ["b", 2.0]])
+# a group whose sum and mean depend on adding its cells in row order
+SUMS = Dataset("sums", [("c", "categorical"), ("n", "numeric")],
+               [["a", x] for x in (0.1, 0.2, 0.3, 1e20, 1.0, -1e20)] + [["b", 2.0]])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(tables().flatmap(lambda ds: st.tuples(st.just(ds), sessions(ds))))
+@example((PAIR, [ActionSpec("GROUP", group=Grouping("c", "n", "SUM"))]))
+@example((SUMS, [ActionSpec("GROUP", group=Grouping("c", "n", "SUM")), ActionSpec("BACK"),
+                 ActionSpec("GROUP", group=Grouping("c", "n", "MEAN"))]))
+def test_engine_matches_row_reference(case):
+    """Every view of a random session, and coherence's unchanged-view answer
+    for each step, equal the row engine's. In the two-column example the
+    group table (a, 1.0), (b, 2.0) equals the plain rows, so the GROUP step
+    counts as unchanged."""
+    ds, actions = case
+    env = EdaEnv(ds, horizon=len(actions))
+    states = [env.reset()]
+    for action in actions:
+        states.append(env.step(states[-1], action))
+    views = reference_walk(ds, actions)
+    for state, view in zip(states, views):
+        assert_same_view(state.current, view, ds)
+    for t, action in enumerate(actions):
+        prev, cur = states[t].current, states[t + 1].current
+        unchanged = not views[t + 1].visible or views[t + 1].visible == views[t].visible
+        assert (coherence(prev, cur, action, []) == -1.0) == unchanged
+
+
+# a share of 28/31, whose log2 numpy can round differently from math.log2
+SKEWED = Dataset("skewed", [("c", "categorical")], [["a"]] * 28 + [["b"], ["c"], ["d"]])
+
+
+def test_expert_views_encode_bit_for_bit(synthetic_bundle):
+    """On a synthetic table the encodings and histograms are not just close
+    but equal: both engines add the same terms in the same order."""
+    skewed = initial_display(SKEWED)
+    assert np.array_equal(encode_display(skewed, SKEWED), ref.encode(ref.root(SKEWED), SKEWED))
+    ds, _, _, trajectories = synthetic_bundle
+    for traj in trajectories:
+        views = reference_walk(ds, traj.actions)
+        for state, view in zip(walk(ds, traj.actions), views):
+            assert np.array_equal(encode_display(state.current, ds), ref.encode(view, ds))
+            for col in ds.column_names:
+                assert column_histogram(state.current, col) == ref.histogram(view, col)

@@ -50,7 +50,7 @@ def test_encode_matches_hand_oracle(toy):
     vec = encode_display(d, toy)
     n = toy.row_count
     for i in range(3):
-        cells = [r[i] for r in d.rows]
+        cells = [toy.rows[r][i] for r in d.rows]
         counts = Counter(c for c in cells if c is not None)
         total = sum(counts.values())
         entropy = -sum((c / total) * math.log2(c / total) for c in counts.values())
