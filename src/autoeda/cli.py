@@ -514,17 +514,18 @@ def build_parser() -> _Parser:
 
     def common(p):
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--config", default=None, help="JSON config file")
         p.add_argument("--deterministic", action="store_true",
                        help="single-threaded, byte-reproducible run")
         p.add_argument("--out", default=None, help="output directory")
 
     p = sub.add_parser("synth", help="generate datasets and expert sessions")
     common(p)
+    p.add_argument("--config", default=None, help="JSON config file")
     p.set_defaults(fn=cmd_synth)
 
     p = sub.add_parser("train", help="train a session policy")
     common(p)
+    p.add_argument("--config", default=None, help="JSON config file")
     p.add_argument("--data", required=True, help="directory from `synth`")
     p.add_argument("--datasets", required=True, help="comma-separated names")
     p.add_argument("--split", default="train", help="expert split suffix")

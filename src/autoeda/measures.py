@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,12 +87,28 @@ def kl_divergence(p: dict, q: dict, eps: float = DEFAULT_KL_EPS) -> float:
     return total
 
 
+# Per dataset: (before.key, after.key, eps) -> max_column_kl of two of its
+# views. Keys hold only predicates and groupings and values are floats, so
+# nothing refers back to the dataset, and its entry dies with it.
+_KL_MEMO: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def max_column_kl(before: Display, after: Display, base: Dataset,
                   eps: float = DEFAULT_KL_EPS) -> float:
-    return max(
-        kl_divergence(column_histogram(before, col), column_histogram(after, col), eps)
-        for col in base.column_names
-    )
+    """The largest per-column KL(before || after) over `base`'s columns.
+
+    Two views of `base` itself are scored once per pair of operation paths
+    (`Display.key`): equal paths give bit-identical histograms.
+    """
+    same = before.dataset is base is after.dataset
+    memo = _KL_MEMO.setdefault(base, {}) if same else {}
+    key = (before.key, after.key, eps)
+    if key not in memo:
+        memo[key] = max(
+            kl_divergence(column_histogram(before, col), column_histogram(after, col), eps)
+            for col in base.column_names
+        )
+    return memo[key]
 
 
 def a_int(prev: Display, cur: Display, action, specs: MeasureSpecs,
@@ -235,9 +252,6 @@ class MeasureScores:
 
     def get(self, name: str) -> float:
         return getattr(self, name)
-
-    def as_dict(self) -> dict:
-        return {name: getattr(self, name) for name in MEASURE_NAMES}
 
 
 def score_session(dataset: Dataset, actions, ruleset: CoherenceRuleset = EMPTY_RULESET,

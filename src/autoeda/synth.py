@@ -252,6 +252,27 @@ def _edge_actions(dataset: Dataset, pat_by_col, edge: Correlation,
     return [first, second]
 
 
+def _visit(col, dataset: Dataset, pat_by_col, outgoing, rng: np.random.Generator,
+           group_prob: float, visited: set, actions: list) -> None:
+    """Depth-first from `col`: append each branch's two operations, the
+    subtree of an unvisited destination, then two BACKs.
+
+    A module-level function rather than a nested closure: a closure that
+    calls itself forms a reference cycle that keeps `dataset` alive until
+    the cyclic garbage collector runs.
+    """
+    visited.add(col)
+    branches = outgoing[col]
+    order = rng.permutation(len(branches)) if len(branches) > 1 else range(len(branches))
+    for b in order:
+        edge = branches[int(b)]
+        actions.extend(_edge_actions(dataset, pat_by_col, edge, rng, group_prob))
+        if edge.dst_col not in visited:
+            _visit(edge.dst_col, dataset, pat_by_col, outgoing, rng, group_prob,
+                   visited, actions)
+        actions.extend([ActionSpec("BACK"), ActionSpec("BACK")])
+
+
 def generate_expert_trajectories(dataset: Dataset, patterns, dag: CorrelationDag,
                                  rng: np.random.Generator, n_trajectories: int = 1,
                                  group_prob: float = 0.5) -> list[Trajectory]:
@@ -276,21 +297,9 @@ def generate_expert_trajectories(dataset: Dataset, patterns, dag: CorrelationDag
     for _ in range(n_trajectories):
         actions: list[ActionSpec] = []
         visited: set[str] = set()
-
-        def visit(col):
-            visited.add(col)
-            branches = outgoing[col]
-            order = rng.permutation(len(branches)) if len(branches) > 1 else range(len(branches))
-            for b in order:
-                edge = branches[int(b)]
-                actions.extend(_edge_actions(dataset, pat_by_col, edge, rng,
-                                             group_prob))
-                if edge.dst_col not in visited:
-                    visit(edge.dst_col)
-                actions.extend([ActionSpec("BACK"), ActionSpec("BACK")])
-
         for root in roots:
-            visit(root)
+            _visit(root, dataset, pat_by_col, outgoing, rng, group_prob,
+                   visited, actions)
         actions.append(ActionSpec("STOP"))
         trajectories.append(Trajectory(dataset.name, tuple(actions)))
     return trajectories

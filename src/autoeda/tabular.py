@@ -191,6 +191,14 @@ class Display:
         return len(self.rows)
 
     @property
+    def key(self) -> tuple:
+        """The exact operation path, (filters, grouping). On one dataset,
+        equal keys mean bit-identical rows, groups, counts and histograms.
+        Unlike `display_fingerprint`, it never merges views that differ in
+        a term's text, such as CONTAINS "5" and "5.0" on a numeric column."""
+        return self.filters, self.grouping
+
+    @property
     def group_count(self) -> int:
         return len(self.group_sizes)
 

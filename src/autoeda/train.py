@@ -392,10 +392,8 @@ def ppo_update(policy: nn.PolicyNet, opt: nn.Adam, value: nn.ValueNet,
     adv, _ = _advantages(value, batch, cfg)
     logp, ctx = policy.logprob(batch["states"], batch["heads"], batch["masks"])
     ratio = np.exp(logp - batch["old_logp"])
-    target = ppo_clip_target(cfg.clip_eps, adv)
-    lhs = ratio * adv
-    surrogate = float(np.mean(np.minimum(lhs, target)))
-    active = (lhs <= target).astype(float)
+    surrogate = clipped_surrogate(ratio, adv, cfg.clip_eps)
+    active = (ratio * adv <= ppo_clip_target(cfg.clip_eps, adv)).astype(float)
     coeffs = active * adv * ratio / len(adv)
     grad = policy.backward_logprob(ctx, batch["heads"], batch["masks"], coeffs)
     opt.step(policy.flat, -grad)

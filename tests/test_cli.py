@@ -246,6 +246,13 @@ def test_usage_errors_exit_one(run_dir, data_dir, tmp_path):
     assert run("train", "--data", "somewhere") == 1  # missing --datasets
     assert run("eval", "--data", "x", "--datasets", "ds1") == 1  # no source
     assert run("nonsense") == 1
+    # only synth and train take a config file
+    assert run("measure", "--session", tmp_path / "s.json", "--dataset",
+               data_dir / "ds1.csv", "--config", "x.json") == 1
+    assert run("generate", "--checkpoint", run_dir / "checkpoint.json",
+               "--dataset", data_dir / "ds1.csv", "--config", "x.json") == 1
+    assert run("eval", "--sessions", tmp_path / "s.json", "--data", data_dir,
+               "--datasets", "ds1", "--config", "x.json") == 1
     for n in ("0", "-3"):
         assert run("generate", "--checkpoint", run_dir / "checkpoint.json",
                    "--dataset", data_dir / "ds1.csv", "--n", n,

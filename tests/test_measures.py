@@ -1,18 +1,21 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+from autoeda import measures
 from autoeda.env import ActionSpec, BACK, STOP, encode_display
 from autoeda.measures import (MEASURE_NAMES, CoherenceRuleset,
                               MeasureScores, MeasureSpecs, SigmoidSpec, a_int,
                               classify_session, coherence,
                               default_measure_specs, diversity, kl_divergence,
-                              normalize_session, peculiarity, readability,
-                              score_session, sigmoid)
+                              max_column_kl, normalize_session, peculiarity,
+                              readability, score_session, sigmoid)
 from autoeda.tabular import (ColumnKind, Dataset, FilterPredicate, Grouping,
                              apply_filter, apply_group, column_histogram,
-                             initial_display)
+                             display_fingerprint, initial_display)
 
 
 def FILTER(col, op, term):
@@ -415,3 +418,64 @@ def test_score_session_uses_ruleset(deck):
     actions = (GROUP("color", "x", "COUNT"),)
     raw = score_session(deck, actions, ruleset)
     assert raw[0].coherence == 0.5
+
+
+# ---------------------------------------------------------------------------
+# the per-dataset KL memo
+
+def _composed_kl(before, after, eps=measures.DEFAULT_KL_EPS):
+    """max_column_kl without the memo: the histogram + KL composition."""
+    return max(kl_divergence(column_histogram(before, col),
+                             column_histogram(after, col), eps)
+               for col in before.dataset.column_names)
+
+
+@pytest.mark.parametrize("column, op, terms", [
+    ("x", "CONTAINS", ("5", "5.0")),   # numeric cells read as "5", "15", "2.5"
+    ("color", "EQ", ("red", " red")),
+])
+def test_kl_memo_separates_views_that_share_a_fingerprint(column, op, terms):
+    ds = Dataset("memo", [("color", ColumnKind.CATEGORICAL),
+                          ("x", ColumnKind.NUMERIC)],
+                 [["red", 5.0], [" red", 15.0], ["blue", 2.5], ["red", 7.0],
+                  ["blue", 50.0], [" red", 5.0], ["green", 1.0], ["red", 3.0]])
+    d0 = initial_display(ds)
+    a, b = (apply_filter(d0, FilterPredicate(column, op, t)) for t in terms)
+    assert display_fingerprint(a) == display_fingerprint(b)
+    assert not np.array_equal(a.rows, b.rows)
+    grouped = [apply_group(v, Grouping("x", "color", "COUNT")) for v in (a, b)]
+    views = [a, b] + grouped
+    pairs = [(d0, v) for v in views] + [(v, d0) for v in views] + [(a, b), (b, a)]
+    for _ in range(2):  # cold, then every pair again from the memo
+        for before, after in pairs:
+            assert max_column_kl(before, after, ds) == _composed_kl(before, after)
+            assert max_column_kl(before, after, ds, 1e-3) == \
+                _composed_kl(before, after, 1e-3)
+    assert max_column_kl(d0, a, ds) != max_column_kl(d0, b, ds)
+
+
+def test_kl_memo_warm_scores_equal_fresh_dataset_scores(synthetic_bundle):
+    dataset, _, _, trajectories = synthetic_bundle
+    for t in trajectories:
+        score_session(dataset, t.actions)  # warm the memo
+    for t in trajectories:
+        fresh = Dataset(dataset.name, [(c, k.value) for c, k in dataset.columns],
+                        dataset.rows)
+        assert fresh not in measures._KL_MEMO
+        assert score_session(dataset, t.actions) == score_session(fresh, t.actions)
+
+
+def test_kl_memo_entry_dies_with_its_dataset():
+    gc.disable()  # freed by reference counting alone, no cycle to collect
+    try:
+        ds = Dataset("gone", [("color", ColumnKind.CATEGORICAL)],
+                     [["a"], ["b"], ["a"]])
+        score_session(ds, (FILTER("color", "EQ", "a"), BACK, STOP))
+        assert measures._KL_MEMO[ds]
+        entries = len(measures._KL_MEMO)
+        ref = weakref.ref(ds)
+        del ds
+        assert ref() is None
+        assert len(measures._KL_MEMO) == entries - 1
+    finally:
+        gc.enable()

@@ -1,9 +1,12 @@
+import gc
+import weakref
 from collections import Counter
 
 import pytest
 
 from autoeda import synth
 from autoeda.env import walk_displays
+from autoeda.measures import score_session
 from autoeda.tabular import ColumnKind, display_fingerprint, initial_display
 from autoeda.train import derive_rng
 
@@ -237,6 +240,26 @@ def test_trajectories_deterministic(synthetic_bundle):
                                                derive_rng(11, 5, 1),
                                                n_trajectories=8)
     assert again == trajectories
+
+
+def test_dataset_is_freed_by_refcount_after_sessions():
+    """Generating and scoring sessions leaves no reference cycle that keeps
+    the dataset (and with it its KL memo entry) alive."""
+    gc.disable()
+    try:
+        rng = derive_rng(5, 0)
+        patterns = synth.generate_patterns(synth.DEFAULT_SCHEMA, 3, rng)
+        dag = synth.generate_correlations(synth.DEFAULT_SCHEMA, patterns, rng,
+                                          cap=2, n_edges=3)
+        ds = synth.populate_rows(synth.DEFAULT_SCHEMA, patterns, dag, 200, 5.0, rng)
+        for t in synth.generate_expert_trajectories(ds, patterns, dag, rng,
+                                                    n_trajectories=3):
+            score_session(ds, t.actions)
+        ref = weakref.ref(ds)
+        del ds, t
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_trajectories_require_edges():

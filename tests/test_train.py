@@ -300,8 +300,7 @@ def test_mixed_batch_is_exactly_half_and_half(toy):
     assert np.allclose(np.exp(logp - batch["old_logp"][4:]), 1.0)
 
 
-def test_ppo_update_moves_policy_and_reports_surrogate(toy):
-    cfg = small_cfg()
+def _ppo_batch(toy, cfg):
     layout, policy, value, disc = _fresh_nets(toy, cfg)
     collector = RolloutCollector([toy], layout, cfg, derive_rng(2, 2))
     buf = ReplayBuffer(256)
@@ -310,12 +309,31 @@ def test_ppo_update_moves_policy_and_reports_surrogate(toy):
     expert = prepare_expert_steps([toy], [Trajectory("toy", (F_A, G_A, BACK, STOP))],
                                   layout, cfg)
     batch = assemble_mixed_batch(buf, expert, policy, disc, cfg, derive_rng(2, 3))
+    return policy, value, batch
+
+
+def test_ppo_update_moves_policy_and_reports_surrogate(toy):
+    cfg = small_cfg()
+    policy, value, batch = _ppo_batch(toy, cfg)
     assert len(batch["states"]) == cfg.batch_policy
     before = policy.flat.copy()
     opt = nn.Adam(policy.flat, 1e-3)
     stats = ppo_update(policy, opt, value, batch, cfg)
     assert math.isfinite(stats["surrogate"])
     assert not np.allclose(before, policy.flat)
+
+
+def test_ppo_update_surrogate_is_clipped_surrogate(toy):
+    from autoeda.train import _advantages
+    cfg = small_cfg()
+    policy, value, batch = _ppo_batch(toy, cfg)
+    # move the policy off the one that logged old_logp, so ratios leave 1
+    policy.flat += 0.5 * derive_rng(2, 4).standard_normal(len(policy.flat))
+    adv, _ = _advantages(value, batch, cfg)
+    logp, _ = policy.logprob(batch["states"], batch["heads"], batch["masks"])
+    ratio = np.exp(logp - batch["old_logp"])
+    stats = ppo_update(policy, nn.Adam(policy.flat, 1e-3), value, batch, cfg)
+    assert stats["surrogate"] == clipped_surrogate(ratio, adv, cfg.clip_eps)
 
 
 def test_expert_half_ratio_starts_at_one(toy):
