@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -90,11 +91,14 @@ def _read_json_config(path) -> dict:
         return {}
     try:
         with open(path) as fh:
-            return json.load(fh)
+            config = json.load(fh)
     except OSError as exc:
         raise DataError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"config {path} is not valid JSON: {exc}") from exc
+    if not isinstance(config, dict):
+        raise DataError(f"config {path} is not a JSON object")
+    return config
 
 
 def _out_dir(args) -> Path:
@@ -163,22 +167,58 @@ SYNTH_DEFAULTS = {
 }
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _synth_config(overrides: dict):
+    """(config, schema): SYNTH_DEFAULTS updated by `overrides`, every value
+    checked, so that a bad one is a usage error before any file is
+    written."""
+    from . import synth, tabular
+
+    def bad(message):
+        return UsageError(f"bad synth config: {message}")
+
+    unknown = set(overrides) - set(SYNTH_DEFAULTS)
+    if unknown:
+        raise bad(f"unknown keys {sorted(unknown)}")
+    cfg = dict(SYNTH_DEFAULTS, **overrides)
+    for key in ("datasets", "rows", "n_patterns", "n_edges", "links_per_edge",
+                "cap", "trajectories"):
+        if not _is_int(cfg[key]) or cfg[key] < 1:
+            raise bad(f"{key} must be an integer >= 1, got {cfg[key]!r}")
+    m = cfg["multiplier"]
+    if not _is_real(m) or not (math.isfinite(m) and m > 1):
+        raise bad(f"multiplier must be a finite number > 1, got {m!r}")
+    for key in ("train_fraction", "group_prob"):
+        if not _is_real(cfg[key]) or not 0 <= cfg[key] <= 1:
+            raise bad(f"{key} must be a number in [0, 1], got {cfg[key]!r}")
+    if cfg["schema"] is None:
+        return cfg, synth.DEFAULT_SCHEMA
+    spec = cfg["schema"]
+    kinds = [k.value for k in tabular.ColumnKind]
+    if (not isinstance(spec, list) or len(spec) < 2
+            or not all(isinstance(col, list) and len(col) == 2
+                       and isinstance(col[0], str) and col[1] in kinds
+                       for col in spec)):
+        raise bad(f"schema must list at least two [name, kind] pairs with "
+                  f"kinds {kinds}, got {spec!r}")
+    if len({name for name, _ in spec}) != len(spec):
+        raise bad(f"schema repeats a column name: {spec!r}")
+    return cfg, tuple((c, tabular.ColumnKind(k)) for c, k in spec)
+
+
 def cmd_synth(args) -> int:
     from . import synth, tabular, env as env_mod
     from .train import (STREAM_SPLIT, STREAM_SYNTH, STREAM_TRAJECTORIES,
                         derive_rng)
 
-    cfg = dict(SYNTH_DEFAULTS)
-    overrides = _read_json_config(args.config)
-    unknown = set(overrides) - set(cfg)
-    if unknown:
-        raise DataError(f"unknown synth config keys: {sorted(unknown)}")
-    cfg.update(overrides)
-    if cfg["schema"] is None:
-        schema = synth.DEFAULT_SCHEMA
-    else:
-        schema = tuple((c, tabular.ColumnKind(k)) for c, k in cfg["schema"])
-
+    cfg, schema = _synth_config(_read_json_config(args.config))
     out = _out_dir(args)
     manifest = Manifest("synth", args, cfg)
     if args.config:
@@ -191,8 +231,11 @@ def cmd_synth(args) -> int:
         dag = synth.generate_correlations(schema, patterns, pattern_rng,
                                           cap=cfg["cap"], n_edges=cfg["n_edges"],
                                           links_per_edge=cfg["links_per_edge"])
-        dataset = synth.populate_rows(schema, patterns, dag, cfg["rows"],
-                                      cfg["multiplier"], pattern_rng, name=name)
+        try:
+            dataset = synth.populate_rows(schema, patterns, dag, cfg["rows"],
+                                          cfg["multiplier"], pattern_rng, name=name)
+        except ValueError as exc:  # a multiplier so large the weights overflow
+            raise UsageError(f"bad synth config: {exc}") from exc
         trajectories = synth.generate_expert_trajectories(
             dataset, patterns, dag, derive_rng(args.seed, STREAM_TRAJECTORIES, i),
             n_trajectories=cfg["trajectories"], group_prob=cfg["group_prob"])

@@ -9,6 +9,8 @@ graph, expressed as FILTER/GROUP operations with balancing BACKs.
 
 from __future__ import annotations
 
+import bisect
+import math
 import string
 from dataclasses import dataclass
 
@@ -24,6 +26,8 @@ TEXT_CELL_LEN = 12
 # frequency rank instead of a unique float nobody can select again.
 NUMERIC_DECIMALS = 0
 _LOWER = string.ascii_lowercase
+# the tolerance rng.choice allows on the sum of its probabilities
+_P_SUM_ATOL = math.sqrt(np.finfo(np.float64).eps)
 
 # Default schema used throughout: three categorical, three numeric and two
 # text columns, 1000 rows.
@@ -166,13 +170,30 @@ def _realize(pattern, rng: np.random.Generator):
                            NUMERIC_DECIMALS))
     s = pattern.substring
     pad = TEXT_CELL_LEN - len(s)
-    filler = "".join(rng.choice(list(_LOWER), size=pad))
+    # the same draw as rng.choice(list(_LOWER), size=pad)
+    filler = "".join([_LOWER[i] for i in rng.integers(0, 26, size=pad).tolist()])
     if pattern.position == "START":
         return s + filler
     if pattern.position == "END":
         return filler + s
     offset = int(rng.integers(1, pad)) if pad > 1 else 0
     return filler[:offset] + s + filler[offset:]
+
+
+def _cdf(weights: np.ndarray) -> list[float]:
+    """The cumulative distribution `rng.choice(n, p=weights / weights.sum())`
+    searches, with the checks it makes on p; `bisect_right` of one
+    `rng.random()` draw in it picks what that call picks."""
+    p = weights / weights.sum()
+    if not np.isfinite(p).all():
+        raise ValueError("probabilities are not finite")
+    if (p < 0).any():
+        raise ValueError("probabilities are not non-negative")
+    if abs(math.fsum(p.tolist()) - 1.0) > _P_SUM_ATOL:
+        raise ValueError("probabilities do not sum to 1")
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
 
 
 def populate_rows(schema, patterns, dag: CorrelationDag, n_rows: int,
@@ -182,43 +203,49 @@ def populate_rows(schema, patterns, dag: CorrelationDag, n_rows: int,
 
     Each cell starts from its column's base pattern weights; every incoming
     correlation whose source pattern fired in this row multiplies the linked
-    destination weight by `m` before renormalizing and sampling.
+    destination weight by `m` before renormalizing and sampling. The weights
+    depend only on the source patterns that fired, so each combination's
+    CDF is built once and a cell costs one `rng.random()` draw: the
+    inverse-transform draw `rng.choice` makes from the same stream.
     """
     if n_rows < 1:
         raise ValueError("n_rows must be >= 1")
-    if m <= 1:
-        raise ValueError("multiplier m must be > 1")
+    if not (math.isfinite(m) and m > 1):
+        raise ValueError("multiplier m must be finite and > 1")
     pat_by_col = {cp.column: cp for cp in patterns}
     incoming: dict[str, list[Correlation]] = {c: [] for c, _ in schema}
     for edge in dag.edges:
         incoming[edge.dst_col].append(edge)
     col_pos = {c: i for i, (c, _) in enumerate(schema)}
+    cdfs: dict[tuple, list[float]] = {}
     rows = []
     for _ in range(n_rows):
         fired: dict[str, int] = {}
         row = [None] * len(schema)
         for col in dag.columns:
-            cp = pat_by_col[col]
-            weights = np.asarray(cp.weights, dtype=float)
-            for edge in incoming[col]:
-                src_fired = fired[edge.src_col]
-                for src_i, dst_i in edge.links:
-                    if src_fired == src_i:
-                        weights[dst_i] *= m
-            weights = weights / weights.sum()
-            k = int(rng.choice(len(weights), p=weights))
+            key = (col, *(fired[edge.src_col] for edge in incoming[col]))
+            cdf = cdfs.get(key)
+            if cdf is None:
+                weights = np.asarray(pat_by_col[col].weights, dtype=float)
+                for edge, src_fired in zip(incoming[col], key[1:]):
+                    for src_i, dst_i in edge.links:
+                        if src_fired == src_i:
+                            weights[dst_i] *= m
+                cdf = cdfs[key] = _cdf(weights)
+            k = bisect.bisect_right(cdf, rng.random())
             fired[col] = k
-            row[col_pos[col]] = _realize(cp.patterns[k], rng)
+            row[col_pos[col]] = _realize(pat_by_col[col].patterns[k], rng)
         rows.append(row)
     return Dataset(name, list(schema), rows)
 
 
 def nearest_realized_value(dataset: Dataset, column: str, target: float) -> float:
-    idx = dataset.column_index(column)
-    values = [r[idx] for r in dataset.rows if r[idx] is not None]
-    if not values:
+    """The column's value closest to `target`, the smaller one on a tie."""
+    values = dataset.dictionaries[dataset.column_index(column)][:-1]
+    if len(values) == 0:
         raise ValueError(f"column {column!r} has no values to filter on")
-    return min(values, key=lambda v: (abs(v - target), v))
+    # the dictionary is ascending, so the first minimum is the smaller value
+    return values[int(np.argmin(np.abs(values.astype(float) - target)))]
 
 
 _POSITION_OPS = {"START": "STARTS_WITH", "MIDDLE": "CONTAINS", "END": "ENDS_WITH"}

@@ -143,7 +143,7 @@ class Dataset:
 
     @property
     def row_count(self) -> int:
-        return len(self.rows)
+        return self.codes.shape[1]
 
     def column_index(self, name: str) -> int:
         try:
@@ -531,15 +531,19 @@ def load_schema_sidecar(path) -> dict:
 
 
 def write_dataset(dataset: Dataset, path, delimiter: str = ",") -> None:
-    """Write CSV with canonical numeric text; nulls as empty cells."""
+    """Write CSV with canonical numeric text; nulls as empty cells.
+
+    Each dictionary entry is formatted once and gathered by the codes."""
+    columns = []
+    for values, codes, (_, kind) in zip(dataset.dictionaries, dataset.codes,
+                                        dataset.columns):
+        text = np.array([_cell_text(v, kind) for v in values[:-1].tolist()] + [""],
+                        dtype=object)
+        columns.append(text[codes].tolist())
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, delimiter=delimiter)
         writer.writerow(dataset.column_names)
-        for row in dataset.rows:
-            writer.writerow([
-                "" if cell is None else _cell_text(cell, kind)
-                for cell, (_, kind) in zip(row, dataset.columns)
-            ])
+        writer.writerows(zip(*columns))
 
 
 def write_schema_sidecar(dataset: Dataset, path) -> None:

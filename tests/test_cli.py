@@ -1,7 +1,9 @@
+import hashlib
 import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from autoeda.cli import main
@@ -64,6 +66,31 @@ def test_synth_rerun_is_byte_identical(data_dir, tmp_path):
     assert run("synth", "--config", config, "--seed", "3", "--out", tmp_path) == 0
     for name in ("ds1.csv", "ds1.train.json", "ds2.csv", "ds2.eval.json"):
         assert (tmp_path / name).read_bytes() == (data_dir / name).read_bytes()
+
+
+# SHA-256 of every file `synth --seed 3` writes for 2 datasets x 200 rows
+# and 10 sessions each; a change to the sampler, the CSV writer or the
+# session files that moves a byte shows here
+SYNTH_SEED3_SHA256 = {
+    "ds1.csv": "2d9fa425c8b9c43c84464044ffce4a22fba2e3d7ac0c5f9a3aa60fc823d4f88b",
+    "ds1.schema.json": "dded861c8b5e3ae57ecd51af1ff2f113294f648df0cb8fb8af3974c4b1e232b7",
+    "ds1.train.json": "9199be572373661e880a69e00947831f91be99c76e91d474d464ca5fc1a8cf76",
+    "ds1.eval.json": "bbd7f0be2d0915ba9bfcd426a4d75c0f6e776fccdb80c9a8e53433cc99165a1e",
+    "ds2.csv": "694e37b24f72478507fdc1b394ab23aaf05f82964f29a7390b68c3ce414b3a27",
+    "ds2.schema.json": "dded861c8b5e3ae57ecd51af1ff2f113294f648df0cb8fb8af3974c4b1e232b7",
+    "ds2.train.json": "1495149d4f3fd247e5a93e69009571344765acc933f033b02916673889cb432b",
+    "ds2.eval.json": "2d6596fa7f9500f273490743e45d30f889d37c51f3505d397d34e4143b8cf4f2",
+}
+
+
+def test_synth_bytes_are_pinned(tmp_path):
+    config = tmp_path / "synth.json"
+    config.write_text(json.dumps({"datasets": 2, "rows": 200, "trajectories": 10}))
+    out = tmp_path / "out"
+    assert run("synth", "--config", config, "--seed", "3", "--out", out) == 0
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+           for name in SYNTH_SEED3_SHA256}
+    assert got == SYNTH_SEED3_SHA256
 
 
 def test_synth_split_ratio(data_dir):
@@ -260,6 +287,40 @@ def test_usage_errors_exit_one(run_dir, data_dir, tmp_path):
         assert run("eval", "--checkpoint", run_dir / "checkpoint.json",
                    "--data", data_dir, "--datasets", "ds1", "--n", n) == 1, n
     assert not (tmp_path / "sessions.json").exists()
+    # a synth config that is a JSON object but holds a bad value: no file
+    # is written, not even the manifest
+    config = tmp_path / "synth.json"
+    for bad in ({"rows": 0}, {"rows": "10"}, {"rows": 2.5}, {"datasets": 0},
+                {"datasets": True}, {"multiplier": 1}, {"multiplier": 1e999},
+                {"n_patterns": 0}, {"n_edges": 0}, {"cap": 0},
+                {"links_per_edge": 0}, {"trajectories": 0},
+                {"train_fraction": 2}, {"train_fraction": -0.1},
+                {"group_prob": 7}, {"group_prob": "half"},
+                {"schema": [["a", "weird"]]}, {"schema": [["a", "numeric"]]},
+                {"schema": [["a", "numeric"], ["a", "text"]]},
+                {"schema": "numeric"}, {"colour": 1}):
+        config.write_text(json.dumps(bad))
+        out = tmp_path / "synth_out"
+        assert run("synth", "--config", config, "--out", out) == 1, bad
+        assert not out.exists(), bad
+    # weights that overflow show only while sampling, still before any write
+    config.write_text(json.dumps({"multiplier": 1e300, "n_edges": 8, "cap": 3,
+                                  "links_per_edge": 9, "rows": 5}))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run("synth", "--config", config, "--out", out) == 1
+    assert list(out.iterdir()) == []
+
+
+def test_synth_accepts_the_edges_of_each_range(tmp_path):
+    config = tmp_path / "synth.json"
+    config.write_text(json.dumps({
+        "datasets": 1, "rows": 1, "n_patterns": 1, "n_edges": 1,
+        "links_per_edge": 1, "cap": 1, "multiplier": 1.5, "trajectories": 1,
+        "train_fraction": 1, "group_prob": 0,
+        "schema": [["a", "numeric"], ["b", "text"]]}))
+    assert run("synth", "--config", config, "--out", tmp_path / "out") == 0
+    evaluation = json.loads((tmp_path / "out" / "ds1.eval.json").read_text())
+    assert evaluation["sessions"] == []
 
 
 def test_data_errors_exit_two(tmp_path, data_dir):
@@ -271,6 +332,13 @@ def test_data_errors_exit_two(tmp_path, data_dir):
     bad.write_text("{not json")
     assert run("train", "--data", data_dir, "--datasets", "ds1",
                "--config", bad, "--out", tmp_path) == 2
+    # a config that is valid JSON but not an object
+    for text in ("[1, 2]", "3", "null"):
+        bad.write_text(text)
+        assert run("train", "--data", data_dir, "--datasets", "ds1",
+                   "--config", bad, "--out", tmp_path) == 2, text
+        assert run("synth", "--config", bad, "--out", tmp_path / "s") == 2, text
+    assert not (tmp_path / "s").exists()
     assert run("eval", "--sessions", tmp_path / "missing.json",
                "--data", data_dir, "--datasets", "ds1") == 2
     for malformed in ("{not json", "[]", '{"sessions": []}',

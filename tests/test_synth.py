@@ -1,13 +1,18 @@
 import gc
+import math
 import weakref
 from collections import Counter
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
+import synth_reference as ref
 from autoeda import synth
 from autoeda.env import walk_displays
 from autoeda.measures import score_session
-from autoeda.tabular import ColumnKind, display_fingerprint, initial_display
+from autoeda.tabular import (ColumnKind, Dataset, display_fingerprint,
+                             initial_display)
 from autoeda.train import derive_rng
 
 SCHEMA2 = (("a", ColumnKind.CATEGORICAL), ("b", ColumnKind.CATEGORICAL))
@@ -165,8 +170,151 @@ def test_populate_rejects_bad_args():
     pats, dag, _ = two_column_bundle(rows=10)
     with pytest.raises(ValueError):
         synth.populate_rows(SCHEMA2, pats, dag, 0, 5.0, derive_rng(0, 0))
-    with pytest.raises(ValueError):
-        synth.populate_rows(SCHEMA2, pats, dag, 10, 1.0, derive_rng(0, 0))
+    no_edges = synth.CorrelationDag(dag.columns, ())
+    for m in (1.0, 0.5, math.inf, math.nan):
+        for graph in (dag, no_edges):  # whether or not a link ever fires
+            with pytest.raises(ValueError):
+                synth.populate_rows(SCHEMA2, pats, graph, 10, m, derive_rng(0, 0))
+
+
+@pytest.mark.parametrize("case", ["overflow", "sum_overflow", "negative"])
+def test_populate_checks_probabilities_as_choice_does(case):
+    """Weights that rng.choice refused are refused: two firing links scale
+    a weight by m * m, past the float range (probabilities not finite), or
+    two such weights whose sum overflows (probabilities summing to 0); and a
+    negative weight that slipped past ColumnPatterns."""
+    schema = tuple((c, ColumnKind.CATEGORICAL) for c in "abc")
+    pats = [synth.ColumnPatterns(c, (synth.CategoryPattern(f"{c}0"),), (1.0,))
+            for c in "ab"]
+    dst = (synth.CategoryPattern("c0"), synth.CategoryPattern("c1"))
+    links, m = ((0, 1),), 1e200
+    if case == "sum_overflow":
+        links, m = ((0, 0), (0, 1)), 1.5e154
+    if case == "negative":
+        m = 5.0
+        pats.append(SimpleNamespace(column="c", patterns=dst, weights=(1.5, -0.5)))
+    else:
+        pats.append(synth.ColumnPatterns("c", dst, (0.5, 0.5)))
+    dag = synth.CorrelationDag(("a", "b", "c"), (
+        synth.Correlation("a", "c", links), synth.Correlation("b", "c", links)))
+    for populate in (synth.populate_rows, ref.populate_rows):
+        with pytest.raises(ValueError), np.errstate(over="ignore", invalid="ignore"):
+            populate(schema, pats, dag, 5, m, derive_rng(0, 0))
+
+
+# ---------------------------------------------------------------------------
+# sampler against the per-cell rng.choice reference
+
+def cells(dataset):
+    """Every cell by repr, so that 0.0 and -0.0 differ."""
+    return [tuple(map(repr, row)) for row in dataset.rows]
+
+
+def assert_same_draws(schema, patterns, dag, n_rows, seed, m=5.0):
+    """Fast and reference sampler, from equal generators, give the same
+    cells and leave the generators in the same state."""
+    fast_rng, ref_rng = derive_rng(seed, 2), derive_rng(seed, 2)
+    fast = synth.populate_rows(schema, patterns, dag, n_rows, m, fast_rng)
+    slow = ref.populate_rows(schema, patterns, dag, n_rows, m, ref_rng)
+    assert cells(fast) == cells(slow)
+    assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 23])
+def test_populate_matches_reference_default_schema(seed):
+    pats = synth.generate_patterns(synth.DEFAULT_SCHEMA, 3, derive_rng(seed, 0))
+    dag = synth.generate_correlations(synth.DEFAULT_SCHEMA, pats,
+                                      derive_rng(seed, 1))
+    assert_same_draws(synth.DEFAULT_SCHEMA, pats, dag, 400, seed)
+
+
+@pytest.mark.parametrize("n_patterns", [1, 5])
+def test_populate_matches_reference_pattern_counts(n_patterns):
+    pats = synth.generate_patterns(synth.DEFAULT_SCHEMA, n_patterns,
+                                   derive_rng(4, 0))
+    dag = synth.generate_correlations(synth.DEFAULT_SCHEMA, pats,
+                                      derive_rng(4, 1), n_edges=4)
+    assert_same_draws(synth.DEFAULT_SCHEMA, pats, dag, 300, 4)
+
+
+def test_populate_matches_reference_two_incoming_edges():
+    pats = synth.generate_patterns(synth.DEFAULT_SCHEMA, 3, derive_rng(9, 0))
+    dag = synth.generate_correlations(synth.DEFAULT_SCHEMA, pats,
+                                      derive_rng(9, 1), cap=3, n_edges=8,
+                                      links_per_edge=2)
+    in_degree = Counter(e.dst_col for e in dag.edges)
+    assert max(in_degree.values()) >= 2
+    assert all(len(e.links) == 2 for e in dag.edges)
+    assert_same_draws(synth.DEFAULT_SCHEMA, pats, dag, 400, 9)
+    # by hand: d has two incoming edges whose links can fire together
+    schema = (("a", ColumnKind.CATEGORICAL), ("b", ColumnKind.NUMERIC),
+              ("c", ColumnKind.TEXT), ("d", ColumnKind.CATEGORICAL))
+    pats = synth.generate_patterns(schema, 3, derive_rng(9, 3))
+    dag = synth.CorrelationDag(("a", "c", "b", "d"), (
+        synth.Correlation("a", "d", ((0, 1), (2, 0))),
+        synth.Correlation("c", "b", ((0, 0), (1, 2))),
+        synth.Correlation("b", "d", ((0, 2), (1, 1)))))
+    assert_same_draws(schema, pats, dag, 400, 9)
+
+
+@pytest.mark.parametrize("position", synth.TEXT_POSITIONS)
+def test_populate_matches_reference_text_pads(position):
+    """Substrings of length 1, 10, 11 and 12 leave pads of 11, 2, 1 and 0."""
+    schema = (("t", ColumnKind.TEXT),)
+    substrings = ("q", "abcdefghij", "abcdefghijk", "abcdefghijkl")
+    pats = [synth.ColumnPatterns(
+        "t", tuple(synth.TextPattern(s, position) for s in substrings),
+        (0.25,) * 4)]
+    dag = synth.CorrelationDag(("t",), ())
+    assert_same_draws(schema, pats, dag, 400, 5)
+    ds = synth.populate_rows(schema, pats, dag, 400, 5.0, derive_rng(5, 2))
+    assert {len(cell) for (cell,) in ds.rows} == {synth.TEXT_CELL_LEN}
+    assert "abcdefghijkl" in {cell for (cell,) in ds.rows}
+
+
+# PCG64, the generator behind derive_rng, steps its 128-bit state by
+# state * _PCG_MULT + inc (inc any odd number) and outputs
+# rotr(hi ^ lo, state >> 122) of the new state; rng.random() keeps the top
+# 53 bits of that output.
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_PCG_INC = 87136372517582989555478159403783844777
+
+
+def generator_drawing(u: float) -> np.random.Generator:
+    """A PCG64 generator whose next rng.random() is exactly `u`, a
+    multiple of 2**-53 in [0, 1)."""
+    hi = 12345  # top six bits clear: the output is not rotated
+    new_state = (hi << 64) | (hi ^ (int(u * 2.0 ** 53) << 11))
+    prev = ((new_state - _PCG_INC) * pow(_PCG_MULT, -1, 1 << 128)) % (1 << 128)
+    state = {"bit_generator": "PCG64", "state": {"state": prev, "inc": _PCG_INC},
+             "has_uint32": 0, "uinteger": 0}
+    probe, rng = np.random.default_rng(0), np.random.default_rng(0)
+    probe.bit_generator.state = rng.bit_generator.state = state
+    assert probe.random() == u  # the model of PCG64 above holds
+    return rng
+
+
+@pytest.mark.parametrize("weights", [(0.5, 0.25, 0.25), (0.0, 1.0),
+                                     (0.25, 0.0, 0.75), (0.1,) * 10])
+def test_draws_match_choice_at_cdf_boundaries(weights):
+    """Uniform draws that land exactly on a CDF step, at 0, or just below 1
+    pick what rng.choice picks: a zero-weight pattern is never drawn, and
+    (0.1,) * 10, whose summed shares stop at 1 - 2**-53, still gives its
+    last pattern to the largest draw."""
+    schema = (("c", ColumnKind.CATEGORICAL),)
+    pats = [synth.ColumnPatterns("c", tuple(synth.CategoryPattern(f"v{i}")
+                                            for i in range(len(weights))),
+                                 weights)]
+    dag = synth.CorrelationDag(("c",), ())
+    w = np.asarray(weights)
+    steps = (w / w.sum()).cumsum()
+    draws = {0.0, 1.0 - 2.0 ** -53}
+    draws.update(u for u in steps.tolist()
+                 if u < 1.0 and u * 2.0 ** 53 == int(u * 2.0 ** 53))
+    for u in sorted(draws):
+        fast = synth.populate_rows(schema, pats, dag, 1, 5.0, generator_drawing(u))
+        slow = ref.populate_rows(schema, pats, dag, 1, 5.0, generator_drawing(u))
+        assert fast.rows == slow.rows, u
 
 
 def test_nearest_realized_value(synthetic_dataset):
@@ -175,6 +323,27 @@ def test_nearest_realized_value(synthetic_dataset):
     target = 50.0
     got = synth.nearest_realized_value(synthetic_dataset, "n1", target)
     assert abs(got - target) == min(abs(v - target) for v in values)
+    for target in np.linspace(-10, 110, 241).tolist():
+        assert (synth.nearest_realized_value(synthetic_dataset, "n1", target)
+                == ref.nearest_realized_value(synthetic_dataset, "n1", target))
+
+
+def test_nearest_realized_value_ties_and_single_value():
+    ds = Dataset("d", [("x", ColumnKind.NUMERIC), ("one", ColumnKind.NUMERIC),
+                       ("none", ColumnKind.NUMERIC)],
+                 [[5.0, 7.0, None], [1.0, None, None], [None, 7.0, None],
+                  [3.0, 7.0, None], [3.0, 7.0, None]])
+    # 2 and 4 lie halfway between two values: the smaller one wins
+    for target, want in ((2.0, 1.0), (4.0, 3.0), (3.0, 3.0), (-50.0, 1.0),
+                         (50.0, 5.0), (4.5, 5.0)):
+        for nearest in (synth.nearest_realized_value, ref.nearest_realized_value):
+            assert nearest(ds, "x", target) == want, (target, nearest)
+    for target in (-1.0, 7.0, 1e9):
+        assert synth.nearest_realized_value(ds, "one", target) == 7.0
+        assert ref.nearest_realized_value(ds, "one", target) == 7.0
+    for nearest in (synth.nearest_realized_value, ref.nearest_realized_value):
+        with pytest.raises(ValueError):
+            nearest(ds, "none", 0.0)
 
 
 # ---------------------------------------------------------------------------

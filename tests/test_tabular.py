@@ -1,3 +1,4 @@
+import csv
 import itertools
 import math
 from collections import Counter
@@ -97,6 +98,26 @@ def test_csv_round_trip(tmp_path, toy):
     back = load_dataset(tmp_path / "toy.csv", schema=schema)
     assert back.rows == toy.rows
     assert tuple(back.columns) == tuple(toy.columns)
+
+
+def test_write_dataset_matches_a_row_by_row_writer(tmp_path, toy):
+    """Dictionary entries formatted once and gathered by code give the bytes
+    that formatting every cell of every row gives."""
+    odd = Dataset("odd", [("n", ColumnKind.NUMERIC), ("t", ColumnKind.TEXT)], [
+        [-0.0, 'say "hi", twice'], [0.0, "line\nbreak"], [2.5, None],
+        [1e20, ""], [None, "a,b"], [-3.0, 'say "hi", twice']])
+    for ds in (toy, odd):
+        write_dataset(ds, tmp_path / "fast.csv")
+        with open(tmp_path / "rows.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(ds.column_names)
+            for row in ds.rows:
+                writer.writerow(["" if cell is None else
+                                 canonical_number(cell) if kind is ColumnKind.NUMERIC
+                                 else cell
+                                 for cell, (_, kind) in zip(row, ds.columns)])
+        assert ((tmp_path / "fast.csv").read_bytes()
+                == (tmp_path / "rows.csv").read_bytes()), ds.name
 
 
 # ---------------------------------------------------------------------------
