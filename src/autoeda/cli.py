@@ -11,9 +11,9 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
-import math
 import os
 import sys
 import time
@@ -167,19 +167,12 @@ SYNTH_DEFAULTS = {
 }
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _synth_config(overrides: dict):
     """(config, schema): SYNTH_DEFAULTS updated by `overrides`, every value
     checked, so that a bad one is a usage error before any file is
     written."""
     from . import synth, tabular
+    from .train import is_finite_number, is_int
 
     def bad(message):
         return UsageError(f"bad synth config: {message}")
@@ -190,13 +183,13 @@ def _synth_config(overrides: dict):
     cfg = dict(SYNTH_DEFAULTS, **overrides)
     for key in ("datasets", "rows", "n_patterns", "n_edges", "links_per_edge",
                 "cap", "trajectories"):
-        if not _is_int(cfg[key]) or cfg[key] < 1:
+        if not is_int(cfg[key]) or cfg[key] < 1:
             raise bad(f"{key} must be an integer >= 1, got {cfg[key]!r}")
     m = cfg["multiplier"]
-    if not _is_real(m) or not (math.isfinite(m) and m > 1):
+    if not (is_finite_number(m) and m > 1):
         raise bad(f"multiplier must be a finite number > 1, got {m!r}")
     for key in ("train_fraction", "group_prob"):
-        if not _is_real(cfg[key]) or not 0 <= cfg[key] <= 1:
+        if not (is_finite_number(cfg[key]) and 0 <= cfg[key] <= 1):
             raise bad(f"{key} must be a number in [0, 1], got {cfg[key]!r}")
     if cfg["schema"] is None:
         return cfg, synth.DEFAULT_SCHEMA
@@ -213,48 +206,73 @@ def _synth_config(overrides: dict):
     return cfg, tuple((c, tabular.ColumnKind(k)) for c, k in spec)
 
 
-def cmd_synth(args) -> int:
+def _synth_dataset(args, cfg, schema, i: int, stage) -> dict:
+    """Draw dataset `ds<i>` and its expert sessions, write its four files to
+    the paths `stage(file name)` returns, and return its generation record."""
     from . import synth, tabular, env as env_mod
     from .train import (STREAM_SPLIT, STREAM_SYNTH, STREAM_TRAJECTORIES,
                         derive_rng)
 
+    name = f"ds{i}"
+    pattern_rng = derive_rng(args.seed, STREAM_SYNTH, i)
+    patterns = synth.generate_patterns(schema, cfg["n_patterns"], pattern_rng)
+    dag = synth.generate_correlations(schema, patterns, pattern_rng,
+                                      cap=cfg["cap"], n_edges=cfg["n_edges"],
+                                      links_per_edge=cfg["links_per_edge"])
+    try:
+        dataset = synth.populate_rows(schema, patterns, dag, cfg["rows"],
+                                      cfg["multiplier"], pattern_rng, name=name)
+    except ValueError as exc:  # a multiplier so large the weights overflow
+        raise UsageError(f"bad synth config: {exc}") from exc
+    trajectories = synth.generate_expert_trajectories(
+        dataset, patterns, dag, derive_rng(args.seed, STREAM_TRAJECTORIES, i),
+        n_trajectories=cfg["trajectories"], group_prob=cfg["group_prob"])
+    train, evaluation = synth.split_trajectories(
+        trajectories, derive_rng(args.seed, STREAM_SPLIT, i),
+        cfg["train_fraction"])
+
+    tabular.write_dataset(dataset, stage(f"{name}.csv"))
+    tabular.write_schema_sidecar(dataset, stage(f"{name}.schema.json"))
+    env_mod.save_trajectories(stage(f"{name}.train.json"), dataset, train)
+    env_mod.save_trajectories(stage(f"{name}.eval.json"), dataset, evaluation)
+    print(f"{name}: {dataset.row_count} rows, {len(dag.edges)} correlations, "
+          f"{len(train)}/{len(evaluation)} train/eval sessions")
+    return synth.generation_manifest(
+        schema, patterns, dag, seed=args.seed, n_rows=cfg["rows"],
+        m=cfg["multiplier"], n_trajectories=cfg["trajectories"])
+
+
+def cmd_synth(args) -> int:
+    """Each output is written under a hidden partial name and moved to its
+    final name only once every dataset is drawn. A failure removes the
+    partial files and the directories this run created, and leaves every
+    file that was already there as it was."""
     cfg, schema = _synth_config(_read_json_config(args.config))
-    out = _out_dir(args)
+    out = Path(args.out or ".")
+    new_dirs = [d for d in (out, *out.parents) if not d.exists()]
+    out.mkdir(parents=True, exist_ok=True)
     manifest = Manifest("synth", args, cfg)
     if args.config:
         manifest.add_input(args.config)
-    per_dataset = []
-    for i in range(1, cfg["datasets"] + 1):
-        name = f"ds{i}"
-        pattern_rng = derive_rng(args.seed, STREAM_SYNTH, i)
-        patterns = synth.generate_patterns(schema, cfg["n_patterns"], pattern_rng)
-        dag = synth.generate_correlations(schema, patterns, pattern_rng,
-                                          cap=cfg["cap"], n_edges=cfg["n_edges"],
-                                          links_per_edge=cfg["links_per_edge"])
-        try:
-            dataset = synth.populate_rows(schema, patterns, dag, cfg["rows"],
-                                          cfg["multiplier"], pattern_rng, name=name)
-        except ValueError as exc:  # a multiplier so large the weights overflow
-            raise UsageError(f"bad synth config: {exc}") from exc
-        trajectories = synth.generate_expert_trajectories(
-            dataset, patterns, dag, derive_rng(args.seed, STREAM_TRAJECTORIES, i),
-            n_trajectories=cfg["trajectories"], group_prob=cfg["group_prob"])
-        train, evaluation = synth.split_trajectories(
-            trajectories, derive_rng(args.seed, STREAM_SPLIT, i),
-            cfg["train_fraction"])
+    staged = []  # (partial path, final path) of every file written
 
-        csv_path = out / f"{name}.csv"
-        tabular.write_dataset(dataset, csv_path)
-        tabular.write_schema_sidecar(dataset, out / f"{name}.schema.json")
-        env_mod.save_trajectories(out / f"{name}.train.json", dataset, train)
-        env_mod.save_trajectories(out / f"{name}.eval.json", dataset, evaluation)
-        for suffix in (".csv", ".schema.json", ".train.json", ".eval.json"):
-            manifest.add_output(out / f"{name}{suffix}")
-        per_dataset.append(synth.generation_manifest(
-            schema, patterns, dag, seed=args.seed, n_rows=cfg["rows"],
-            m=cfg["multiplier"], n_trajectories=cfg["trajectories"]))
-        print(f"{name}: {dataset.row_count} rows, {len(dag.edges)} correlations, "
-              f"{len(train)}/{len(evaluation)} train/eval sessions")
+    def stage(file_name: str) -> Path:
+        staged.append((out / f".{file_name}.partial", out / file_name))
+        return staged[-1][0]
+
+    try:
+        per_dataset = [_synth_dataset(args, cfg, schema, i, stage)
+                       for i in range(1, cfg["datasets"] + 1)]
+    except BaseException:
+        for partial, _ in staged:
+            partial.unlink(missing_ok=True)
+        for d in new_dirs:  # deepest first
+            with contextlib.suppress(OSError):
+                d.rmdir()
+        raise
+    for partial, final in staged:
+        os.replace(partial, final)
+        manifest.add_output(final)
 
     manifest.data["generation"] = per_dataset
     manifest.write(out / "manifest.json")
@@ -271,7 +289,7 @@ def _load_expert(data_dir: Path, names, split: str, manifest: Manifest):
 
 
 def _train_once(args, cfg, datasets, expert, out: Path, manifest: Manifest) -> None:
-    from .train import save_checkpoint, train_gail
+    from .train import is_finite_number, save_checkpoint, train_gail
 
     metrics_path = out / "metrics.ndjson"
     ckpt_path = out / "checkpoint.json"
@@ -280,7 +298,7 @@ def _train_once(args, cfg, datasets, expert, out: Path, manifest: Manifest) -> N
     with open(metrics_path, "w") as metrics_fh:
         def sink(record):
             for key in ("disc_acc", "mean_reward", "mean_penalty"):
-                if not _finite(record[key]):
+                if not is_finite_number(record[key]):
                     save_checkpoint(ckpt_path, holder["result"], cfg)
                     raise NumericalError(
                         f"non-finite {key} at interval {record['interval']}; "
@@ -292,6 +310,9 @@ def _train_once(args, cfg, datasets, expert, out: Path, manifest: Manifest) -> N
                                 result_callback=lambda r: holder.update(result=r))
         except ValueError as exc:
             raise DataError(str(exc)) from exc
+        except FloatingPointError as exc:  # behavioral cloning diverged
+            save_checkpoint(ckpt_path, holder["result"], cfg)
+            raise NumericalError(f"{exc}; checkpoint dumped to {ckpt_path}") from exc
 
     save_checkpoint(ckpt_path, result, cfg)
     if result.bc_history:
@@ -301,11 +322,6 @@ def _train_once(args, cfg, datasets, expert, out: Path, manifest: Manifest) -> N
         manifest.add_output(out / "bc_log.ndjson")
     manifest.add_output(metrics_path)
     manifest.add_output(ckpt_path)
-
-
-def _finite(x) -> bool:
-    import math
-    return isinstance(x, (int, float)) and math.isfinite(x)
 
 
 def cmd_train(args) -> int:

@@ -11,6 +11,8 @@ deterministic.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 LOGIT_CLAMP = 30.0
@@ -40,18 +42,21 @@ def _layer_shapes(sizes):
             for shape in ((n_in, n_out), (n_out,))]
 
 
-def _split(flat: np.ndarray, shapes):
-    """Reshaped views of consecutive segments of `flat`, one per shape."""
-    views, offset = [], 0
+def _segments(shapes, start: int = 0):
+    """(start, stop, shape) of consecutive segments of a flat vector, one per
+    shape. Each network builds its table once and cuts every gradient's
+    views from it."""
+    table = []
     for shape in shapes:
-        n = int(np.prod(shape))
-        views.append(flat[offset:offset + n].reshape(shape))
-        offset += n
-    return views
+        stop = start + math.prod(shape)
+        table.append((start, stop, shape))
+        start = stop
+    return table
 
 
-def _size(shapes) -> int:
-    return sum(int(np.prod(shape)) for shape in shapes)
+def _views(flat: np.ndarray, segments):
+    """Reshaped views of `flat`, one per (start, stop, shape) segment."""
+    return [flat[start:stop].reshape(shape) for start, stop, shape in segments]
 
 
 class Mlp:
@@ -67,9 +72,9 @@ class Mlp:
             raise ValueError("need one activation per layer")
         self.sizes = tuple(sizes)
         self.activations = tuple(activations)
-        self.shapes = _layer_shapes(self.sizes)
-        self.flat = np.zeros(_size(self.shapes)) if flat is None else flat
-        views = _split(self.flat, self.shapes)
+        self.segments = _segments(_layer_shapes(self.sizes))
+        self.flat = np.zeros(self.segments[-1][1]) if flat is None else flat
+        views = _views(self.flat, self.segments)
         self.weights, self.biases = views[0::2], views[1::2]
         if rng is not None:  # fan-in/fan-out scaled uniform; biases stay 0
             for w in self.weights:
@@ -90,27 +95,18 @@ class Mlp:
 
     def backward(self, cache, dout: np.ndarray, grad: np.ndarray | None = None):
         """Flat gradient of a scalar loss given d(loss)/d(output), written
-        into `grad` when given, and d(loss)/d(input)."""
+        into `grad` when given; no caller needs d(loss)/d(input), so it is
+        not formed."""
         grad = np.empty_like(self.flat) if grad is None else grad
-        views = _split(grad, self.shapes)
+        views = _views(grad, self.segments)
         for layer in range(len(self.weights) - 1, -1, -1):
             h, z, a = cache[layer]
             dz = dout * _act_grad(self.activations[layer], z, a)
             np.matmul(h.T, dz, out=views[2 * layer])
             dz.sum(axis=0, out=views[2 * layer + 1])
-            dout = dz @ self.weights[layer].T
-        return grad, dout
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def log_softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=-1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+            if layer:
+                dout = dz @ self.weights[layer].T
+        return grad
 
 
 class PolicyNet:
@@ -127,22 +123,34 @@ class PolicyNet:
         self.state_dim = state_dim
         self.head_sizes = tuple(head_sizes)
         trunk_sizes = (state_dim, *hidden)
-        self.head_shapes = [shape for k in self.head_sizes
-                            for shape in ((hidden[-1], k), (k,))]
-        self.n_trunk = _size(_layer_shapes(trunk_sizes))
-        self.flat = np.zeros(self.n_trunk + _size(self.head_shapes))
+        self.n_trunk = _segments(_layer_shapes(trunk_sizes))[-1][1]
+        self.head_segments = _segments(
+            [shape for k in self.head_sizes for shape in ((hidden[-1], k), (k,))],
+            self.n_trunk)
+        self.flat = np.zeros(self.head_segments[-1][1])
         self.trunk = Mlp(trunk_sizes, ("tanh",) * len(hidden), rng,
                          self.flat[:self.n_trunk])
-        heads = _split(self.flat[self.n_trunk:], self.head_shapes)
+        heads = _views(self.flat, self.head_segments)
         self.head_weights, self.head_biases = heads[0::2], heads[1::2]
 
     def forward(self, states: np.ndarray):
-        """Per-head probability rows for a batch of states."""
+        """Per-head probability rows for a batch of states.
+
+        Each head's softmax keeps its shifted logits `z` and normalizer
+        `s = sum(exp(z))` in the context, for `logprob`, next to the
+        probabilities that `backward_logprob` reads.
+        """
         states = np.atleast_2d(states)
         feat, cache = self.trunk.forward(states)
-        logits = [feat @ w + b for w, b in zip(self.head_weights, self.head_biases)]
-        probs = [softmax(l) for l in logits]
-        return probs, (states, feat, cache, logits)
+        probs, norms = [], []
+        for w, b in zip(self.head_weights, self.head_biases):
+            logits = feat @ w + b
+            z = logits - logits.max(axis=-1, keepdims=True)
+            e = np.exp(z)
+            s = e.sum(axis=-1, keepdims=True)
+            probs.append(e / s)
+            norms.append((z, s))
+        return probs, (feat, cache, norms, probs)
 
     def head_probs(self, state: np.ndarray):
         probs, _ = self.forward(state.reshape(1, -1))
@@ -154,26 +162,26 @@ class PolicyNet:
 
         head_idx and masks are (B, n_heads); masked-out heads contribute 0.
         """
-        probs, ctx = self.forward(states)
-        _, _, _, logits = ctx
+        _, ctx = self.forward(states)
+        _, _, norms, _ = ctx
         batch = np.arange(head_idx.shape[0])
         total = np.zeros(head_idx.shape[0])
-        for h, head_logits in enumerate(logits):
-            logp = log_softmax(head_logits)[batch, head_idx[:, h]]
+        for h, (z, s) in enumerate(norms):
+            logp = z[batch, head_idx[:, h]] - np.log(s)[:, 0]
             total += np.where(masks[:, h], logp, 0.0)
         return total, ctx
 
     def backward_logprob(self, ctx, head_idx: np.ndarray, masks: np.ndarray,
                          coeffs: np.ndarray):
         """Flat gradient of sum_i coeffs[i] * logprob_i w.r.t. `flat`."""
-        states, feat, cache, logits = ctx
+        feat, cache, _, probs = ctx
         batch = np.arange(head_idx.shape[0])
         grad = np.empty_like(self.flat)
-        head_grads = _split(grad[self.n_trunk:], self.head_shapes)
+        head_grads = _views(grad, self.head_segments)
         dfeat = np.zeros_like(feat)
-        for h, head_logits in enumerate(logits):
-            p = softmax(head_logits)
-            dlogits = -p * coeffs[:, None]
+        neg_coeffs = -coeffs[:, None]
+        for h, p in enumerate(probs):
+            dlogits = p * neg_coeffs  # the bits of -p * coeffs[:, None]
             dlogits[batch, head_idx[:, h]] += coeffs
             dlogits *= masks[:, h:h + 1]
             np.matmul(feat.T, dlogits, out=head_grads[2 * h])
@@ -202,7 +210,7 @@ class ValueNet:
         err = v - targets
         loss = float(np.mean(err * err))
         dout = (2.0 * err / err.shape[0])[:, None]
-        grad, _ = self.net.backward(cache, dout)
+        grad = self.net.backward(cache, dout)
         return loss, grad
 
 
@@ -240,12 +248,16 @@ class DiscriminatorNet:
                               + (1 - labels) * np.log(1 - eps_free)))
         passthrough = (np.abs(raw) < LOGIT_CLAMP).astype(float)
         dz = (probs - labels) * passthrough / labels.shape[0]
-        grad, _ = self.net.backward(cache, dz[:, None])
+        grad = self.net.backward(cache, dz[:, None])
         return loss, grad, probs
 
 
 class Adam:
-    """Bias-corrected adaptive-moment optimizer over one flat vector."""
+    """Bias-corrected adaptive-moment optimizer over one flat vector.
+
+    The step runs in place on two scratch vectors, with the operations of
+    the textbook expression in its order, so it allocates nothing per step.
+    """
 
     def __init__(self, flat: np.ndarray, lr: float, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
@@ -256,17 +268,31 @@ class Adam:
         self.t = 0
         self.m = np.zeros_like(flat)
         self.v = np.zeros_like(flat)
+        self._num = np.empty_like(flat)
+        self._den = np.empty_like(flat)
 
     def step(self, flat: np.ndarray, grad: np.ndarray) -> None:
-        """Update `flat` in place, so every view into it sees the step."""
+        """Update `flat` in place, so every view into it sees the step:
+        m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g and
+        flat -= lr*(m/b1c) / (sqrt(v/b2c) + eps)."""
         self.t += 1
         b1c = 1.0 - self.beta1 ** self.t
         b2c = 1.0 - self.beta2 ** self.t
-        self.m *= self.beta1
-        self.m += (1.0 - self.beta1) * grad
-        self.v *= self.beta2
-        self.v += (1.0 - self.beta2) * grad * grad
-        flat -= self.lr * (self.m / b1c) / (np.sqrt(self.v / b2c) + self.eps)
+        m, v, num, den = self.m, self.v, self._num, self._den
+        m *= self.beta1
+        np.multiply(grad, 1.0 - self.beta1, out=num)
+        m += num
+        v *= self.beta2
+        np.multiply(grad, 1.0 - self.beta2, out=num)
+        num *= grad
+        v += num
+        np.divide(m, b1c, out=num)
+        num *= self.lr
+        np.divide(v, b2c, out=den)
+        np.sqrt(den, out=den)
+        den += self.eps
+        num /= den
+        flat -= num
 
 
 def sample_action(dists, rng: np.random.Generator, relevant_by_kind):
@@ -286,9 +312,10 @@ def greedy_action(dists):
     return tuple(int(np.argmax(p)) for p in dists)
 
 
-def l2_penalty(flat: np.ndarray, coeff: float) -> np.ndarray:
-    """Gradient of coeff * ||flat||^2."""
-    return 2.0 * coeff * flat
+def l2_penalty(flat: np.ndarray, coeff: float,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """Gradient of coeff * ||flat||^2, written into `out` when given."""
+    return np.multiply(flat, 2.0 * coeff, out=out)
 
 
 def arr_to_json(a: np.ndarray) -> dict:

@@ -9,6 +9,7 @@ ping-ponging between BACK and FILTER/GROUP.
 from __future__ import annotations
 
 import json
+import math
 from collections import deque
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
@@ -39,6 +40,22 @@ def derive_rng(seed: int, *path: int) -> np.random.Generator:
                                                         spawn_key=tuple(path)))
 
 
+_COUNT_FIELDS = ("horizon", "total_interactions", "train_interval",
+                 "batch_policy", "batch_disc", "bc_epochs", "bc_batch",
+                 "term_bins", "buffer_capacity", "updates_per_interval")
+
+
+def is_int(value) -> bool:
+    """An int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_finite_number(value) -> bool:
+    """A finite int or float that is not a bool."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 @dataclass
 class TrainConfig:
     horizon: int = 12
@@ -66,17 +83,35 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0 < self.clip_eps < 1:
-            raise ValueError("clip_eps must be in (0, 1)")
-        if not 0 <= self.gamma <= 1:
-            raise ValueError("gamma must be in [0, 1]")
-        if self.penalty_scope not in ("params", "kind"):
-            raise ValueError("penalty_scope must be 'params' or 'kind'")
-        for name in ("horizon", "total_interactions", "train_interval",
-                     "batch_policy", "batch_disc", "bc_epochs", "bc_batch",
-                     "buffer_capacity", "updates_per_interval"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        """Check every field, so a bad config fails before any work."""
+        def check(ok, name, what):
+            if not ok:
+                raise ValueError(f"{name} must be {what}, "
+                                 f"got {getattr(self, name)!r}")
+
+        for name in _COUNT_FIELDS:
+            value = getattr(self, name)
+            check(is_int(value) and value >= 1, name, "an integer >= 1")
+        check(is_int(self.seed) and self.seed >= 0, "seed", "an integer >= 0")
+        for name in ("lr_bc", "lr_adv"):
+            value = getattr(self, name)
+            check(is_finite_number(value) and value > 0, name,
+                  "a finite number > 0")
+        check(is_finite_number(self.l2_coeff) and self.l2_coeff >= 0,
+              "l2_coeff", "a finite number >= 0")
+        check(is_finite_number(self.clip_eps) and 0 < self.clip_eps < 1,
+              "clip_eps", "a number in (0, 1)")
+        check(is_finite_number(self.gamma) and 0 <= self.gamma <= 1,
+              "gamma", "a number in [0, 1]")
+        for name in ("penalty_enabled", "bc_enabled", "bc_only", "use_discount"):
+            check(isinstance(getattr(self, name), bool), name, "true or false")
+        check(self.penalty_scope in ("params", "kind"), "penalty_scope",
+              "'params' or 'kind'")
+        for name in ("policy_hidden", "disc_hidden"):
+            sizes = getattr(self, name)
+            check(isinstance(sizes, tuple) and len(sizes) >= 1
+                  and all(is_int(k) and k >= 1 for k in sizes), name,
+                  "a non-empty list of integers >= 1")
 
     @classmethod
     def from_dict(cls, obj: dict) -> "TrainConfig":
@@ -86,7 +121,7 @@ class TrainConfig:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         kwargs = dict(obj)
         for key in ("policy_hidden", "disc_hidden"):
-            if key in kwargs:
+            if isinstance(kwargs.get(key), list):  # anything else is refused
                 kwargs[key] = tuple(kwargs[key])
         return cls(**kwargs)
 
@@ -219,7 +254,9 @@ def prepare_expert_steps(datasets, trajectories, layout: HeadLayout,
 def bc_pretrain(policy: nn.PolicyNet, expert_steps, cfg: TrainConfig,
                 rng: np.random.Generator):
     """Supervised warm start: minimize mean NLL of expert actions plus an
-    L2 weight penalty. Returns per-epoch mean NLL."""
+    L2 weight penalty. Returns per-epoch mean NLL; raises FloatingPointError
+    at the end of the first epoch whose mean NLL or parameters are not
+    finite."""
     if not expert_steps:
         raise ValueError("behavioral cloning needs expert steps")
     states = np.stack([s.state for s in expert_steps])
@@ -227,20 +264,25 @@ def bc_pretrain(policy: nn.PolicyNet, expert_steps, cfg: TrainConfig,
     masks = np.stack([s.mask for s in expert_steps])
     n = len(expert_steps)
     opt = nn.Adam(policy.flat, cfg.lr_bc)
+    l2 = np.empty_like(policy.flat)
     history = []
-    for _ in range(cfg.bc_epochs):
+    for epoch in range(1, cfg.bc_epochs + 1):
         perm = rng.permutation(n)
         total_nll = 0.0
         for start in range(0, n, cfg.bc_batch):
             idx = perm[start:start + cfg.bc_batch]
-            logp, ctx = policy.logprob(states[idx], heads[idx], masks[idx])
+            batch_heads, batch_masks = heads[idx], masks[idx]
+            logp, ctx = policy.logprob(states[idx], batch_heads, batch_masks)
             batch = len(idx)
-            grad = policy.backward_logprob(ctx, heads[idx], masks[idx],
+            grad = policy.backward_logprob(ctx, batch_heads, batch_masks,
                                            np.full(batch, -1.0 / batch))
-            grad += nn.l2_penalty(policy.flat, cfg.l2_coeff)
+            grad += nn.l2_penalty(policy.flat, cfg.l2_coeff, l2)
             opt.step(policy.flat, grad)
             total_nll += float(-logp.sum())
         history.append(total_nll / n)
+        if not (math.isfinite(history[-1]) and np.isfinite(policy.flat).all()):
+            raise FloatingPointError(f"behavioral cloning went non-finite in "
+                                     f"epoch {epoch}")
     return history
 
 

@@ -308,7 +308,70 @@ def test_usage_errors_exit_one(run_dir, data_dir, tmp_path):
                                   "links_per_edge": 9, "rows": 5}))
     with np.errstate(over="ignore", invalid="ignore"):
         assert run("synth", "--config", config, "--out", out) == 1
-    assert list(out.iterdir()) == []
+    assert not out.exists()
+    # a train config that is a JSON object but holds a bad value
+    config = tmp_path / "train.json"
+    for bad in ({"policy_hidden": []}, {"policy_hidden": [0]},
+                {"policy_hidden": [8, 2.5]}, {"policy_hidden": 5},
+                {"policy_hidden": "ab"},
+                {"disc_hidden": [True]}, {"lr_bc": "x"}, {"lr_bc": -1},
+                {"lr_bc": 0}, {"lr_adv": float("inf")},
+                {"l2_coeff": float("nan")}, {"l2_coeff": -1e-3},
+                {"bc_epochs": 1.5}, {"bc_batch": 0}, {"horizon": True},
+                {"term_bins": 0}, {"buffer_capacity": "big"},
+                {"gamma": True}, {"clip_eps": 0}, {"seed": -1},
+                {"bc_only": 1}, {"penalty_scope": "all"}):
+        config.write_text(json.dumps(bad))
+        out = tmp_path / "train_out"
+        assert run("train", "--data", data_dir, "--datasets", "ds1",
+                   "--config", config, "--out", out) == 1, bad
+        assert not out.exists(), bad
+    assert run("train", "--data", data_dir, "--datasets", "ds1",
+               "--seed", "-1", "--out", out) == 1
+    assert not out.exists()
+
+
+def test_failed_synth_leaves_no_file_it_wrote(tmp_path, monkeypatch):
+    """The second dataset fails after the first one's files are written:
+    those files and the directory the run made are gone, and files that
+    were there before the run are left as they were."""
+    from autoeda import synth
+    populate = synth.populate_rows
+
+    def fail_on_ds2(*args, name, **kwargs):
+        if name == "ds2":
+            raise ValueError("weights overflow")
+        return populate(*args, name=name, **kwargs)
+
+    monkeypatch.setattr(synth, "populate_rows", fail_on_ds2)
+    config = tmp_path / "synth.json"
+    config.write_text(json.dumps({"datasets": 2, "rows": 20, "trajectories": 2}))
+    out = tmp_path / "new" / "out"
+    assert run("synth", "--config", config, "--out", out) == 1
+    assert not (tmp_path / "new").exists()
+
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    before = {"notes.txt": b"mine\n", "ds1.csv": b"a,b\n1,2\n",
+              "manifest.json": b"{}\n"}
+    for name, data in before.items():
+        (kept / name).write_bytes(data)
+    assert run("synth", "--config", config, "--out", kept) == 1
+    assert {p.name: p.read_bytes() for p in kept.iterdir()} == before
+
+
+def test_diverging_bc_exits_three(data_dir, tmp_path):
+    """A BC loss that goes non-finite dumps a checkpoint and exits 3 instead
+    of logging NaN."""
+    config = tmp_path / "train.json"
+    config.write_text(json.dumps({"lr_bc": 1e300, "bc_epochs": 3}))
+    out = tmp_path / "out"
+    with np.errstate(all="ignore"):
+        assert run("train", "--data", data_dir, "--datasets", "ds1",
+                   "--config", config, "--bc-only", "--out", out) == 3
+    assert (out / "checkpoint.json").exists()
+    assert not (out / "bc_log.ndjson").exists()
+    assert not (out / "manifest.json").exists()
 
 
 def test_synth_accepts_the_edges_of_each_range(tmp_path):
