@@ -24,7 +24,8 @@ for edge in dag.edges:
 dataset = synth.populate_rows(synth.DEFAULT_SCHEMA, patterns, dag,
                               n_rows=5000, m=5.0, rng=rng)
 print(f"\ngenerated {dataset.row_count} rows x {len(dataset.columns)} columns")
-print("first row:", dataset.rows[0])
+print("first row:", tuple(values[codes[0]]
+                         for values, codes in zip(dataset.dictionaries, dataset.codes)))
 
 # measure the lift of the first categorical-to-categorical link, if any
 for edge in dag.edges:
@@ -37,8 +38,10 @@ for edge in dag.edges:
     dst_val = patterns[[c.column for c in patterns].index(edge.dst_col)].patterns[di].value
     s_idx = dataset.column_index(edge.src_col)
     d_idx = dataset.column_index(edge.dst_col)
-    joint = Counter((r[s_idx] == src_val, r[d_idx] == dst_val)
-                    for r in dataset.rows)
+    # a row's cell is its column's dictionary entry at the row's code
+    src_hit = dataset.dictionaries[s_idx][dataset.codes[s_idx]] == src_val
+    dst_hit = dataset.dictionaries[d_idx][dataset.codes[d_idx]] == dst_val
+    joint = Counter(zip(src_hit.tolist(), dst_hit.tolist()))
     p_hit = joint[(True, True)] / max(1, joint[(True, True)] + joint[(True, False)])
     p_other = joint[(False, True)] / max(1, joint[(False, True)] + joint[(False, False)])
     print(f"\nlink {edge.src_col}={src_val} boosts {edge.dst_col}={dst_val}:")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import json
 import os
@@ -81,9 +82,13 @@ class Manifest:
 
     def write(self, path):
         self.data["finished_at"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
-        with open(path, "w") as fh:
-            json.dump(self.data, fh, indent=2)
-            fh.write("\n")
+        _write_json(path, self.data, indent=2)
+
+
+def _write_json(path, obj, indent: int) -> None:
+    """`obj` as indented JSON and a newline, in one write."""
+    with open(path, "w") as fh:
+        fh.write(json.dumps(obj, indent=indent) + "\n")
 
 
 def _read_json_config(path) -> dict:
@@ -282,12 +287,6 @@ def cmd_synth(args) -> int:
 # ---------------------------------------------------------------------------
 # train
 
-def _load_expert(data_dir: Path, names, split: str, manifest: Manifest):
-    return [t for name in names
-            for t in _load_sessions(data_dir / f"{name}.{split}.json", manifest,
-                                    "expert sessions")]
-
-
 def _train_once(args, cfg, datasets, expert, out: Path, manifest: Manifest) -> None:
     from .train import is_finite_number, save_checkpoint, train_gail
 
@@ -347,27 +346,30 @@ def cmd_train(args) -> int:
     if not names:
         raise UsageError("--datasets needs at least one dataset name")
 
+    if args.leave_one_out and len(names) < 2:
+        raise UsageError("--leave-one-out needs at least two datasets")
+
     manifest = Manifest("train", args, cfg.to_dict())
     if args.config:
         manifest.add_input(args.config)
+    # every input is read before --out is created, so a data error leaves
+    # no directory behind
+    datasets = _load_datasets([data_dir / f"{n}.csv" for n in names], manifest)
+    expert = {n: _load_sessions(data_dir / f"{n}.{args.split}.json", manifest,
+                                "expert sessions") for n in names}
     out = _out_dir(args)
 
     if args.leave_one_out:
-        if len(names) < 2:
-            raise UsageError("--leave-one-out needs at least two datasets")
         for held_out in names:
-            train_names = [n for n in names if n != held_out]
-            datasets = _load_datasets([data_dir / f"{n}.csv" for n in train_names],
-                                      manifest)
-            expert = _load_expert(data_dir, train_names, args.split, manifest)
+            kept = [i for i, n in enumerate(names) if n != held_out]
             sub = out / f"leave_out_{held_out}"
             sub.mkdir(parents=True, exist_ok=True)
-            _train_once(args, cfg, datasets, expert, sub, manifest)
+            _train_once(args, cfg, [datasets[i] for i in kept],
+                        [t for i in kept for t in expert[names[i]]], sub, manifest)
             print(f"trained without {held_out} -> {sub}")
     else:
-        datasets = _load_datasets([data_dir / f"{n}.csv" for n in names], manifest)
-        expert = _load_expert(data_dir, names, args.split, manifest)
-        _train_once(args, cfg, datasets, expert, out, manifest)
+        _train_once(args, cfg, datasets, [t for n in names for t in expert[n]],
+                    out, manifest)
         print(f"trained on {', '.join(names)} -> {out}")
 
     manifest.write(out / "manifest.json")
@@ -499,9 +501,7 @@ def cmd_measure(args) -> int:
     print(text, end="")
     if args.out:
         out = _out_dir(args)
-        with open(out / "measures.json", "w") as fh:
-            json.dump(report, fh, indent=1)
-            fh.write("\n")
+        _write_json(out / "measures.json", report, indent=1)
         (out / "measures.txt").write_text(text)
         manifest.add_output(out / "measures.json")
         manifest.add_output(out / "measures.txt")
@@ -554,9 +554,7 @@ def cmd_eval(args) -> int:
     print(text, end="")
     if args.out:
         out = _out_dir(args)
-        with open(out / "report.json", "w") as fh:
-            json.dump({"rows": rows}, fh, indent=1)
-            fh.write("\n")
+        _write_json(out / "report.json", {"rows": rows}, indent=1)
         (out / "report.txt").write_text(text)
         manifest.add_output(out / "report.json")
         manifest.add_output(out / "report.txt")
@@ -631,15 +629,20 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser `main` uses, built once per process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if "--deterministic" in argv:
         # must happen before numpy is imported anywhere in this process
         for var in _THREAD_VARS:
             os.environ.setdefault(var, "1")
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         args.argv = argv
         if getattr(args, "seed", None) is None and args.fn in (cmd_synth,):
             args.seed = 0

@@ -71,52 +71,85 @@ class Grouping:
             raise ValueError(f"unknown aggregate function {self.agg_func!r}")
 
 
+def _checked_columns(name: str, columns) -> tuple:
+    names = [c for c, _ in columns]
+    if len(set(names)) != len(names):
+        raise ValueError(f"duplicate column names in {name!r}")
+    return tuple((c, ColumnKind(k)) for c, k in columns)
+
+
+def _encode_column(cells, distinct, values):
+    """(dictionary, codes) of one column, given each row's cell.
+
+    `distinct` lists the column's distinct cells in order of first row and
+    `values` their values, None for null. Cells whose values compare equal
+    (1.0 parsed from "1" and from "1.0", or 0.0 and -0.0) share one code,
+    and the dictionary keeps the first of them in row order.
+    """
+    present = sorted(dict.fromkeys(v for v in values if v is not None))
+    code = {v: k for k, v in enumerate(present)}
+    code_of = {c: len(present) if v is None else code[v]
+               for c, v in zip(distinct, values)}
+    codes = np.fromiter(map(code_of.__getitem__, cells), dtype=np.int32,
+                        count=len(cells))
+    return np.array(present + [None], dtype=object), codes
+
+
 class Dataset:
     """Immutable table. Cells are float (numeric columns), str, or None.
 
-    Every column is also stored dictionary-coded: `dictionaries[i]` holds the
-    column's K distinct non-null values in sorted order followed by None, and
-    `codes[i]` gives each row's position in it. Code K is thus the null
-    sentinel, and code order is value order with nulls last. Values that
-    compare equal (0.0 and -0.0) share one code.
+    The table is stored column-wise, dictionary-coded, with no row tuples:
+    `dictionaries[i]` holds column i's K distinct non-null values in sorted
+    order followed by None, and `codes[i]` gives each row's position in it.
+    Code K is thus the null sentinel, and code order is value order with
+    nulls last. Values that compare equal (0.0 and -0.0) share one code,
+    whose dictionary entry is the first of them in row order.
     """
 
     def __init__(self, name: str, columns, rows):
-        names = [c for c, _ in columns]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate column names in {name!r}")
-        self.name = name
-        self.columns = tuple((c, ColumnKind(k)) for c, k in columns)
-        self.column_names = tuple(names)
-        self._index = {c: i for i, c in enumerate(names)}
-        width = len(self.columns)
-        coerced = []
+        columns = _checked_columns(name, columns)
+        width = len(columns)
+        cells = [[] for _ in columns]
+        n_rows = 0
         for r, row in enumerate(rows):
             if len(row) != width:
                 raise ValueError(f"row {r} has {len(row)} cells, expected {width}")
-            coerced.append(tuple(
-                self._coerce(cell, kind, r, cname)
-                for cell, (cname, kind) in zip(row, self.columns)
-            ))
-        self.rows = tuple(coerced)
-        self.codes = np.empty((width, len(coerced)), dtype=np.int32)
-        dictionaries, numbers = [], []
-        for i, (_, kind) in enumerate(self.columns):
-            cells = [row[i] for row in coerced]
-            distinct = sorted({c for c in cells if c is not None})
-            code = {v: k for k, v in enumerate(distinct)}
-            null = len(distinct)
-            self.codes[i] = [null if c is None else code[c] for c in cells]
-            dictionaries.append(np.array(distinct + [None], dtype=object))
-            numbers.append(np.array(distinct + [math.nan])
-                           if kind is ColumnKind.NUMERIC else None)
+            for cell, (cname, kind), column in zip(row, columns, cells):
+                column.append(self._coerce(cell, kind, r, cname))
+            n_rows = r + 1
+        encoded = []
+        for column in cells:
+            distinct = list(dict.fromkeys(column))
+            encoded.append(_encode_column(column, distinct, distinct))
+        self._store(name, columns, encoded, n_rows)
+
+    @classmethod
+    def _encoded(cls, name: str, columns, encoded, n_rows: int) -> Dataset:
+        """A dataset from each column's (dictionary, codes) pair, as
+        `_encode_column` returns it."""
+        self = cls.__new__(cls)
+        self._store(name, _checked_columns(name, columns), encoded, n_rows)
+        return self
+
+    def _store(self, name, columns, encoded, n_rows):
+        self.name = name
+        self.columns = columns
+        self.column_names = tuple(c for c, _ in columns)
+        self._index = {c: i for i, c in enumerate(self.column_names)}
+        width = len(columns)
+        self.dictionaries = tuple(values for values, _ in encoded)
+        self.codes = np.array([codes for _, codes in encoded],
+                              dtype=np.int32).reshape(width, n_rows)
         self.codes.setflags(write=False)
-        self.dictionaries = tuple(dictionaries)
-        self._numbers = tuple(numbers)  # numeric dictionaries, NaN for null
+        # numeric dictionaries, NaN for null
+        self._numbers = tuple(
+            np.array(values[:-1].tolist() + [math.nan])
+            if kind is ColumnKind.NUMERIC else None
+            for values, (_, kind) in zip(self.dictionaries, columns))
         # every column's codes shifted into one slot space, so that one
         # bincount counts all columns: column i owns slots offsets[i] to
         # offsets[i + 1] - 1, its null slot last
-        sizes = [len(d) for d in dictionaries]
+        sizes = [len(d) for d in self.dictionaries]
         self._offsets = np.cumsum([0] + sizes)
         self._slot_column = np.repeat(np.arange(width), sizes)
         self._null_slot = np.zeros(self._offsets[-1], dtype=bool)
@@ -213,20 +246,27 @@ class Display:
 
     @property
     def visible_rows(self):
-        """The group table when grouped, else the filtered row tuples."""
+        """The group table when grouped, else the filtered rows' cells,
+        gathered from the dictionaries, one tuple per row."""
         if self.grouping is not None:
             return self.group_rows
-        rows = self.dataset.rows
-        return tuple(rows[r] for r in self.rows.tolist())
+        ds = self.dataset
+        columns = [values[codes].tolist()
+                   for values, codes in zip(ds.dictionaries, ds.codes[:, self.rows])]
+        return tuple(zip(*columns)) if columns else ((),) * self.row_count
 
     def shows_same_rows(self, other: Display) -> bool:
         """Whether two displays of one dataset show equal visible rows."""
         if self.visible_count != other.visible_count:
             return False
-        if self.grouping is None and other.grouping is None:
+        plain = (self.grouping is None) + (other.grouping is None)
+        if plain == 2:
             codes = self.dataset.codes
             return np.array_equal(codes[:, self.rows], codes[:, other.rows])
-        # a group table can equal plain rows only in a two-column dataset
+        # (key, aggregate) pairs can equal plain rows only in a two-column
+        # dataset, or when both sides show nothing
+        if plain == 1 and len(self.dataset.columns) != 2:
+            return self.visible_count == 0
         return self.visible_rows == other.visible_rows
 
     def _summarize(self):
@@ -456,21 +496,40 @@ def column_histogram(display: Display, column: str) -> dict:
     return dict(zip(values, (counts / counts.sum()).tolist()))
 
 
-def _infer_kind(cells, n_rows, max_categorical, categorical_fraction):
-    values = [c for c in cells if c != ""]
+def _infer_kind(strings, numbers, n_rows, max_categorical, categorical_fraction):
+    """The kind of a column from its distinct raw strings and their parsed
+    numbers (None where a string is not a finite number). Every test reads
+    only which strings occur, never how often."""
+    values = [v for s, v in zip(strings, numbers) if s != ""]
     if not values:
         return ColumnKind.NUMERIC
-    parsed = [parse_number(v) for v in values]
-    n_numeric = sum(p is not None for p in parsed)
+    n_numeric = sum(v is not None for v in values)
     if n_numeric == len(values):
         return ColumnKind.NUMERIC
     if n_numeric > 0:
         # mixed numeric and non-numeric content reads as messy text
         return ColumnKind.TEXT
     threshold = max(max_categorical, categorical_fraction * n_rows)
-    if len(set(values)) <= threshold:
+    if len(values) <= threshold:
         return ColumnKind.CATEGORICAL
     return ColumnKind.TEXT
+
+
+def _read_columns(path: Path, delimiter: str):
+    """(header, one tuple of raw strings per column, row count)."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh, delimiter=delimiter)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValueError(f"{path}: empty file, expected a header row") from None
+        rows = []
+        for r, row in enumerate(reader):
+            if len(row) != len(header):
+                raise ValueError(f"{path}: row {r + 1} has {len(row)} cells, expected {len(header)}")
+            rows.append(row)
+    columns = list(zip(*rows)) if rows else [()] * len(header)
+    return header, columns, len(rows)
 
 
 def load_dataset(path, schema: dict | None = None, delimiter: str = ",",
@@ -479,47 +538,37 @@ def load_dataset(path, schema: dict | None = None, delimiter: str = ",",
     """Load a delimited text file with a header row.
 
     `schema` maps column names to ColumnKind (or its string value) and
-    overrides inference. Empty cells load as null.
+    overrides inference. Empty cells load as null. Each distinct string of
+    a column is parsed once.
     """
     path = Path(path)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file, expected a header row") from None
-        raw = []
-        for r, row in enumerate(reader):
-            if len(row) != len(header):
-                raise ValueError(f"{path}: row {r + 1} has {len(row)} cells, expected {len(header)}")
-            raw.append(row)
-
+    header, columns, n_rows = _read_columns(path, delimiter)
     schema = {k: ColumnKind(v) for k, v in (schema or {}).items()}
-    kinds = []
-    for i, col in enumerate(header):
-        if col in schema:
-            kinds.append(schema[col])
+    kinds, encoded, bad = [], [], []
+    for i, (col, cells) in enumerate(zip(header, columns)):
+        distinct = list(dict.fromkeys(cells))
+        kind = schema.get(col)
+        numbers = ([parse_number(s) for s in distinct]
+                   if kind in (None, ColumnKind.NUMERIC) else None)
+        if kind is None:
+            kind = _infer_kind(distinct, numbers, n_rows,
+                               max_categorical, categorical_fraction)
+        if kind is ColumnKind.NUMERIC:
+            # the first unparsable string in `distinct` is the first in row order
+            for s, v in zip(distinct, numbers):
+                if v is None and s != "":
+                    bad.append((cells.index(s), i, s))
+                    break
+            values = numbers
         else:
-            kinds.append(_infer_kind([row[i] for row in raw], len(raw),
-                                     max_categorical, categorical_fraction))
-
-    typed = []
-    for r, row in enumerate(raw):
-        out = []
-        for i, cell in enumerate(row):
-            if cell == "":
-                out.append(None)
-            elif kinds[i] is ColumnKind.NUMERIC:
-                value = parse_number(cell)
-                if value is None:
-                    raise ValueError(f"{path}: row {r + 1}, column {header[i]!r}: "
-                                     f"non-numeric cell {cell!r} in numeric column")
-                out.append(value)
-            else:
-                out.append(cell)
-        typed.append(out)
-
-    return Dataset(name or path.stem, list(zip(header, kinds)), typed)
+            values = [None if s == "" else s for s in distinct]
+        kinds.append(kind)
+        encoded.append(_encode_column(cells, distinct, values))
+    if bad:
+        r, i, cell = min(bad)
+        raise ValueError(f"{path}: row {r + 1}, column {header[i]!r}: "
+                         f"non-numeric cell {cell!r} in numeric column")
+    return Dataset._encoded(name or path.stem, list(zip(header, kinds)), encoded, n_rows)
 
 
 def load_schema_sidecar(path) -> dict:

@@ -9,6 +9,13 @@ import numpy as np
 from autoeda.tabular import _build_predicate
 
 
+def dataset_rows(ds):
+    """Every row of `ds` as a tuple of cells, gathered from its dictionaries
+    and codes."""
+    return tuple(tuple(values[code] for values, code in zip(ds.dictionaries, row))
+                 for row in ds.codes.T.tolist())
+
+
 class RowView:
     def __init__(self, dataset, filters, grouping, rows):
         self.dataset, self.filters, self.grouping = dataset, filters, grouping
@@ -20,7 +27,7 @@ class RowView:
 
 
 def root(ds):
-    return RowView(ds, (), None, ds.rows)
+    return RowView(ds, (), None, dataset_rows(ds))
 
 
 def filtered(view, pred):
@@ -88,7 +95,7 @@ def encode(view, ds):
         hist = histogram(view, col)
         if hist:
             entropy = -sum(p * math.log2(p) for p in hist.values())
-            distinct = len({r[i] for r in ds.rows if r[i] is not None})
+            distinct = len({r[i] for r in dataset_rows(ds) if r[i] is not None})
             vec[4 * i] = min(1.0, entropy / math.log2(max(2, distinct)))
         counts, nulls = stats(view, i)
         vec[4 * i + 1], vec[4 * i + 2] = len(counts) / n, nulls / n

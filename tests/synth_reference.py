@@ -7,6 +7,7 @@ import numpy as np
 from autoeda.synth import (NUMERIC_DECIMALS, TEXT_CELL_LEN, CategoryPattern,
                            NumericPattern, _LOWER)
 from autoeda.tabular import Dataset
+from row_engine import dataset_rows
 
 
 def realize(pattern, rng):
@@ -58,7 +59,7 @@ def populate_rows(schema, patterns, dag, n_rows, m, rng, name="synthetic"):
 
 def nearest_realized_value(dataset, column, target):
     idx = dataset.column_index(column)
-    values = [r[idx] for r in dataset.rows if r[idx] is not None]
+    values = [r[idx] for r in dataset_rows(dataset) if r[idx] is not None]
     if not values:
         raise ValueError(f"column {column!r} has no values to filter on")
     return min(values, key=lambda v: (abs(v - target), v))

@@ -27,6 +27,7 @@ from autoeda.train import (TrainConfig, action_agreement, bc_pretrain,
                            ppo_clip_target, prepare_expert_steps, train_gail,
                            STREAM_SYNTH, STREAM_TRAJECTORIES,
                            STREAM_SPLIT, STREAM_GENERATE)
+from row_engine import dataset_rows
 
 
 def report(criterion: str, ok: bool, detail: str = ""):
@@ -308,7 +309,7 @@ def test_criterion_6_correlation_detectability():
     ]
     dag = synth.CorrelationDag(("a", "b"), (synth.Correlation("a", "b", ((0, 1),)),))
     ds = synth.populate_rows(schema, pats, dag, 10_000, 5.0, derive_rng(3, 0))
-    joint = Counter((r[0], r[1]) for r in ds.rows)
+    joint = Counter((r[0], r[1]) for r in dataset_rows(ds))
     n_a0 = joint[("a0", "b0")] + joint[("a0", "b1")]
     ratio = (joint[("a0", "b1")] / n_a0) / (joint[("a1", "b1")]
                                             / (10_000 - n_a0))

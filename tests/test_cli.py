@@ -140,6 +140,27 @@ def test_train_leave_one_out(data_dir, tmp_path):
                "--config", config, "--leave-one-out", "--out", tmp_path) == 0
     assert (tmp_path / "leave_out_ds1" / "checkpoint.json").exists()
     assert (tmp_path / "leave_out_ds2" / "checkpoint.json").exists()
+    assert input_names(tmp_path / "manifest.json") == [
+        "ds1.csv", "ds1.schema.json", "ds1.train.json",
+        "ds2.csv", "ds2.schema.json", "ds2.train.json", "train.json"]
+
+
+def test_failed_train_leaves_no_out(data_dir, tmp_path):
+    """Every dataset and expert session file is read before --out is
+    created, with or without --leave-one-out, so a bad input leaves no
+    directory behind."""
+    out = tmp_path / "a" / "b"
+    for args in (("--data", tmp_path / "nonexistent", "--datasets", "ds1"),
+                 ("--data", data_dir, "--datasets", "ds1,nope"),
+                 ("--data", data_dir, "--datasets", "ds1", "--split", "nosuch"),
+                 ("--data", data_dir, "--datasets", "ds1,nope", "--leave-one-out"),
+                 ("--data", data_dir, "--datasets", "ds1,ds2", "--split", "nosuch",
+                  "--leave-one-out")):
+        assert run("train", *args, "--out", out) == 2, args
+        assert not out.exists() and not out.parent.exists(), args
+    assert run("train", "--data", data_dir, "--datasets", "ds1", "--leave-one-out",
+               "--out", out) == 1
+    assert not out.parent.exists()
 
 
 def test_generate_sessions_replay(run_dir, data_dir, tmp_path):

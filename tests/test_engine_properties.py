@@ -1,6 +1,8 @@
 """Property tests: the columnar display engine against the row-at-a-time
 reference in `row_engine.py`, on random tables and sessions."""
 
+import itertools
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -71,7 +73,9 @@ def reference_walk(ds, actions):
 
 
 def assert_same_view(d, view, ds):
-    assert [ds.rows[i] for i in d.rows] == list(view.rows)
+    rows = ref.dataset_rows(ds)
+    assert [rows[i] for i in d.rows] == list(view.rows)
+    assert d.visible_rows == view.visible
     for idx, col in enumerate(ds.column_names):
         codes, counts, nulls = d.column_stats(idx)
         expected, expected_nulls = ref.stats(view, idx)
@@ -79,7 +83,7 @@ def assert_same_view(d, view, ds):
         assert list(zip(ds.dictionaries[idx][codes], counts)) == list(expected.items())
         assert nulls == expected_nulls
         assert d.ranked_values(idx) == ref.ranked(view, idx)
-        assert ds.distinct_count(idx) == len({r[idx] for r in ds.rows if r[idx] is not None})
+        assert ds.distinct_count(idx) == len({r[idx] for r in rows if r[idx] is not None})
         hist, expected = column_histogram(d, col), ref.histogram(view, col)
         assert list(hist) == list(expected)  # same keys, in the same order
         assert all(abs(hist[k] - expected[k]) <= TOL for k in hist)
@@ -118,6 +122,9 @@ def test_engine_matches_row_reference(case):
         prev, cur = states[t].current, states[t + 1].current
         unchanged = not views[t + 1].visible or views[t + 1].visible == views[t].visible
         assert (coherence(prev, cur, action, []) == -1.0) == unchanged
+    for a, b in itertools.product(range(len(views)), repeat=2):
+        same = views[a].visible == views[b].visible
+        assert states[a].current.shows_same_rows(states[b].current) == same
 
 
 # a share of 28/31, whose log2 numpy can round differently from math.log2

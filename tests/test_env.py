@@ -14,6 +14,7 @@ from autoeda.env import (BACK, STOP, ActionSpec, EdaEnv, HeadLayout,
 from autoeda.tabular import (ColumnKind, Dataset, FilterPredicate, Grouping,
                              apply_filter, apply_group, display_fingerprint,
                              initial_display)
+from row_engine import dataset_rows
 
 
 def FILTER(col, op, term):
@@ -49,12 +50,13 @@ def test_encode_matches_hand_oracle(toy):
     d = apply_filter(initial_display(toy), FilterPredicate("score", "NEQ", "2"))
     vec = encode_display(d, toy)
     n = toy.row_count
+    rows = dataset_rows(toy)
     for i in range(3):
-        cells = [toy.rows[r][i] for r in d.rows]
+        cells = [rows[r][i] for r in d.rows]
         counts = Counter(c for c in cells if c is not None)
         total = sum(counts.values())
         entropy = -sum((c / total) * math.log2(c / total) for c in counts.values())
-        base_distinct = len({r[i] for r in toy.rows if r[i] is not None})
+        base_distinct = len({r[i] for r in rows if r[i] is not None})
         expected_entropy = min(1.0, entropy / math.log2(max(2, base_distinct)))
         assert vec[4 * i] == pytest.approx(expected_entropy)
         assert vec[4 * i + 1] == pytest.approx(len(counts) / n)

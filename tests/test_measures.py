@@ -16,6 +16,7 @@ from autoeda.measures import (MEASURE_NAMES, CoherenceRuleset,
 from autoeda.tabular import (ColumnKind, Dataset, FilterPredicate, Grouping,
                              apply_filter, apply_group, column_histogram,
                              display_fingerprint, initial_display)
+from row_engine import dataset_rows
 
 
 def FILTER(col, op, term):
@@ -460,7 +461,7 @@ def test_kl_memo_warm_scores_equal_fresh_dataset_scores(synthetic_bundle):
         score_session(dataset, t.actions)  # warm the memo
     for t in trajectories:
         fresh = Dataset(dataset.name, [(c, k.value) for c, k in dataset.columns],
-                        dataset.rows)
+                        dataset_rows(dataset))
         assert fresh not in measures._KL_MEMO
         assert score_session(dataset, t.actions) == score_session(fresh, t.actions)
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import synth_reference as ref
+from row_engine import dataset_rows
 from autoeda import synth
 from autoeda.env import walk_displays
 from autoeda.measures import score_session
@@ -32,9 +33,9 @@ def two_column_bundle(dst_weights=(0.8, 0.2), m=5.0, rows=10_000, seed=3):
 
 
 def conditional_ratio(ds, src_value="a0", dst_value="b1"):
-    joint = Counter((r[0], r[1]) for r in ds.rows)
+    joint = Counter((r[0], r[1]) for r in dataset_rows(ds))
     n_src = sum(v for (a, _), v in joint.items() if a == src_value)
-    n_other = len(ds.rows) - n_src
+    n_other = ds.row_count - n_src
     p_hit = joint[(src_value, dst_value)] / n_src
     p_other = sum(v for (a, b), v in joint.items()
                   if a != src_value and b == dst_value) / n_other
@@ -127,7 +128,7 @@ def test_populate_shape_and_determinism():
                             derive_rng(7, 2))
     b = synth.populate_rows(synth.DEFAULT_SCHEMA, pats, dag, 1000, 5.0,
                             derive_rng(7, 2))
-    assert a.rows == b.rows
+    assert cells(a) == cells(b)
     assert a.row_count == 1000 and len(a.columns) == 8
 
 
@@ -138,7 +139,7 @@ def test_populate_text_cells_follow_patterns():
                                      (1.0,))]
         dag = synth.CorrelationDag(("t",), ())
         ds = synth.populate_rows(schema, pats, dag, 50, 5.0, derive_rng(0, 0))
-        for (cell,) in ds.rows:
+        for (cell,) in dataset_rows(ds):
             assert len(cell) == synth.TEXT_CELL_LEN
             if position == "START":
                 assert cell.startswith("xyz")
@@ -152,7 +153,7 @@ def test_populate_near_one_multiplier_is_independent():
     """With m -> 1 the injected link vanishes (chi-squared cannot reject)."""
     from scipy import stats
     _, _, ds = two_column_bundle(dst_weights=(0.5, 0.5), m=1.0 + 1e-9)
-    joint = Counter((r[0], r[1]) for r in ds.rows)
+    joint = Counter((r[0], r[1]) for r in dataset_rows(ds))
     table = [[joint[("a0", "b0")], joint[("a0", "b1")]],
              [joint[("a1", "b0")], joint[("a1", "b1")]]]
     assert stats.chi2_contingency(table).pvalue > 0.01
@@ -206,8 +207,10 @@ def test_populate_checks_probabilities_as_choice_does(case):
 # sampler against the per-cell rng.choice reference
 
 def cells(dataset):
-    """Every cell by repr, so that 0.0 and -0.0 differ."""
-    return [tuple(map(repr, row)) for row in dataset.rows]
+    """Every dictionary entry by repr, so that 0.0 and -0.0 differ, and
+    every code."""
+    return ([list(map(repr, values.tolist())) for values in dataset.dictionaries],
+            dataset.codes.tolist())
 
 
 def assert_same_draws(schema, patterns, dag, n_rows, seed, m=5.0):
@@ -268,8 +271,8 @@ def test_populate_matches_reference_text_pads(position):
     dag = synth.CorrelationDag(("t",), ())
     assert_same_draws(schema, pats, dag, 400, 5)
     ds = synth.populate_rows(schema, pats, dag, 400, 5.0, derive_rng(5, 2))
-    assert {len(cell) for (cell,) in ds.rows} == {synth.TEXT_CELL_LEN}
-    assert "abcdefghijkl" in {cell for (cell,) in ds.rows}
+    assert {len(cell) for (cell,) in dataset_rows(ds)} == {synth.TEXT_CELL_LEN}
+    assert "abcdefghijkl" in {cell for (cell,) in dataset_rows(ds)}
 
 
 # PCG64, the generator behind derive_rng, steps its 128-bit state by
@@ -314,12 +317,12 @@ def test_draws_match_choice_at_cdf_boundaries(weights):
     for u in sorted(draws):
         fast = synth.populate_rows(schema, pats, dag, 1, 5.0, generator_drawing(u))
         slow = ref.populate_rows(schema, pats, dag, 1, 5.0, generator_drawing(u))
-        assert fast.rows == slow.rows, u
+        assert cells(fast) == cells(slow), u
 
 
 def test_nearest_realized_value(synthetic_dataset):
     idx = synthetic_dataset.column_index("n1")
-    values = [r[idx] for r in synthetic_dataset.rows if r[idx] is not None]
+    values = [r[idx] for r in dataset_rows(synthetic_dataset) if r[idx] is not None]
     target = 50.0
     got = synth.nearest_realized_value(synthetic_dataset, "n1", target)
     assert abs(got - target) == min(abs(v - target) for v in values)

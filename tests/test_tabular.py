@@ -10,6 +10,7 @@ from autoeda.tabular import (ColumnKind, Dataset, FilterPredicate, Grouping,
                              column_histogram, display_fingerprint,
                              initial_display, load_dataset, load_schema_sidecar,
                              write_dataset, write_schema_sidecar)
+from row_engine import dataset_rows
 
 
 def fp(column, op, term):
@@ -18,7 +19,8 @@ def fp(column, op, term):
 
 def rows_of(display):
     """The display's rows as dataset row tuples."""
-    return tuple(display.dataset.rows[i] for i in display.rows)
+    rows = dataset_rows(display.dataset)
+    return tuple(rows[i] for i in display.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +64,7 @@ def test_load_mixed_numeric_column_is_text(tmp_path):
     path = _write(tmp_path, "v\n1\n2\nx\n")
     ds = load_dataset(path)
     assert ds.kind_of("v") is ColumnKind.TEXT
-    assert ds.rows[0][0] == "1"
+    assert dataset_rows(ds)[0][0] == "1"
 
 
 def test_load_inference_thresholds(tmp_path):
@@ -86,8 +88,7 @@ def test_load_errors(tmp_path):
 def test_nulls_load_as_none(tmp_path):
     ds = load_dataset(_write(tmp_path, "a,b\n1,\n,x\n"),
                       schema={"a": "numeric", "b": "text"})
-    assert ds.rows[0] == (1.0, None)
-    assert ds.rows[1] == (None, "x")
+    assert dataset_rows(ds) == ((1.0, None), (None, "x"))
 
 
 def test_csv_round_trip(tmp_path, toy):
@@ -96,7 +97,7 @@ def test_csv_round_trip(tmp_path, toy):
     schema = {c: k.value for c, k in
               load_schema_sidecar(tmp_path / "toy.schema.json").items()}
     back = load_dataset(tmp_path / "toy.csv", schema=schema)
-    assert back.rows == toy.rows
+    assert dataset_rows(back) == dataset_rows(toy)
     assert tuple(back.columns) == tuple(toy.columns)
 
 
@@ -111,7 +112,7 @@ def test_write_dataset_matches_a_row_by_row_writer(tmp_path, toy):
         with open(tmp_path / "rows.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(ds.column_names)
-            for row in ds.rows:
+            for row in dataset_rows(ds):
                 writer.writerow(["" if cell is None else
                                  canonical_number(cell) if kind is ColumnKind.NUMERIC
                                  else cell
@@ -138,7 +139,7 @@ def test_filter_neq_absent_value_keeps_rows(toy):
 
 def test_filter_contains_matches_brute_force(toy):
     d = apply_filter(initial_display(toy), fp("note", "CONTAINS", "alpha"))
-    expected = tuple(r for r in toy.rows if r[2] is not None and "alpha" in r[2])
+    expected = tuple(r for r in dataset_rows(toy) if r[2] is not None and "alpha" in r[2])
     assert rows_of(d) == expected
     assert d.row_count == 3
 
@@ -151,12 +152,13 @@ def test_filter_contains_matches_brute_force(toy):
 ])
 def test_filter_ops_against_row_scan(toy, op, term, col, expected_fn):
     d = apply_filter(initial_display(toy), fp(toy.column_names[col], op, term))
+    rows = dataset_rows(toy)
     if op == "EQ":
-        expected = tuple(r for r in toy.rows if r[col] is not None and expected_fn(r[col]))
+        expected = tuple(r for r in rows if r[col] is not None and expected_fn(r[col]))
     elif op == "NEQ":
-        expected = tuple(r for r in toy.rows if r[col] is None or expected_fn(r[col]))
+        expected = tuple(r for r in rows if r[col] is None or expected_fn(r[col]))
     else:
-        expected = tuple(r for r in toy.rows if expected_fn(r[col]))
+        expected = tuple(r for r in rows if expected_fn(r[col]))
     assert rows_of(d) == expected
 
 
@@ -209,7 +211,7 @@ def test_group_single_value_column(toy):
 def test_group_sum_matches_brute_force(toy):
     d = apply_group(initial_display(toy), Grouping("color", "score", "SUM"))
     expected = {}
-    for color, score, _ in toy.rows:
+    for color, score, _ in dataset_rows(toy):
         expected.setdefault(color, []).append(score)
     for key, agg in d.group_rows:
         nums = [s for s in expected[key] if s is not None]
@@ -335,7 +337,7 @@ def test_histogram_counting_oracle(synthetic_dataset):
     d = initial_display(synthetic_dataset)
     for col in synthetic_dataset.column_names:
         idx = synthetic_dataset.column_index(col)
-        counter = Counter(r[idx] for r in synthetic_dataset.rows
+        counter = Counter(r[idx] for r in dataset_rows(synthetic_dataset)
                           if r[idx] is not None)
         total = sum(counter.values())
         hist = column_histogram(d, col)
