@@ -82,13 +82,8 @@ class Manifest:
 
     def write(self, path):
         self.data["finished_at"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
-        _write_json(path, self.data, indent=2)
-
-
-def _write_json(path, obj, indent: int) -> None:
-    """`obj` as indented JSON and a newline, in one write."""
-    with open(path, "w") as fh:
-        fh.write(json.dumps(obj, indent=indent) + "\n")
+        from .tabular import write_json
+        write_json(path, self.data, indent=2)
 
 
 def _read_json_config(path) -> dict:
@@ -440,6 +435,7 @@ _MEASURE_LABELS = {
 
 
 def _measure_table(actions, normalized, threshold: float) -> str:
+    from .evaluation import text_table
     from .measures import MEASURE_NAMES
     headers = ["Step", "Action"] + [_MEASURE_LABELS[m] for m in MEASURE_NAMES]
     body = []
@@ -450,18 +446,14 @@ def _measure_table(actions, normalized, threshold: float) -> str:
             mark = "*" if v > threshold else " "
             cells.append(f"{v:.2f}{mark}")
         body.append(cells)
-    widths = [max(len(h), *(len(b[i]) for b in body)) for i, h in enumerate(headers)]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths))]
-    lines.append("  ".join("-" * w for w in widths))
-    for b in body:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(b, widths)))
-    return "\n".join(lines)
+    return text_table(headers, body)
 
 
 def cmd_measure(args) -> int:
     from . import env as env_mod
     from .measures import (EMPTY_RULESET, MEASURE_NAMES, CoherenceRuleset,
                            normalize_session, score_session)
+    from .tabular import write_json
 
     manifest = Manifest("measure", args, {"threshold": args.threshold})
     (dataset,) = _load_datasets([args.dataset], manifest)
@@ -501,7 +493,7 @@ def cmd_measure(args) -> int:
     print(text, end="")
     if args.out:
         out = _out_dir(args)
-        _write_json(out / "measures.json", report, indent=1)
+        write_json(out / "measures.json", report, indent=1)
         (out / "measures.txt").write_text(text)
         manifest.add_output(out / "measures.json")
         manifest.add_output(out / "measures.txt")
@@ -514,6 +506,7 @@ def cmd_measure(args) -> int:
 
 def cmd_eval(args) -> int:
     from .evaluation import evaluate_sessions, report_text, METRIC_COLUMNS
+    from .tabular import write_json
     import numpy as np
 
     if bool(args.checkpoint) == bool(args.sessions):
@@ -554,7 +547,7 @@ def cmd_eval(args) -> int:
     print(text, end="")
     if args.out:
         out = _out_dir(args)
-        _write_json(out / "report.json", {"rows": rows}, indent=1)
+        write_json(out / "report.json", {"rows": rows}, indent=1)
         (out / "report.txt").write_text(text)
         manifest.add_output(out / "report.json")
         manifest.add_output(out / "report.txt")

@@ -18,7 +18,7 @@ from . import nn
 from .tabular import (AGG_FUNCS, FILTER_OPS, ColumnKind, Dataset, Display,
                       FilterPredicate, Grouping, apply_filter, apply_group,
                       canonical_number, column_histogram, display_fingerprint,
-                      initial_display, parse_number)
+                      initial_display, parse_number, write_json)
 
 ACTION_KINDS = ("GROUP", "FILTER", "BACK", "STOP")
 GLOBAL_FEATURES = 3
@@ -339,25 +339,28 @@ def head_mask(kind: str) -> np.ndarray:
     return mask
 
 
-def policy_step(policy: nn.PolicyNet, env: EdaEnv, state: EpisodeState,
-                rng: np.random.Generator | None = None, svec=None):
-    """One policy decision at `state`, applied to the environment.
+def play(policy: nn.PolicyNet, env: EdaEnv,
+         rng: np.random.Generator | None = None):
+    """One episode of `policy` from env.reset(), one tuple per step:
+    (state, svec, heads, logp, action, next_state, next_svec).
 
-    Returns (state vector, sampled heads, log-prob, action, next state).
     With `rng` the heads are sampled and the log-prob covers the heads the
     sampled kind uses; without it every head takes its argmax and the
-    log-prob is None. `svec` is the state's encoding when the caller
-    already holds it.
+    log-prob is None. Each state is encoded once and carried forward.
     """
-    if svec is None:
-        svec = env.encode_state(state)
-    dists = policy.head_probs(svec)
-    if rng is None:
-        heads, logp = nn.greedy_action(dists), None
-    else:
-        heads, logp = nn.sample_action(dists, rng, RELEVANT_HEADS)
-    action = action_from_heads(heads, state.current, env.dataset, env.layout)
-    return svec, heads, logp, action, env.step(state, action)
+    state = env.reset()
+    svec = env.encode_state(state)
+    while not state.done:
+        dists = policy.head_probs(svec)
+        if rng is None:
+            heads, logp = tuple(int(np.argmax(p)) for p in dists), None
+        else:
+            heads, logp = nn.sample_action(dists, rng, RELEVANT_HEADS)
+        action = action_from_heads(heads, state.current, env.dataset, env.layout)
+        next_state = env.step(state, action)
+        next_svec = env.encode_state(next_state)
+        yield state, svec, heads, logp, action, next_state, next_svec
+        state, svec = next_state, next_svec
 
 
 @dataclass(frozen=True)
@@ -457,10 +460,7 @@ def save_trajectories(path, dataset: Dataset, trajectories) -> None:
              "fingerprint": display_fingerprint(cur)}
             for t, (_, action, cur) in enumerate(steps, start=1)
         ])
-    payload = {"dataset": dataset.name, "sessions": sessions}
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+    write_json(path, {"dataset": dataset.name, "sessions": sessions}, indent=1)
 
 
 def load_trajectories(path) -> list[Trajectory]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .env import (EdaEnv, HeadLayout, Trajectory, encode_display, policy_step,
+from .env import (EdaEnv, HeadLayout, Trajectory, encode_display, play,
                   walk_displays)
 from .tabular import Dataset, display_fingerprint
 
@@ -145,11 +145,9 @@ def generate_session(policy: nn.PolicyNet, dataset: Dataset,
     if mode == "sample" and rng is None:
         raise ValueError("sample mode needs an rng")
     env = EdaEnv(dataset, layout, horizon)
-    state = env.reset()
-    while not state.done:
-        *_, state = policy_step(policy, env, state,
-                                rng if mode == "sample" else None)
-    return Trajectory(dataset.name, state.action_history)
+    steps = play(policy, env, rng if mode == "sample" else None)
+    return Trajectory(dataset.name,
+                      tuple(action for _, _, _, _, action, _, _ in steps))
 
 
 def evaluate_sessions(dataset: Dataset, sessions, gold_trajectories,
@@ -170,14 +168,18 @@ def evaluate_sessions(dataset: Dataset, sessions, gold_trajectories,
     return {key: float(np.mean([r[key] for r in rows])) for key in METRIC_COLUMNS}
 
 
+def text_table(headers, body) -> str:
+    """Left-aligned text columns two spaces apart, the headers over a
+    dashed rule; every cell is padded to its column's width."""
+    widths = [max(len(h), *(len(b[i]) for b in body)) for i, h in enumerate(headers)]
+    lines = [headers, ["-" * w for w in widths], *body]
+    return "\n".join("  ".join(cell.ljust(w) for cell, w in zip(line, widths))
+                     for line in lines)
+
+
 def report_text(rows) -> str:
     """Aligned table with one row per dataset and the five metric columns."""
     headers = ("Dataset", "Precision", "TBLEU-1", "TBLEU-2", "TBLEU-3", "EDA-Sim")
-    body = [[str(r["dataset"])] + [f"{r[k]:.4f}" for k in METRIC_COLUMNS]
-            for r in rows]
-    widths = [max(len(h), *(len(b[i]) for b in body)) for i, h in enumerate(headers)]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths))]
-    lines.append("  ".join("-" * w for w in widths))
-    for b in body:
-        lines.append("  ".join(cell.ljust(w) for cell, w in zip(b, widths)))
-    return "\n".join(lines)
+    return text_table(headers, [[str(r["dataset"])]
+                                + [f"{r[k]:.4f}" for k in METRIC_COLUMNS]
+                                for r in rows])

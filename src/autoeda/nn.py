@@ -308,10 +308,6 @@ def sample_action(dists, rng: np.random.Generator, relevant_by_kind):
     return tuple(indices), logp
 
 
-def greedy_action(dists):
-    return tuple(int(np.argmax(p)) for p in dists)
-
-
 def l2_penalty(flat: np.ndarray, coeff: float,
                out: np.ndarray | None = None) -> np.ndarray:
     """Gradient of coeff * ||flat||^2, written into `out` when given."""

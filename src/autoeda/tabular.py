@@ -595,7 +595,13 @@ def write_dataset(dataset: Dataset, path, delimiter: str = ",") -> None:
         writer.writerows(zip(*columns))
 
 
-def write_schema_sidecar(dataset: Dataset, path) -> None:
+def write_json(path, obj, indent: int | None = None) -> None:
+    """`obj` as JSON and a newline, in one write. Encoding the whole
+    document with json.dumps lets an unindented one use the C encoder,
+    which json.dump never does."""
     with open(path, "w") as fh:
-        json.dump({c: k.value for c, k in dataset.columns}, fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(obj, indent=indent) + "\n")
+
+
+def write_schema_sidecar(dataset: Dataset, path) -> None:
+    write_json(path, {c: k.value for c, k in dataset.columns}, indent=2)

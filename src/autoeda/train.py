@@ -12,13 +12,15 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass, field, asdict
+from itertools import chain, cycle, islice
 from pathlib import Path
 
 import numpy as np
 
 from . import nn
 from .env import (EdaEnv, HeadLayout, encode_action, head_mask,
-                  heads_from_action, policy_step, replay)
+                  heads_from_action, play, replay)
+from .tabular import ColumnKind, write_json
 
 CHECKPOINT_VERSION = 2
 
@@ -40,9 +42,12 @@ def derive_rng(seed: int, *path: int) -> np.random.Generator:
                                                         spawn_key=tuple(path)))
 
 
-_COUNT_FIELDS = ("horizon", "total_interactions", "train_interval",
-                 "batch_policy", "batch_disc", "bc_epochs", "bc_batch",
-                 "term_bins", "buffer_capacity", "updates_per_interval")
+# the least value of each count field; a batch needs one generated and
+# one expert step
+_COUNT_MINIMUMS = {"horizon": 1, "total_interactions": 1, "train_interval": 1,
+                   "batch_policy": 2, "batch_disc": 2, "bc_epochs": 1,
+                   "bc_batch": 1, "term_bins": 1, "buffer_capacity": 1,
+                   "updates_per_interval": 1}
 
 
 def is_int(value) -> bool:
@@ -89,9 +94,10 @@ class TrainConfig:
                 raise ValueError(f"{name} must be {what}, "
                                  f"got {getattr(self, name)!r}")
 
-        for name in _COUNT_FIELDS:
+        for name, least in _COUNT_MINIMUMS.items():
             value = getattr(self, name)
-            check(is_int(value) and value >= 1, name, "an integer >= 1")
+            check(is_int(value) and value >= least, name,
+                  f"an integer >= {least}")
         check(is_int(self.seed) and self.seed >= 0, "seed", "an integer >= 0")
         for name in ("lr_bc", "lr_adv"):
             value = getattr(self, name)
@@ -190,38 +196,9 @@ def clipped_surrogate(ratios, advantages, eps: float) -> float:
 
 
 @dataclass
-class Transition:
-    state: np.ndarray
-    heads: np.ndarray
-    mask: np.ndarray
-    action_vec: np.ndarray
-    reward: float
-    penalty: float
-    next_state: np.ndarray
-    done: bool
-    logprob: float
-
-
-class ReplayBuffer:
-    """Bounded FIFO of transitions."""
-
-    def __init__(self, capacity: int):
-        self._items = deque(maxlen=capacity)
-
-    def add(self, item: Transition) -> None:
-        self._items.append(item)
-
-    def sample(self, rng: np.random.Generator, k: int):
-        idx = rng.choice(len(self._items), size=k, replace=len(self._items) < k)
-        return [self._items[int(i)] for i in idx]
-
-    def __len__(self):
-        return len(self._items)
-
-
-@dataclass
-class ExpertStep:
-    dataset: str
+class Step:
+    """One training step, expert or generated. Generated steps also carry
+    their collect-time reward and log-prob."""
     state: np.ndarray
     heads: np.ndarray
     mask: np.ndarray
@@ -229,13 +206,22 @@ class ExpertStep:
     next_state: np.ndarray
     done: bool
     penalty: float
+    reward: float | None = None
+    logprob: float | None = None
+
+
+def _draw(rng: np.random.Generator, steps, k: int) -> list:
+    """`k` uniform draws from `steps`, with replacement only when fewer
+    than `k` are held."""
+    idx = rng.choice(len(steps), size=k, replace=len(steps) < k)
+    return [steps[int(i)] for i in idx]
 
 
 def prepare_expert_steps(datasets, trajectories, layout: HeadLayout,
-                         cfg: TrainConfig) -> list[ExpertStep]:
+                         cfg: TrainConfig) -> list[Step]:
     """Replay expert sessions into training-ready (state, action) records."""
     by_name = {ds.name: ds for ds in datasets}
-    steps: list[ExpertStep] = []
+    steps: list[Step] = []
     for traj in trajectories:
         if traj.dataset not in by_name:
             raise ValueError(f"expert trajectory references unknown dataset "
@@ -243,9 +229,8 @@ def prepare_expert_steps(datasets, trajectories, layout: HeadLayout,
         records, _ = replay(by_name[traj.dataset], traj.actions, layout)
         for rec in records:
             penalty = incoherence_penalty(traj.actions[:rec.t], cfg.penalty_scope)
-            steps.append(ExpertStep(
-                dataset=traj.dataset, state=rec.state,
-                heads=np.asarray(rec.heads), mask=rec.mask,
+            steps.append(Step(
+                state=rec.state, heads=np.asarray(rec.heads), mask=rec.mask,
                 action_vec=rec.action_vec, next_state=rec.next_state,
                 done=rec.done, penalty=penalty))
     return steps
@@ -305,76 +290,58 @@ def action_agreement(policy: nn.PolicyNet, expert_steps) -> float:
 
 
 class RolloutCollector:
-    """Streams environment interactions, round-robin over the training
-    datasets, keeping episode state across collection windows."""
+    """One endless stream of policy steps, round-robin over the training
+    datasets; an episode runs on across collection windows."""
 
-    def __init__(self, datasets, layout: HeadLayout, cfg: TrainConfig,
-                 rng: np.random.Generator):
-        self.envs = [EdaEnv(ds, layout, cfg.horizon) for ds in datasets]
+    def __init__(self, policy: nn.PolicyNet, datasets, layout: HeadLayout,
+                 cfg: TrainConfig, rng: np.random.Generator):
+        envs = [EdaEnv(ds, layout, cfg.horizon) for ds in datasets]
+        self._stream = chain.from_iterable(play(policy, env, rng)
+                                           for env in cycle(envs))
         self.layout = layout
         self.cfg = cfg
-        self.rng = rng
-        self._env_idx = 0
-        self._env = self.envs[0]
-        self._state = self._env.reset()
-        self._svec = None  # encoding of _state once a step has computed it
         self.episode_lengths: list[int] = []
 
-    def _next_episode(self):
-        self._env_idx = (self._env_idx + 1) % len(self.envs)
-        self._env = self.envs[self._env_idx]
-        self._state = self._env.reset()
-        self._svec = None
-
-    def collect(self, policy: nn.PolicyNet, disc: nn.DiscriminatorNet,
-                n_steps: int, buffer: ReplayBuffer):
-        """Roll `n_steps` transitions with rewards from the current
-        discriminator; appends to the buffer and returns them."""
+    def collect(self, disc: nn.DiscriminatorNet, n_steps: int,
+                buffer: deque) -> list[Step]:
+        """The next `n_steps` steps with rewards from the current
+        discriminator; appends them to the buffer and returns them."""
         out = []
         cfg = self.cfg
-        for _ in range(n_steps):
-            env, state = self._env, self._state
-            svec, heads, logp, action, new_state = policy_step(
-                policy, env, state, self.rng, self._svec)
+        for state, svec, heads, logp, action, next_state, next_svec in islice(
+                self._stream, n_steps):
+            shown = state.current
             # the discriminator sees the canonical heads, as for expert steps
-            avec = encode_action(heads_from_action(action, state.current,
-                                                   env.dataset, self.layout),
-                                 self.layout)
+            avec = encode_action(heads_from_action(action, shown, shown.dataset,
+                                                   self.layout), self.layout)
             penalty = 0.0
             if cfg.penalty_enabled:
-                penalty = incoherence_penalty(new_state.action_history,
+                penalty = incoherence_penalty(next_state.action_history,
                                               cfg.penalty_scope)
             reward = imitation_reward(disc.prob(np.concatenate([svec, avec])),
                                       penalty)
-            next_svec = env.encode_state(new_state)
-            tr = Transition(
-                state=svec, heads=np.asarray(heads), mask=head_mask(action.kind),
-                action_vec=avec, reward=reward, penalty=penalty,
-                next_state=next_svec, done=new_state.done, logprob=logp)
-            buffer.add(tr)
-            out.append(tr)
-            if new_state.done:
-                self.episode_lengths.append(new_state.step)
-                self._next_episode()
-            else:
-                self._state, self._svec = new_state, next_svec
+            step = Step(state=svec, heads=np.asarray(heads),
+                        mask=head_mask(action.kind), action_vec=avec,
+                        next_state=next_svec, done=next_state.done,
+                        penalty=penalty, reward=reward, logprob=logp)
+            buffer.append(step)
+            out.append(step)
+            if next_state.done:
+                self.episode_lengths.append(next_state.step)
         return out
 
 
 def update_discriminator(disc: nn.DiscriminatorNet, opt: nn.Adam,
-                         buffer: ReplayBuffer, expert_steps, cfg: TrainConfig,
+                         buffer: deque, expert_steps, cfg: TrainConfig,
                          rng: np.random.Generator):
     """One optimizer step pushing expert pairs toward 1 and generated pairs
     toward 0, on equal-sized halves."""
     if len(buffer) == 0 or not expert_steps:
         raise ValueError("discriminator update needs both generated and expert data")
     half = min(cfg.batch_disc // 2, len(buffer), len(expert_steps))
-    gen = buffer.sample(rng, half)
-    exp_idx = rng.choice(len(expert_steps), size=half,
-                         replace=len(expert_steps) < half)
-    exp = [expert_steps[int(i)] for i in exp_idx]
-    x = np.stack([np.concatenate([t.state, t.action_vec]) for t in gen]
-                 + [np.concatenate([e.state, e.action_vec]) for e in exp])
+    gen = _draw(rng, buffer, half)
+    exp = _draw(rng, expert_steps, half)
+    x = np.stack([np.concatenate([s.state, s.action_vec]) for s in gen + exp])
     labels = np.concatenate([np.zeros(half), np.ones(half)])
     loss, grad, probs = disc.bce_loss_grads(x, labels)
     opt.step(disc.flat, grad)
@@ -383,7 +350,7 @@ def update_discriminator(disc: nn.DiscriminatorNet, opt: nn.Adam,
     return loss, acc
 
 
-def assemble_mixed_batch(buffer: ReplayBuffer, expert_steps, policy, disc,
+def assemble_mixed_batch(buffer: deque, expert_steps, policy, disc,
                          cfg: TrainConfig, rng: np.random.Generator) -> dict:
     """Half generated (stored rewards and collect-time log-probs), half
     expert (rewards and log-probs evaluated now, so their ratio starts at 1).
@@ -391,29 +358,24 @@ def assemble_mixed_batch(buffer: ReplayBuffer, expert_steps, policy, disc,
     half = cfg.batch_policy // 2
     k_gen = min(half, len(buffer))
     k_exp = min(half, len(expert_steps))
-    gen = buffer.sample(rng, k_gen) if k_gen else []
-    exp = []
-    if k_exp:
-        idx = rng.choice(len(expert_steps), size=k_exp,
-                         replace=len(expert_steps) < k_exp)
-        exp = [expert_steps[int(i)] for i in idx]
-    states = np.stack([t.state for t in gen] + [e.state for e in exp])
-    heads = np.stack([t.heads for t in gen] + [e.heads for e in exp])
-    masks = np.stack([t.mask for t in gen] + [e.mask for e in exp])
-    next_states = np.stack([t.next_state for t in gen]
-                           + [e.next_state for e in exp])
-    dones = np.array([t.done for t in gen] + [e.done for e in exp], dtype=float)
-    rewards = [t.reward for t in gen]
-    old_logp = [t.logprob for t in gen]
+    gen = _draw(rng, buffer, k_gen) if k_gen else []
+    exp = _draw(rng, expert_steps, k_exp) if k_exp else []
+    both = gen + exp
+    states = np.stack([s.state for s in both])
+    heads = np.stack([s.heads for s in both])
+    masks = np.stack([s.mask for s in both])
+    next_states = np.stack([s.next_state for s in both])
+    dones = np.array([s.done for s in both], dtype=float)
+    rewards = [s.reward for s in gen]
+    old_logp = [s.logprob for s in gen]
     if exp:
         x = np.stack([np.concatenate([e.state, e.action_vec]) for e in exp])
         d_prob, _ = disc.forward(x)
         for e, p in zip(exp, d_prob):
             pen = e.penalty if cfg.penalty_enabled else 0.0
             rewards.append(imitation_reward(float(p), pen))
-        exp_logp, _ = policy.logprob(np.stack([e.state for e in exp]),
-                                     np.stack([e.heads for e in exp]),
-                                     np.stack([e.mask for e in exp]))
+        exp_logp, _ = policy.logprob(states[k_gen:], heads[k_gen:],
+                                     masks[k_gen:])
         old_logp.extend(float(v) for v in exp_logp)
     return {"states": states, "heads": heads, "masks": masks,
             "rewards": np.asarray(rewards), "next_states": next_states,
@@ -505,8 +467,8 @@ def train_gail(cfg: TrainConfig, datasets, expert, metrics_sink=None,
     if cfg.bc_only:
         return result
 
-    buffer = ReplayBuffer(cfg.buffer_capacity)
-    collector = RolloutCollector(datasets, layout, cfg,
+    buffer = deque(maxlen=cfg.buffer_capacity)
+    collector = RolloutCollector(policy, datasets, layout, cfg,
                                  derive_rng(cfg.seed, STREAM_ROLLOUT))
     update_rng = derive_rng(cfg.seed, STREAM_UPDATE)
     policy_opt = nn.Adam(policy.flat, cfg.lr_adv)
@@ -519,7 +481,7 @@ def train_gail(cfg: TrainConfig, datasets, expert, metrics_sink=None,
         interval += 1
         n = min(cfg.train_interval, cfg.total_interactions - done_interactions)
         before_eps = len(collector.episode_lengths)
-        transitions = collector.collect(policy, disc, n, buffer)
+        steps = collector.collect(disc, n, buffer)
         done_interactions += n
         disc_loss, disc_acc = update_discriminator(disc, disc_opt, buffer,
                                                    expert_steps, cfg, update_rng)
@@ -532,8 +494,8 @@ def train_gail(cfg: TrainConfig, datasets, expert, metrics_sink=None,
         record = {
             "interval": interval,
             "disc_acc": round(disc_acc, 6),
-            "mean_reward": round(float(np.mean([t.reward for t in transitions])), 6),
-            "mean_penalty": round(float(np.mean([t.penalty for t in transitions])), 6),
+            "mean_reward": round(float(np.mean([s.reward for s in steps])), 6),
+            "mean_penalty": round(float(np.mean([s.penalty for s in steps])), 6),
             "mean_ep_len": round(float(np.mean(new_eps)) if new_eps else 0.0, 6),
         }
         result.metrics.append(record)
@@ -562,9 +524,7 @@ def save_checkpoint(path, result: TrainResult, cfg: TrainConfig) -> None:
         "value": nn.arr_to_json(result.value.flat),
         "discriminator": nn.arr_to_json(result.discriminator.flat),
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+    write_json(path, payload)
 
 
 def load_checkpoint(path) -> tuple[TrainResult, TrainConfig]:
@@ -574,7 +534,6 @@ def load_checkpoint(path) -> tuple[TrainResult, TrainConfig]:
         raise ValueError(f"unsupported checkpoint version "
                          f"{payload.get('format_version')!r}")
     cfg = TrainConfig.from_dict(payload["config"])
-    from .tabular import ColumnKind
     schema = tuple((c, ColumnKind(k)) for c, k in payload["schema"])
     layout = HeadLayout(**payload["layout"])
     policy = nn.PolicyNet(layout.state_dim, layout.sizes, cfg.policy_hidden)

@@ -1,0 +1,168 @@
+"""The rollout code that `env.play` replaced, kept as the oracle that pins it.
+
+`policy_step` is one policy decision; `RolloutCollector` drives it with a
+hand-kept episode state (dataset index, state, cached encoding) that carries
+over between collection windows, and `generate_session` drives it in its own
+loop. `ReplayBuffer` and the two batch builders draw their samples as the
+training loop did, so the new code must make the same rng calls in the same
+order.
+"""
+
+from collections import deque
+from dataclasses import dataclass
+
+import numpy as np
+
+from autoeda import nn
+from autoeda.env import (RELEVANT_HEADS, EdaEnv, Trajectory, action_from_heads,
+                         encode_action, head_mask, heads_from_action)
+from autoeda.train import imitation_reward, incoherence_penalty
+
+
+def policy_step(policy, env, state, rng=None, svec=None):
+    """(state vector, heads, log-prob, action, next state) of one decision."""
+    if svec is None:
+        svec = env.encode_state(state)
+    dists = policy.head_probs(svec)
+    if rng is None:
+        heads, logp = tuple(int(np.argmax(p)) for p in dists), None
+    else:
+        heads, logp = nn.sample_action(dists, rng, RELEVANT_HEADS)
+    action = action_from_heads(heads, state.current, env.dataset, env.layout)
+    return svec, heads, logp, action, env.step(state, action)
+
+
+@dataclass
+class Transition:
+    state: np.ndarray
+    heads: np.ndarray
+    mask: np.ndarray
+    action_vec: np.ndarray
+    reward: float
+    penalty: float
+    next_state: np.ndarray
+    done: bool
+    logprob: float
+
+
+class ReplayBuffer:
+    def __init__(self, capacity):
+        self._items = deque(maxlen=capacity)
+
+    def add(self, item):
+        self._items.append(item)
+
+    def sample(self, rng, k):
+        idx = rng.choice(len(self._items), size=k, replace=len(self._items) < k)
+        return [self._items[int(i)] for i in idx]
+
+    def __len__(self):
+        return len(self._items)
+
+
+class RolloutCollector:
+    def __init__(self, datasets, layout, cfg, rng):
+        self.envs = [EdaEnv(ds, layout, cfg.horizon) for ds in datasets]
+        self.layout = layout
+        self.cfg = cfg
+        self.rng = rng
+        self._env_idx = 0
+        self._env = self.envs[0]
+        self._state = self._env.reset()
+        self._svec = None
+        self.episode_lengths = []
+
+    def _next_episode(self):
+        self._env_idx = (self._env_idx + 1) % len(self.envs)
+        self._env = self.envs[self._env_idx]
+        self._state = self._env.reset()
+        self._svec = None
+
+    def collect(self, policy, disc, n_steps, buffer):
+        out = []
+        cfg = self.cfg
+        for _ in range(n_steps):
+            env, state = self._env, self._state
+            svec, heads, logp, action, new_state = policy_step(
+                policy, env, state, self.rng, self._svec)
+            avec = encode_action(heads_from_action(action, state.current,
+                                                   env.dataset, self.layout),
+                                 self.layout)
+            penalty = 0.0
+            if cfg.penalty_enabled:
+                penalty = incoherence_penalty(new_state.action_history,
+                                              cfg.penalty_scope)
+            reward = imitation_reward(disc.prob(np.concatenate([svec, avec])),
+                                      penalty)
+            next_svec = env.encode_state(new_state)
+            tr = Transition(
+                state=svec, heads=np.asarray(heads), mask=head_mask(action.kind),
+                action_vec=avec, reward=reward, penalty=penalty,
+                next_state=next_svec, done=new_state.done, logprob=logp)
+            buffer.add(tr)
+            out.append(tr)
+            if new_state.done:
+                self.episode_lengths.append(new_state.step)
+                self._next_episode()
+            else:
+                self._state, self._svec = new_state, next_svec
+        return out
+
+
+def generate_session(policy, dataset, layout, horizon=12, mode="greedy",
+                     rng=None):
+    env = EdaEnv(dataset, layout, horizon)
+    state = env.reset()
+    while not state.done:
+        *_, state = policy_step(policy, env, state,
+                                rng if mode == "sample" else None)
+    return Trajectory(dataset.name, state.action_history)
+
+
+def update_discriminator(disc, opt, buffer, expert_steps, cfg, rng):
+    half = min(cfg.batch_disc // 2, len(buffer), len(expert_steps))
+    gen = buffer.sample(rng, half)
+    exp_idx = rng.choice(len(expert_steps), size=half,
+                         replace=len(expert_steps) < half)
+    exp = [expert_steps[int(i)] for i in exp_idx]
+    x = np.stack([np.concatenate([t.state, t.action_vec]) for t in gen]
+                 + [np.concatenate([e.state, e.action_vec]) for e in exp])
+    labels = np.concatenate([np.zeros(half), np.ones(half)])
+    loss, grad, probs = disc.bce_loss_grads(x, labels)
+    opt.step(disc.flat, grad)
+    acc = 0.5 * (float(np.mean(probs[:half] < 0.5))
+                 + float(np.mean(probs[half:] > 0.5)))
+    return loss, acc
+
+
+def assemble_mixed_batch(buffer, expert_steps, policy, disc, cfg, rng):
+    half = cfg.batch_policy // 2
+    k_gen = min(half, len(buffer))
+    k_exp = min(half, len(expert_steps))
+    gen = buffer.sample(rng, k_gen) if k_gen else []
+    exp = []
+    if k_exp:
+        idx = rng.choice(len(expert_steps), size=k_exp,
+                         replace=len(expert_steps) < k_exp)
+        exp = [expert_steps[int(i)] for i in idx]
+    states = np.stack([t.state for t in gen] + [e.state for e in exp])
+    heads = np.stack([t.heads for t in gen] + [e.heads for e in exp])
+    masks = np.stack([t.mask for t in gen] + [e.mask for e in exp])
+    next_states = np.stack([t.next_state for t in gen]
+                           + [e.next_state for e in exp])
+    dones = np.array([t.done for t in gen] + [e.done for e in exp], dtype=float)
+    rewards = [t.reward for t in gen]
+    old_logp = [t.logprob for t in gen]
+    if exp:
+        x = np.stack([np.concatenate([e.state, e.action_vec]) for e in exp])
+        d_prob, _ = disc.forward(x)
+        for e, p in zip(exp, d_prob):
+            pen = e.penalty if cfg.penalty_enabled else 0.0
+            rewards.append(imitation_reward(float(p), pen))
+        exp_logp, _ = policy.logprob(np.stack([e.state for e in exp]),
+                                     np.stack([e.heads for e in exp]),
+                                     np.stack([e.mask for e in exp]))
+        old_logp.extend(float(v) for v in exp_logp)
+    return {"states": states, "heads": heads, "masks": masks,
+            "rewards": np.asarray(rewards), "next_states": next_states,
+            "dones": dones, "old_logp": np.asarray(old_logp)}

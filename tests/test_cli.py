@@ -341,7 +341,8 @@ def test_usage_errors_exit_one(run_dir, data_dir, tmp_path):
                 {"bc_epochs": 1.5}, {"bc_batch": 0}, {"horizon": True},
                 {"term_bins": 0}, {"buffer_capacity": "big"},
                 {"gamma": True}, {"clip_eps": 0}, {"seed": -1},
-                {"bc_only": 1}, {"penalty_scope": "all"}):
+                {"bc_only": 1}, {"penalty_scope": "all"},
+                {"batch_disc": 1}, {"batch_policy": 1}):
         config.write_text(json.dumps(bad))
         out = tmp_path / "train_out"
         assert run("train", "--data", data_dir, "--datasets", "ds1",

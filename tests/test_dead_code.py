@@ -1,0 +1,72 @@
+"""No dead library code: every public top-level function and class of
+`src/autoeda`, and every public method, is used from the program itself
+(`src/`, `bench/` or `demos/`), not only from the tests."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "autoeda"
+
+# Kept though nothing in the program calls them, each for its reason.
+ALLOWED = {
+    # acceptance criterion 7 measures greedy agreement with the experts
+    # through it
+    "train.action_agreement",
+}
+
+
+def _definitions():
+    """(qualified name, file, first line, last line) of each public
+    top-level function and class, and of each public method."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = path.stem
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if not node.name.startswith("_"):
+                out.append((f"{module}.{node.name}", path, node.lineno,
+                            node.end_lineno))
+            if isinstance(node, ast.ClassDef):
+                out.extend((f"{module}.{node.name}.{item.name}", path,
+                            item.lineno, item.end_lineno)
+                           for item in node.body
+                           if isinstance(item, ast.FunctionDef)
+                           and not item.name.startswith("_"))
+    return out
+
+
+def _references():
+    """name -> [(file, line)] of every Name, attribute and imported name."""
+    refs = {}
+    for top in ("src", "bench", "demos"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias):
+                    name = node.name.rpartition(".")[2]
+                else:
+                    continue
+                refs.setdefault(name, []).append((path, node.lineno))
+    return refs
+
+
+def test_every_public_definition_is_used_by_the_program():
+    refs = _references()
+    unused = []
+    for qualname, path, first, last in _definitions():
+        name = qualname.rpartition(".")[2]
+        used = any(not (ref_path == path and first <= line <= last)
+                   for ref_path, line in refs.get(name, ()))
+        if not used and qualname not in ALLOWED:
+            unused.append(qualname)
+    assert not unused, f"defined but never used by the program: {unused}"
+
+
+def test_allowed_names_still_exist():
+    names = {qualname for qualname, *_ in _definitions()}
+    assert ALLOWED <= names

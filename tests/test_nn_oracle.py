@@ -1,14 +1,16 @@
 """The lean training step against the reference step in nn_reference.py:
 every trained number must be the same bit for bit."""
 
+from collections import deque
+
 import numpy as np
 
 import nn_reference as ref
 from autoeda import nn
 from autoeda.env import BACK, STOP, ActionSpec, HeadLayout, Trajectory
 from autoeda.tabular import FilterPredicate, Grouping
-from autoeda.train import (ReplayBuffer, RolloutCollector, TrainConfig,
-                           assemble_mixed_batch, bc_pretrain, derive_rng,
+from autoeda.train import (RolloutCollector, TrainConfig, assemble_mixed_batch,
+                           bc_pretrain, derive_rng,
                            ppo_update, prepare_expert_steps,
                            update_discriminator, value_update)
 
@@ -83,9 +85,9 @@ def _adversarial_run(toy, cfg, rounds=5):
     head_rng = derive_rng(cfg.seed, 9)
     for w in policy.head_weights:
         w += head_rng.normal(scale=0.5, size=w.shape)
-    buffer = ReplayBuffer(cfg.buffer_capacity)
-    RolloutCollector([toy], layout, cfg, derive_rng(cfg.seed, 2)).collect(
-        policy, disc, 40, buffer)
+    buffer = deque(maxlen=cfg.buffer_capacity)
+    RolloutCollector(policy, [toy], layout, cfg,
+                     derive_rng(cfg.seed, 2)).collect(disc, 40, buffer)
     expert = toy_expert(toy, cfg)
     update_rng = derive_rng(cfg.seed, 3)
     opts = [nn.Adam(net.flat, 1e-2) for net in (policy, value, disc)]

@@ -1,5 +1,6 @@
 import json
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -7,9 +8,8 @@ import pytest
 from autoeda import nn
 from autoeda.env import BACK, STOP, ActionSpec, HeadLayout, state_vec_len
 from autoeda.tabular import FilterPredicate, Grouping
-from autoeda.train import (ExpertStep, ReplayBuffer, RolloutCollector,
-                           TrainConfig, TrainResult,
-                           Transition, action_agreement, assemble_mixed_batch,
+from autoeda.train import (RolloutCollector, Step, TrainConfig, TrainResult,
+                           _draw, action_agreement, assemble_mixed_batch,
                            bc_pretrain, clipped_surrogate, derive_rng,
                            imitation_reward, incoherence_penalty,
                            load_checkpoint, ppo_clip_target, ppo_update,
@@ -112,14 +112,13 @@ def test_ratio_one_surrogate_is_mean_advantage():
 # buffer
 
 def test_replay_buffer_fifo_capacity():
-    buf = ReplayBuffer(3)
-    items = [Transition(np.zeros(1), np.zeros(5, dtype=int),
-                        np.zeros(5, dtype=bool), np.zeros(1), float(i), 0.0,
-                        np.zeros(1), False, 0.0) for i in range(5)]
-    for item in items:
-        buf.add(item)
+    buf = deque(maxlen=3)
+    for i in range(5):
+        buf.append(Step(np.zeros(1), np.zeros(5, dtype=int),
+                        np.zeros(5, dtype=bool), np.zeros(1), np.zeros(1),
+                        False, 0.0, reward=float(i), logprob=0.0))
     assert len(buf) == 3
-    rewards = {t.reward for t in buf.sample(np.random.default_rng(0), 16)}
+    rewards = {s.reward for s in _draw(np.random.default_rng(0), buf, 16)}
     assert rewards <= {2.0, 3.0, 4.0}
 
 
@@ -192,9 +191,9 @@ def _fresh_nets(dataset, cfg, hidden=(16, 16)):
 def test_horizon_one_episodes(toy):
     cfg = small_cfg(horizon=1)
     layout, policy, _, disc = _fresh_nets(toy, cfg)
-    collector = RolloutCollector([toy], layout, cfg, derive_rng(0, 2))
-    buf = ReplayBuffer(64)
-    transitions = collector.collect(policy, disc, 10, buf)
+    collector = RolloutCollector(policy, [toy], layout, cfg, derive_rng(0, 2))
+    buf = deque(maxlen=64)
+    transitions = collector.collect(disc, 10, buf)
     assert all(t.done for t in transitions)
     assert collector.episode_lengths == [1] * 10
 
@@ -202,9 +201,9 @@ def test_horizon_one_episodes(toy):
 def test_no_penalty_rewards_are_pure_imitation(toy):
     cfg = small_cfg(penalty_enabled=False)
     layout, policy, _, disc = _fresh_nets(toy, cfg)
-    collector = RolloutCollector([toy], layout, cfg, derive_rng(0, 2))
-    buf = ReplayBuffer(64)
-    for t in collector.collect(policy, disc, 30, buf):
+    collector = RolloutCollector(policy, [toy], layout, cfg, derive_rng(0, 2))
+    buf = deque(maxlen=64)
+    for t in collector.collect(disc, 30, buf):
         d = disc.prob(np.concatenate([t.state, t.action_vec]))
         assert t.penalty == 0.0
         assert t.reward == pytest.approx(-math.log(1 - d))
@@ -215,9 +214,10 @@ def test_rollouts_deterministic(toy):
     streams = []
     for _ in range(2):
         layout, policy, _, disc = _fresh_nets(toy, cfg)
-        collector = RolloutCollector([toy], layout, cfg, derive_rng(9, 2))
-        buf = ReplayBuffer(64)
-        ts = collector.collect(policy, disc, 25, buf)
+        collector = RolloutCollector(policy, [toy], layout, cfg,
+                                     derive_rng(9, 2))
+        buf = deque(maxlen=64)
+        ts = collector.collect(disc, 25, buf)
         streams.append([(t.reward, tuple(t.heads), t.done) for t in ts])
     assert streams[0] == streams[1]
 
@@ -240,9 +240,9 @@ def test_discriminator_symmetric_batch_zero_gradient(toy):
 def test_discriminator_update_equalizes_batch_sizes(toy):
     cfg = small_cfg(batch_disc=8)
     layout, policy, _, disc = _fresh_nets(toy, cfg)
-    collector = RolloutCollector([toy], layout, cfg, derive_rng(0, 2))
-    buf = ReplayBuffer(256)
-    collector.collect(policy, disc, 40, buf)  # buffer much larger than batch
+    collector = RolloutCollector(policy, [toy], layout, cfg, derive_rng(0, 2))
+    buf = deque(maxlen=256)
+    collector.collect(disc, 40, buf)  # buffer much larger than batch
     from autoeda.env import Trajectory
     expert = prepare_expert_steps([toy], [Trajectory("toy", (F_A, G_A, BACK))],
                                   layout, cfg)
@@ -261,34 +261,34 @@ def test_discriminator_separates_toy_streams(toy):
     layout, policy, _, disc = _fresh_nets(toy, cfg)
     rng = derive_rng(7, 0)
     dim = state_vec_len(toy) + layout.action_dim
-    buf = ReplayBuffer(256)
+    buf = deque(maxlen=256)
     gen_states = rng.normal(loc=-0.5, scale=0.2, size=(64, dim))
     for row in gen_states:
-        buf.add(Transition(row[:state_vec_len(toy)], np.zeros(5, dtype=int),
-                           np.zeros(5, dtype=bool), row[state_vec_len(toy):],
-                           0.0, 0.0, row[:state_vec_len(toy)], False, 0.0))
+        buf.append(Step(row[:state_vec_len(toy)], np.zeros(5, dtype=int),
+                        np.zeros(5, dtype=bool), row[state_vec_len(toy):],
+                        row[:state_vec_len(toy)], False, 0.0, reward=0.0,
+                        logprob=0.0))
     expert = []
     for row in rng.normal(loc=0.5, scale=0.2, size=(64, dim)):
-        expert.append(ExpertStep("toy", row[:state_vec_len(toy)],
-                                 np.zeros(5, dtype=int), np.zeros(5, dtype=bool),
-                                 row[state_vec_len(toy):],
-                                 row[:state_vec_len(toy)], False, 0.0))
+        expert.append(Step(row[:state_vec_len(toy)], np.zeros(5, dtype=int),
+                           np.zeros(5, dtype=bool), row[state_vec_len(toy):],
+                           row[:state_vec_len(toy)], False, 0.0))
     opt = nn.Adam(disc.flat, 1e-3)
     for _ in range(500):
         update_discriminator(disc, opt, buf, expert, cfg, rng)
     d_exp = np.mean([disc.prob(np.concatenate([e.state, e.action_vec]))
                      for e in expert])
     d_gen = np.mean([disc.prob(np.concatenate([t.state, t.action_vec]))
-                     for t in buf.sample(rng, 64)])
+                     for t in _draw(rng, buf, 64)])
     assert d_exp - d_gen >= 0.4
 
 
 def test_mixed_batch_is_exactly_half_and_half(toy):
     cfg = small_cfg(batch_policy=8)
     layout, policy, value, disc = _fresh_nets(toy, cfg)
-    collector = RolloutCollector([toy], layout, cfg, derive_rng(5, 2))
-    buf = ReplayBuffer(64)
-    collector.collect(policy, disc, 16, buf)
+    collector = RolloutCollector(policy, [toy], layout, cfg, derive_rng(5, 2))
+    buf = deque(maxlen=64)
+    collector.collect(disc, 16, buf)
     from autoeda.env import Trajectory
     expert = prepare_expert_steps(
         [toy], [Trajectory("toy", (F_A, G_A, BACK, STOP))], layout, cfg)
@@ -302,9 +302,9 @@ def test_mixed_batch_is_exactly_half_and_half(toy):
 
 def _ppo_batch(toy, cfg):
     layout, policy, value, disc = _fresh_nets(toy, cfg)
-    collector = RolloutCollector([toy], layout, cfg, derive_rng(2, 2))
-    buf = ReplayBuffer(256)
-    collector.collect(policy, disc, 32, buf)
+    collector = RolloutCollector(policy, [toy], layout, cfg, derive_rng(2, 2))
+    buf = deque(maxlen=256)
+    collector.collect(disc, 32, buf)
     from autoeda.env import Trajectory
     expert = prepare_expert_steps([toy], [Trajectory("toy", (F_A, G_A, BACK, STOP))],
                                   layout, cfg)
@@ -342,7 +342,7 @@ def test_expert_half_ratio_starts_at_one(toy):
     from autoeda.env import Trajectory
     expert = prepare_expert_steps(
         [toy], [Trajectory("toy", (F_A, G_A, BACK, STOP))], layout, cfg)
-    buf = ReplayBuffer(8)  # empty: batch is all expert
+    buf = deque(maxlen=8)  # empty: batch is all expert
     batch = assemble_mixed_batch(buf, expert, policy, disc, cfg, derive_rng(3, 0))
     logp, _ = policy.logprob(batch["states"], batch["heads"], batch["masks"])
     assert np.allclose(np.exp(logp - batch["old_logp"]), 1.0)
