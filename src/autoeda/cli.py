@@ -470,11 +470,14 @@ def cmd_measure(args) -> int:
 
     report = {"dataset": dataset.name, "threshold": args.threshold, "sessions": []}
     tables = []
-    for traj in trajectories:
+    for i, traj in enumerate(trajectories, start=1):
+        if not traj.actions:
+            raise DataError(f"session {i} of {args.session} is empty")
         try:
             raw = score_session(dataset, traj.actions, ruleset)
         except ValueError as exc:
-            raise DataError(f"session does not replay: {exc}") from exc
+            raise DataError(f"session {i} of {args.session} does not replay: "
+                            f"{exc}") from exc
         normalized = normalize_session(raw)
         steps = []
         for t, (action, r, z) in enumerate(zip(traj.actions, raw, normalized),

@@ -25,6 +25,7 @@ GLOBAL_FEATURES = 3
 FEATURES_PER_COLUMN = 4
 HISTORY_WINDOW = 3
 DEFAULT_HORIZON = 12
+DEFAULT_TERM_BINS = 20
 
 # heads: kind, column, agg_func, filter_op, term_bin
 N_HEADS = 5
@@ -64,7 +65,7 @@ STOP = ActionSpec("STOP")
 @dataclass(frozen=True)
 class HeadLayout:
     n_columns: int
-    term_bins: int = 20
+    term_bins: int = DEFAULT_TERM_BINS
 
     def __post_init__(self):
         if self.term_bins < 1:
@@ -239,8 +240,7 @@ def _term_candidates(display: Display, base: Dataset, idx: int):
     return initial_display(base).ranked_values(idx)
 
 
-def action_from_heads(heads, display: Display, base: Dataset,
-                      layout: HeadLayout) -> ActionSpec:
+def action_from_heads(heads, display: Display, base: Dataset) -> ActionSpec:
     """Materialize head indices into a concrete action for a display.
 
     Total by construction: the term bin clamps to the least frequent
@@ -356,7 +356,7 @@ def play(policy: nn.PolicyNet, env: EdaEnv,
             heads, logp = tuple(int(np.argmax(p)) for p in dists), None
         else:
             heads, logp = nn.sample_action(dists, rng, RELEVANT_HEADS)
-        action = action_from_heads(heads, state.current, env.dataset, env.layout)
+        action = action_from_heads(heads, state.current, env.dataset)
         next_state = env.step(state, action)
         next_svec = env.encode_state(next_state)
         yield state, svec, heads, logp, action, next_state, next_svec
@@ -382,37 +382,36 @@ class ReplayStep:
     done: bool
 
 
-def walk(dataset: Dataset, actions, layout: HeadLayout | None = None,
-         horizon: int | None = None) -> list[EpisodeState]:
+def walk(dataset: Dataset, actions,
+         layout: HeadLayout | None = None) -> list[EpisodeState]:
     """The episode states of a session: the reset state, then one per action.
 
-    The horizon defaults to the session length. Raises ValueError when an
-    action follows the end of the episode.
+    The horizon is the session length. Raises ValueError when an action
+    follows a STOP.
     """
-    env = EdaEnv(dataset, layout, horizon=horizon or max(len(actions), 1))
+    env = EdaEnv(dataset, layout, horizon=max(len(actions), 1))
     states = [env.reset()]
     for action in actions:
         states.append(env.step(states[-1], action))
     return states
 
 
-def walk_displays(dataset: Dataset, actions, horizon: int | None = None):
+def walk_displays(dataset: Dataset, actions):
     """Displays of a session: (prev_display, action, cur_display) per step,
     and the `history` list of every display seen including d0, in order,
     which is what the diversity measure consumes.
     """
-    states = walk(dataset, actions, horizon=horizon)
+    states = walk(dataset, actions)
     steps = [(before.current, action, after.current)
              for before, action, after in zip(states, actions, states[1:])]
     return steps, list(states[-1].history)
 
 
-def replay(dataset: Dataset, actions, layout: HeadLayout | None = None,
-           horizon: int | None = None):
+def replay(dataset: Dataset, actions, layout: HeadLayout | None = None):
     """Training-ready step records of a session, and its final state."""
     if layout is None:
         layout = HeadLayout(len(dataset.columns))
-    states = walk(dataset, actions, layout, horizon)
+    states = walk(dataset, actions, layout)
     vecs = [state_from_history(s.history, dataset) for s in states]
     records = []
     for t, action in enumerate(actions, start=1):

@@ -100,32 +100,33 @@ def kl_divergence(p: dict, q: dict, eps: float = DEFAULT_KL_EPS) -> float:
         return np.add.accumulate(np.concatenate(([0.0], terms)))[-1].item()
 
 
-# Per dataset: (before.key, after.key, eps) -> max_column_kl of two of its
+# Per dataset: (before.key, after.key) -> max_column_kl of two of its
 # views. Keys hold only predicates and groupings and values are floats, so
 # nothing refers back to the dataset, and its entry dies with it.
 _KL_MEMO: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def max_column_kl(before: Display, after: Display, base: Dataset,
-                  eps: float = DEFAULT_KL_EPS) -> float:
+def max_column_kl(before: Display, after: Display, base: Dataset) -> float:
     """The largest per-column KL(before || after) over `base`'s columns.
 
-    Two views of `base` itself are scored once per pair of operation paths
-    (`Display.key`): equal paths give bit-identical histograms.
+    Both displays must be views of `base`. Each pair of operation paths
+    (`Display.key`) is scored once: equal paths give bit-identical
+    histograms.
     """
-    same = before.dataset is base is after.dataset
-    memo = _KL_MEMO.setdefault(base, {}) if same else {}
-    key = (before.key, after.key, eps)
+    if not (before.dataset is base is after.dataset):
+        raise ValueError("max_column_kl needs two views of its base dataset")
+    memo = _KL_MEMO.setdefault(base, {})
+    key = (before.key, after.key)
     if key not in memo:
         memo[key] = max(
-            kl_divergence(column_histogram(before, col), column_histogram(after, col), eps)
+            kl_divergence(column_histogram(before, col), column_histogram(after, col))
             for col in base.column_names
         )
     return memo[key]
 
 
 def a_int(prev: Display, cur: Display, action, specs: MeasureSpecs,
-          base: Dataset | None = None) -> float:
+          base: Dataset) -> float:
     """Operation-conditioned interest in [0, 1].
 
     GROUP: ratio of a decreasing sigmoid over the group count to one over
@@ -140,8 +141,7 @@ def a_int(prev: Display, cur: Display, action, specs: MeasureSpecs,
             return 1.0
         return min(1.0, max(0.0, num / den))
     if action.kind == "FILTER":
-        ds = base if base is not None else cur.dataset
-        return sigmoid(max_column_kl(prev, cur, ds), specs.divergence)
+        return sigmoid(max_column_kl(prev, cur, base), specs.divergence)
     return 0.0
 
 
@@ -174,9 +174,8 @@ def readability(prev: Display, cur: Display, specs: MeasureSpecs) -> float:
 
 
 def peculiarity(cur: Display, initial: Display, specs: MeasureSpecs,
-                base: Dataset | None = None) -> float:
-    ds = base if base is not None else cur.dataset
-    return sigmoid(max_column_kl(initial, cur, ds), specs.divergence)
+                base: Dataset) -> float:
+    return sigmoid(max_column_kl(initial, cur, base), specs.divergence)
 
 
 @dataclass(frozen=True)
@@ -193,11 +192,16 @@ class CoherenceRuleset:
 
     @classmethod
     def from_json(cls, source) -> "CoherenceRuleset":
-        if isinstance(source, (str,)) or hasattr(source, "read"):
+        """A ruleset from a JSON file path or from an already parsed
+        object; anything but a JSON object raises ValueError."""
+        if isinstance(source, str):
             with open(source) as fh:
                 obj = json.load(fh)
         else:
             obj = source
+        if not isinstance(obj, dict):
+            raise ValueError(f"malformed coherence ruleset: expected a JSON "
+                             f"object, got {type(obj).__name__}")
         try:
             rules = tuple(CoherenceRule(dict(r["match"]), float(r["score"]))
                           for r in obj.get("rules", ()))
@@ -267,11 +271,10 @@ class MeasureScores:
         return getattr(self, name)
 
 
-def score_session(dataset: Dataset, actions, ruleset: CoherenceRuleset = EMPTY_RULESET,
-                  specs: MeasureSpecs | None = None) -> list[MeasureScores]:
+def score_session(dataset: Dataset, actions,
+                  ruleset: CoherenceRuleset = EMPTY_RULESET) -> list[MeasureScores]:
     """Replay a session and compute all five raw scores per step."""
-    if specs is None:
-        specs = default_measure_specs(dataset.row_count)
+    specs = default_measure_specs(dataset.row_count)
     steps, history = _env.walk_displays(dataset, actions)
     initial = history[0]
     scores = []
@@ -308,18 +311,17 @@ def normalize_session(raw: list[MeasureScores]) -> list[MeasureScores]:
     return [MeasureScores(**slot) for slot in normalized]
 
 
-def classify_session(normalized: list[MeasureScores], quantile: float = 0.75,
-                     measures=("a_int", "diversity", "readability")) -> str:
-    """Name of the measure with the highest per-session quantile score.
-
-    Ties go to the earliest measure in `measures`.
+def classify_session(normalized: list[MeasureScores],
+                     quantile: float = 0.75) -> str:
+    """Name of whichever of a_int, diversity and readability has the
+    highest per-session quantile score; ties go to the earliest of these.
     """
     if not normalized:
         raise ValueError("cannot classify an empty session")
     if not 0 < quantile < 1:
         raise ValueError("quantile must be in (0, 1)")
     best_name, best_q = None, -math.inf
-    for name in measures:
+    for name in ("a_int", "diversity", "readability"):
         series = [s.get(name) for s in normalized]
         q = float(np.quantile(series, quantile))
         if q > best_q:

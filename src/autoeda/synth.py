@@ -30,7 +30,7 @@ _LOWER = string.ascii_lowercase
 _P_SUM_ATOL = math.sqrt(np.finfo(np.float64).eps)
 
 # Default schema used throughout: three categorical, three numeric and two
-# text columns, 1000 rows.
+# text columns.
 DEFAULT_SCHEMA = (
     ("c1", ColumnKind.CATEGORICAL), ("c2", ColumnKind.CATEGORICAL),
     ("c3", ColumnKind.CATEGORICAL),
@@ -38,7 +38,6 @@ DEFAULT_SCHEMA = (
     ("n3", ColumnKind.NUMERIC),
     ("t1", ColumnKind.TEXT), ("t2", ColumnKind.TEXT),
 )
-DEFAULT_ROWS = 1000
 
 
 @dataclass(frozen=True)

@@ -515,10 +515,10 @@ def _infer_kind(strings, numbers, n_rows, max_categorical, categorical_fraction)
     return ColumnKind.TEXT
 
 
-def _read_columns(path: Path, delimiter: str):
+def _read_columns(path: Path):
     """(header, one tuple of raw strings per column, row count)."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
+        reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
@@ -532,17 +532,17 @@ def _read_columns(path: Path, delimiter: str):
     return header, columns, len(rows)
 
 
-def load_dataset(path, schema: dict | None = None, delimiter: str = ",",
-                 name: str | None = None, max_categorical: int = 20,
+def load_dataset(path, schema: dict | None = None, max_categorical: int = 20,
                  categorical_fraction: float = 0.05) -> Dataset:
-    """Load a delimited text file with a header row.
+    """Load a CSV file with a header row; the dataset is named after the
+    file's stem.
 
     `schema` maps column names to ColumnKind (or its string value) and
     overrides inference. Empty cells load as null. Each distinct string of
     a column is parsed once.
     """
     path = Path(path)
-    header, columns, n_rows = _read_columns(path, delimiter)
+    header, columns, n_rows = _read_columns(path)
     schema = {k: ColumnKind(v) for k, v in (schema or {}).items()}
     kinds, encoded, bad = [], [], []
     for i, (col, cells) in enumerate(zip(header, columns)):
@@ -568,7 +568,7 @@ def load_dataset(path, schema: dict | None = None, delimiter: str = ",",
         r, i, cell = min(bad)
         raise ValueError(f"{path}: row {r + 1}, column {header[i]!r}: "
                          f"non-numeric cell {cell!r} in numeric column")
-    return Dataset._encoded(name or path.stem, list(zip(header, kinds)), encoded, n_rows)
+    return Dataset._encoded(path.stem, list(zip(header, kinds)), encoded, n_rows)
 
 
 def load_schema_sidecar(path) -> dict:
@@ -579,7 +579,7 @@ def load_schema_sidecar(path) -> dict:
     return {col: ColumnKind(kind) for col, kind in obj.items()}
 
 
-def write_dataset(dataset: Dataset, path, delimiter: str = ",") -> None:
+def write_dataset(dataset: Dataset, path) -> None:
     """Write CSV with canonical numeric text; nulls as empty cells.
 
     Each dictionary entry is formatted once and gathered by the codes."""
@@ -590,7 +590,7 @@ def write_dataset(dataset: Dataset, path, delimiter: str = ",") -> None:
                         dtype=object)
         columns.append(text[codes].tolist())
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, delimiter=delimiter)
+        writer = csv.writer(fh)
         writer.writerow(dataset.column_names)
         writer.writerows(zip(*columns))
 

@@ -18,11 +18,11 @@ from pathlib import Path
 import numpy as np
 
 from . import nn
-from .env import (EdaEnv, HeadLayout, encode_action, head_mask,
-                  heads_from_action, play, replay)
+from .env import (DEFAULT_HORIZON, DEFAULT_TERM_BINS, EdaEnv, HeadLayout,
+                  encode_action, head_mask, heads_from_action, play, replay)
 from .tabular import ColumnKind, write_json
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 # rng sub-stream ids, combined with the run seed through SeedSequence
 STREAM_INIT = 0
@@ -46,8 +46,7 @@ def derive_rng(seed: int, *path: int) -> np.random.Generator:
 # one expert step
 _COUNT_MINIMUMS = {"horizon": 1, "total_interactions": 1, "train_interval": 1,
                    "batch_policy": 2, "batch_disc": 2, "bc_epochs": 1,
-                   "bc_batch": 1, "term_bins": 1, "buffer_capacity": 1,
-                   "updates_per_interval": 1}
+                   "bc_batch": 1, "term_bins": 1, "buffer_capacity": 1}
 
 
 def is_int(value) -> bool:
@@ -63,7 +62,7 @@ def is_finite_number(value) -> bool:
 
 @dataclass
 class TrainConfig:
-    horizon: int = 12
+    horizon: int = DEFAULT_HORIZON
     total_interactions: int = 100_000
     train_interval: int = 1024
     lr_bc: float = 1e-4
@@ -78,13 +77,10 @@ class TrainConfig:
     penalty_enabled: bool = True
     bc_enabled: bool = True
     bc_only: bool = False
-    use_discount: bool = True
-    penalty_scope: str = "params"  # or "kind": how action repeats compare
-    term_bins: int = 20
+    term_bins: int = DEFAULT_TERM_BINS
     policy_hidden: tuple = (50, 50, 50)
     disc_hidden: tuple = (32, 32)
     buffer_capacity: int = 16384
-    updates_per_interval: int = 1
     seed: int = 0
 
     def __post_init__(self):
@@ -109,10 +105,10 @@ class TrainConfig:
               "clip_eps", "a number in (0, 1)")
         check(is_finite_number(self.gamma) and 0 <= self.gamma <= 1,
               "gamma", "a number in [0, 1]")
-        for name in ("penalty_enabled", "bc_enabled", "bc_only", "use_discount"):
+        for name in ("penalty_enabled", "bc_enabled", "bc_only"):
             check(isinstance(getattr(self, name), bool), name, "true or false")
-        check(self.penalty_scope in ("params", "kind"), "penalty_scope",
-              "'params' or 'kind'")
+        check(self.bc_enabled or not self.bc_only, "bc_only",
+              "false when bc_enabled is false")
         for name in ("policy_hidden", "disc_hidden"):
             sizes = getattr(self, name)
             check(isinstance(sizes, tuple) and len(sizes) >= 1
@@ -138,11 +134,7 @@ class TrainConfig:
         return out
 
 
-def _same_action(a, b, scope: str) -> bool:
-    return a.kind == b.kind if scope == "kind" else a == b
-
-
-def incoherence_penalty(actions, scope: str = "params") -> float:
+def incoherence_penalty(actions) -> float:
     """Penalty for the newest action given the episode's action history.
 
     Clauses in order, first match wins:
@@ -170,7 +162,7 @@ def incoherence_penalty(actions, scope: str = "params") -> float:
                     return 0.0
             return -float(l)
         return 0.0
-    if t >= 2 and _same_action(last, actions[-2], scope):
+    if t >= 2 and last == actions[-2]:
         return -1.0
     return 0.0
 
@@ -228,7 +220,7 @@ def prepare_expert_steps(datasets, trajectories, layout: HeadLayout,
                              f"{traj.dataset!r}")
         records, _ = replay(by_name[traj.dataset], traj.actions, layout)
         for rec in records:
-            penalty = incoherence_penalty(traj.actions[:rec.t], cfg.penalty_scope)
+            penalty = incoherence_penalty(traj.actions[:rec.t])
             steps.append(Step(
                 state=rec.state, heads=np.asarray(rec.heads), mask=rec.mask,
                 action_vec=rec.action_vec, next_state=rec.next_state,
@@ -316,8 +308,7 @@ class RolloutCollector:
                                                    self.layout), self.layout)
             penalty = 0.0
             if cfg.penalty_enabled:
-                penalty = incoherence_penalty(next_state.action_history,
-                                              cfg.penalty_scope)
+                penalty = incoherence_penalty(next_state.action_history)
             reward = imitation_reward(disc.prob(np.concatenate([svec, avec])),
                                       penalty)
             step = Step(state=svec, heads=np.asarray(heads),
@@ -385,8 +376,7 @@ def assemble_mixed_batch(buffer: deque, expert_steps, policy, disc,
 def _advantages(value: nn.ValueNet, batch: dict, cfg: TrainConfig):
     v_s, _ = value.forward(batch["states"])
     v_next, _ = value.forward(batch["next_states"])
-    gamma = cfg.gamma if cfg.use_discount else 1.0
-    targets = batch["rewards"] + gamma * v_next * (1.0 - batch["dones"])
+    targets = batch["rewards"] + cfg.gamma * v_next * (1.0 - batch["dones"])
     return targets - v_s, targets
 
 
@@ -485,11 +475,10 @@ def train_gail(cfg: TrainConfig, datasets, expert, metrics_sink=None,
         done_interactions += n
         disc_loss, disc_acc = update_discriminator(disc, disc_opt, buffer,
                                                    expert_steps, cfg, update_rng)
-        for _ in range(cfg.updates_per_interval):
-            batch = assemble_mixed_batch(buffer, expert_steps, policy, disc,
-                                         cfg, update_rng)
-            ppo_update(policy, policy_opt, value, batch, cfg)
-            value_update(value, value_opt, batch, cfg)
+        batch = assemble_mixed_batch(buffer, expert_steps, policy, disc, cfg,
+                                     update_rng)
+        ppo_update(policy, policy_opt, value, batch, cfg)
+        value_update(value, value_opt, batch, cfg)
         new_eps = collector.episode_lengths[before_eps:]
         record = {
             "interval": interval,

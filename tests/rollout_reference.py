@@ -28,7 +28,7 @@ def policy_step(policy, env, state, rng=None, svec=None):
         heads, logp = tuple(int(np.argmax(p)) for p in dists), None
     else:
         heads, logp = nn.sample_action(dists, rng, RELEVANT_HEADS)
-    action = action_from_heads(heads, state.current, env.dataset, env.layout)
+    action = action_from_heads(heads, state.current, env.dataset)
     return svec, heads, logp, action, env.step(state, action)
 
 
@@ -90,8 +90,7 @@ class RolloutCollector:
                                  self.layout)
             penalty = 0.0
             if cfg.penalty_enabled:
-                penalty = incoherence_penalty(new_state.action_history,
-                                              cfg.penalty_scope)
+                penalty = incoherence_penalty(new_state.action_history)
             reward = imitation_reward(disc.prob(np.concatenate([svec, avec])),
                                       penalty)
             next_svec = env.encode_state(new_state)

@@ -341,16 +341,18 @@ def test_usage_errors_exit_one(run_dir, data_dir, tmp_path):
                 {"bc_epochs": 1.5}, {"bc_batch": 0}, {"horizon": True},
                 {"term_bins": 0}, {"buffer_capacity": "big"},
                 {"gamma": True}, {"clip_eps": 0}, {"seed": -1},
-                {"bc_only": 1}, {"penalty_scope": "all"},
+                {"bc_only": 1}, {"bc_enabled": False, "bc_only": True},
+                {"penalty_scope": "params"},
                 {"batch_disc": 1}, {"batch_policy": 1}):
         config.write_text(json.dumps(bad))
         out = tmp_path / "train_out"
         assert run("train", "--data", data_dir, "--datasets", "ds1",
                    "--config", config, "--out", out) == 1, bad
         assert not out.exists(), bad
-    assert run("train", "--data", data_dir, "--datasets", "ds1",
-               "--seed", "-1", "--out", out) == 1
-    assert not out.exists()
+    for flags in (("--seed", "-1"), ("--no-bc", "--bc-only")):
+        assert run("train", "--data", data_dir, "--datasets", "ds1",
+                   *flags, "--out", out) == 1, flags
+        assert not out.exists(), flags
 
 
 def test_failed_synth_leaves_no_file_it_wrote(tmp_path, monkeypatch):
@@ -446,6 +448,26 @@ def test_data_errors_exit_two(tmp_path, data_dir):
         (tmp_path / "ds1.schema.json").write_text(malformed)
         assert run("measure", "--session", data_dir / "ds1.eval.json",
                    "--dataset", tmp_path / "ds1.csv") == 2, malformed
+
+
+def test_measure_bad_session_or_ruleset_exits_two(data_dir, tmp_path, capsys):
+    """An empty session is a data error that names it, and so is a ruleset
+    file that is valid JSON but not an object."""
+    gold = json.loads((data_dir / "ds1.eval.json").read_text())
+    session = tmp_path / "s.json"
+    session.write_text(json.dumps({"dataset": "ds1",
+                                   "sessions": [gold["sessions"][0], []]}))
+    assert run("measure", "--session", session,
+               "--dataset", data_dir / "ds1.csv", "--out", tmp_path / "m") == 2
+    assert f"session 2 of {session} is empty" in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
+    ruleset = tmp_path / "rules.json"
+    for text in ("[1, 2]", "3", "null"):
+        ruleset.write_text(text)
+        assert run("measure", "--session", data_dir / "ds1.eval.json",
+                   "--dataset", data_dir / "ds1.csv",
+                   "--ruleset", ruleset) == 2, text
+        assert "malformed coherence ruleset" in capsys.readouterr().err, text
 
 
 def test_malformed_checkpoints_exit_two(run_dir, data_dir, tmp_path):

@@ -211,23 +211,20 @@ def test_stop_ends_episode(toy):
 # heads <-> actions
 
 def test_kind_stop_ignores_other_heads(toy):
-    layout = HeadLayout(3)
-    a = action_from_heads((3, 2, 4, 4, 19), initial_display(toy), toy, layout)
+    a = action_from_heads((3, 2, 4, 4, 19), initial_display(toy), toy)
     assert a == STOP
 
 
 def test_filter_mode_selection(toy):
-    layout = HeadLayout(3)
     d = initial_display(toy)
-    a = action_from_heads((1, 0, 0, 0, 0), d, toy, layout)
+    a = action_from_heads((1, 0, 0, 0, 0), d, toy)
     assert a == FILTER("color", "EQ", "red")  # red is the mode (4 of 9)
 
 
 def test_bin_clamps_to_least_frequent(toy):
-    layout = HeadLayout(3, term_bins=20)
     d = initial_display(toy)
     ranked = d.ranked_values(0)
-    a = action_from_heads((1, 0, 0, 0, 19), d, toy, layout)
+    a = action_from_heads((1, 0, 0, 0, 19), d, toy)
     assert a.filter.term == ranked[-1]
 
 
@@ -235,30 +232,27 @@ def test_frequency_rank_order(toy):
     # color counts: red 4, blue 3, green 2 -> ranks 0,1,2
     d = initial_display(toy)
     assert d.ranked_values(0) == ("red", "blue", "green")
-    layout = HeadLayout(3)
     for b, expected in enumerate(("red", "blue", "green")):
-        a = action_from_heads((1, 0, 0, 0, b), d, toy, layout)
+        a = action_from_heads((1, 0, 0, 0, b), d, toy)
         assert a.filter.term == expected
 
 
 def test_empty_column_falls_back_to_base_mode(toy):
-    layout = HeadLayout(3)
     empty = apply_filter(initial_display(toy),
                          FilterPredicate("color", "EQ", "nothing"))
-    a = action_from_heads((1, 0, 0, 0, 5), empty, toy, layout)
+    a = action_from_heads((1, 0, 0, 0, 5), empty, toy)
     assert a.filter.term == "red"
 
 
 def test_group_reconstruction_forces_valid_agg(toy):
-    layout = HeadLayout(3)
     d = initial_display(toy)
     # grouping the numeric column: aggregate falls to the first other column,
     # which is categorical, so SUM degrades to COUNT
-    a = action_from_heads((0, 1, 0, 0, 0), d, toy, layout)
+    a = action_from_heads((0, 1, 0, 0, 0), d, toy)
     assert a.group.grp_col == "score"
     assert a.group.agg_func == "COUNT"
     # grouping a categorical column keeps the numeric aggregate
-    a = action_from_heads((0, 0, 0, 0, 0), d, toy, layout)
+    a = action_from_heads((0, 0, 0, 0, 0), d, toy)
     assert a.group == Grouping("color", "score", "SUM")
 
 
@@ -293,9 +287,9 @@ def test_head_round_trip_exhaustive():
     layout = HeadLayout(3, term_bins=5)
     d = initial_display(ds)
     for heads in itertools.product(*(range(s) for s in layout.sizes)):
-        action = action_from_heads(heads, d, ds, layout)
+        action = action_from_heads(heads, d, ds)
         back = heads_from_action(action, d, ds, layout)
-        again = action_from_heads(back, d, ds, layout)
+        again = action_from_heads(back, d, ds)
         assert again == action
         # argmax of the encoded blocks equals the canonical heads
         vec = encode_action(back, layout)

@@ -1,6 +1,8 @@
 import json
 import math
+import re
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,11 +59,6 @@ def test_penalty_back_chain_broken_by_back_odd_slot():
     # BACK in an odd slot breaks the FILTER/GROUP interleaving requirement
     assert incoherence_penalty([BACK, BACK, BACK]) == 0.0
     assert incoherence_penalty([F_A, BACK, BACK, BACK, F_B, BACK]) == 0.0
-
-
-def test_penalty_kind_scope():
-    assert incoherence_penalty([F_A, F_B], scope="kind") == -1.0
-    assert incoherence_penalty([F_A, F_B], scope="params") == 0.0
 
 
 def test_penalty_requires_history():
@@ -349,7 +346,7 @@ def test_expert_half_ratio_starts_at_one(toy):
 
 
 def test_value_update_constant_parameter_closed_form(toy):
-    cfg = small_cfg(use_discount=True, gamma=0.5)
+    cfg = small_cfg(gamma=0.5)
     layout, policy, value, disc = _fresh_nets(toy, cfg)
     value.flat[...] = 0.0
     value.net.biases[-1][...] = 2.0  # V(s) == 2 for every state
@@ -480,12 +477,26 @@ def test_load_checkpoint_refuses_old_version_and_wrong_length(tmp_path, toy):
     good = json.loads(path.read_text())
     assert "optimizers" not in good
     short = good["value"]["data"][:-1]
-    for payload in (dict(good, format_version=1),
+    for payload in (dict(good, format_version=1), dict(good, format_version=2),
                     dict(good, value={"shape": [len(short)], "data": short}),
                     dict(good, policy={"shape": [1], "data": [0.5]})):
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError):
             load_checkpoint(path)
+
+
+def test_readme_config_block_lists_every_field_and_default():
+    """The `train` block under the README's Configuration heading holds
+    `name value` pairs, each value JSON, two or more spaces apart."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("## Configuration", 1)[1].split("```")[1]
+    documented = {}
+    for line in block.strip().splitlines():
+        for pair in re.split(r" {2,}", line.strip()):
+            name, value = pair.split(" ", 1)
+            assert name not in documented, name
+            documented[name] = json.loads(value)
+    assert documented == TrainConfig().to_dict()
 
 
 def test_train_config_validation():
@@ -494,7 +505,7 @@ def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(gamma=-0.1)
     with pytest.raises(ValueError):
-        TrainConfig(penalty_scope="sometimes")
+        TrainConfig(bc_enabled=False, bc_only=True)
     with pytest.raises(ValueError):
         TrainConfig.from_dict({"no_such_key": 1})
     cfg = TrainConfig.from_dict({"policy_hidden": [10, 10]})
