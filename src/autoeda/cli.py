@@ -283,7 +283,7 @@ def cmd_synth(args) -> int:
 # train
 
 def _train_once(args, cfg, datasets, expert, out: Path, manifest: Manifest) -> None:
-    from .train import is_finite_number, save_checkpoint, train_gail
+    from .train import save_checkpoint, train_gail
 
     metrics_path = out / "metrics.ndjson"
     ckpt_path = out / "checkpoint.json"
@@ -291,12 +291,6 @@ def _train_once(args, cfg, datasets, expert, out: Path, manifest: Manifest) -> N
 
     with open(metrics_path, "w") as metrics_fh:
         def sink(record):
-            for key in ("disc_acc", "mean_reward", "mean_penalty"):
-                if not is_finite_number(record[key]):
-                    save_checkpoint(ckpt_path, holder["result"], cfg)
-                    raise NumericalError(
-                        f"non-finite {key} at interval {record['interval']}; "
-                        f"checkpoint dumped to {ckpt_path}")
             metrics_fh.write(json.dumps(record) + "\n")
 
         try:
@@ -304,7 +298,7 @@ def _train_once(args, cfg, datasets, expert, out: Path, manifest: Manifest) -> N
                                 result_callback=lambda r: holder.update(result=r))
         except ValueError as exc:
             raise DataError(str(exc)) from exc
-        except FloatingPointError as exc:  # behavioral cloning diverged
+        except FloatingPointError as exc:  # training went non-finite
             save_checkpoint(ckpt_path, holder["result"], cfg)
             raise NumericalError(f"{exc}; checkpoint dumped to {ckpt_path}") from exc
 

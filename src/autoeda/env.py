@@ -26,6 +26,9 @@ FEATURES_PER_COLUMN = 4
 HISTORY_WINDOW = 3
 DEFAULT_HORIZON = 12
 DEFAULT_TERM_BINS = 20
+# encodings a dataset keeps, one per operation path, the oldest dropped
+# first: a full memo of an 8-column table holds about 3 to 4 MB
+ENCODING_MEMO_SIZE = 4096
 
 # heads: kind, column, agg_func, filter_op, term_bin
 N_HEADS = 5
@@ -106,35 +109,37 @@ def encode_display(display: Display, base: Dataset) -> np.ndarray:
     follow: group count, mean group size, and group size variance, each
     scaled by the base row count (squared for the variance). All entries
     land in [0, 1]; an empty display is zero apart from the role flags.
+
+    `base` must be the display's own dataset. It keeps the encoding of each
+    operation path (`Display.key`) it has seen, up to ENCODING_MEMO_SIZE of
+    them: equal paths encode bit-identically, so a rebuilt view starts out
+    encoded.
     """
+    if display.dataset is not base:
+        raise ValueError("encode_display needs a view of its base dataset")
     if display._vec is not None:
         return display._vec
     n_cols = len(base.columns)
     vec = np.zeros(FEATURES_PER_COLUMN * n_cols + GLOBAL_FEATURES)
+    columns = vec[:-GLOBAL_FEATURES].reshape(n_cols, FEATURES_PER_COLUMN)
     n = base.row_count
     g = display.grouping
-    entropy = display.entropy_bits() if n and display.row_count else None
-    for i, (col, _) in enumerate(base.columns):
-        base_off = FEATURES_PER_COLUMN * i
-        role = 0.0
-        if g is not None:
-            if col == g.agg_col:
-                role = 1.0
-            elif col == g.grp_col:
-                role = 0.5
-        vec[base_off + 3] = role
-        if n == 0 or display.row_count == 0:
-            continue
-        codes, _, nulls = display.column_stats(i)
-        distinct = len(codes)
-        bits = entropy[i] if distinct else None
-        if g is not None and col == g.grp_col:  # one visible row per group
-            bits = _uniform_entropy_bits(len(column_histogram(display, col)))
-        if bits is not None:
-            norm = math.log2(max(2, base.distinct_count(i)))
-            vec[base_off] = min(1.0, bits / norm)
-        vec[base_off + 1] = distinct / n
-        vec[base_off + 2] = nulls / n
+    if g is not None:
+        columns[base.column_index(g.grp_col), 3] = 0.5
+        columns[base.column_index(g.agg_col), 3] = 1.0
+    if n and display.row_count:
+        _, _, nulls, starts = display._summarize()
+        distinct = np.diff(starts)
+        # a column with no values keeps +0.0, where entropy_bits gives it
+        # -0.0; each quotient below is the one a Python division gives
+        bits = np.where(distinct > 0, display.entropy_bits(), 0.0)
+        if g is not None:  # one visible row per group
+            bits[base.column_index(g.grp_col)] = _uniform_entropy_bits(
+                len(column_histogram(display, g.grp_col)))
+        norms = [math.log2(max(2, base.distinct_count(i))) for i in range(n_cols)]
+        columns[:, 0] = np.minimum(1.0, bits / norms)
+        columns[:, 1] = distinct / n
+        columns[:, 2] = nulls / n
     if g is not None and display.group_count > 0 and n > 0:
         sizes = np.asarray(display.group_sizes, dtype=float)
         vec[-3] = display.group_count / n
@@ -142,6 +147,10 @@ def encode_display(display: Display, base: Dataset) -> np.ndarray:
         vec[-1] = float(sizes.var()) / (n * n)
     display._vec = vec
     vec.setflags(write=False)
+    memo = base._encodings
+    if len(memo) >= ENCODING_MEMO_SIZE:
+        del memo[next(iter(memo))]
+    memo[display.key] = vec
     return vec
 
 
@@ -304,8 +313,8 @@ def _term_bin(pred, display, base, idx, layout):
         if target is not None and target in vals:
             return min(vals.index(target), layout.term_bins - 1)
     else:
-        texts = [canonical_number(v) if kind is ColumnKind.NUMERIC else v
-                 for v in vals]
+        texts = ([canonical_number(v) for v in vals]
+                 if kind is ColumnKind.NUMERIC else vals)
         if pred.term in texts:
             return min(texts.index(pred.term), layout.term_bins - 1)
         matcher = {

@@ -297,12 +297,24 @@ class Adam:
 
 def sample_action(dists, rng: np.random.Generator, relevant_by_kind):
     """Sample one index per head; joint log-prob over the heads the sampled
-    kind actually uses (head 0 is the kind head)."""
+    kind actually uses (head 0 is the kind head).
+
+    Head h takes the first index whose running sum of probabilities is not
+    <= u_h, clamped to the last: `searchsorted(cumsum(p), u_h, "right")`,
+    whose sums add in the same order and whose NaNs sort last, worked out on
+    Python floats. One draw of len(dists) uniforms leaves the generator where
+    len(dists) single draws would.
+    """
     indices = []
-    for p in dists:
-        u = rng.random()
-        indices.append(int(np.searchsorted(np.cumsum(p), u, side="right")
-                           .clip(0, len(p) - 1)))
+    for p, u in zip(dists, rng.random(len(dists)).tolist()):
+        c = 0.0
+        i = 0
+        for q in p.tolist():
+            c += q
+            if not c <= u:
+                break
+            i += 1
+        indices.append(min(i, len(p) - 1))
     relevant = relevant_by_kind[indices[0]]
     logp = sum(float(np.log(dists[h][indices[h]])) for h in relevant)
     return tuple(indices), logp

@@ -158,6 +158,10 @@ class Dataset:
         # form a cycle that keeps every loaded table alive until the cyclic
         # garbage collector runs
         self._root = None
+        # Display.key -> read-only encoding, filled by env.encode_display.
+        # Keys hold only predicates and groupings, so nothing refers back
+        # to the dataset, and the memo dies with it.
+        self._encodings = {}
 
     @staticmethod
     def _coerce(cell, kind, r, cname):
@@ -199,6 +203,8 @@ class Display:
     filters. A grouped display also holds its group keys (in code order,
     null last), group sizes and aggregate values; `visible_rows` is what a
     user would see. Instances are immutable and cache per-column statistics.
+    A view whose operation path its dataset has encoded before starts with
+    that encoding.
     """
 
     __slots__ = ("dataset", "filters", "grouping", "rows",
@@ -216,7 +222,7 @@ class Display:
         self.group_aggs = group_aggs
         self._summary = None
         self._ranked = {}
-        self._vec = None
+        self._vec = dataset._encodings.get((self.filters, grouping))
         self._fp = None
 
     @property
@@ -595,10 +601,10 @@ def write_dataset(dataset: Dataset, path) -> None:
         writer.writerows(zip(*columns))
 
 
-def write_json(path, obj, indent: int | None = None) -> None:
-    """`obj` as JSON and a newline, in one write. Encoding the whole
-    document with json.dumps lets an unindented one use the C encoder,
-    which json.dump never does."""
+def write_json(path, obj, indent: int) -> None:
+    """`obj` as indented JSON and a newline, encoded whole and written at
+    once. (A checkpoint, the one unindented document, is written by
+    `train.save_checkpoint` a network at a time.)"""
     with open(path, "w") as fh:
         fh.write(json.dumps(obj, indent=indent) + "\n")
 

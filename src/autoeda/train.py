@@ -20,7 +20,7 @@ import numpy as np
 from . import nn
 from .env import (DEFAULT_HORIZON, DEFAULT_TERM_BINS, EdaEnv, HeadLayout,
                   encode_action, head_mask, heads_from_action, play, replay)
-from .tabular import ColumnKind, write_json
+from .tabular import ColumnKind
 
 CHECKPOINT_VERSION = 3
 
@@ -433,7 +433,9 @@ def train_gail(cfg: TrainConfig, datasets, expert, metrics_sink=None,
     `metrics_sink` receives one dict per training interval:
     {interval, disc_acc, mean_reward, mean_penalty, mean_ep_len}.
     `result_callback` sees the TrainResult as soon as the networks exist,
-    so callers can checkpoint on abort.
+    so callers can checkpoint on abort. An interval whose losses, logged
+    means or network parameters are not finite raises FloatingPointError
+    before it reaches the sink.
     """
     if not datasets:
         raise ValueError("need at least one training dataset")
@@ -478,7 +480,7 @@ def train_gail(cfg: TrainConfig, datasets, expert, metrics_sink=None,
         batch = assemble_mixed_batch(buffer, expert_steps, policy, disc, cfg,
                                      update_rng)
         ppo_update(policy, policy_opt, value, batch, cfg)
-        value_update(value, value_opt, batch, cfg)
+        value_loss = value_update(value, value_opt, batch, cfg)
         new_eps = collector.episode_lengths[before_eps:]
         record = {
             "interval": interval,
@@ -487,6 +489,11 @@ def train_gail(cfg: TrainConfig, datasets, expert, metrics_sink=None,
             "mean_penalty": round(float(np.mean([s.penalty for s in steps])), 6),
             "mean_ep_len": round(float(np.mean(new_eps)) if new_eps else 0.0, 6),
         }
+        if not (all(map(math.isfinite, (disc_loss, value_loss, *record.values())))
+                and all(np.isfinite(net.flat).all()
+                        for net in (policy, value, disc))):
+            raise FloatingPointError(f"adversarial training went non-finite in "
+                                     f"interval {interval}")
         result.metrics.append(record)
         if metrics_sink is not None:
             metrics_sink(record)
@@ -502,18 +509,24 @@ def _load_flat(net, obj, name: str) -> None:
 
 
 def save_checkpoint(path, result: TrainResult, cfg: TrainConfig) -> None:
-    payload = {
+    """The bytes of `json.dumps(payload) + "\\n"`, encoded a piece at a time:
+    the head fields, then each network, so that only one network's text is
+    held at once."""
+    head = {
         "format_version": CHECKPOINT_VERSION,
         "seed": cfg.seed,
         "config": cfg.to_dict(),
         "schema": [[c, k.value] for c, k in result.schema],
         "layout": {"n_columns": result.layout.n_columns,
                    "term_bins": result.layout.term_bins},
-        "policy": nn.arr_to_json(result.policy.flat),
-        "value": nn.arr_to_json(result.value.flat),
-        "discriminator": nn.arr_to_json(result.discriminator.flat),
     }
-    write_json(path, payload)
+    nets = (("policy", result.policy), ("value", result.value),
+            ("discriminator", result.discriminator))
+    with open(path, "w") as fh:
+        fh.write(json.dumps(head)[:-1])
+        for name, net in nets:
+            fh.write(f', "{name}": {json.dumps(nn.arr_to_json(net.flat))}')
+        fh.write("}\n")
 
 
 def load_checkpoint(path) -> tuple[TrainResult, TrainConfig]:

@@ -8,7 +8,9 @@ log-softmax, Adam allocates its temporaries and the L2 term is
 `2.0 * coeff * flat`. The functions carry the signatures of the `nn` methods
 they stand for; `installed()` puts them in place of those methods, so a test
 can run the training functions of `autoeda.train` on the reference
-arithmetic.
+arithmetic. `sample_action` is the sampler as it was before it walked each
+head's probabilities on Python floats: one `rng.random()`, `cumsum` and
+`searchsorted` per head.
 """
 
 import contextlib
@@ -156,3 +158,14 @@ def bc_pretrain(policy, expert_steps, cfg, rng):
             total_nll += float(-logp.sum())
         history.append(total_nll / n)
     return history
+
+
+def sample_action(dists, rng, relevant_by_kind):
+    indices = []
+    for p in dists:
+        u = rng.random()
+        indices.append(int(np.searchsorted(np.cumsum(p), u, side="right")
+                           .clip(0, len(p) - 1)))
+    relevant = relevant_by_kind[indices[0]]
+    logp = sum(float(np.log(dists[h][indices[h]])) for h in relevant)
+    return tuple(indices), logp

@@ -5,29 +5,70 @@ hand-kept episode state (dataset index, state, cached encoding) that carries
 over between collection windows, and `generate_session` drives it in its own
 loop. `ReplayBuffer` and the two batch builders draw their samples as the
 training loop did, so the new code must make the same rng calls in the same
-order.
+order. Each decision samples with the reference sampler of `nn_reference`
+and encodes its states with `encode_state`, which computes every display's
+encoding afresh and neither reads nor fills any cache.
 """
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from autoeda import nn
-from autoeda.env import (RELEVANT_HEADS, EdaEnv, Trajectory, action_from_heads,
-                         encode_action, head_mask, heads_from_action)
+import nn_reference
+from autoeda.env import (HISTORY_WINDOW, RELEVANT_HEADS, EdaEnv, Trajectory,
+                         action_from_heads, encode_action, head_mask,
+                         heads_from_action)
+from autoeda.tabular import column_histogram
 from autoeda.train import imitation_reward, incoherence_penalty
+
+
+def encode(display):
+    """`env.encode_display` of `display` over its own dataset, computed."""
+    base = display.dataset
+    vec = np.zeros(4 * len(base.columns) + 3)
+    n = base.row_count
+    g = display.grouping
+    entropy = display.entropy_bits() if n and display.row_count else None
+    for i, (col, _) in enumerate(base.columns):
+        if g is not None:
+            vec[4 * i + 3] = 1.0 if col == g.agg_col else 0.5 if col == g.grp_col else 0.0
+        if n == 0 or display.row_count == 0:
+            continue
+        codes, _, nulls = display.column_stats(i)
+        bits = entropy[i] if len(codes) else None
+        if g is not None and col == g.grp_col:  # k groups, 1/k each
+            k = len(column_histogram(display, col))
+            share = 1.0 / k
+            bits = -float(np.cumsum(np.full(k, share * math.log2(share)))[-1])
+        if bits is not None:
+            vec[4 * i] = min(1.0, bits / math.log2(max(2, base.distinct_count(i))))
+        vec[4 * i + 1] = len(codes) / n
+        vec[4 * i + 2] = nulls / n
+    if g is not None and display.group_count > 0 and n > 0:
+        sizes = np.asarray(display.group_sizes, dtype=float)
+        vec[-3] = display.group_count / n
+        vec[-2] = float(sizes.mean()) / n
+        vec[-1] = float(sizes.var()) / (n * n)
+    return vec
+
+
+def encode_state(state):
+    recent = [encode(d) for d in state.history[-HISTORY_WINDOW:]]
+    pad = np.zeros((HISTORY_WINDOW - len(recent)) * len(recent[0]))
+    return np.concatenate([pad, *recent])
 
 
 def policy_step(policy, env, state, rng=None, svec=None):
     """(state vector, heads, log-prob, action, next state) of one decision."""
     if svec is None:
-        svec = env.encode_state(state)
+        svec = encode_state(state)
     dists = policy.head_probs(svec)
     if rng is None:
         heads, logp = tuple(int(np.argmax(p)) for p in dists), None
     else:
-        heads, logp = nn.sample_action(dists, rng, RELEVANT_HEADS)
+        heads, logp = nn_reference.sample_action(dists, rng, RELEVANT_HEADS)
     action = action_from_heads(heads, state.current, env.dataset)
     return svec, heads, logp, action, env.step(state, action)
 
@@ -93,7 +134,7 @@ class RolloutCollector:
                 penalty = incoherence_penalty(new_state.action_history)
             reward = imitation_reward(disc.prob(np.concatenate([svec, avec])),
                                       penalty)
-            next_svec = env.encode_state(new_state)
+            next_svec = encode_state(new_state)
             tr = Transition(
                 state=svec, heads=np.asarray(heads), mask=head_mask(action.kind),
                 action_vec=avec, reward=reward, penalty=penalty,

@@ -398,6 +398,31 @@ def test_diverging_bc_exits_three(data_dir, tmp_path):
     assert not (out / "manifest.json").exists()
 
 
+def test_non_finite_adversarial_training_exits_three(data_dir, tmp_path,
+                                                    monkeypatch):
+    """A policy that goes non-finite in an adversarial interval dumps a
+    checkpoint and exits 3; no record of that interval is logged."""
+    from autoeda import train
+
+    ppo_update = train.ppo_update
+
+    def poisoned(policy, *args):
+        out = ppo_update(policy, *args)
+        policy.flat[0] = np.nan
+        return out
+
+    monkeypatch.setattr(train, "ppo_update", poisoned)
+    config = tmp_path / "train.json"
+    config.write_text(json.dumps({"total_interactions": 64,
+                                  "train_interval": 32, "horizon": 5}))
+    out = tmp_path / "out"
+    assert run("train", "--data", data_dir, "--datasets", "ds1",
+               "--config", config, "--no-bc", "--out", out) == 3
+    assert "NaN" in (out / "checkpoint.json").read_text()
+    assert (out / "metrics.ndjson").read_text() == ""
+    assert not (out / "manifest.json").exists()
+
+
 def test_synth_accepts_the_edges_of_each_range(tmp_path):
     config = tmp_path / "synth.json"
     config.write_text(json.dumps({

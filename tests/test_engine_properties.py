@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import row_engine as ref
+from rollout_reference import encode
 from autoeda.env import ActionSpec, EdaEnv, encode_display, walk
 from autoeda.measures import coherence
 from autoeda.tabular import (FILTER_OPS, ColumnKind, Dataset, FilterPredicate,
@@ -143,3 +144,21 @@ def test_expert_views_encode_bit_for_bit(synthetic_bundle):
             assert np.array_equal(encode_display(state.current, ds), ref.encode(view, ds))
             for col in ds.column_names:
                 assert column_histogram(state.current, col) == ref.histogram(view, col)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(tables().flatmap(lambda ds: st.tuples(st.just(ds), sessions(ds))))
+def test_memo_served_encodings_equal_fresh_ones(case):
+    """Walk a random session twice. The second walk builds new views, and
+    each starts with the encoding its path got in the first walk; that and
+    every encoding of the first walk equal one computed afresh."""
+    ds, actions = case
+    first = walk(ds, actions)
+    for state in first:  # bytes, so that the sign of a zero counts too
+        assert encode_display(state.current, ds).tobytes() == encode(state.current).tobytes()
+    for state in walk(ds, actions):
+        d = state.current
+        assert d._vec is not None
+        assert d._vec.tobytes() == encode(d).tobytes()
+        assert encode_display(d, ds) is d._vec
+    assert len(ds._encodings) == len({s.current.key for s in first})

@@ -6,6 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from autoeda import env
 from autoeda.env import (BACK, STOP, ActionSpec, EdaEnv, HeadLayout,
                          Trajectory, action_from_heads, action_from_json,
                          action_to_json, encode_action, encode_display,
@@ -13,7 +14,7 @@ from autoeda.env import (BACK, STOP, ActionSpec, EdaEnv, HeadLayout,
                          save_trajectories, state_vec_len, walk_displays)
 from autoeda.tabular import (ColumnKind, Dataset, FilterPredicate, Grouping,
                              apply_filter, apply_group, display_fingerprint,
-                             initial_display)
+                             initial_display, load_dataset, write_dataset)
 from row_engine import dataset_rows
 
 
@@ -89,6 +90,59 @@ def test_encodings_bounded(synthetic_bundle):
             vec = encode_display(d, dataset)
             assert np.all(np.isfinite(vec))
             assert np.all(vec >= 0.0) and np.all(vec <= 1.0)
+
+
+def test_rebuilt_view_starts_encoded(toy):
+    """A second view of one operation path takes the first one's encoding
+    from the dataset, without computing it."""
+    d0 = initial_display(toy)
+    first = apply_group(apply_filter(d0, FilterPredicate("score", "NEQ", "2")),
+                        Grouping("color", "score", "SUM"))
+    vec = encode_display(first, toy)
+    again = apply_filter(apply_group(d0, Grouping("color", "score", "SUM")),
+                         FilterPredicate("score", "NEQ", "2"))
+    assert again.key == first.key and again is not first
+    assert again._vec is vec
+    assert encode_display(again, toy) is vec
+    assert not vec.flags.writeable
+    assert apply_group(d0, Grouping("color", "score", "SUM"))._vec is None
+
+
+def test_encoding_memo_drops_its_oldest_entry(toy, monkeypatch):
+    monkeypatch.setattr(env, "ENCODING_MEMO_SIZE", 2)
+    d0 = initial_display(toy)
+    steps = [lambda: apply_filter(d0, FilterPredicate("color", "EQ", "red")),
+             lambda: apply_group(d0, Grouping("color", "score", "SUM")),
+             lambda: apply_filter(d0, FilterPredicate("note", "CONTAINS", "a"))]
+    views = [build() for build in steps]
+    vecs = [encode_display(d, toy) for d in views]
+    assert list(toy._encodings) == [views[1].key, views[2].key]
+    cold = steps[0]()
+    assert cold._vec is None
+    assert np.array_equal(encode_display(cold, toy), vecs[0])
+    assert list(toy._encodings) == [views[2].key, views[0].key]
+    assert steps[1]()._vec is None
+    assert steps[2]()._vec is vecs[2]
+
+
+def test_two_loads_of_one_csv_share_no_encodings(tmp_path, toy):
+    path = tmp_path / "toy.csv"
+    write_dataset(toy, path)
+    a, b = load_dataset(path), load_dataset(path)
+    pred = FilterPredicate("color", "EQ", "red")
+    vec = encode_display(apply_filter(initial_display(a), pred), a)
+    assert len(a._encodings) == 1 and b._encodings == {}
+    view = apply_filter(initial_display(b), pred)
+    assert view._vec is None
+    assert np.array_equal(encode_display(view, b), vec)
+    assert a._encodings is not b._encodings
+
+
+def test_encode_display_refuses_a_view_of_another_dataset(toy):
+    twin = Dataset("toy", toy.columns, dataset_rows(toy))
+    with pytest.raises(ValueError, match="its base dataset"):
+        encode_display(initial_display(toy), twin)
+    assert twin._encodings == {} and toy._encodings == {}
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""The lean training step against the reference step in nn_reference.py:
-every trained number must be the same bit for bit."""
+"""The lean training step and the sampler against the references in
+nn_reference.py: every trained number, sampled index, log-prob and
+generator state must be the same bit for bit."""
 
 from collections import deque
 
@@ -158,3 +159,62 @@ def test_backward_passes_cut_views_without_np_prod(monkeypatch):
     value.td_loss_grads(states, np.zeros(2))
     disc.bce_loss_grads(states, np.array([0.0, 1.0]))
     nn.Adam(policy.flat, 1e-3).step(policy.flat, np.ones_like(policy.flat))
+
+
+class FixedUniforms:
+    """A generator stand-in that hands out given uniforms, one at a time or
+    as an array, so a test can put u exactly on a prefix sum."""
+
+    def __init__(self, us):
+        self.us = list(us)
+
+    def random(self, size=None):
+        if size is None:
+            return self.us.pop(0)
+        out, self.us = np.array(self.us[:size]), self.us[size:]
+        return out
+
+
+def _same_sample(got, want):
+    (idx, logp), (ref_idx, ref_logp) = got, want
+    assert idx == ref_idx
+    assert all(type(i) is int for i in idx)
+    assert np.array_equal(logp, ref_logp, equal_nan=True)
+
+
+def test_sample_action_matches_reference_on_random_heads():
+    """Softmax rows of every head size the layout uses, some of them sharp,
+    drawn from one generator on each side: the same indices, log-probs and
+    generator state after every call."""
+    rng = np.random.default_rng(6)
+    sizes = (4, 8, 5, 5, 20)
+    relevant = ((0, 1, 2), (0, 1, 3, 4), (0,), (0,))
+    ours, theirs = np.random.default_rng(7), np.random.default_rng(7)
+    for trial in range(400):
+        scale = (0.1, 1.0, 10.0, 40.0)[trial % 4]
+        dists = [ref.softmax(rng.normal(scale=scale, size=k)) for k in sizes]
+        _same_sample(nn.sample_action(dists, ours, relevant),
+                     ref.sample_action(dists, theirs, relevant))
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+def test_sample_action_matches_reference_on_edge_cases():
+    """u on a prefix sum (the index after it), every sum at most u (the last
+    index), NaN rows and NaN entries (the first NaN sum), zero entries and
+    one-entry heads."""
+    nan = float("nan")
+    cases = [
+        ([0.25, 0.25, 0.5], 0.25), ([0.25, 0.25, 0.5], 0.5),
+        ([0.25, 0.25, 0.5], 0.0), ([0.1, 0.2, 0.3], 0.6),
+        ([0.1, 0.2, 0.3], 0.95), ([0.1, 0.0], 0.5),
+        ([nan, nan, nan], 0.3), ([0.2, nan, 0.8], 0.1),
+        ([0.2, nan, 0.8], 0.5), ([nan], 0.9), ([1.0], 0.0),
+        ([1.0], 0.999), ([0.0, 0.0, 1.0], 0.0), ([0.0, 1.0, 0.0], 0.7),
+    ]
+    relevant = ((0, 1), (0,), (0,))
+    for p, u in cases:
+        for kind in ([1.0, 0.0, 0.0], [0.0, 0.0, 1.0]):
+            dists = [np.array(kind), np.array(p)]
+            with np.errstate(divide="ignore"):
+                _same_sample(nn.sample_action(dists, FixedUniforms([0.5, u]), relevant),
+                             ref.sample_action(dists, FixedUniforms([0.5, u]), relevant))

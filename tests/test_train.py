@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from autoeda import nn
+from autoeda import nn, train
 from autoeda.env import BACK, STOP, ActionSpec, HeadLayout, state_vec_len
 from autoeda.tabular import FilterPredicate, Grouping
 from autoeda.train import (RolloutCollector, Step, TrainConfig, TrainResult,
@@ -464,6 +464,60 @@ def test_checkpoint_round_trip_three_columns(tmp_path, toy):
     for name in ("policy", "value", "discriminator"):
         assert np.array_equal(getattr(loaded, name).flat,
                               getattr(result, name).flat), name
+
+
+def test_checkpoint_is_one_json_document_written_in_pieces(tmp_path, toy):
+    """The pieces add up to the bytes of `json.dumps(payload) + "\n"`, a
+    non-finite parameter included, and load back to the same networks."""
+    cfg = small_cfg(policy_hidden=(16, 16), disc_hidden=(8, 8))
+    layout, policy, value, disc = _fresh_nets(toy, cfg)
+    rng = derive_rng(5, 0)
+    for net in (policy, value, disc):
+        net.flat[...] = rng.normal(scale=1e3, size=net.flat.shape)
+    value.flat[3] = 1e-310
+    disc.flat[0] = math.inf
+    result = TrainResult(policy, value, disc, layout, tuple(toy.columns))
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(path, result, cfg)
+    payload = {
+        "format_version": 3, "seed": cfg.seed, "config": cfg.to_dict(),
+        "schema": [[c, k.value] for c, k in toy.columns],
+        "layout": {"n_columns": 3, "term_bins": cfg.term_bins},
+        "policy": nn.arr_to_json(policy.flat),
+        "value": nn.arr_to_json(value.flat),
+        "discriminator": nn.arr_to_json(disc.flat),
+    }
+    assert path.read_text() == json.dumps(payload) + "\n"
+    loaded, loaded_cfg = load_checkpoint(path)
+    assert loaded_cfg == cfg
+    for name in ("policy", "value", "discriminator"):
+        assert np.array_equal(getattr(loaded, name).flat,
+                              getattr(result, name).flat), name
+
+
+def test_non_finite_policy_stops_adversarial_training(toy, monkeypatch):
+    """A policy poisoned in the second interval's update raises before that
+    interval reaches the sink; the first interval was logged."""
+    from autoeda.env import Trajectory
+    calls = []
+
+    def poisoned(policy, *args):
+        out = ppo_update(policy, *args)
+        calls.append(1)
+        if len(calls) == 2:
+            policy.flat[...] = math.nan
+        return out
+
+    monkeypatch.setattr(train, "ppo_update", poisoned)
+    sunk, held = [], {}
+    with pytest.raises(FloatingPointError, match="interval 2"):
+        train_gail(small_cfg(bc_enabled=False, total_interactions=96), [toy],
+                   [Trajectory("toy", (F_A, G_A, BACK, STOP))],
+                   metrics_sink=sunk.append,
+                   result_callback=lambda r: held.update(result=r))
+    assert [r["interval"] for r in sunk] == [1]
+    assert held["result"].metrics == sunk
+    assert np.isnan(held["result"].policy.flat).all()
 
 
 def test_load_checkpoint_refuses_old_version_and_wrong_length(tmp_path, toy):
