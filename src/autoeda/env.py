@@ -348,28 +348,38 @@ def head_mask(kind: str) -> np.ndarray:
     return mask
 
 
+def decide(policy: nn.PolicyNet, svecs: np.ndarray, displays,
+           rng: np.random.Generator | None = None):
+    """One decision in each of k states: one policy forward on their
+    stacked (k, state_dim) vectors, and the actions on their current
+    `displays`. Returns the (k, heads) head indices, the (k,) log-probs and
+    the k actions.
+
+    With `rng` every head is sampled and a log-prob covers the heads the
+    sampled kind uses; without it every head takes its argmax and the
+    log-probs are None.
+    """
+    probs, _ = policy.forward(svecs)
+    if rng is None:
+        heads = np.stack([p.argmax(axis=1) for p in probs], axis=1)
+        logp = None
+    else:
+        heads, logp = nn.sample_action(probs, rng, RELEVANT_HEADS)
+    actions = [action_from_heads(h, d, d.dataset)
+               for h, d in zip(heads.tolist(), displays)]
+    return heads, logp, actions
+
+
 def play(policy: nn.PolicyNet, env: EdaEnv,
          rng: np.random.Generator | None = None):
-    """One episode of `policy` from env.reset(), one tuple per step:
-    (state, svec, heads, logp, action, next_state, next_svec).
-
-    With `rng` the heads are sampled and the log-prob covers the heads the
-    sampled kind uses; without it every head takes its argmax and the
-    log-prob is None. Each state is encoded once and carried forward.
-    """
+    """The actions of one episode of `policy` from env.reset(), each taken
+    by `decide`; a state is encoded only when a decision is taken in it."""
     state = env.reset()
-    svec = env.encode_state(state)
     while not state.done:
-        dists = policy.head_probs(svec)
-        if rng is None:
-            heads, logp = tuple(int(np.argmax(p)) for p in dists), None
-        else:
-            heads, logp = nn.sample_action(dists, rng, RELEVANT_HEADS)
-        action = action_from_heads(heads, state.current, env.dataset)
-        next_state = env.step(state, action)
-        next_svec = env.encode_state(next_state)
-        yield state, svec, heads, logp, action, next_state, next_svec
-        state, svec = next_state, next_svec
+        _, _, (action,) = decide(policy, env.encode_state(state)[None],
+                                 [state.current], rng)
+        state = env.step(state, action)
+        yield action
 
 
 @dataclass(frozen=True)

@@ -145,9 +145,8 @@ def generate_session(policy: nn.PolicyNet, dataset: Dataset,
     if mode == "sample" and rng is None:
         raise ValueError("sample mode needs an rng")
     env = EdaEnv(dataset, layout, horizon)
-    steps = play(policy, env, rng if mode == "sample" else None)
     return Trajectory(dataset.name,
-                      tuple(action for _, _, _, _, action, _, _ in steps))
+                      tuple(play(policy, env, rng if mode == "sample" else None)))
 
 
 def evaluate_sessions(dataset: Dataset, sessions, gold_trajectories,

@@ -152,10 +152,6 @@ class PolicyNet:
             norms.append((z, s))
         return probs, (feat, cache, norms, probs)
 
-    def head_probs(self, state: np.ndarray):
-        probs, _ = self.forward(state.reshape(1, -1))
-        return [p[0] for p in probs]
-
     def logprob(self, states: np.ndarray, head_idx: np.ndarray,
                 masks: np.ndarray):
         """Joint log-probability of the masked heads, batched.
@@ -232,10 +228,6 @@ class DiscriminatorNet:
         probs = 1.0 / (1.0 + np.exp(-clamped))
         return probs, (cache, raw)
 
-    def prob(self, x: np.ndarray) -> float:
-        p, _ = self.forward(x.reshape(1, -1))
-        return float(p[0])
-
     def bce_loss_grads(self, x: np.ndarray, labels: np.ndarray):
         """Binary cross-entropy toward labels in {0, 1} and its gradient.
 
@@ -295,29 +287,40 @@ class Adam:
         flat -= num
 
 
-def sample_action(dists, rng: np.random.Generator, relevant_by_kind):
-    """Sample one index per head; joint log-prob over the heads the sampled
-    kind actually uses (head 0 is the kind head).
+def sample_action(probs, rng: np.random.Generator, relevant_by_kind):
+    """Sample one index per head for each of k rows; each row's joint
+    log-prob covers the heads its sampled kind actually uses (head 0 is the
+    kind head). `probs` holds one (k, size) array per head.
 
-    Head h takes the first index whose running sum of probabilities is not
-    <= u_h, clamped to the last: `searchsorted(cumsum(p), u_h, "right")`,
-    whose sums add in the same order and whose NaNs sort last, worked out on
-    Python floats. One draw of len(dists) uniforms leaves the generator where
-    len(dists) single draws would.
+    Row r's head h takes the first index whose running sum of probabilities
+    is not <= u[r, h], clamped to the last: `searchsorted(cumsum(p), u,
+    "right")`, whose sums add in the same order and whose NaNs sort last,
+    worked out on Python floats. One draw of a (k, heads) block of uniforms,
+    row by row, leaves the generator where k * heads single draws would.
+    Returns the (k, heads) indices and the (k,) log-probs.
     """
-    indices = []
-    for p, u in zip(dists, rng.random(len(dists)).tolist()):
-        c = 0.0
-        i = 0
-        for q in p.tolist():
-            c += q
-            if not c <= u:
-                break
-            i += 1
-        indices.append(min(i, len(p) - 1))
-    relevant = relevant_by_kind[indices[0]]
-    logp = sum(float(np.log(dists[h][indices[h]])) for h in relevant)
-    return tuple(indices), logp
+    n_heads = len(probs)
+    rows = [p.tolist() for p in probs]
+    indices, chosen = [], []
+    for r, us in enumerate(rng.random((len(probs[0]), n_heads)).tolist()):
+        row_indices = []
+        for head, u in zip(rows, us):
+            p = head[r]
+            c = 0.0
+            i = 0
+            for q in p:
+                c += q
+                if not c <= u:
+                    break
+                i += 1
+            i = min(i, len(p) - 1)
+            row_indices.append(i)
+            chosen.append(p[i])
+        indices.append(row_indices)
+    logs = np.log(chosen).tolist()
+    logp = [sum(logs[r * n_heads + h] for h in relevant_by_kind[row[0]])
+            for r, row in enumerate(indices)]
+    return np.array(indices), np.array(logp)
 
 
 def l2_penalty(flat: np.ndarray, coeff: float,

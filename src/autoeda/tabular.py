@@ -146,6 +146,12 @@ class Dataset:
             np.array(values[:-1].tolist() + [math.nan])
             if kind is ColumnKind.NUMERIC else None
             for values, (_, kind) in zip(self.dictionaries, columns))
+        # each dictionary entry as a filter reads it, "" for null (the text
+        # a CSV cell holds)
+        self._texts = tuple(
+            np.array([_cell_text(v, kind) for v in values[:-1].tolist()] + [""],
+                     dtype=object)
+            for values, (_, kind) in zip(self.dictionaries, columns))
         # every column's codes shifted into one slot space, so that one
         # bincount counts all columns: column i owns slots offsets[i] to
         # offsets[i + 1] - 1, its null slot last
@@ -385,43 +391,34 @@ def _cell_text(cell, kind: ColumnKind) -> str:
     return cell
 
 
-def _build_predicate(pred: FilterPredicate, kind: ColumnKind):
-    op, term = pred.op, pred.term
-    if kind is ColumnKind.NUMERIC and op in ("EQ", "NEQ"):
-        target = parse_number(term)
-
-        def eq(cell):
-            return cell is not None and target is not None and cell == target
-    else:
-        def eq(cell):
-            return cell is not None and _cell_text(cell, kind) == term
-
-    if op == "EQ":
-        return eq
-    if op == "NEQ":
-        return lambda cell: not eq(cell)
-    if op == "CONTAINS":
-        return lambda cell: cell is not None and term in _cell_text(cell, kind)
-    if op == "STARTS_WITH":
-        return lambda cell: cell is not None and _cell_text(cell, kind).startswith(term)
-    return lambda cell: cell is not None and _cell_text(cell, kind).endswith(term)
-
-
 def apply_filter(display: Display, pred: FilterPredicate) -> Display:
     """Filter the underlying rows and re-apply any active grouping.
 
-    The predicate runs once per distinct value present in the view (the
-    null sentinel included), never once per row.
+    EQ and NEQ on a numeric column compare numbers; every other test reads
+    the dictionary text of each distinct value present in the view, never
+    each row. A null matches nothing, so NEQ keeps it.
     """
     ds = display.dataset
     idx = ds.column_index(pred.column)
-    match = _build_predicate(pred, ds.columns[idx][1])
-    codes, _, nulls = display.column_stats(idx)
-    values = ds.dictionaries[idx]
-    if nulls:
-        codes = np.append(codes, len(values) - 1)
-    keep = np.zeros(len(values), dtype=bool)
-    keep[codes] = [match(v) for v in values[codes].tolist()]
+    op, term = pred.op, pred.term
+    codes, _, _ = display.column_stats(idx)
+    keep = np.zeros(len(ds.dictionaries[idx]), dtype=bool)
+    if ds.columns[idx][1] is ColumnKind.NUMERIC and op in ("EQ", "NEQ"):
+        target = parse_number(term)
+        if target is not None:
+            keep[codes] = ds._numbers[idx][codes] == target
+    else:
+        texts = ds._texts[idx][codes].tolist()
+        if op in ("EQ", "NEQ"):
+            keep[codes] = [t == term for t in texts]
+        elif op == "CONTAINS":
+            keep[codes] = [term in t for t in texts]
+        elif op == "STARTS_WITH":
+            keep[codes] = [t.startswith(term) for t in texts]
+        else:
+            keep[codes] = [t.endswith(term) for t in texts]
+    if op == "NEQ":
+        keep = ~keep
     rows = display.rows[keep[ds.codes[idx, display.rows]]]
     filters = display.filters + (pred,)
     g = display.grouping
@@ -586,15 +583,10 @@ def load_schema_sidecar(path) -> dict:
 
 
 def write_dataset(dataset: Dataset, path) -> None:
-    """Write CSV with canonical numeric text; nulls as empty cells.
-
-    Each dictionary entry is formatted once and gathered by the codes."""
-    columns = []
-    for values, codes, (_, kind) in zip(dataset.dictionaries, dataset.codes,
-                                        dataset.columns):
-        text = np.array([_cell_text(v, kind) for v in values[:-1].tolist()] + [""],
-                        dtype=object)
-        columns.append(text[codes].tolist())
+    """Write CSV with canonical numeric text; nulls as empty cells,
+    gathered from each column's dictionary text by the codes."""
+    columns = [texts[codes].tolist()
+               for texts, codes in zip(dataset._texts, dataset.codes)]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(dataset.column_names)

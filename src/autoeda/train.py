@@ -12,14 +12,14 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass, field, asdict
-from itertools import chain, cycle, islice
+from itertools import cycle
 from pathlib import Path
 
 import numpy as np
 
 from . import nn
 from .env import (DEFAULT_HORIZON, DEFAULT_TERM_BINS, EdaEnv, HeadLayout,
-                  encode_action, head_mask, heads_from_action, play, replay)
+                  decide, encode_action, head_mask, heads_from_action, replay)
 from .tabular import ColumnKind
 
 CHECKPOINT_VERSION = 3
@@ -33,6 +33,10 @@ STREAM_SYNTH = 4
 STREAM_TRAJECTORIES = 5
 STREAM_SPLIT = 6
 STREAM_GENERATE = 7
+
+# episodes a rollout collector steps in lockstep: one policy forward and one
+# discriminator forward serve up to this many steps
+LANES = 16
 
 
 def derive_rng(seed: int, *path: int) -> np.random.Generator:
@@ -282,43 +286,66 @@ def action_agreement(policy: nn.PolicyNet, expert_steps) -> float:
 
 
 class RolloutCollector:
-    """One endless stream of policy steps, round-robin over the training
-    datasets; an episode runs on across collection windows."""
+    """LANES episodes stepped in lockstep. A lane whose episode finishes
+    restarts on the next training dataset, round-robin, and an episode runs
+    on across collection windows."""
 
     def __init__(self, policy: nn.PolicyNet, datasets, layout: HeadLayout,
                  cfg: TrainConfig, rng: np.random.Generator):
-        envs = [EdaEnv(ds, layout, cfg.horizon) for ds in datasets]
-        self._stream = chain.from_iterable(play(policy, env, rng)
-                                           for env in cycle(envs))
+        self.policy = policy
         self.layout = layout
         self.cfg = cfg
+        self.rng = rng
+        self._envs = cycle([EdaEnv(ds, layout, cfg.horizon) for ds in datasets])
+        self._lanes = [self._start() for _ in range(LANES)]
         self.episode_lengths: list[int] = []
+
+    def _start(self):
+        """(env, state, state vector) of a new episode on the next dataset."""
+        env = next(self._envs)
+        state = env.reset()
+        return env, state, env.encode_state(state)
 
     def collect(self, disc: nn.DiscriminatorNet, n_steps: int,
                 buffer: deque) -> list[Step]:
         """The next `n_steps` steps with rewards from the current
-        discriminator; appends them to the buffer and returns them."""
+        discriminator; appends them to the buffer and returns them. Each
+        tick steps the first min(LANES, steps left) lanes with one policy
+        and one discriminator forward."""
         out = []
-        cfg = self.cfg
-        for state, svec, heads, logp, action, next_state, next_svec in islice(
-                self._stream, n_steps):
-            shown = state.current
-            # the discriminator sees the canonical heads, as for expert steps
-            avec = encode_action(heads_from_action(action, shown, shown.dataset,
-                                                   self.layout), self.layout)
-            penalty = 0.0
-            if cfg.penalty_enabled:
-                penalty = incoherence_penalty(next_state.action_history)
-            reward = imitation_reward(disc.prob(np.concatenate([svec, avec])),
-                                      penalty)
-            step = Step(state=svec, heads=np.asarray(heads),
-                        mask=head_mask(action.kind), action_vec=avec,
-                        next_state=next_svec, done=next_state.done,
-                        penalty=penalty, reward=reward, logprob=logp)
-            buffer.append(step)
-            out.append(step)
-            if next_state.done:
-                self.episode_lengths.append(next_state.step)
+        cfg, layout, lanes = self.cfg, self.layout, self._lanes
+        while len(out) < n_steps:
+            k = min(len(lanes), n_steps - len(out))
+            svecs = np.stack([svec for _, _, svec in lanes[:k]])
+            heads, logps, actions = decide(
+                self.policy, svecs, [state.current for _, state, _ in lanes[:k]],
+                self.rng)
+            steps = []
+            for i, (action, logp) in enumerate(zip(actions, logps.tolist())):
+                env, state, svec = lanes[i]
+                # the discriminator sees the canonical heads, as for expert steps
+                avec = encode_action(heads_from_action(
+                    action, state.current, env.dataset, layout), layout)
+                next_state = env.step(state, action)
+                next_svec = env.encode_state(next_state)
+                penalty = 0.0
+                if cfg.penalty_enabled:
+                    penalty = incoherence_penalty(next_state.action_history)
+                steps.append(Step(state=svec, heads=heads[i],
+                                  mask=head_mask(action.kind), action_vec=avec,
+                                  next_state=next_svec, done=next_state.done,
+                                  penalty=penalty, logprob=logp))
+                if next_state.done:
+                    self.episode_lengths.append(next_state.step)
+                    lanes[i] = self._start()
+                else:
+                    lanes[i] = env, next_state, next_svec
+            d_probs, _ = disc.forward(np.concatenate(
+                [svecs, np.stack([step.action_vec for step in steps])], axis=1))
+            for step, d_prob in zip(steps, d_probs.tolist()):
+                step.reward = imitation_reward(d_prob, step.penalty)
+            buffer.extend(steps)
+            out.extend(steps)
         return out
 
 

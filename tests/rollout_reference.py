@@ -1,4 +1,5 @@
-"""The rollout code that `env.play` replaced, kept as the oracle that pins it.
+"""One-episode-at-a-time rollout code, kept as the oracle that pins `env.play`
+and the lockstep `train.RolloutCollector` run with one lane.
 
 `policy_step` is one policy decision; `RolloutCollector` drives it with a
 hand-kept episode state (dataset index, state, cached encoding) that carries
@@ -64,7 +65,8 @@ def policy_step(policy, env, state, rng=None, svec=None):
     """(state vector, heads, log-prob, action, next state) of one decision."""
     if svec is None:
         svec = encode_state(state)
-    dists = policy.head_probs(svec)
+    probs, _ = policy.forward(svec.reshape(1, -1))
+    dists = [p[0] for p in probs]
     if rng is None:
         heads, logp = tuple(int(np.argmax(p)) for p in dists), None
     else:
@@ -132,8 +134,8 @@ class RolloutCollector:
             penalty = 0.0
             if cfg.penalty_enabled:
                 penalty = incoherence_penalty(new_state.action_history)
-            reward = imitation_reward(disc.prob(np.concatenate([svec, avec])),
-                                      penalty)
+            d_prob, _ = disc.forward(np.concatenate([svec, avec]).reshape(1, -1))
+            reward = imitation_reward(float(d_prob[0]), penalty)
             next_svec = encode_state(new_state)
             tr = Transition(
                 state=svec, heads=np.asarray(heads), mask=head_mask(action.kind),

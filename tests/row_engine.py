@@ -6,7 +6,34 @@ from collections import Counter
 
 import numpy as np
 
-from autoeda.tabular import _build_predicate
+from autoeda.tabular import ColumnKind, canonical_number, parse_number
+
+
+def _build_predicate(pred, kind):
+    """A cell -> bool test for one filter, as the engine ran it per value."""
+    op, term = pred.op, pred.term
+
+    def text(cell):
+        return canonical_number(cell) if kind is ColumnKind.NUMERIC else cell
+
+    if kind is ColumnKind.NUMERIC and op in ("EQ", "NEQ"):
+        target = parse_number(term)
+
+        def eq(cell):
+            return cell is not None and target is not None and cell == target
+    else:
+        def eq(cell):
+            return cell is not None and text(cell) == term
+
+    if op == "EQ":
+        return eq
+    if op == "NEQ":
+        return lambda cell: not eq(cell)
+    if op == "CONTAINS":
+        return lambda cell: cell is not None and term in text(cell)
+    if op == "STARTS_WITH":
+        return lambda cell: cell is not None and text(cell).startswith(term)
+    return lambda cell: cell is not None and text(cell).endswith(term)
 
 
 def dataset_rows(ds):

@@ -22,9 +22,12 @@ CELLS = {
     # sums of 0.1, 0.2, 0.3 or of +-1e20 and 1.0 depend on the order of addition
     ColumnKind.NUMERIC: st.sampled_from([0.0, -0.0, 1.0, 5.0, 0.5, 15.0, 0.1, 0.2, 0.3,
                                          1e20, -1e20]),
-    ColumnKind.TEXT: st.sampled_from(["x5", "5x", "xy", "yx5y", "5", "1.5"]),
+    # NUL and trailing blanks, where numpy's string functions part from str
+    ColumnKind.TEXT: st.sampled_from(["x5", "5x", "xy", "yx5y", "5", "1.5",
+                                      "a\x00", "\x00", "5 "]),
 }
-TERMS = ["a", "b", "ab", " a", "x", "y", "5", "5.0", "1", ".", "-", "0", "1e+20", "0.1", ""]
+TERMS = ["a", "b", "ab", " a", "x", "y", "5", "5.0", "1", ".", "-", "0", "1e+20", "0.1", "",
+         "a\x00", "\x00", "5 "]
 
 
 @st.composite
@@ -101,8 +104,16 @@ SUMS = Dataset("sums", [("c", "categorical"), ("n", "numeric")],
                [["a", x] for x in (0.1, 0.2, 0.3, 1e20, 1.0, -1e20)] + [["b", 2.0]])
 
 
+# text whose NULs and blanks numpy's string functions would misread
+NULS = Dataset("nuls", [("t", "text")],
+               [["a\x00"], ["\x00"], ["5 "], ["5"], ["ab"], [None]])
+NUL_FILTERS = [ActionSpec("FILTER", filter=FilterPredicate("t", op, term))
+               for op in FILTER_OPS for term in ("a", "\x00", "5", "5 ", "")]
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(tables().flatmap(lambda ds: st.tuples(st.just(ds), sessions(ds))))
+@example((NULS, [a for f in NUL_FILTERS for a in (f, ActionSpec("BACK"))]))
 @example((PAIR, [ActionSpec("GROUP", group=Grouping("c", "n", "SUM"))]))
 @example((SUMS, [ActionSpec("GROUP", group=Grouping("c", "n", "SUM")), ActionSpec("BACK"),
                  ActionSpec("GROUP", group=Grouping("c", "n", "MEAN"))]))

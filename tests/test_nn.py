@@ -54,8 +54,8 @@ def test_policy_pinned_toy_forward_matches_hand_computation():
     z2 = h1 * -1.0 + h2 * 0.25 + 0.2
     e1, e2 = math.exp(z1), math.exp(z2)
     expected = (e1 / (e1 + e2), e2 / (e1 + e2))
-    probs = policy.head_probs(x)
-    assert probs[0] == pytest.approx(expected)
+    probs, _ = policy.forward(x[None])
+    assert probs[0][0] == pytest.approx(expected)
 
 
 def test_value_zero_net_is_bias_path():
@@ -87,20 +87,20 @@ def test_discriminator_output_strictly_inside_unit_interval():
 # sampling
 
 def test_sample_action_deterministic_distribution():
-    dists = [np.array([0.0, 1.0, 0.0, 0.0]), np.array([1.0, 0.0]),
-             np.array([0.0, 1.0]), np.array([1.0, 0.0]), np.array([1.0, 0.0])]
-    idx, logp = nn.sample_action(dists, np.random.default_rng(0),
-                                 RELEVANT_HEADS)
+    dists = [np.array([[0.0, 1.0, 0.0, 0.0]]), np.array([[1.0, 0.0]]),
+             np.array([[0.0, 1.0]]), np.array([[1.0, 0.0]]), np.array([[1.0, 0.0]])]
+    (idx,), (logp,) = nn.sample_action(dists, np.random.default_rng(0),
+                                       RELEVANT_HEADS)
     assert idx[0] == 1 and idx[1] == 0 and idx[2] == 1
     assert logp == pytest.approx(0.0)
 
 
 def test_sample_action_back_masks_other_heads():
     rng = np.random.default_rng(2)
-    dists = [np.array([0.0, 0.0, 1.0, 0.0]),  # kind = BACK
-             np.array([0.5, 0.5]), np.array([0.25] * 4),
-             np.array([0.2] * 5), np.array([0.1] * 10)]
-    idx, logp = nn.sample_action(dists, rng, RELEVANT_HEADS)
+    dists = [np.array([[0.0, 0.0, 1.0, 0.0]]),  # kind = BACK
+             np.array([[0.5, 0.5]]), np.array([[0.25] * 4]),
+             np.array([[0.2] * 5]), np.array([[0.1] * 10])]
+    (idx,), (logp,) = nn.sample_action(dists, rng, RELEVANT_HEADS)
     assert idx[0] == 2
     assert logp == pytest.approx(math.log(1.0))
 
@@ -108,13 +108,10 @@ def test_sample_action_back_masks_other_heads():
 def test_sample_action_frequencies_within_three_sigma():
     rng = np.random.default_rng(3)
     probs = np.array([0.5, 0.2, 0.2, 0.1])
-    dists = [probs, np.array([1.0]), np.array([1.0]), np.array([1.0]),
-             np.array([1.0])]
     n = 100_000
-    counts = np.zeros(4)
-    for _ in range(n):
-        idx, _ = nn.sample_action(dists, rng, RELEVANT_HEADS)
-        counts[idx[0]] += 1
+    dists = [np.tile(probs, (n, 1))] + [np.ones((n, 1))] * 4
+    idx, _ = nn.sample_action(dists, rng, RELEVANT_HEADS)
+    counts = np.bincount(idx[:, 0], minlength=4)
     for k, p in enumerate(probs):
         sigma = math.sqrt(p * (1 - p) / n)
         assert abs(counts[k] / n - p) <= 3 * sigma

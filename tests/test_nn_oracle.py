@@ -2,6 +2,7 @@
 nn_reference.py: every trained number, sampled index, log-prob and
 generator state must be the same bit for bit."""
 
+import math
 from collections import deque
 
 import numpy as np
@@ -163,7 +164,8 @@ def test_backward_passes_cut_views_without_np_prod(monkeypatch):
 
 class FixedUniforms:
     """A generator stand-in that hands out given uniforms, one at a time or
-    as an array, so a test can put u exactly on a prefix sum."""
+    as a block filled row by row, so a test can put u exactly on a prefix
+    sum."""
 
     def __init__(self, us):
         self.us = list(us)
@@ -171,37 +173,46 @@ class FixedUniforms:
     def random(self, size=None):
         if size is None:
             return self.us.pop(0)
-        out, self.us = np.array(self.us[:size]), self.us[size:]
+        n = math.prod(size)
+        out, self.us = np.array(self.us[:n]).reshape(size), self.us[n:]
         return out
 
 
-def _same_sample(got, want):
-    (idx, logp), (ref_idx, ref_logp) = got, want
-    assert idx == ref_idx
-    assert all(type(i) is int for i in idx)
-    assert np.array_equal(logp, ref_logp, equal_nan=True)
+def _same_rows(probs, rng, ref_rng, relevant):
+    """One batched draw against the reference sampler on each row in turn,
+    with the same generator on each side: the same indices and log-probs,
+    bit for bit."""
+    idx, logp = nn.sample_action(probs, rng, relevant)
+    assert idx.shape == (len(probs[0]), len(probs)) and idx.dtype == np.int64
+    assert logp.shape == (len(probs[0]),) and logp.dtype == np.float64
+    for r in range(len(probs[0])):
+        ref_idx, ref_logp = ref.sample_action([p[r] for p in probs], ref_rng,
+                                              relevant)
+        assert tuple(idx[r].tolist()) == ref_idx
+        assert np.array_equal(logp[r], ref_logp, equal_nan=True)
 
 
 def test_sample_action_matches_reference_on_random_heads():
-    """Softmax rows of every head size the layout uses, some of them sharp,
-    drawn from one generator on each side: the same indices, log-probs and
-    generator state after every call."""
+    """Batches of 1 to 17 softmax rows of every head size the layout uses,
+    some of them sharp, drawn from one generator on each side: the same
+    indices, log-probs and generator state after every draw."""
     rng = np.random.default_rng(6)
     sizes = (4, 8, 5, 5, 20)
     relevant = ((0, 1, 2), (0, 1, 3, 4), (0,), (0,))
     ours, theirs = np.random.default_rng(7), np.random.default_rng(7)
-    for trial in range(400):
+    for trial in range(100):
         scale = (0.1, 1.0, 10.0, 40.0)[trial % 4]
-        dists = [ref.softmax(rng.normal(scale=scale, size=k)) for k in sizes]
-        _same_sample(nn.sample_action(dists, ours, relevant),
-                     ref.sample_action(dists, theirs, relevant))
+        k = (1, 16, 17, 3, 2)[trial % 5]
+        probs = [np.stack([ref.softmax(rng.normal(scale=scale, size=size))
+                           for _ in range(k)]) for size in sizes]
+        _same_rows(probs, ours, theirs, relevant)
         assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 def test_sample_action_matches_reference_on_edge_cases():
     """u on a prefix sum (the index after it), every sum at most u (the last
     index), NaN rows and NaN entries (the first NaN sum), zero entries and
-    one-entry heads."""
+    one-entry heads, batched by head size."""
     nan = float("nan")
     cases = [
         ([0.25, 0.25, 0.5], 0.25), ([0.25, 0.25, 0.5], 0.5),
@@ -212,9 +223,11 @@ def test_sample_action_matches_reference_on_edge_cases():
         ([1.0], 0.999), ([0.0, 0.0, 1.0], 0.0), ([0.0, 1.0, 0.0], 0.7),
     ]
     relevant = ((0, 1), (0,), (0,))
-    for p, u in cases:
-        for kind in ([1.0, 0.0, 0.0], [0.0, 0.0, 1.0]):
-            dists = [np.array(kind), np.array(p)]
-            with np.errstate(divide="ignore"):
-                _same_sample(nn.sample_action(dists, FixedUniforms([0.5, u]), relevant),
-                             ref.sample_action(dists, FixedUniforms([0.5, u]), relevant))
+    for size in (1, 2, 3):
+        rows = [(kind, p, u) for p, u in cases if len(p) == size
+                for kind in ([1.0, 0.0, 0.0], [0.0, 0.0, 1.0])]
+        probs = [np.array([kind for kind, _, _ in rows]),
+                 np.array([p for _, p, _ in rows])]
+        us = [v for _, _, u in rows for v in (0.5, u)]
+        with np.errstate(divide="ignore"):
+            _same_rows(probs, FixedUniforms(us), FixedUniforms(us), relevant)

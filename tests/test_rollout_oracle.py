@@ -1,6 +1,7 @@
-"""The one rollout loop (`env.play`) against the loops it replaced, kept in
-`rollout_reference.py`: every collected step, episode length, generated
-session, sampled batch and rng state must be the same bit for bit."""
+"""The rollout code against the loops it replaced, kept in
+`rollout_reference.py`. With one lane, every collected step, episode length,
+generated session, sampled batch and rng state must be the same bit for
+bit; with the default lanes, each step must agree with a batch-1 forward."""
 
 from collections import deque
 
@@ -8,14 +9,15 @@ import numpy as np
 import pytest
 
 import rollout_reference as ref
-from autoeda import nn
-from autoeda.env import BACK, STOP, ActionSpec, HeadLayout, Trajectory
+from autoeda import nn, train
+from autoeda.env import BACK, STOP, ActionSpec, EdaEnv, HeadLayout, Trajectory
 from autoeda.evaluation import generate_session
 from autoeda.tabular import Dataset, FilterPredicate, Grouping
 from autoeda.train import (RolloutCollector, TrainConfig, assemble_mixed_batch,
-                           derive_rng, prepare_expert_steps,
+                           derive_rng, imitation_reward, prepare_expert_steps,
                            update_discriminator)
 
+LANES = train.LANES  # read before any test patches it
 STEP_FIELDS = ("state", "heads", "mask", "action_vec", "reward", "penalty",
                "next_state", "done", "logprob")
 F_A = ActionSpec("FILTER", filter=FilterPredicate("color", "EQ", "red"))
@@ -29,6 +31,12 @@ def pair(toy):
             ["green", 1.0, None], ["blue", 4.0, "iota twelve"],
             [None, 2.0, "kappa thirteen"], ["red", 7.0, "alpha fourteen"]]
     return [toy, Dataset("other", toy.columns, rows)]
+
+
+@pytest.fixture(autouse=True)
+def one_lane(monkeypatch):
+    """The reference steps one episode at a time."""
+    monkeypatch.setattr(train, "LANES", 1)
 
 
 def cfg_for(**kwargs):
@@ -163,3 +171,49 @@ def test_greedy_ties_match_reference(pair):
     for dataset in pair:
         assert generate_session(policy, dataset, layout, 8) == \
             ref.generate_session(policy, dataset, layout, 8)
+
+
+def test_lockstep_lanes_agree_with_batch_one_forwards(pair, monkeypatch):
+    """At the default lane count, windows that are not multiples of it:
+    each window returns its steps; each log-prob and reward is the one a
+    batch-1 forward gives; each lane's steps chain state to state, and a
+    finished lane restarts on the next dataset of the cycle; finished
+    lengths and the lanes' steps in flight account for every step."""
+    monkeypatch.setattr(train, "LANES", LANES)
+    cfg = cfg_for(buffer_capacity=256)
+    layout = HeadLayout(3, cfg.term_bins)
+    policy, disc = nets(layout, cfg.seed)
+    collector = RolloutCollector(policy, pair, layout, cfg,
+                                 derive_rng(cfg.seed, 2))
+    buffer = deque(maxlen=cfg.buffer_capacity)
+    resets = [env.encode_state(env.reset())
+              for env in (EdaEnv(ds, layout, cfg.horizon) for ds in pair)]
+    assert not np.array_equal(*resets)
+    lanes = [[] for _ in range(LANES)]
+    collected = []
+    for n in (37, 5, 64):
+        steps = collector.collect(disc, n, buffer)
+        assert len(steps) == n
+        collected += steps
+        for position, step in enumerate(steps):
+            lanes[position % LANES].append(step)
+            logp, _ = policy.logprob(step.state[None], step.heads[None],
+                                     step.mask[None])
+            assert abs(step.logprob - logp[0]) <= 1e-12
+            d_prob, _ = disc.forward(
+                np.concatenate([step.state, step.action_vec])[None])
+            assert abs(step.reward - imitation_reward(float(d_prob[0]),
+                                                      step.penalty)) <= 1e-12
+        in_flight = sum(state.step for _, state, _ in collector._lanes)
+        assert sum(collector.episode_lengths) + in_flight == len(collected)
+    assert list(buffer) == collected
+    finished = [id(step) for step in collected if step.done]
+    assert len(finished) == len(collector.episode_lengths) > LANES
+    for lane, steps in enumerate(lanes):
+        assert np.array_equal(steps[0].state, resets[lane % len(pair)])
+        for a, b in zip(steps, steps[1:]):
+            if a.done:
+                j = finished.index(id(a))
+                assert np.array_equal(b.state, resets[(LANES + j) % len(pair)])
+            else:
+                assert b.state is a.next_state

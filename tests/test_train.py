@@ -201,7 +201,7 @@ def test_no_penalty_rewards_are_pure_imitation(toy):
     collector = RolloutCollector(policy, [toy], layout, cfg, derive_rng(0, 2))
     buf = deque(maxlen=64)
     for t in collector.collect(disc, 30, buf):
-        d = disc.prob(np.concatenate([t.state, t.action_vec]))
+        (d,), _ = disc.forward(np.concatenate([t.state, t.action_vec])[None])
         assert t.penalty == 0.0
         assert t.reward == pytest.approx(-math.log(1 - d))
 
@@ -273,10 +273,10 @@ def test_discriminator_separates_toy_streams(toy):
     opt = nn.Adam(disc.flat, 1e-3)
     for _ in range(500):
         update_discriminator(disc, opt, buf, expert, cfg, rng)
-    d_exp = np.mean([disc.prob(np.concatenate([e.state, e.action_vec]))
-                     for e in expert])
-    d_gen = np.mean([disc.prob(np.concatenate([t.state, t.action_vec]))
-                     for t in _draw(rng, buf, 64)])
+    d_exp = np.mean(disc.forward(np.stack(
+        [np.concatenate([e.state, e.action_vec]) for e in expert]))[0])
+    d_gen = np.mean(disc.forward(np.stack(
+        [np.concatenate([t.state, t.action_vec]) for t in _draw(rng, buf, 64)]))[0])
     assert d_exp - d_gen >= 0.4
 
 
