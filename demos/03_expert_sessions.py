@@ -28,15 +28,16 @@ print(f"one expert session over {dataset.name} ({len(traj.actions)} actions):")
 for action in traj.actions:
     print("   ", action)
 
-records, final = replay(dataset, traj.actions)
+steps = replay(dataset, traj.actions)
+states = walk(dataset, traj.actions)
+final = states[-1]
 print("\nreplay:")
-print("  state vector length:", records[0].state.shape[0])
-print("  action vector length:", records[0].action_vec.shape[0])
+print("  state vector length:", steps[0].state.shape[0])
+print("  action vector length:", steps[0].action_vec.shape[0])
 print("  display stack ends at the root:", len(final.display_stack) == 1)
 print("  episode finished:", final.done)
 
 # the stack trace: depth after each action
-states = walk(dataset, traj.actions)
 print("  stack depth trace:", [len(s.display_stack) for s in states[1:]])
 print("  distinct views visited:",
       len({display_fingerprint(d) for d in states[-1].history}))

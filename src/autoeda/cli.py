@@ -48,6 +48,23 @@ def _positive_int(text: str) -> int:
     return n
 
 
+def _fraction(text: str) -> float:
+    x = float(text)
+    if not 0 < x <= 1:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1], got {text}")
+    return x
+
+
+def _dataset_names(text: str) -> list[str]:
+    """The names of a comma-separated --datasets value, each once."""
+    names = [n.strip() for n in text.split(",") if n.strip()]
+    if not names:
+        raise UsageError("--datasets needs at least one dataset name")
+    if len(set(names)) != len(names):
+        raise UsageError(f"--datasets repeats a name: {text!r}")
+    return names
+
+
 def _sha256(path: Path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -315,6 +332,7 @@ def _train_once(args, cfg, datasets, expert, out: Path, manifest: Manifest) -> N
 def cmd_train(args) -> int:
     from .train import TrainConfig
 
+    names = _dataset_names(args.datasets)
     overrides = _read_json_config(args.config)
     if args.seed is not None:
         overrides["seed"] = args.seed
@@ -331,10 +349,6 @@ def cmd_train(args) -> int:
         raise UsageError(f"bad training config: {exc}") from exc
 
     data_dir = Path(args.data)
-    names = [n.strip() for n in args.datasets.split(",") if n.strip()]
-    if not names:
-        raise UsageError("--datasets needs at least one dataset name")
-
     if args.leave_one_out and len(names) < 2:
         raise UsageError("--leave-one-out needs at least two datasets")
 
@@ -454,6 +468,9 @@ def cmd_measure(args) -> int:
     trajectories = _load_sessions(args.session, manifest)
     if not trajectories:
         raise DataError(f"{args.session} holds no sessions")
+    if trajectories[0].dataset != dataset.name:
+        raise DataError(f"{args.session} holds sessions of dataset "
+                        f"{trajectories[0].dataset!r}, not {dataset.name!r}")
     ruleset = EMPTY_RULESET
     if args.ruleset:
         try:
@@ -510,9 +527,7 @@ def cmd_eval(args) -> int:
         raise UsageError("provide exactly one of --checkpoint or --sessions")
 
     data_dir = Path(args.data)
-    names = [n.strip() for n in args.datasets.split(",") if n.strip()]
-    if not names:
-        raise UsageError("--datasets needs at least one dataset name")
+    names = _dataset_names(args.datasets)
 
     manifest = Manifest("eval", args, {"gold_split": args.gold_split,
                                        "n": args.n, "mode": args.mode,
@@ -613,7 +628,7 @@ def build_parser() -> _Parser:
     p.add_argument("--gold-split", default="eval")
     p.add_argument("--n", type=_positive_int, default=1)
     p.add_argument("--mode", choices=("greedy", "sample"), default="greedy")
-    p.add_argument("--threshold", type=float, default=0.9)
+    p.add_argument("--threshold", type=_fraction, default=0.9)
     p.set_defaults(fn=cmd_eval)
 
     return parser

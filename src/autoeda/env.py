@@ -154,9 +154,9 @@ def encode_display(display: Display, base: Dataset) -> np.ndarray:
     return vec
 
 
-def state_from_history(history, base: Dataset) -> np.ndarray:
+def state_from_history(history) -> np.ndarray:
     """Concatenate encodings of the last three displays, zero-padded on the left."""
-    recent = [encode_display(d, base) for d in history[-HISTORY_WINDOW:]]
+    recent = [encode_display(d, d.dataset) for d in history[-HISTORY_WINDOW:]]
     pad = np.zeros((HISTORY_WINDOW - len(recent)) * len(recent[0]))
     return np.concatenate([pad, *recent])
 
@@ -192,7 +192,7 @@ class EdaEnv:
         return EpisodeState((self._d0,), (self._d0,), (), 0, False)
 
     def encode_state(self, state: EpisodeState) -> np.ndarray:
-        return state_from_history(state.history, self.dataset)
+        return state_from_history(state.history)
 
     def step(self, state: EpisodeState, action: ActionSpec) -> EpisodeState:
         """Apply one action; pure, the input state is not modified.
@@ -242,14 +242,7 @@ def default_agg_col(base: Dataset, grp_col: str) -> str:
     return fallback if fallback is not None else grp_col
 
 
-def _term_candidates(display: Display, base: Dataset, idx: int):
-    vals = display.ranked_values(idx)
-    if vals:
-        return vals
-    return initial_display(base).ranked_values(idx)
-
-
-def action_from_heads(heads, display: Display, base: Dataset) -> ActionSpec:
+def action_from_heads(heads, display: Display) -> ActionSpec:
     """Materialize head indices into a concrete action for a display.
 
     Total by construction: the term bin clamps to the least frequent
@@ -260,6 +253,7 @@ def action_from_heads(heads, display: Display, base: Dataset) -> ActionSpec:
     kind = ACTION_KINDS[kind_i]
     if kind in ("BACK", "STOP"):
         return ActionSpec(kind)
+    base = display.dataset
     col = base.column_names[col_i]
     if kind == "GROUP":
         func = AGG_FUNCS[agg_i]
@@ -281,7 +275,7 @@ def action_from_heads(heads, display: Display, base: Dataset) -> ActionSpec:
     return ActionSpec("FILTER", filter=FilterPredicate(col, op, term))
 
 
-def heads_from_action(action: ActionSpec, display: Display, base: Dataset,
+def heads_from_action(action: ActionSpec, display: Display,
                       layout: HeadLayout) -> tuple[int, ...]:
     """Head indices reproducing `action` through action_from_heads.
 
@@ -291,6 +285,7 @@ def heads_from_action(action: ActionSpec, display: Display, base: Dataset,
     """
     kind_i = ACTION_KINDS.index(action.kind)
     heads = [kind_i, 0, 0, 0, 0]
+    base = display.dataset
     if action.kind == "GROUP":
         heads[1] = base.column_index(action.group.grp_col)
         heads[2] = AGG_FUNCS.index(action.group.agg_func)
@@ -299,15 +294,16 @@ def heads_from_action(action: ActionSpec, display: Display, base: Dataset,
         idx = base.column_index(pred.column)
         heads[1] = idx
         heads[3] = FILTER_OPS.index(pred.op)
-        heads[4] = _term_bin(pred, display, base, idx, layout)
+        heads[4] = _term_bin(pred, display, idx, layout)
     return tuple(heads)
 
 
-def _term_bin(pred, display, base, idx, layout):
-    vals = _term_candidates(display, base, idx)
+def _term_bin(pred, display, idx, layout):
+    vals = (display.ranked_values(idx)
+            or initial_display(display.dataset).ranked_values(idx))
     if not vals:
         return 0
-    kind = base.columns[idx][1]
+    kind = display.dataset.columns[idx][1]
     if kind is ColumnKind.NUMERIC and pred.op in ("EQ", "NEQ"):
         target = parse_number(pred.term)
         if target is not None and target in vals:
@@ -365,8 +361,7 @@ def decide(policy: nn.PolicyNet, svecs: np.ndarray, displays,
         logp = None
     else:
         heads, logp = nn.sample_action(probs, rng, RELEVANT_HEADS)
-    actions = [action_from_heads(h, d, d.dataset)
-               for h, d in zip(heads.tolist(), displays)]
+    actions = [action_from_heads(h, d) for h, d in zip(heads.tolist(), displays)]
     return heads, logp, actions
 
 
@@ -390,15 +385,19 @@ class Trajectory:
 
 
 @dataclass
-class ReplayStep:
-    t: int  # 1-based position in the session
+class Step:
+    """One training step, expert or generated. Its penalty stays 0.0 unless
+    the trainer enables penalties; a generated step also carries its
+    collect-time reward and log-prob."""
     state: np.ndarray
-    heads: tuple[int, ...]
+    heads: np.ndarray
     mask: np.ndarray
-    action: ActionSpec
     action_vec: np.ndarray
     next_state: np.ndarray
     done: bool
+    penalty: float = 0.0
+    reward: float | None = None
+    logprob: float | None = None
 
 
 def walk(dataset: Dataset, actions,
@@ -416,30 +415,27 @@ def walk(dataset: Dataset, actions,
 
 
 def walk_displays(dataset: Dataset, actions):
-    """Displays of a session: (prev_display, action, cur_display) per step,
-    and the `history` list of every display seen including d0, in order,
-    which is what the diversity measure consumes.
-    """
+    """Displays of a session: (prev_display, action, cur_display) per step."""
     states = walk(dataset, actions)
-    steps = [(before.current, action, after.current)
-             for before, action, after in zip(states, actions, states[1:])]
-    return steps, list(states[-1].history)
+    return [(before.current, action, after.current)
+            for before, action, after in zip(states, actions, states[1:])]
 
 
-def replay(dataset: Dataset, actions, layout: HeadLayout | None = None):
-    """Training-ready step records of a session, and its final state."""
+def replay(dataset: Dataset, actions,
+           layout: HeadLayout | None = None) -> list[Step]:
+    """Training-ready steps of a session, one per action."""
     if layout is None:
         layout = HeadLayout(len(dataset.columns))
     states = walk(dataset, actions, layout)
-    vecs = [state_from_history(s.history, dataset) for s in states]
-    records = []
+    vecs = [state_from_history(s.history) for s in states]
+    steps = []
     for t, action in enumerate(actions, start=1):
-        heads = heads_from_action(action, states[t - 1].current, dataset, layout)
-        records.append(ReplayStep(
-            t=t, state=vecs[t - 1], heads=heads, mask=head_mask(action.kind),
-            action=action, action_vec=encode_action(heads, layout),
+        heads = heads_from_action(action, states[t - 1].current, layout)
+        steps.append(Step(
+            state=vecs[t - 1], heads=np.asarray(heads),
+            mask=head_mask(action.kind), action_vec=encode_action(heads, layout),
             next_state=vecs[t], done=states[t].done))
-    return records, states[-1]
+    return steps
 
 
 def action_to_json(action: ActionSpec) -> dict:
@@ -453,14 +449,23 @@ def action_to_json(action: ActionSpec) -> dict:
     return {"kind": action.kind}
 
 
+def _text_fields(obj: dict, *names: str) -> list[str]:
+    for name in names:
+        if not isinstance(obj[name], str):
+            raise ValueError(f"action field {name!r} must be a string, "
+                             f"got {obj[name]!r}")
+    return [obj[name] for name in names]
+
+
 def action_from_json(obj: dict) -> ActionSpec:
+    """The action of a JSON object; a non-string field raises ValueError."""
     kind = obj["kind"]
     if kind == "GROUP":
-        return ActionSpec("GROUP", group=Grouping(obj["grp_col"], obj["agg_col"],
-                                                  obj["agg_func"]))
+        return ActionSpec("GROUP", group=Grouping(
+            *_text_fields(obj, "grp_col", "agg_col", "agg_func")))
     if kind == "FILTER":
-        return ActionSpec("FILTER", filter=FilterPredicate(obj["column"], obj["op"],
-                                                           obj["term"]))
+        return ActionSpec("FILTER", filter=FilterPredicate(
+            *_text_fields(obj, "column", "op", "term")))
     return ActionSpec(kind)
 
 
@@ -472,7 +477,7 @@ def save_trajectories(path, dataset: Dataset, trajectories) -> None:
     """
     sessions = []
     for traj in trajectories:
-        steps, _ = walk_displays(dataset, traj.actions)
+        steps = walk_displays(dataset, traj.actions)
         sessions.append([
             {"step": t, "action": action_to_json(action),
              "fingerprint": display_fingerprint(cur)}

@@ -33,9 +33,8 @@ def views_from_actions(dataset: Dataset, actions,
                        dedupe_consecutive: bool = False) -> list[View]:
     """Views of a session: one per FILTER/GROUP step (BACK and STOP add no
     view). Gold sessions additionally collapse consecutive identical views."""
-    steps, _ = walk_displays(dataset, actions)
     views = []
-    for _, action, cur in steps:
+    for _, action, cur in walk_displays(dataset, actions):
         if action.kind not in ("FILTER", "GROUP"):
             continue
         fp = display_fingerprint(cur)

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import json
 import math
-import weakref
 from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
 
 from . import env as _env
-from .tabular import Dataset, Display, column_histogram
+from .tabular import Dataset, Display, column_histogram, initial_display
 
 MEASURE_NAMES = ("a_int", "diversity", "coherence", "readability", "peculiarity")
 DEFAULT_KL_EPS = 1e-6
@@ -100,22 +99,18 @@ def kl_divergence(p: dict, q: dict, eps: float = DEFAULT_KL_EPS) -> float:
         return np.add.accumulate(np.concatenate(([0.0], terms)))[-1].item()
 
 
-# Per dataset: (before.key, after.key) -> max_column_kl of two of its
-# views. Keys hold only predicates and groupings and values are floats, so
-# nothing refers back to the dataset, and its entry dies with it.
-_KL_MEMO: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+def max_column_kl(before: Display, after: Display) -> float:
+    """The largest per-column KL(before || after) over their dataset's
+    columns.
 
-
-def max_column_kl(before: Display, after: Display, base: Dataset) -> float:
-    """The largest per-column KL(before || after) over `base`'s columns.
-
-    Both displays must be views of `base`. Each pair of operation paths
-    (`Display.key`) is scored once: equal paths give bit-identical
+    Both displays must be views of one dataset, which scores each pair of
+    operation paths (`Display.key`) once: equal paths give bit-identical
     histograms.
     """
-    if not (before.dataset is base is after.dataset):
-        raise ValueError("max_column_kl needs two views of its base dataset")
-    memo = _KL_MEMO.setdefault(base, {})
+    base = before.dataset
+    if after.dataset is not base:
+        raise ValueError("max_column_kl needs two views of one dataset")
+    memo = base._kl_memo
     key = (before.key, after.key)
     if key not in memo:
         memo[key] = max(
@@ -125,8 +120,7 @@ def max_column_kl(before: Display, after: Display, base: Dataset) -> float:
     return memo[key]
 
 
-def a_int(prev: Display, cur: Display, action, specs: MeasureSpecs,
-          base: Dataset) -> float:
+def a_int(prev: Display, cur: Display, action, specs: MeasureSpecs) -> float:
     """Operation-conditioned interest in [0, 1].
 
     GROUP: ratio of a decreasing sigmoid over the group count to one over
@@ -141,19 +135,18 @@ def a_int(prev: Display, cur: Display, action, specs: MeasureSpecs,
             return 1.0
         return min(1.0, max(0.0, num / den))
     if action.kind == "FILTER":
-        return sigmoid(max_column_kl(prev, cur, base), specs.divergence)
+        return sigmoid(max_column_kl(prev, cur), specs.divergence)
     return 0.0
 
 
-def diversity(cur: Display, history, base: Dataset) -> float:
+def diversity(cur: Display, history) -> float:
     """Minimum Euclidean distance from the current display's encoding to any
-    previously seen display's encoding."""
+    previously seen display's encoding; all are views of one dataset."""
     if not history:
         raise ValueError("diversity needs at least one earlier display")
-    vec = _env.encode_display(cur, base)
-    return min(
-        float(np.linalg.norm(vec - _env.encode_display(d, base))) for d in history
-    )
+    vec = _env.encode_display(cur, cur.dataset)
+    return min(float(np.linalg.norm(vec - _env.encode_display(d, cur.dataset)))
+               for d in history)
 
 
 def _compactness(display: Display, specs: MeasureSpecs) -> float:
@@ -173,9 +166,8 @@ def readability(prev: Display, cur: Display, specs: MeasureSpecs) -> float:
     return max(0.0, 1.0 - _compactness(prev, specs) / _compactness(cur, specs))
 
 
-def peculiarity(cur: Display, initial: Display, specs: MeasureSpecs,
-                base: Dataset) -> float:
-    return sigmoid(max_column_kl(initial, cur, base), specs.divergence)
+def peculiarity(cur: Display, initial: Display, specs: MeasureSpecs) -> float:
+    return sigmoid(max_column_kl(initial, cur), specs.divergence)
 
 
 @dataclass(frozen=True)
@@ -275,18 +267,17 @@ def score_session(dataset: Dataset, actions,
                   ruleset: CoherenceRuleset = EMPTY_RULESET) -> list[MeasureScores]:
     """Replay a session and compute all five raw scores per step."""
     specs = default_measure_specs(dataset.row_count)
-    steps, history = _env.walk_displays(dataset, actions)
-    initial = history[0]
+    initial = initial_display(dataset)
     scores = []
     seen = [initial]
     prior: list = []
-    for prev, action, cur in steps:
+    for prev, action, cur in _env.walk_displays(dataset, actions):
         scores.append(MeasureScores(
-            a_int=a_int(prev, cur, action, specs, dataset),
-            diversity=diversity(cur, seen, dataset),
+            a_int=a_int(prev, cur, action, specs),
+            diversity=diversity(cur, seen),
             coherence=coherence(prev, cur, action, prior, ruleset),
             readability=readability(prev, cur, specs),
-            peculiarity=peculiarity(cur, initial, specs, dataset),
+            peculiarity=peculiarity(cur, initial, specs),
         ))
         prior.append(action)
         if action.kind != "STOP":

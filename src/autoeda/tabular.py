@@ -164,10 +164,12 @@ class Dataset:
         # form a cycle that keeps every loaded table alive until the cyclic
         # garbage collector runs
         self._root = None
-        # Display.key -> read-only encoding, filled by env.encode_display.
-        # Keys hold only predicates and groupings, so nothing refers back
-        # to the dataset, and the memo dies with it.
+        # Display.key -> read-only encoding (env.encode_display), and
+        # (before key, after key) -> KL (measures.max_column_kl). Keys hold
+        # only predicates and groupings, so nothing refers back to the
+        # dataset, and the memos die with it.
         self._encodings = {}
+        self._kl_memo = {}
 
     @staticmethod
     def _coerce(cell, kind, r, cname):

@@ -19,7 +19,8 @@ import numpy as np
 
 from . import nn
 from .env import (DEFAULT_HORIZON, DEFAULT_TERM_BINS, EdaEnv, HeadLayout,
-                  decide, encode_action, head_mask, heads_from_action, replay)
+                  Step, decide, encode_action, head_mask, heads_from_action,
+                  replay)
 from .tabular import ColumnKind
 
 CHECKPOINT_VERSION = 3
@@ -191,21 +192,6 @@ def clipped_surrogate(ratios, advantages, eps: float) -> float:
                                     ppo_clip_target(eps, advantages))))
 
 
-@dataclass
-class Step:
-    """One training step, expert or generated. Generated steps also carry
-    their collect-time reward and log-prob."""
-    state: np.ndarray
-    heads: np.ndarray
-    mask: np.ndarray
-    action_vec: np.ndarray
-    next_state: np.ndarray
-    done: bool
-    penalty: float
-    reward: float | None = None
-    logprob: float | None = None
-
-
 def _draw(rng: np.random.Generator, steps, k: int) -> list:
     """`k` uniform draws from `steps`, with replacement only when fewer
     than `k` are held."""
@@ -215,20 +201,19 @@ def _draw(rng: np.random.Generator, steps, k: int) -> list:
 
 def prepare_expert_steps(datasets, trajectories, layout: HeadLayout,
                          cfg: TrainConfig) -> list[Step]:
-    """Replay expert sessions into training-ready (state, action) records."""
+    """Replay expert sessions into training-ready (state, action) steps,
+    each with its incoherence penalty when penalties are enabled."""
     by_name = {ds.name: ds for ds in datasets}
     steps: list[Step] = []
     for traj in trajectories:
         if traj.dataset not in by_name:
             raise ValueError(f"expert trajectory references unknown dataset "
                              f"{traj.dataset!r}")
-        records, _ = replay(by_name[traj.dataset], traj.actions, layout)
-        for rec in records:
-            penalty = incoherence_penalty(traj.actions[:rec.t])
-            steps.append(Step(
-                state=rec.state, heads=np.asarray(rec.heads), mask=rec.mask,
-                action_vec=rec.action_vec, next_state=rec.next_state,
-                done=rec.done, penalty=penalty))
+        session = replay(by_name[traj.dataset], traj.actions, layout)
+        if cfg.penalty_enabled:
+            for t, step in enumerate(session, start=1):
+                step.penalty = incoherence_penalty(traj.actions[:t])
+        steps.extend(session)
     return steps
 
 
@@ -325,16 +310,16 @@ class RolloutCollector:
                 env, state, svec = lanes[i]
                 # the discriminator sees the canonical heads, as for expert steps
                 avec = encode_action(heads_from_action(
-                    action, state.current, env.dataset, layout), layout)
+                    action, state.current, layout), layout)
                 next_state = env.step(state, action)
                 next_svec = env.encode_state(next_state)
-                penalty = 0.0
+                step = Step(state=svec, heads=heads[i],
+                            mask=head_mask(action.kind), action_vec=avec,
+                            next_state=next_svec, done=next_state.done,
+                            logprob=logp)
                 if cfg.penalty_enabled:
-                    penalty = incoherence_penalty(next_state.action_history)
-                steps.append(Step(state=svec, heads=heads[i],
-                                  mask=head_mask(action.kind), action_vec=avec,
-                                  next_state=next_svec, done=next_state.done,
-                                  penalty=penalty, logprob=logp))
+                    step.penalty = incoherence_penalty(next_state.action_history)
+                steps.append(step)
                 if next_state.done:
                     self.episode_lengths.append(next_state.step)
                     lanes[i] = self._start()
@@ -390,8 +375,7 @@ def assemble_mixed_batch(buffer: deque, expert_steps, policy, disc,
         x = np.stack([np.concatenate([e.state, e.action_vec]) for e in exp])
         d_prob, _ = disc.forward(x)
         for e, p in zip(exp, d_prob):
-            pen = e.penalty if cfg.penalty_enabled else 0.0
-            rewards.append(imitation_reward(float(p), pen))
+            rewards.append(imitation_reward(float(p), e.penalty))
         exp_logp, _ = policy.logprob(states[k_gen:], heads[k_gen:],
                                      masks[k_gen:])
         old_logp.extend(float(v) for v in exp_logp)
@@ -439,7 +423,6 @@ class TrainResult:
     discriminator: nn.DiscriminatorNet
     layout: HeadLayout
     schema: tuple
-    metrics: list = field(default_factory=list)
     bc_history: list = field(default_factory=list)
 
 
@@ -521,7 +504,6 @@ def train_gail(cfg: TrainConfig, datasets, expert, metrics_sink=None,
                         for net in (policy, value, disc))):
             raise FloatingPointError(f"adversarial training went non-finite in "
                                      f"interval {interval}")
-        result.metrics.append(record)
         if metrics_sink is not None:
             metrics_sink(record)
     return result

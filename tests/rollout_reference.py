@@ -71,7 +71,7 @@ def policy_step(policy, env, state, rng=None, svec=None):
         heads, logp = tuple(int(np.argmax(p)) for p in dists), None
     else:
         heads, logp = nn_reference.sample_action(dists, rng, RELEVANT_HEADS)
-    action = action_from_heads(heads, state.current, env.dataset)
+    action = action_from_heads(heads, state.current)
     return svec, heads, logp, action, env.step(state, action)
 
 
@@ -129,7 +129,7 @@ class RolloutCollector:
             svec, heads, logp, action, new_state = policy_step(
                 policy, env, state, self.rng, self._svec)
             avec = encode_action(heads_from_action(action, state.current,
-                                                   env.dataset, self.layout),
+                                                   self.layout),
                                  self.layout)
             penalty = 0.0
             if cfg.penalty_enabled:

@@ -207,9 +207,9 @@ def test_criterion_4_measure_identities(toy):
     p = {"a": 0.3, "b": 0.45, "c": 0.25}
     checks = {
         "kl self": kl_divergence(p, dict(p)) == 0.0,
-        "diversity repeat": diversity(d0, [d0], toy) == 0.0,
+        "diversity repeat": diversity(d0, [d0]) == 0.0,
         "readability equal": readability(d0, d0, specs) == 0.0,
-        "peculiarity floor": peculiarity(d0, d0, specs, toy)
+        "peculiarity floor": peculiarity(d0, d0, specs)
                              == sigmoid(0.0, specs.divergence),
     }
     actions = (ActionSpec("FILTER", filter=FilterPredicate("color", "EQ", "red")),

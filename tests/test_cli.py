@@ -158,9 +158,11 @@ def test_failed_train_leaves_no_out(data_dir, tmp_path):
                   "--leave-one-out")):
         assert run("train", *args, "--out", out) == 2, args
         assert not out.exists() and not out.parent.exists(), args
-    assert run("train", "--data", data_dir, "--datasets", "ds1", "--leave-one-out",
-               "--out", out) == 1
-    assert not out.parent.exists()
+    for args in (("--datasets", "ds1", "--leave-one-out"),
+                 ("--datasets", "ds1,ds1", "--bc-only"),
+                 ("--datasets", "ds1, ds2,ds1", "--leave-one-out")):
+        assert run("train", "--data", data_dir, *args, "--out", out) == 1, args
+        assert not out.parent.exists(), args
 
 
 def test_generate_sessions_replay(run_dir, data_dir, tmp_path):
@@ -308,6 +310,14 @@ def test_usage_errors_exit_one(run_dir, data_dir, tmp_path):
         assert run("eval", "--checkpoint", run_dir / "checkpoint.json",
                    "--data", data_dir, "--datasets", "ds1", "--n", n) == 1, n
     assert not (tmp_path / "sessions.json").exists()
+    assert run("eval", "--sessions", data_dir / "ds1.eval.json", "--data",
+               data_dir, "--datasets", "ds1,ds1") == 1
+    for threshold in ("0", "-0.5", "1.5", "nan", "x"):
+        assert run("eval", "--sessions", data_dir / "ds1.eval.json",
+                   "--data", data_dir, "--datasets", "ds1",
+                   "--threshold", threshold) == 1, threshold
+    assert run("eval", "--sessions", data_dir / "ds1.eval.json", "--data",
+               data_dir, "--datasets", "ds1", "--threshold", "1") == 0
     # a synth config that is a JSON object but holds a bad value: no file
     # is written, not even the manifest
     config = tmp_path / "synth.json"
@@ -476,8 +486,14 @@ def test_data_errors_exit_two(tmp_path, data_dir):
 
 
 def test_measure_bad_session_or_ruleset_exits_two(data_dir, tmp_path, capsys):
-    """An empty session is a data error that names it, and so is a ruleset
-    file that is valid JSON but not an object."""
+    """An empty session is a data error that names it, and so are sessions
+    of another dataset and a ruleset file that is valid JSON but not an
+    object."""
+    assert run("measure", "--session", data_dir / "ds2.eval.json",
+               "--dataset", data_dir / "ds1.csv", "--out", tmp_path / "m") == 2
+    err = capsys.readouterr().err
+    assert "'ds2'" in err and "'ds1'" in err
+    assert not (tmp_path / "m").exists()
     gold = json.loads((data_dir / "ds1.eval.json").read_text())
     session = tmp_path / "s.json"
     session.write_text(json.dumps({"dataset": "ds1",
@@ -493,6 +509,38 @@ def test_measure_bad_session_or_ruleset_exits_two(data_dir, tmp_path, capsys):
                    "--dataset", data_dir / "ds1.csv",
                    "--ruleset", ruleset) == 2, text
         assert "malformed coherence ruleset" in capsys.readouterr().err, text
+
+
+@pytest.mark.parametrize("field, value", [
+    ("column", 5), ("op", None), ("term", 5), ("term", ["a"]),
+    ("grp_col", 5), ("agg_col", {}), ("agg_func", 1.5)])
+def test_non_string_action_fields_exit_two(data_dir, tmp_path, capsys, field,
+                                           value):
+    """A session, gold or expert file whose action holds a non-string field
+    is a data error in measure, eval and train."""
+    action = ({"kind": "FILTER", "column": "t1", "op": "CONTAINS", "term": "a"}
+              if field in ("column", "op", "term") else
+              {"kind": "GROUP", "grp_col": "c1", "agg_col": "n1",
+               "agg_func": "SUM"})
+    action[field] = value
+    data = tmp_path / "data"
+    data.mkdir()
+    for name in ("ds1.csv", "ds1.schema.json"):
+        (data / name).write_bytes((data_dir / name).read_bytes())
+    text = json.dumps({"dataset": "ds1", "sessions": [
+        [{"step": 1, "action": action}, {"step": 2, "action": {"kind": "STOP"}}]]})
+    for split in ("train", "eval"):
+        (data / f"ds1.{split}.json").write_text(text)
+    out = tmp_path / "out"
+    assert run("measure", "--session", data / "ds1.eval.json",
+               "--dataset", data / "ds1.csv", "--out", out) == 2
+    assert run("eval", "--sessions", data_dir / "ds1.eval.json",
+               "--data", data, "--datasets", "ds1", "--out", out) == 2
+    assert run("train", "--data", data, "--datasets", "ds1", "--bc-only",
+               "--out", out) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.count(f"action field {field!r} must be a string") == 3
 
 
 def test_malformed_checkpoints_exit_two(run_dir, data_dir, tmp_path):

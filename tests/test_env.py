@@ -11,7 +11,7 @@ from autoeda.env import (BACK, STOP, ActionSpec, EdaEnv, HeadLayout,
                          Trajectory, action_from_heads, action_from_json,
                          action_to_json, encode_action, encode_display,
                          heads_from_action, load_trajectories, replay,
-                         save_trajectories, state_vec_len, walk_displays)
+                         save_trajectories, state_vec_len, walk)
 from autoeda.tabular import (ColumnKind, Dataset, FilterPredicate, Grouping,
                              apply_filter, apply_group, display_fingerprint,
                              initial_display, load_dataset, write_dataset)
@@ -85,8 +85,7 @@ def test_encode_empty_display_zero_except_roles(toy):
 def test_encodings_bounded(synthetic_bundle):
     dataset, _, _, trajectories = synthetic_bundle
     for traj in trajectories[:3]:
-        steps, history = walk_displays(dataset, traj.actions)
-        for d in history:
+        for d in walk(dataset, traj.actions)[-1].history:
             vec = encode_display(d, dataset)
             assert np.all(np.isfinite(vec))
             assert np.all(vec >= 0.0) and np.all(vec <= 1.0)
@@ -265,20 +264,20 @@ def test_stop_ends_episode(toy):
 # heads <-> actions
 
 def test_kind_stop_ignores_other_heads(toy):
-    a = action_from_heads((3, 2, 4, 4, 19), initial_display(toy), toy)
+    a = action_from_heads((3, 2, 4, 4, 19), initial_display(toy))
     assert a == STOP
 
 
 def test_filter_mode_selection(toy):
     d = initial_display(toy)
-    a = action_from_heads((1, 0, 0, 0, 0), d, toy)
+    a = action_from_heads((1, 0, 0, 0, 0), d)
     assert a == FILTER("color", "EQ", "red")  # red is the mode (4 of 9)
 
 
 def test_bin_clamps_to_least_frequent(toy):
     d = initial_display(toy)
     ranked = d.ranked_values(0)
-    a = action_from_heads((1, 0, 0, 0, 19), d, toy)
+    a = action_from_heads((1, 0, 0, 0, 19), d)
     assert a.filter.term == ranked[-1]
 
 
@@ -287,14 +286,14 @@ def test_frequency_rank_order(toy):
     d = initial_display(toy)
     assert d.ranked_values(0) == ("red", "blue", "green")
     for b, expected in enumerate(("red", "blue", "green")):
-        a = action_from_heads((1, 0, 0, 0, b), d, toy)
+        a = action_from_heads((1, 0, 0, 0, b), d)
         assert a.filter.term == expected
 
 
 def test_empty_column_falls_back_to_base_mode(toy):
     empty = apply_filter(initial_display(toy),
                          FilterPredicate("color", "EQ", "nothing"))
-    a = action_from_heads((1, 0, 0, 0, 5), empty, toy)
+    a = action_from_heads((1, 0, 0, 0, 5), empty)
     assert a.filter.term == "red"
 
 
@@ -302,18 +301,18 @@ def test_group_reconstruction_forces_valid_agg(toy):
     d = initial_display(toy)
     # grouping the numeric column: aggregate falls to the first other column,
     # which is categorical, so SUM degrades to COUNT
-    a = action_from_heads((0, 1, 0, 0, 0), d, toy)
+    a = action_from_heads((0, 1, 0, 0, 0), d)
     assert a.group.grp_col == "score"
     assert a.group.agg_func == "COUNT"
     # grouping a categorical column keeps the numeric aggregate
-    a = action_from_heads((0, 0, 0, 0, 0), d, toy)
+    a = action_from_heads((0, 0, 0, 0, 0), d)
     assert a.group == Grouping("color", "score", "SUM")
 
 
 def test_encode_action_back_one_hot(toy):
     layout = HeadLayout(3)
     d = initial_display(toy)
-    vec = encode_action(heads_from_action(BACK, d, toy, layout), layout)
+    vec = encode_action(heads_from_action(BACK, d, layout), layout)
     assert vec.shape == (layout.action_dim,)
     assert vec.sum() == 1.0 and vec[2] == 1.0
 
@@ -322,7 +321,7 @@ def test_encode_action_group_blocks(toy):
     layout = HeadLayout(3)
     d = initial_display(toy)
     action = GROUP("score", "color", "COUNT")
-    vec = encode_action(heads_from_action(action, d, toy, layout), layout)
+    vec = encode_action(heads_from_action(action, d, layout), layout)
     k, c, g, o, b = layout.sizes
     assert vec[0] == 1.0                      # kind block
     assert vec[k + 1] == 1.0                  # column block: score
@@ -341,9 +340,9 @@ def test_head_round_trip_exhaustive():
     layout = HeadLayout(3, term_bins=5)
     d = initial_display(ds)
     for heads in itertools.product(*(range(s) for s in layout.sizes)):
-        action = action_from_heads(heads, d, ds)
-        back = heads_from_action(action, d, ds, layout)
-        again = action_from_heads(back, d, ds)
+        action = action_from_heads(heads, d)
+        back = heads_from_action(action, d, layout)
+        again = action_from_heads(back, d)
         assert again == action
         # argmax of the encoded blocks equals the canonical heads
         vec = encode_action(back, layout)
@@ -358,7 +357,7 @@ def test_head_round_trip_exhaustive():
 def test_substring_term_maps_to_matching_value_bin(toy):
     layout = HeadLayout(3, term_bins=20)
     d = initial_display(toy)
-    heads = heads_from_action(FILTER("note", "CONTAINS", "alpha"), d, toy, layout)
+    heads = heads_from_action(FILTER("note", "CONTAINS", "alpha"), d, layout)
     ranked = d.ranked_values(2)
     assert ranked[heads[4]].find("alpha") >= 0
 
@@ -369,12 +368,13 @@ def test_substring_term_maps_to_matching_value_bin(toy):
 def test_replay_records(toy):
     actions = (FILTER("color", "EQ", "red"), GROUP("color", "score", "COUNT"),
                BACK, STOP)
-    records, final = replay(toy, actions)
-    assert [r.t for r in records] == [1, 2, 3, 4]
-    assert final.done
+    records = replay(toy, actions)
+    assert len(records) == 4
+    assert [r.done for r in records] == [False, False, False, True]
     assert records[0].state.shape == (state_vec_len(toy),)
     assert np.allclose(records[1].state, records[0].next_state)
-    assert records[-1].done
+    assert all(r.penalty == 0.0 and r.reward is None and r.logprob is None
+               for r in records)
 
 
 def test_trajectory_json_round_trip(tmp_path, toy):

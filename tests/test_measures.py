@@ -5,7 +5,6 @@ import weakref
 import numpy as np
 import pytest
 
-from autoeda import measures
 from autoeda.env import ActionSpec, BACK, STOP, encode_display
 from autoeda.measures import (MEASURE_NAMES, CoherenceRuleset,
                               MeasureScores, MeasureSpecs, SigmoidSpec, a_int,
@@ -116,8 +115,8 @@ def deck() -> Dataset:
 def test_a_int_zero_for_back_and_stop(deck):
     specs = default_measure_specs(1000)
     d0 = initial_display(deck)
-    assert a_int(d0, d0, BACK, specs, deck) == 0.0
-    assert a_int(d0, d0, STOP, specs, deck) == 0.0
+    assert a_int(d0, d0, BACK, specs) == 0.0
+    assert a_int(d0, d0, STOP, specs) == 0.0
 
 
 def test_a_int_noop_filter_hits_sigmoid_floor(deck):
@@ -125,7 +124,7 @@ def test_a_int_noop_filter_hits_sigmoid_floor(deck):
     d0 = initial_display(deck)
     same = apply_filter(d0, FilterPredicate("color", "NEQ", "zzz"))
     expected_floor = sigmoid(0.0, specs.divergence)
-    assert a_int(d0, same, FILTER("color", "NEQ", "zzz"), specs, deck) == \
+    assert a_int(d0, same, FILTER("color", "NEQ", "zzz"), specs) == \
         pytest.approx(expected_floor)
 
 
@@ -138,7 +137,7 @@ def test_a_int_group_formula_oracle(deck):
     h1 = 1.0 - 1.0 / (1.0 + math.exp(-(3 * 1 - 50.0) / 15.0))
     h2 = 1.0 - 1.0 / (1.0 + math.exp(-(10 - 500.0) / 100.0))
     expected = min(1.0, h1 / h2)
-    got = a_int(d0, grouped, GROUP("color", "x", "COUNT"), specs, deck)
+    got = a_int(d0, grouped, GROUP("color", "x", "COUNT"), specs)
     assert got == pytest.approx(expected)
     assert 0.9 < got < 1.0  # non-degenerate fixture
 
@@ -153,14 +152,14 @@ def test_a_int_group_monotone_in_group_count():
                                ("x", ColumnKind.NUMERIC)], rows)
         d0 = initial_display(ds)
         grouped = apply_group(d0, Grouping("c", "x", "COUNT"))
-        values.append(a_int(d0, grouped, GROUP("c", "x", "COUNT"), specs, ds))
+        values.append(a_int(d0, grouped, GROUP("c", "x", "COUNT"), specs))
     assert all(a >= b for a, b in zip(values, values[1:]))
 
 
 def test_diversity_repeat_is_zero(deck):
     d0 = initial_display(deck)
     d1 = apply_filter(d0, FilterPredicate("color", "EQ", "a"))
-    assert diversity(d1, [d0, d1], deck) == 0.0
+    assert diversity(d1, [d0, d1]) == 0.0
 
 
 def test_diversity_single_history_element(deck):
@@ -168,7 +167,7 @@ def test_diversity_single_history_element(deck):
     d1 = apply_filter(d0, FilterPredicate("color", "EQ", "a"))
     expected = float(np.linalg.norm(encode_display(d1, deck)
                                     - encode_display(d0, deck)))
-    assert diversity(d1, [d0], deck) == pytest.approx(expected)
+    assert diversity(d1, [d0]) == pytest.approx(expected)
 
 
 def test_diversity_scripted_session_pairwise_oracle(deck):
@@ -179,12 +178,12 @@ def test_diversity_scripted_session_pairwise_oracle(deck):
     vecs = [encode_display(d, deck) for d in (d0, d1, d2)]
     target = encode_display(cur, deck)
     expected = min(float(np.linalg.norm(target - v)) for v in vecs)
-    assert diversity(cur, [d0, d1, d2], deck) == pytest.approx(expected)
+    assert diversity(cur, [d0, d1, d2]) == pytest.approx(expected)
 
 
 def test_diversity_requires_history(deck):
     with pytest.raises(ValueError):
-        diversity(initial_display(deck), [], deck)
+        diversity(initial_display(deck), [])
 
 
 def test_readability_equal_compactness_is_zero(deck):
@@ -225,7 +224,7 @@ def test_readability_group_collapse_positive(synthetic_dataset):
 def test_peculiarity_identity_is_floor(deck):
     specs = default_measure_specs(deck.row_count)
     d0 = initial_display(deck)
-    assert peculiarity(d0, d0, specs, deck) == \
+    assert peculiarity(d0, d0, specs) == \
         pytest.approx(sigmoid(0.0, specs.divergence))
 
 
@@ -234,7 +233,7 @@ def test_peculiarity_single_row_filter_increases(deck):
     d0 = initial_display(deck)
     narrow = apply_filter(d0, FilterPredicate("x", "EQ", "4"))
     assert narrow.row_count == 1
-    assert peculiarity(narrow, d0, specs, deck) > sigmoid(0.0, specs.divergence)
+    assert peculiarity(narrow, d0, specs) > sigmoid(0.0, specs.divergence)
 
 
 def test_peculiarity_composition_oracle(deck):
@@ -244,7 +243,7 @@ def test_peculiarity_composition_oracle(deck):
     expected = max(
         kl_divergence(column_histogram(d0, col), column_histogram(cur, col))
         for col in deck.column_names)
-    assert peculiarity(cur, d0, specs, deck) == \
+    assert peculiarity(cur, d0, specs) == \
         pytest.approx(sigmoid(expected, specs.divergence))
 
 
@@ -448,18 +447,20 @@ def test_kl_memo_separates_views_that_share_a_fingerprint(column, op, terms):
     pairs = [(d0, v) for v in views] + [(v, d0) for v in views] + [(a, b), (b, a)]
     for _ in range(2):  # cold, then every pair again from the memo
         for before, after in pairs:
-            assert max_column_kl(before, after, ds) == _composed_kl(before, after)
-    assert max_column_kl(d0, a, ds) != max_column_kl(d0, b, ds)
+            assert max_column_kl(before, after) == _composed_kl(before, after)
+    assert max_column_kl(d0, a) != max_column_kl(d0, b)
 
 
 def test_max_column_kl_refuses_views_of_another_dataset(deck):
     other = Dataset(deck.name, [(c, k.value) for c, k in deck.columns],
                     dataset_rows(deck))
     d0, o0 = initial_display(deck), initial_display(other)
-    for before, after, base in ((d0, o0, deck), (o0, d0, deck), (d0, d0, other)):
+    for before, after in ((d0, o0), (o0, d0)):
         with pytest.raises(ValueError):
-            max_column_kl(before, after, base)
-    assert other not in measures._KL_MEMO
+            max_column_kl(before, after)
+    with pytest.raises(ValueError):
+        diversity(o0, [d0])
+    assert not other._kl_memo and not deck._kl_memo
 
 
 def test_kl_memo_warm_scores_equal_fresh_dataset_scores(synthetic_bundle):
@@ -469,7 +470,7 @@ def test_kl_memo_warm_scores_equal_fresh_dataset_scores(synthetic_bundle):
     for t in trajectories:
         fresh = Dataset(dataset.name, [(c, k.value) for c, k in dataset.columns],
                         dataset_rows(dataset))
-        assert fresh not in measures._KL_MEMO
+        assert not fresh._kl_memo
         assert score_session(dataset, t.actions) == score_session(fresh, t.actions)
 
 
@@ -479,11 +480,9 @@ def test_kl_memo_entry_dies_with_its_dataset():
         ds = Dataset("gone", [("color", ColumnKind.CATEGORICAL)],
                      [["a"], ["b"], ["a"]])
         score_session(ds, (FILTER("color", "EQ", "a"), BACK, STOP))
-        assert measures._KL_MEMO[ds]
-        entries = len(measures._KL_MEMO)
+        assert ds._kl_memo and ds._encodings
         ref = weakref.ref(ds)
         del ds
         assert ref() is None
-        assert len(measures._KL_MEMO) == entries - 1
     finally:
         gc.enable()

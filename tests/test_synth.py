@@ -381,7 +381,7 @@ def test_trajectories_replay_and_return_to_root(synthetic_bundle):
     dataset, _, _, trajectories = synthetic_bundle
     d0_fp = display_fingerprint(initial_display(dataset))
     for traj in trajectories:
-        steps, _ = walk_displays(dataset, traj.actions)
+        steps = walk_displays(dataset, traj.actions)
         # display before the final STOP is the initial one
         prev, action, cur = steps[-1]
         assert action.kind == "STOP"

@@ -133,6 +133,18 @@ def test_prepare_expert_steps(toy):
     assert steps[3].done
 
 
+@pytest.mark.parametrize("penalty", [True, False])
+def test_expert_penalties_follow_the_penalty_switch(toy, penalty):
+    from autoeda.env import Trajectory
+    actions = (BACK, F_A, F_A, BACK, STOP)
+    steps = prepare_expert_steps([toy], [Trajectory("toy", actions)],
+                                 HeadLayout(3), small_cfg(penalty_enabled=penalty))
+    want = [incoherence_penalty(actions[:t]) if penalty else 0.0
+            for t in range(1, len(actions) + 1)]
+    assert [s.penalty for s in steps] == want
+    assert min(want) < 0 or not penalty
+
+
 def test_prepare_expert_rejects_unknown_dataset(toy):
     from autoeda.env import Trajectory
     with pytest.raises(ValueError, match="unknown dataset"):
@@ -407,13 +419,16 @@ def _mini_training(synthetic_bundle, **cfg_kwargs):
     cfg = TrainConfig(horizon=6, total_interactions=96, train_interval=48,
                       batch_policy=8, batch_disc=16, bc_epochs=2, bc_batch=16,
                       buffer_capacity=512, seed=5, **cfg_kwargs)
-    return cfg, train_gail(cfg, [dataset], trajectories[:3])
+    records = []
+    result = train_gail(cfg, [dataset], trajectories[:3],
+                        metrics_sink=records.append)
+    return cfg, result, records
 
 
 def test_train_gail_smoke(synthetic_bundle):
-    cfg, result = _mini_training(synthetic_bundle)
-    assert len(result.metrics) == 2
-    for record in result.metrics:
+    _, result, records = _mini_training(synthetic_bundle)
+    assert len(records) == 2
+    for record in records:
         assert list(record) == ["interval", "disc_acc", "mean_reward",
                                 "mean_penalty", "mean_ep_len"]
         assert all(math.isfinite(v) for v in record.values())
@@ -421,25 +436,25 @@ def test_train_gail_smoke(synthetic_bundle):
 
 
 def test_train_gail_no_penalty_logs_zero(synthetic_bundle):
-    cfg, result = _mini_training(synthetic_bundle, penalty_enabled=False)
-    assert all(record["mean_penalty"] == 0.0 for record in result.metrics)
+    _, _, records = _mini_training(synthetic_bundle, penalty_enabled=False)
+    assert all(record["mean_penalty"] == 0.0 for record in records)
 
 
 def test_train_gail_deterministic(synthetic_bundle):
-    _, a = _mini_training(synthetic_bundle)
-    _, b = _mini_training(synthetic_bundle)
-    assert json.dumps(a.metrics) == json.dumps(b.metrics)
+    _, a, a_records = _mini_training(synthetic_bundle)
+    _, b, b_records = _mini_training(synthetic_bundle)
+    assert json.dumps(a_records) == json.dumps(b_records)
     assert np.array_equal(a.policy.flat, b.policy.flat)
 
 
 def test_train_gail_bc_only(synthetic_bundle):
-    cfg, result = _mini_training(synthetic_bundle, bc_only=True)
-    assert result.metrics == []
+    _, result, records = _mini_training(synthetic_bundle, bc_only=True)
+    assert records == []
     assert result.bc_history
 
 
 def test_checkpoint_round_trip(tmp_path, synthetic_bundle):
-    cfg, result = _mini_training(synthetic_bundle)
+    cfg, result, _ = _mini_training(synthetic_bundle)
     path = tmp_path / "ckpt.json"
     save_checkpoint(path, result, cfg)
     loaded, cfg2 = load_checkpoint(path)
@@ -516,7 +531,6 @@ def test_non_finite_policy_stops_adversarial_training(toy, monkeypatch):
                    metrics_sink=sunk.append,
                    result_callback=lambda r: held.update(result=r))
     assert [r["interval"] for r in sunk] == [1]
-    assert held["result"].metrics == sunk
     assert np.isnan(held["result"].policy.flat).all()
 
 
