@@ -49,14 +49,13 @@ untrained = nn.PolicyNet(state_vec_len(held_out), result.layout.sizes,
 rows = []
 for name, policy in (("trained", result.policy), ("uniform", untrained)):
     rng = derive_rng(SEED, 7)
-    sessions = [generate_session(policy, held_out, result.layout, cfg.horizon,
-                                 "sample", rng) for _ in range(40)]
+    sessions = [generate_session(policy, held_out, cfg.horizon, "sample", rng)
+                for _ in range(40)]
     metrics = evaluate_sessions(held_out, sessions, gold)
     rows.append({"dataset": name, **metrics})
 
 print()
 print(report_text(rows))
 print("\na greedy session from the trained policy:")
-for action in generate_session(result.policy, held_out, result.layout,
-                               cfg.horizon).actions:
+for action in generate_session(result.policy, held_out, cfg.horizon).actions:
     print("   ", action)

@@ -3,22 +3,9 @@
 Subpackages: `tabular` (dataset/display engine), `env` (episodes, state and
 action encodings), `measures` (interestingness scores), `synth` (synthetic
 data and expert sessions), `nn` (networks and optimizer), `train` (cloning
-plus adversarial training), `evaluation` (session metrics), `cli`.
+plus adversarial training), `evaluation` (session metrics), `cli`. Import
+them by name; the package imports none of them, so `autoeda.cli` can pin
+BLAS threads before numpy loads.
 """
 
 __version__ = "0.1.0"
-
-from .tabular import (AGG_FUNCS, FILTER_OPS, ColumnKind, Dataset, Display,
-                      FilterPredicate, Grouping, apply_filter, apply_group,
-                      column_histogram, display_fingerprint, initial_display,
-                      load_dataset)
-from .env import (ACTION_KINDS, ActionSpec, EdaEnv, EpisodeState, HeadLayout,
-                  Trajectory, action_from_heads, encode_action, encode_display,
-                  heads_from_action)
-from .measures import (CoherenceRuleset, MeasureScores, SigmoidSpec,
-                       classify_session, kl_divergence, normalize_session,
-                       score_session, sigmoid)
-from .train import TrainConfig, incoherence_penalty, train_gail
-from .evaluation import eda_sim, precision, tbleu
-
-__all__ = [name for name in dir() if not name.startswith("_")]

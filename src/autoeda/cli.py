@@ -41,11 +41,19 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(text: str, least: int) -> int:
     n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    if n < least:
+        raise argparse.ArgumentTypeError(f"must be at least {least}, got {n}")
     return n
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(text, 1)
+
+
+def _non_negative_int(text: str) -> int:
+    return _int_at_least(text, 0)
 
 
 def _fraction(text: str) -> float:
@@ -164,6 +172,28 @@ def _load_datasets(paths, manifest: Manifest):
                 manifest.add_input(p)
         datasets.append(dataset)
     return datasets
+
+
+def _load_split(data_dir: Path, names, split: str, manifest: Manifest,
+                what: str):
+    """(datasets, sessions per dataset) of `<data_dir>/<name>.csv` and
+    `<data_dir>/<name>.<split>.json` for each name; the CSVs and their
+    sidecars are recorded as manifest inputs before the session files."""
+    datasets = _load_datasets([data_dir / f"{n}.csv" for n in names], manifest)
+    sessions = [_load_sessions(data_dir / f"{n}.{split}.json", manifest, what)
+                for n in names]
+    return datasets, sessions
+
+
+def _write_report(out: Path, stem: str, payload: dict, text: str,
+                  manifest: Manifest) -> None:
+    """`<stem>.json`, `<stem>.txt` and the manifest, written under `out`."""
+    from .tabular import write_json
+    write_json(out / f"{stem}.json", payload, indent=1)
+    (out / f"{stem}.txt").write_text(text)
+    manifest.add_output(out / f"{stem}.json")
+    manifest.add_output(out / f"{stem}.txt")
+    manifest.write(out / "manifest.json")
 
 
 # ---------------------------------------------------------------------------
@@ -357,9 +387,8 @@ def cmd_train(args) -> int:
         manifest.add_input(args.config)
     # every input is read before --out is created, so a data error leaves
     # no directory behind
-    datasets = _load_datasets([data_dir / f"{n}.csv" for n in names], manifest)
-    expert = {n: _load_sessions(data_dir / f"{n}.{args.split}.json", manifest,
-                                "expert sessions") for n in names}
+    datasets, expert = _load_split(data_dir, names, args.split, manifest,
+                                   "expert sessions")
     out = _out_dir(args)
 
     if args.leave_one_out:
@@ -368,10 +397,10 @@ def cmd_train(args) -> int:
             sub = out / f"leave_out_{held_out}"
             sub.mkdir(parents=True, exist_ok=True)
             _train_once(args, cfg, [datasets[i] for i in kept],
-                        [t for i in kept for t in expert[names[i]]], sub, manifest)
+                        [t for i in kept for t in expert[i]], sub, manifest)
             print(f"trained without {held_out} -> {sub}")
     else:
-        _train_once(args, cfg, datasets, [t for n in names for t in expert[n]],
+        _train_once(args, cfg, datasets, [t for ts in expert for t in ts],
                     out, manifest)
         print(f"trained on {', '.join(names)} -> {out}")
 
@@ -407,7 +436,7 @@ def _policy_sessions(args, datasets, manifest: Manifest):
     for dataset in datasets:
         _check_checkpoint_schema(result, dataset)
         rng = derive_rng(seed, STREAM_GENERATE)
-        per_dataset.append([generate_session(result.policy, dataset, result.layout,
+        per_dataset.append([generate_session(result.policy, dataset,
                                              cfg.horizon, args.mode, rng)
                             for _ in range(args.n)])
     return per_dataset, seed, cfg
@@ -461,7 +490,6 @@ def cmd_measure(args) -> int:
     from . import env as env_mod
     from .measures import (EMPTY_RULESET, MEASURE_NAMES, CoherenceRuleset,
                            normalize_session, score_session)
-    from .tabular import write_json
 
     manifest = Manifest("measure", args, {"threshold": args.threshold})
     (dataset,) = _load_datasets([args.dataset], manifest)
@@ -506,12 +534,7 @@ def cmd_measure(args) -> int:
     text = ("\n\n".join(tables)) + "\n"
     print(text, end="")
     if args.out:
-        out = _out_dir(args)
-        write_json(out / "measures.json", report, indent=1)
-        (out / "measures.txt").write_text(text)
-        manifest.add_output(out / "measures.json")
-        manifest.add_output(out / "measures.txt")
-        manifest.write(out / "manifest.json")
+        _write_report(_out_dir(args), "measures", report, text, manifest)
     return 0
 
 
@@ -520,7 +543,6 @@ def cmd_measure(args) -> int:
 
 def cmd_eval(args) -> int:
     from .evaluation import evaluate_sessions, report_text, METRIC_COLUMNS
-    from .tabular import write_json
     import numpy as np
 
     if bool(args.checkpoint) == bool(args.sessions):
@@ -532,9 +554,8 @@ def cmd_eval(args) -> int:
     manifest = Manifest("eval", args, {"gold_split": args.gold_split,
                                        "n": args.n, "mode": args.mode,
                                        "threshold": args.threshold})
-    datasets = _load_datasets([data_dir / f"{n}.csv" for n in names], manifest)
-    golds = [_load_sessions(data_dir / f"{n}.{args.gold_split}.json", manifest,
-                            "gold sessions") for n in names]
+    datasets, golds = _load_split(data_dir, names, args.gold_split, manifest,
+                                  "gold sessions")
     if args.checkpoint:
         generated, _, _ = _policy_sessions(args, datasets, manifest)
     else:
@@ -558,12 +579,7 @@ def cmd_eval(args) -> int:
     text = report_text(rows) + "\n"
     print(text, end="")
     if args.out:
-        out = _out_dir(args)
-        write_json(out / "report.json", {"rows": rows}, indent=1)
-        (out / "report.txt").write_text(text)
-        manifest.add_output(out / "report.json")
-        manifest.add_output(out / "report.txt")
-        manifest.write(out / "manifest.json")
+        _write_report(_out_dir(args), "report", {"rows": rows}, text, manifest)
     return 0
 
 
@@ -575,7 +591,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", type=_non_negative_int, default=None)
         p.add_argument("--deterministic", action="store_true",
                        help="single-threaded, byte-reproducible run")
         p.add_argument("--out", default=None, help="output directory")
@@ -583,7 +599,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("synth", help="generate datasets and expert sessions")
     common(p)
     p.add_argument("--config", default=None, help="JSON config file")
-    p.set_defaults(fn=cmd_synth)
+    p.set_defaults(fn=cmd_synth, seed=0)
 
     p = sub.add_parser("train", help="train a session policy")
     common(p)
@@ -649,8 +665,6 @@ def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
         args.argv = argv
-        if getattr(args, "seed", None) is None and args.fn in (cmd_synth,):
-            args.seed = 0
         return args.fn(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

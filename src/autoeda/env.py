@@ -35,6 +35,10 @@ N_HEADS = 5
 # heads that parameterize each action kind, in ACTION_KINDS order; the rest
 # are ignored
 RELEVANT_HEADS = ((0, 1, 2), (0, 1, 3, 4), (0,), (0,))
+# the same as a (kinds, heads) table: HEAD_MASKS[heads[:, 0]] masks a batch
+HEAD_MASKS = np.array([[h in relevant for h in range(N_HEADS)]
+                       for relevant in RELEVANT_HEADS])
+HEAD_MASKS.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -166,7 +170,6 @@ class EpisodeState:
     display_stack: tuple
     history: tuple
     action_history: tuple
-    step: int
     done: bool
 
     @property
@@ -177,22 +180,13 @@ class EpisodeState:
 class EdaEnv:
     """Deterministic episode driver over one dataset."""
 
-    def __init__(self, dataset: Dataset, layout: HeadLayout | None = None,
-                 horizon: int = DEFAULT_HORIZON):
-        if layout is None:
-            layout = HeadLayout(len(dataset.columns))
-        if layout.n_columns != len(dataset.columns):
-            raise ValueError("head layout does not match the dataset schema")
+    def __init__(self, dataset: Dataset, horizon: int = DEFAULT_HORIZON):
         self.dataset = dataset
-        self.layout = layout
         self.horizon = horizon
         self._d0 = initial_display(dataset)
 
     def reset(self) -> EpisodeState:
-        return EpisodeState((self._d0,), (self._d0,), (), 0, False)
-
-    def encode_state(self, state: EpisodeState) -> np.ndarray:
-        return state_from_history(state.history)
+        return EpisodeState((self._d0,), (self._d0,), (), False)
 
     def step(self, state: EpisodeState, action: ActionSpec) -> EpisodeState:
         """Apply one action; pure, the input state is not modified.
@@ -220,11 +214,10 @@ class EdaEnv:
             history = history + (stack[-1],)
         else:  # STOP
             done = True
-        step = state.step + 1
-        if step >= self.horizon:
+        actions = state.action_history + (action,)
+        if len(actions) >= self.horizon:
             done = True
-        return EpisodeState(stack, history, state.action_history + (action,),
-                            step, done)
+        return EpisodeState(stack, history, actions, done)
 
 
 def default_agg_col(base: Dataset, grp_col: str) -> str:
@@ -338,12 +331,6 @@ def encode_action(heads, layout: HeadLayout) -> np.ndarray:
     return vec
 
 
-def head_mask(kind: str) -> np.ndarray:
-    mask = np.zeros(N_HEADS, dtype=bool)
-    mask[list(RELEVANT_HEADS[ACTION_KINDS.index(kind)])] = True
-    return mask
-
-
 def decide(policy: nn.PolicyNet, svecs: np.ndarray, displays,
            rng: np.random.Generator | None = None):
     """One decision in each of k states: one policy forward on their
@@ -371,8 +358,8 @@ def play(policy: nn.PolicyNet, env: EdaEnv,
     by `decide`; a state is encoded only when a decision is taken in it."""
     state = env.reset()
     while not state.done:
-        _, _, (action,) = decide(policy, env.encode_state(state)[None],
-                                 [state.current], rng)
+        svec = state_from_history(state.history)
+        _, _, (action,) = decide(policy, svec[None], [state.current], rng)
         state = env.step(state, action)
         yield action
 
@@ -388,10 +375,10 @@ class Trajectory:
 class Step:
     """One training step, expert or generated. Its penalty stays 0.0 unless
     the trainer enables penalties; a generated step also carries its
-    collect-time reward and log-prob."""
+    collect-time reward and log-prob. The heads its kind uses are
+    HEAD_MASKS[heads[0]]."""
     state: np.ndarray
     heads: np.ndarray
-    mask: np.ndarray
     action_vec: np.ndarray
     next_state: np.ndarray
     done: bool
@@ -400,14 +387,13 @@ class Step:
     logprob: float | None = None
 
 
-def walk(dataset: Dataset, actions,
-         layout: HeadLayout | None = None) -> list[EpisodeState]:
+def walk(dataset: Dataset, actions) -> list[EpisodeState]:
     """The episode states of a session: the reset state, then one per action.
 
     The horizon is the session length. Raises ValueError when an action
     follows a STOP.
     """
-    env = EdaEnv(dataset, layout, horizon=max(len(actions), 1))
+    env = EdaEnv(dataset, horizon=max(len(actions), 1))
     states = [env.reset()]
     for action in actions:
         states.append(env.step(states[-1], action))
@@ -426,14 +412,14 @@ def replay(dataset: Dataset, actions,
     """Training-ready steps of a session, one per action."""
     if layout is None:
         layout = HeadLayout(len(dataset.columns))
-    states = walk(dataset, actions, layout)
+    states = walk(dataset, actions)
     vecs = [state_from_history(s.history) for s in states]
     steps = []
     for t, action in enumerate(actions, start=1):
         heads = heads_from_action(action, states[t - 1].current, layout)
         steps.append(Step(
             state=vecs[t - 1], heads=np.asarray(heads),
-            mask=head_mask(action.kind), action_vec=encode_action(heads, layout),
+            action_vec=encode_action(heads, layout),
             next_state=vecs[t], done=states[t].done))
     return steps
 

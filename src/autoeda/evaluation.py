@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .env import (DEFAULT_HORIZON, EdaEnv, HeadLayout, Trajectory,
-                  encode_display, play, walk_displays)
+from .env import (DEFAULT_HORIZON, EdaEnv, Trajectory, encode_display, play,
+                  walk_displays)
 from .tabular import Dataset, display_fingerprint
 
 DEFAULT_SIM_THRESHOLD = 0.9
@@ -135,15 +135,14 @@ def all_metrics(gen: list[View], gold: list[list[View]],
 
 
 def generate_session(policy: nn.PolicyNet, dataset: Dataset,
-                     layout: HeadLayout, horizon: int = DEFAULT_HORIZON,
-                     mode: str = "greedy",
+                     horizon: int = DEFAULT_HORIZON, mode: str = "greedy",
                      rng: np.random.Generator | None = None) -> Trajectory:
     """Roll the policy over a dataset; greedy argmax or sampled actions."""
     if mode not in ("greedy", "sample"):
         raise ValueError("mode must be 'greedy' or 'sample'")
     if mode == "sample" and rng is None:
         raise ValueError("sample mode needs an rng")
-    env = EdaEnv(dataset, layout, horizon)
+    env = EdaEnv(dataset, horizon)
     return Trajectory(dataset.name,
                       tuple(play(policy, env, rng if mode == "sample" else None)))
 

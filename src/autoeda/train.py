@@ -18,12 +18,12 @@ from pathlib import Path
 import numpy as np
 
 from . import nn
-from .env import (DEFAULT_HORIZON, DEFAULT_TERM_BINS, EdaEnv, HeadLayout,
-                  Step, decide, encode_action, head_mask, heads_from_action,
-                  replay)
+from .env import (DEFAULT_HORIZON, DEFAULT_TERM_BINS, HEAD_MASKS, EdaEnv,
+                  HeadLayout, Step, decide, encode_action, heads_from_action,
+                  replay, state_from_history)
 from .tabular import ColumnKind
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 # rng sub-stream ids, combined with the run seed through SeedSequence
 STREAM_INIT = 0
@@ -227,7 +227,7 @@ def bc_pretrain(policy: nn.PolicyNet, expert_steps, cfg: TrainConfig,
         raise ValueError("behavioral cloning needs expert steps")
     states = np.stack([s.state for s in expert_steps])
     heads = np.stack([s.heads for s in expert_steps])
-    masks = np.stack([s.mask for s in expert_steps])
+    masks = HEAD_MASKS[heads[:, 0]]
     n = len(expert_steps)
     opt = nn.Adam(policy.flat, cfg.lr_bc)
     l2 = np.empty_like(policy.flat)
@@ -261,9 +261,10 @@ def action_agreement(policy: nn.PolicyNet, expert_steps) -> float:
     probs, _ = policy.forward(states)
     hits = 0
     for i, step in enumerate(expert_steps):
+        mask = HEAD_MASKS[step.heads[0]]
         ok = True
         for h in range(len(probs)):
-            if step.mask[h] and int(np.argmax(probs[h][i])) != int(step.heads[h]):
+            if mask[h] and int(np.argmax(probs[h][i])) != int(step.heads[h]):
                 ok = False
                 break
         hits += ok
@@ -281,7 +282,7 @@ class RolloutCollector:
         self.layout = layout
         self.cfg = cfg
         self.rng = rng
-        self._envs = cycle([EdaEnv(ds, layout, cfg.horizon) for ds in datasets])
+        self._envs = cycle([EdaEnv(ds, cfg.horizon) for ds in datasets])
         self._lanes = [self._start() for _ in range(LANES)]
         self.episode_lengths: list[int] = []
 
@@ -289,7 +290,7 @@ class RolloutCollector:
         """(env, state, state vector) of a new episode on the next dataset."""
         env = next(self._envs)
         state = env.reset()
-        return env, state, env.encode_state(state)
+        return env, state, state_from_history(state.history)
 
     def collect(self, disc: nn.DiscriminatorNet, n_steps: int,
                 buffer: deque) -> list[Step]:
@@ -312,16 +313,15 @@ class RolloutCollector:
                 avec = encode_action(heads_from_action(
                     action, state.current, layout), layout)
                 next_state = env.step(state, action)
-                next_svec = env.encode_state(next_state)
-                step = Step(state=svec, heads=heads[i],
-                            mask=head_mask(action.kind), action_vec=avec,
+                next_svec = state_from_history(next_state.history)
+                step = Step(state=svec, heads=heads[i], action_vec=avec,
                             next_state=next_svec, done=next_state.done,
                             logprob=logp)
                 if cfg.penalty_enabled:
                     step.penalty = incoherence_penalty(next_state.action_history)
                 steps.append(step)
                 if next_state.done:
-                    self.episode_lengths.append(next_state.step)
+                    self.episode_lengths.append(len(next_state.action_history))
                     lanes[i] = self._start()
                 else:
                     lanes[i] = env, next_state, next_svec
@@ -366,7 +366,7 @@ def assemble_mixed_batch(buffer: deque, expert_steps, policy, disc,
     both = gen + exp
     states = np.stack([s.state for s in both])
     heads = np.stack([s.heads for s in both])
-    masks = np.stack([s.mask for s in both])
+    masks = HEAD_MASKS[heads[:, 0]]
     next_states = np.stack([s.next_state for s in both])
     dones = np.array([s.done for s in both], dtype=float)
     rewards = [s.reward for s in gen]
@@ -523,11 +523,8 @@ def save_checkpoint(path, result: TrainResult, cfg: TrainConfig) -> None:
     held at once."""
     head = {
         "format_version": CHECKPOINT_VERSION,
-        "seed": cfg.seed,
         "config": cfg.to_dict(),
         "schema": [[c, k.value] for c, k in result.schema],
-        "layout": {"n_columns": result.layout.n_columns,
-                   "term_bins": result.layout.term_bins},
     }
     nets = (("policy", result.policy), ("value", result.value),
             ("discriminator", result.discriminator))
@@ -546,7 +543,7 @@ def load_checkpoint(path) -> tuple[TrainResult, TrainConfig]:
                          f"{payload.get('format_version')!r}")
     cfg = TrainConfig.from_dict(payload["config"])
     schema = tuple((c, ColumnKind(k)) for c, k in payload["schema"])
-    layout = HeadLayout(**payload["layout"])
+    layout = HeadLayout(len(schema), cfg.term_bins)
     policy = nn.PolicyNet(layout.state_dim, layout.sizes, cfg.policy_hidden)
     value = nn.ValueNet(layout.state_dim, cfg.policy_hidden)
     disc = nn.DiscriminatorNet(layout.state_dim + layout.action_dim,

@@ -18,6 +18,7 @@ import contextlib
 import numpy as np
 
 from autoeda import nn
+from autoeda.env import RELEVANT_HEADS
 
 
 def _split(flat, shapes):
@@ -136,11 +137,18 @@ def installed():
             setattr(owner, name, fn)
 
 
+def masks_of(steps):
+    """The (steps, heads) mask of the heads each step's kind uses, read off
+    RELEVANT_HEADS one step at a time."""
+    return np.array([[h in RELEVANT_HEADS[int(s.heads[0])]
+                      for h in range(len(s.heads))] for s in steps])
+
+
 def bc_pretrain(policy, expert_steps, cfg, rng):
     """`train.bc_pretrain` as it was; run it inside `installed()`."""
     states = np.stack([s.state for s in expert_steps])
     heads = np.stack([s.heads for s in expert_steps])
-    masks = np.stack([s.mask for s in expert_steps])
+    masks = masks_of(expert_steps)
     n = len(expert_steps)
     opt = nn.Adam(policy.flat, cfg.lr_bc)
     history = []

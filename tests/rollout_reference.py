@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 import nn_reference
-from autoeda.env import (HISTORY_WINDOW, RELEVANT_HEADS, EdaEnv, Trajectory,
-                         action_from_heads, encode_action, head_mask,
+from autoeda.env import (ACTION_KINDS, HISTORY_WINDOW, N_HEADS, RELEVANT_HEADS,
+                         EdaEnv, Trajectory, action_from_heads, encode_action,
                          heads_from_action)
 from autoeda.tabular import column_histogram
 from autoeda.train import imitation_reward, incoherence_penalty
@@ -53,6 +53,20 @@ def encode(display):
         vec[-2] = float(sizes.mean()) / n
         vec[-1] = float(sizes.var()) / (n * n)
     return vec
+
+
+def head_mask(kind):
+    """The heads an action of `kind` uses, as each step once carried them."""
+    mask = np.zeros(N_HEADS, dtype=bool)
+    mask[list(RELEVANT_HEADS[ACTION_KINDS.index(kind)])] = True
+    return mask
+
+
+def step_mask(step):
+    """A transition's own mask, or an expert step's from its kind head."""
+    if isinstance(step, Transition):
+        return step.mask
+    return head_mask(ACTION_KINDS[int(step.heads[0])])
 
 
 def encode_state(state):
@@ -105,7 +119,7 @@ class ReplayBuffer:
 
 class RolloutCollector:
     def __init__(self, datasets, layout, cfg, rng):
-        self.envs = [EdaEnv(ds, layout, cfg.horizon) for ds in datasets]
+        self.envs = [EdaEnv(ds, cfg.horizon) for ds in datasets]
         self.layout = layout
         self.cfg = cfg
         self.rng = rng
@@ -144,16 +158,15 @@ class RolloutCollector:
             buffer.add(tr)
             out.append(tr)
             if new_state.done:
-                self.episode_lengths.append(new_state.step)
+                self.episode_lengths.append(len(new_state.action_history))
                 self._next_episode()
             else:
                 self._state, self._svec = new_state, next_svec
         return out
 
 
-def generate_session(policy, dataset, layout, horizon=12, mode="greedy",
-                     rng=None):
-    env = EdaEnv(dataset, layout, horizon)
+def generate_session(policy, dataset, horizon=12, mode="greedy", rng=None):
+    env = EdaEnv(dataset, horizon)
     state = env.reset()
     while not state.done:
         *_, state = policy_step(policy, env, state,
@@ -189,7 +202,7 @@ def assemble_mixed_batch(buffer, expert_steps, policy, disc, cfg, rng):
         exp = [expert_steps[int(i)] for i in idx]
     states = np.stack([t.state for t in gen] + [e.state for e in exp])
     heads = np.stack([t.heads for t in gen] + [e.heads for e in exp])
-    masks = np.stack([t.mask for t in gen] + [e.mask for e in exp])
+    masks = np.stack([step_mask(t) for t in gen + exp])
     next_states = np.stack([t.next_state for t in gen]
                            + [e.next_state for e in exp])
     dones = np.array([t.done for t in gen] + [e.done for e in exp], dtype=float)
@@ -203,7 +216,7 @@ def assemble_mixed_batch(buffer, expert_steps, policy, disc, cfg, rng):
             rewards.append(imitation_reward(float(p), pen))
         exp_logp, _ = policy.logprob(np.stack([e.state for e in exp]),
                                      np.stack([e.heads for e in exp]),
-                                     np.stack([e.mask for e in exp]))
+                                     np.stack([step_mask(e) for e in exp]))
         old_logp.extend(float(v) for v in exp_logp)
     return {"states": states, "heads": heads, "masks": masks,
             "rewards": np.asarray(rewards), "next_states": next_states,

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -363,6 +365,26 @@ def test_usage_errors_exit_one(run_dir, data_dir, tmp_path):
         assert run("train", "--data", data_dir, "--datasets", "ds1",
                    *flags, "--out", out) == 1, flags
         assert not out.exists(), flags
+    # a negative seed is refused by every command before any file is written
+    out = tmp_path / "seed_out"
+    for argv in (("synth",),
+                 ("generate", "--checkpoint", run_dir / "checkpoint.json",
+                  "--dataset", data_dir / "ds1.csv"),
+                 ("eval", "--sessions", data_dir / "ds1.eval.json",
+                  "--data", data_dir, "--datasets", "ds1")):
+        assert run(*argv, "--seed", "-1", "--out", out) == 1, argv
+        assert not out.exists(), argv
+
+
+def test_importing_the_cli_loads_no_numpy():
+    """`--deterministic` pins BLAS threads in `main` through environment
+    variables, which only take effect while numpy is not yet loaded."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import sys, autoeda.cli; sys.exit('numpy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr[-2000:]
 
 
 def test_failed_synth_leaves_no_file_it_wrote(tmp_path, monkeypatch):

@@ -11,7 +11,8 @@ from autoeda.env import (BACK, STOP, ActionSpec, EdaEnv, HeadLayout,
                          Trajectory, action_from_heads, action_from_json,
                          action_to_json, encode_action, encode_display,
                          heads_from_action, load_trajectories, replay,
-                         save_trajectories, state_vec_len, walk)
+                         save_trajectories, state_from_history,
+                         state_vec_len, walk)
 from autoeda.tabular import (ColumnKind, Dataset, FilterPredicate, Grouping,
                              apply_filter, apply_group, display_fingerprint,
                              initial_display, load_dataset, write_dataset)
@@ -151,13 +152,13 @@ def test_state_window_padding(toy):
     env = EdaEnv(toy)
     s0 = env.reset()
     block = len(encode_display(s0.current, toy))
-    vec = env.encode_state(s0)
+    vec = state_from_history(s0.history)
     assert vec.shape == (3 * block,) == (state_vec_len(toy),)
     assert np.all(vec[:2 * block] == 0.0)
     assert np.allclose(vec[2 * block:], encode_display(s0.current, toy))
 
     s1 = env.step(s0, FILTER("color", "EQ", "red"))
-    vec1 = env.encode_state(s1)
+    vec1 = state_from_history(s1.history)
     assert np.all(vec1[:block] == 0.0)
     assert np.allclose(vec1[block:2 * block], encode_display(s0.current, toy))
     assert np.allclose(vec1[2 * block:], encode_display(s1.current, toy))
@@ -173,7 +174,7 @@ def test_state_window_after_back_reflects_stack_tops(toy):
     assert [display_fingerprint(d) for d in s.history] == \
         [display_fingerprint(d) for d in (d0, d1, d0)]
     block = len(encode_display(d0, toy))
-    vec = env.encode_state(s)
+    vec = state_from_history(s.history)
     assert np.allclose(vec[:block], encode_display(d0, toy))
     assert np.allclose(vec[block:2 * block], encode_display(d1, toy))
     assert np.allclose(vec[2 * block:], encode_display(d0, toy))
@@ -187,7 +188,7 @@ def test_back_at_root_is_recorded_noop(toy):
     s = env.step(env.reset(), BACK)
     assert len(s.display_stack) == 1
     assert s.action_history == (BACK,)
-    assert s.step == 1 and not s.done
+    assert not s.done
 
 
 def test_filter_then_back_restores_root(toy):

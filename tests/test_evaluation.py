@@ -256,8 +256,8 @@ def test_generate_session_greedy_deterministic(synthetic_dataset):
     layout = HeadLayout(len(synthetic_dataset.columns))
     policy = nn.PolicyNet(state_vec_len(synthetic_dataset), layout.sizes,
                           (16, 16), derive_rng(0, 0))
-    a = generate_session(policy, synthetic_dataset, layout, horizon=8)
-    b = generate_session(policy, synthetic_dataset, layout, horizon=8)
+    a = generate_session(policy, synthetic_dataset, horizon=8)
+    b = generate_session(policy, synthetic_dataset, horizon=8)
     assert a == b
     assert len(a.actions) <= 8
 
@@ -267,8 +267,8 @@ def test_generate_session_sample_mode_needs_rng(synthetic_dataset):
     policy = nn.PolicyNet(state_vec_len(synthetic_dataset), layout.sizes,
                           (16, 16), derive_rng(0, 0))
     with pytest.raises(ValueError):
-        generate_session(policy, synthetic_dataset, layout, mode="sample")
-    traj = generate_session(policy, synthetic_dataset, layout, mode="sample",
+        generate_session(policy, synthetic_dataset, mode="sample")
+    traj = generate_session(policy, synthetic_dataset, mode="sample",
                             rng=derive_rng(0, 1))
     assert traj.dataset == synthetic_dataset.name
 
@@ -280,8 +280,8 @@ def test_generated_sessions_replay(synthetic_dataset):
                           (16, 16), derive_rng(1, 0))
     rng = derive_rng(1, 1)
     for _ in range(5):
-        traj = generate_session(policy, synthetic_dataset, layout,
-                                mode="sample", rng=rng)
+        traj = generate_session(policy, synthetic_dataset, mode="sample",
+                                rng=rng)
         walk_displays(synthetic_dataset, traj.actions)  # raises on error
 
 

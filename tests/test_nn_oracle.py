@@ -46,7 +46,7 @@ def _bc_run(steps, layout, cfg, hidden, train_fn):
     history = train_fn(policy, steps, cfg, derive_rng(cfg.seed, 1))
     logp, _ = policy.logprob(np.stack([s.state for s in steps]),
                              np.stack([s.heads for s in steps]),
-                             np.stack([s.mask for s in steps]))
+                             ref.masks_of(steps))
     return policy.flat.copy(), history, logp
 
 

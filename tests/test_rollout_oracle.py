@@ -10,7 +10,8 @@ import pytest
 
 import rollout_reference as ref
 from autoeda import nn, train
-from autoeda.env import BACK, STOP, ActionSpec, EdaEnv, HeadLayout, Trajectory
+from autoeda.env import (BACK, HEAD_MASKS, STOP, ActionSpec, EdaEnv,
+                         HeadLayout, Trajectory, replay, state_from_history)
 from autoeda.evaluation import generate_session
 from autoeda.tabular import Dataset, FilterPredicate, Grouping
 from autoeda.train import (RolloutCollector, TrainConfig, assemble_mixed_batch,
@@ -18,7 +19,7 @@ from autoeda.train import (RolloutCollector, TrainConfig, assemble_mixed_batch,
                            update_discriminator)
 
 LANES = train.LANES  # read before any test patches it
-STEP_FIELDS = ("state", "heads", "mask", "action_vec", "reward", "penalty",
+STEP_FIELDS = ("state", "heads", "action_vec", "reward", "penalty",
                "next_state", "done", "logprob")
 F_A = ActionSpec("FILTER", filter=FilterPredicate("color", "EQ", "red"))
 G_A = ActionSpec("GROUP", group=Grouping("color", "score", "COUNT"))
@@ -105,6 +106,26 @@ def test_horizon_one_matches_reference(pair):
     assert collector.episode_lengths == [1] * 32
 
 
+def test_head_masks_match_reference_masks(pair, synthetic_bundle):
+    """HEAD_MASKS of a step's kind head is the mask the reference builds
+    from the action's kind, on every collected and every replayed step."""
+    _, _, _, buffer, ref_buffer, _ = collect_both(pair, cfg_for(), (7, 25, 64))
+    got = HEAD_MASKS[np.stack([step.heads for step in buffer])[:, 0]]
+    want = np.stack([t.mask for t in ref_buffer._items])
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    dataset, _, _, trajectories = synthetic_bundle
+    layout = HeadLayout(len(dataset.columns))
+    kinds = set()
+    for traj in trajectories:
+        steps = replay(dataset, traj.actions, layout)
+        heads = np.stack([step.heads for step in steps])
+        assert np.array_equal(HEAD_MASKS[heads[:, 0]],
+                              np.stack([ref.head_mask(a.kind)
+                                        for a in traj.actions]))
+        kinds.update(a.kind for a in traj.actions)
+    assert kinds == {"GROUP", "FILTER", "BACK", "STOP"}
+
+
 @pytest.mark.parametrize("penalty", [True, False])
 def test_batches_drawn_from_the_deque_match_reference(pair, penalty):
     cfg = cfg_for(penalty_enabled=penalty)
@@ -153,10 +174,10 @@ def test_generated_sessions_match_reference(pair, mode, horizon):
     policy, _ = nets(layout, 6)
     for dataset in pair:
         rng, ref_rng = derive_rng(6, 7), derive_rng(6, 7)
-        sessions = [generate_session(policy, dataset, layout, horizon, mode, rng)
+        sessions = [generate_session(policy, dataset, horizon, mode, rng)
                     for _ in range(6)]
-        want = [ref.generate_session(policy, dataset, layout, horizon, mode,
-                                     ref_rng) for _ in range(6)]
+        want = [ref.generate_session(policy, dataset, horizon, mode, ref_rng)
+                for _ in range(6)]
         assert sessions == want
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         if mode == "sample":
@@ -169,8 +190,8 @@ def test_greedy_ties_match_reference(pair):
     policy = nn.PolicyNet(layout.state_dim, layout.sizes, (16, 16),
                           derive_rng(6, 0))
     for dataset in pair:
-        assert generate_session(policy, dataset, layout, 8) == \
-            ref.generate_session(policy, dataset, layout, 8)
+        assert generate_session(policy, dataset, 8) == \
+            ref.generate_session(policy, dataset, 8)
 
 
 def test_lockstep_lanes_agree_with_batch_one_forwards(pair, monkeypatch):
@@ -186,8 +207,8 @@ def test_lockstep_lanes_agree_with_batch_one_forwards(pair, monkeypatch):
     collector = RolloutCollector(policy, pair, layout, cfg,
                                  derive_rng(cfg.seed, 2))
     buffer = deque(maxlen=cfg.buffer_capacity)
-    resets = [env.encode_state(env.reset())
-              for env in (EdaEnv(ds, layout, cfg.horizon) for ds in pair)]
+    resets = [state_from_history(EdaEnv(ds, cfg.horizon).reset().history)
+              for ds in pair]
     assert not np.array_equal(*resets)
     lanes = [[] for _ in range(LANES)]
     collected = []
@@ -198,13 +219,14 @@ def test_lockstep_lanes_agree_with_batch_one_forwards(pair, monkeypatch):
         for position, step in enumerate(steps):
             lanes[position % LANES].append(step)
             logp, _ = policy.logprob(step.state[None], step.heads[None],
-                                     step.mask[None])
+                                     HEAD_MASKS[step.heads[:1]])
             assert abs(step.logprob - logp[0]) <= 1e-12
             d_prob, _ = disc.forward(
                 np.concatenate([step.state, step.action_vec])[None])
             assert abs(step.reward - imitation_reward(float(d_prob[0]),
                                                       step.penalty)) <= 1e-12
-        in_flight = sum(state.step for _, state, _ in collector._lanes)
+        in_flight = sum(len(state.action_history)
+                        for _, state, _ in collector._lanes)
         assert sum(collector.episode_lengths) + in_flight == len(collected)
     assert list(buffer) == collected
     finished = [id(step) for step in collected if step.done]

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from autoeda import nn, train
-from autoeda.env import BACK, STOP, ActionSpec, HeadLayout, state_vec_len
+from autoeda.env import (BACK, HEAD_MASKS, STOP, ActionSpec, HeadLayout,
+                         state_vec_len)
 from autoeda.tabular import FilterPredicate, Grouping
 from autoeda.train import (RolloutCollector, Step, TrainConfig, TrainResult,
                            _draw, action_agreement, assemble_mixed_batch,
@@ -111,9 +112,8 @@ def test_ratio_one_surrogate_is_mean_advantage():
 def test_replay_buffer_fifo_capacity():
     buf = deque(maxlen=3)
     for i in range(5):
-        buf.append(Step(np.zeros(1), np.zeros(5, dtype=int),
-                        np.zeros(5, dtype=bool), np.zeros(1), np.zeros(1),
-                        False, 0.0, reward=float(i), logprob=0.0))
+        buf.append(Step(np.zeros(1), np.zeros(5, dtype=int), np.zeros(1),
+                        np.zeros(1), False, 0.0, reward=float(i), logprob=0.0))
     assert len(buf) == 3
     rewards = {s.reward for s in _draw(np.random.default_rng(0), buf, 16)}
     assert rewards <= {2.0, 3.0, 4.0}
@@ -164,7 +164,7 @@ def test_bc_overfits_single_pair(toy):
     assert history[-1] < history[0]
     logp, _ = policy.logprob(steps[0].state.reshape(1, -1),
                              steps[0].heads.reshape(1, -1),
-                             steps[0].mask.reshape(1, -1))
+                             HEAD_MASKS[steps[0].heads[:1]])
     assert math.exp(float(logp[0])) >= 0.95
     assert action_agreement(policy, steps) == 1.0
 
@@ -274,14 +274,13 @@ def test_discriminator_separates_toy_streams(toy):
     gen_states = rng.normal(loc=-0.5, scale=0.2, size=(64, dim))
     for row in gen_states:
         buf.append(Step(row[:state_vec_len(toy)], np.zeros(5, dtype=int),
-                        np.zeros(5, dtype=bool), row[state_vec_len(toy):],
-                        row[:state_vec_len(toy)], False, 0.0, reward=0.0,
-                        logprob=0.0))
+                        row[state_vec_len(toy):], row[:state_vec_len(toy)],
+                        False, 0.0, reward=0.0, logprob=0.0))
     expert = []
     for row in rng.normal(loc=0.5, scale=0.2, size=(64, dim)):
         expert.append(Step(row[:state_vec_len(toy)], np.zeros(5, dtype=int),
-                           np.zeros(5, dtype=bool), row[state_vec_len(toy):],
-                           row[:state_vec_len(toy)], False, 0.0))
+                           row[state_vec_len(toy):], row[:state_vec_len(toy)],
+                           False, 0.0))
     opt = nn.Adam(disc.flat, 1e-3)
     for _ in range(500):
         update_discriminator(disc, opt, buf, expert, cfg, rng)
@@ -495,9 +494,8 @@ def test_checkpoint_is_one_json_document_written_in_pieces(tmp_path, toy):
     path = tmp_path / "ckpt.json"
     save_checkpoint(path, result, cfg)
     payload = {
-        "format_version": 3, "seed": cfg.seed, "config": cfg.to_dict(),
+        "format_version": 4, "config": cfg.to_dict(),
         "schema": [[c, k.value] for c, k in toy.columns],
-        "layout": {"n_columns": 3, "term_bins": cfg.term_bins},
         "policy": nn.arr_to_json(policy.flat),
         "value": nn.arr_to_json(value.flat),
         "discriminator": nn.arr_to_json(disc.flat),
@@ -508,6 +506,24 @@ def test_checkpoint_is_one_json_document_written_in_pieces(tmp_path, toy):
     for name in ("policy", "value", "discriminator"):
         assert np.array_equal(getattr(loaded, name).flat,
                               getattr(result, name).flat), name
+
+
+def test_checkpoint_layout_is_derived_from_schema_and_term_bins(tmp_path, toy):
+    """A checkpoint stores neither the layout nor a second seed; loading
+    builds the layout from the schema and the config's term bins."""
+    cfg = small_cfg(term_bins=7, seed=9, policy_hidden=(16, 16),
+                    disc_hidden=(8, 8))
+    layout, policy, value, disc = _fresh_nets(toy, cfg)
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(path, TrainResult(policy, value, disc, layout,
+                                      tuple(toy.columns)), cfg)
+    payload = json.loads(path.read_text())
+    assert list(payload) == ["format_version", "config", "schema", "policy",
+                             "value", "discriminator"]
+    loaded, loaded_cfg = load_checkpoint(path)
+    assert loaded.layout == HeadLayout(len(payload["schema"]),
+                                       loaded_cfg.term_bins) == layout
+    assert loaded_cfg.seed == 9
 
 
 def test_non_finite_policy_stops_adversarial_training(toy, monkeypatch):
@@ -546,6 +562,7 @@ def test_load_checkpoint_refuses_old_version_and_wrong_length(tmp_path, toy):
     assert "optimizers" not in good
     short = good["value"]["data"][:-1]
     for payload in (dict(good, format_version=1), dict(good, format_version=2),
+                    dict(good, format_version=3),
                     dict(good, value={"shape": [len(short)], "data": short}),
                     dict(good, policy={"shape": [1], "data": [0.5]})):
         path.write_text(json.dumps(payload))
