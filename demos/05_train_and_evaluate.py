@@ -49,7 +49,7 @@ untrained = nn.PolicyNet(state_vec_len(held_out), result.layout.sizes,
 rows = []
 for name, policy in (("trained", result.policy), ("uniform", untrained)):
     rng = derive_rng(SEED, 7)
-    sessions = [generate_session(policy, held_out, cfg.horizon, "sample", rng)
+    sessions = [generate_session(policy, held_out, cfg.horizon, rng)
                 for _ in range(40)]
     metrics = evaluate_sessions(held_out, sessions, gold)
     rows.append({"dataset": name, **metrics})

@@ -15,6 +15,7 @@ import contextlib
 import functools
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -25,15 +26,15 @@ _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 
 
 class UsageError(Exception):
-    exit_code = 1
+    exit_code, prefix = 1, "usage error"
 
 
 class DataError(Exception):
-    exit_code = 2
+    exit_code, prefix = 2, "data error"
 
 
 class NumericalError(Exception):
-    exit_code = 3
+    exit_code, prefix = 3, "numerical failure"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -54,6 +55,13 @@ def _positive_int(text: str) -> int:
 
 def _non_negative_int(text: str) -> int:
     return _int_at_least(text, 0)
+
+
+def _finite_float(text: str) -> float:
+    x = float(text)
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return x
 
 
 def _fraction(text: str) -> float:
@@ -366,7 +374,6 @@ def cmd_train(args) -> int:
     overrides = _read_json_config(args.config)
     if args.seed is not None:
         overrides["seed"] = args.seed
-    overrides.setdefault("seed", 0)
     if args.no_bc:
         overrides["bc_enabled"] = False
     if args.no_penalty:
@@ -383,11 +390,12 @@ def cmd_train(args) -> int:
         raise UsageError("--leave-one-out needs at least two datasets")
 
     manifest = Manifest("train", args, cfg.to_dict())
+    manifest.data["seed"] = cfg.seed
     if args.config:
         manifest.add_input(args.config)
     # every input is read before --out is created, so a data error leaves
     # no directory behind
-    datasets, expert = _load_split(data_dir, names, args.split, manifest,
+    datasets, expert = _load_split(data_dir, names, "train", manifest,
                                    "expert sessions")
     out = _out_dir(args)
 
@@ -420,9 +428,9 @@ def _check_checkpoint_schema(result, dataset):
 
 def _policy_sessions(args, datasets, manifest: Manifest):
     """(`args.n` sessions per dataset, seed, config) from `args.checkpoint`,
-    loaded once and recorded as a manifest input. Each dataset draws from a
-    fresh STREAM_GENERATE generator, so its sessions do not depend on the
-    datasets listed before it."""
+    loaded once and recorded as a manifest input. In sample mode each
+    dataset draws from a fresh STREAM_GENERATE generator, so its sessions do
+    not depend on the datasets listed before it."""
     from .evaluation import generate_session
     from .train import STREAM_GENERATE, derive_rng, load_checkpoint
 
@@ -435,9 +443,9 @@ def _policy_sessions(args, datasets, manifest: Manifest):
     per_dataset = []
     for dataset in datasets:
         _check_checkpoint_schema(result, dataset)
-        rng = derive_rng(seed, STREAM_GENERATE)
+        rng = derive_rng(seed, STREAM_GENERATE) if args.mode == "sample" else None
         per_dataset.append([generate_session(result.policy, dataset,
-                                             cfg.horizon, args.mode, rng)
+                                             cfg.horizon, rng)
                             for _ in range(args.n)])
     return per_dataset, seed, cfg
 
@@ -502,7 +510,8 @@ def cmd_measure(args) -> int:
     ruleset = EMPTY_RULESET
     if args.ruleset:
         try:
-            ruleset = CoherenceRuleset.from_json(args.ruleset)
+            with open(args.ruleset) as fh:
+                ruleset = CoherenceRuleset.from_json(json.load(fh))
         except (OSError, ValueError) as exc:
             raise DataError(str(exc)) from exc
         manifest.add_input(args.ruleset)
@@ -551,13 +560,13 @@ def cmd_eval(args) -> int:
     data_dir = Path(args.data)
     names = _dataset_names(args.datasets)
 
-    manifest = Manifest("eval", args, {"gold_split": args.gold_split,
-                                       "n": args.n, "mode": args.mode,
+    manifest = Manifest("eval", args, {"n": args.n, "mode": args.mode,
                                        "threshold": args.threshold})
-    datasets, golds = _load_split(data_dir, names, args.gold_split, manifest,
+    datasets, golds = _load_split(data_dir, names, "eval", manifest,
                                   "gold sessions")
     if args.checkpoint:
-        generated, _, _ = _policy_sessions(args, datasets, manifest)
+        generated, seed, _ = _policy_sessions(args, datasets, manifest)
+        manifest.data["seed"] = seed
     else:
         pool = _load_sessions(args.sessions, manifest)
         generated = [[t for t in pool if t.dataset == ds.name] for ds in datasets]
@@ -606,7 +615,6 @@ def build_parser() -> _Parser:
     p.add_argument("--config", default=None, help="JSON config file")
     p.add_argument("--data", required=True, help="directory from `synth`")
     p.add_argument("--datasets", required=True, help="comma-separated names")
-    p.add_argument("--split", default="train", help="expert split suffix")
     p.add_argument("--no-bc", action="store_true",
                    help="skip behavioral-cloning pretraining")
     p.add_argument("--no-penalty", action="store_true",
@@ -630,7 +638,7 @@ def build_parser() -> _Parser:
     p.add_argument("--session", required=True, help="session JSON file")
     p.add_argument("--dataset", required=True, help="dataset csv path")
     p.add_argument("--ruleset", default=None, help="coherence ruleset JSON")
-    p.add_argument("--threshold", type=float, default=0.7,
+    p.add_argument("--threshold", type=_finite_float, default=0.7,
                    help="highlight normalized scores above this")
     p.set_defaults(fn=cmd_measure)
 
@@ -641,7 +649,6 @@ def build_parser() -> _Parser:
                    help="pre-generated sessions instead of a checkpoint")
     p.add_argument("--data", required=True)
     p.add_argument("--datasets", required=True, help="comma-separated names")
-    p.add_argument("--gold-split", default="eval")
     p.add_argument("--n", type=_positive_int, default=1)
     p.add_argument("--mode", choices=("greedy", "sample"), default="greedy")
     p.add_argument("--threshold", type=_fraction, default=0.9)
@@ -659,22 +666,17 @@ def _parser() -> _Parser:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if "--deterministic" in argv:
-        # must happen before numpy is imported anywhere in this process
+        # must happen before numpy is imported anywhere in this process, and
+        # must override a thread count the process inherited
         for var in _THREAD_VARS:
-            os.environ.setdefault(var, "1")
+            os.environ[var] = "1"
     try:
         args = _parser().parse_args(argv)
         args.argv = argv
         return args.fn(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
+    except (UsageError, DataError, NumericalError) as exc:
+        print(f"{exc.prefix}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

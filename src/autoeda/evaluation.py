@@ -135,16 +135,12 @@ def all_metrics(gen: list[View], gold: list[list[View]],
 
 
 def generate_session(policy: nn.PolicyNet, dataset: Dataset,
-                     horizon: int = DEFAULT_HORIZON, mode: str = "greedy",
+                     horizon: int = DEFAULT_HORIZON,
                      rng: np.random.Generator | None = None) -> Trajectory:
-    """Roll the policy over a dataset; greedy argmax or sampled actions."""
-    if mode not in ("greedy", "sample"):
-        raise ValueError("mode must be 'greedy' or 'sample'")
-    if mode == "sample" and rng is None:
-        raise ValueError("sample mode needs an rng")
-    env = EdaEnv(dataset, horizon)
+    """Roll the policy over a dataset: each head is sampled from `rng`, or
+    takes its argmax when there is none."""
     return Trajectory(dataset.name,
-                      tuple(play(policy, env, rng if mode == "sample" else None)))
+                      tuple(play(policy, EdaEnv(dataset, horizon), rng)))
 
 
 def evaluate_sessions(dataset: Dataset, sessions, gold_trajectories,

@@ -9,7 +9,6 @@ session for reporting and for classifying which measure a session leans on.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from itertools import repeat
@@ -183,14 +182,9 @@ class CoherenceRuleset:
     rules: tuple[CoherenceRule, ...] = ()
 
     @classmethod
-    def from_json(cls, source) -> "CoherenceRuleset":
-        """A ruleset from a JSON file path or from an already parsed
-        object; anything but a JSON object raises ValueError."""
-        if isinstance(source, str):
-            with open(source) as fh:
-                obj = json.load(fh)
-        else:
-            obj = source
+    def from_json(cls, obj) -> "CoherenceRuleset":
+        """A ruleset from a parsed JSON value; anything but a JSON object
+        raises ValueError."""
         if not isinstance(obj, dict):
             raise ValueError(f"malformed coherence ruleset: expected a JSON "
                              f"object, got {type(obj).__name__}")

@@ -63,7 +63,8 @@ class Mlp:
     """Dense stack; one activation name per layer.
 
     Weights and biases are views into one flat vector, `flat`, which is
-    allocated here or carved from a caller's larger buffer.
+    allocated here or carved from a caller's larger buffer. Without an rng
+    every parameter starts at zero, as in each network built on it.
     """
 
     def __init__(self, sizes, activations, rng: np.random.Generator | None = None,
@@ -119,7 +120,6 @@ class PolicyNet:
 
     def __init__(self, state_dim: int, head_sizes, hidden=(50, 50, 50),
                  rng: np.random.Generator | None = None):
-        rng = rng if rng is not None else np.random.default_rng(0)
         self.state_dim = state_dim
         self.head_sizes = tuple(head_sizes)
         trunk_sizes = (state_dim, *hidden)
@@ -190,7 +190,6 @@ class PolicyNet:
 class ValueNet:
     def __init__(self, state_dim: int, hidden=(50, 50, 50),
                  rng: np.random.Generator | None = None):
-        rng = rng if rng is not None else np.random.default_rng(0)
         self.net = Mlp((state_dim, *hidden, 1),
                        ("tanh",) * len(hidden) + ("linear",), rng)
         self.flat = self.net.flat
@@ -215,7 +214,6 @@ class DiscriminatorNet:
 
     def __init__(self, input_dim: int, hidden=(32, 32),
                  rng: np.random.Generator | None = None):
-        rng = rng if rng is not None else np.random.default_rng(0)
         self.net = Mlp((input_dim, *hidden, 1),
                        ("relu",) * len(hidden) + ("linear",), rng)
         self.flat = self.net.flat

@@ -370,8 +370,8 @@ def test_criterion_8_end_to_end_directional():
 
     def evaluate(policy, n=100):
         rng = derive_rng(seed, STREAM_GENERATE)
-        sessions = [generate_session(policy, held_ds, cfg.horizon, "sample",
-                                     rng) for _ in range(n)]
+        sessions = [generate_session(policy, held_ds, cfg.horizon, rng)
+                    for _ in range(n)]
         return evaluate_sessions(held_ds, sessions, held_eval)
 
     m_full = evaluate(full.policy)
@@ -433,7 +433,7 @@ def test_criterion_9_measure_capture():
         labels = Counter()
         for _ in range(100):
             session = generate_session(result.policy, held_ds, cfg.horizon,
-                                       "sample", rng)
+                                       rng)
             if not any(a.kind in ("FILTER", "GROUP") for a in session.actions):
                 labels["degenerate"] += 1
                 continue

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from autoeda.cli import main
+from autoeda.cli import _THREAD_VARS, main
 
 
 def run(*argv):
@@ -19,6 +19,15 @@ def input_names(manifest_path):
     """File names of a manifest's hashed inputs, sorted."""
     inputs = json.loads(Path(manifest_path).read_text())["inputs"]
     return sorted(Path(p).name for p in inputs)
+
+
+def data_without(data_dir, dest, split):
+    """A copy of `data_dir` that lacks every `<name>.<split>.json`."""
+    dest.mkdir()
+    for p in data_dir.iterdir():
+        if not p.name.endswith(f".{split}.json"):
+            (dest / p.name).write_bytes(p.read_bytes())
+    return dest
 
 
 @pytest.fixture(scope="module")
@@ -152,11 +161,12 @@ def test_failed_train_leaves_no_out(data_dir, tmp_path):
     created, with or without --leave-one-out, so a bad input leaves no
     directory behind."""
     out = tmp_path / "a" / "b"
+    no_train = data_without(data_dir, tmp_path / "no_train", "train")
     for args in (("--data", tmp_path / "nonexistent", "--datasets", "ds1"),
                  ("--data", data_dir, "--datasets", "ds1,nope"),
-                 ("--data", data_dir, "--datasets", "ds1", "--split", "nosuch"),
+                 ("--data", no_train, "--datasets", "ds1"),
                  ("--data", data_dir, "--datasets", "ds1,nope", "--leave-one-out"),
-                 ("--data", data_dir, "--datasets", "ds1,ds2", "--split", "nosuch",
+                 ("--data", no_train, "--datasets", "ds1,ds2",
                   "--leave-one-out")):
         assert run("train", *args, "--out", out) == 2, args
         assert not out.exists() and not out.parent.exists(), args
@@ -320,6 +330,13 @@ def test_usage_errors_exit_one(run_dir, data_dir, tmp_path):
                    "--threshold", threshold) == 1, threshold
     assert run("eval", "--sessions", data_dir / "ds1.eval.json", "--data",
                data_dir, "--datasets", "ds1", "--threshold", "1") == 0
+    # measure's threshold is written to JSON, which has no nan or infinity
+    for threshold in ("nan", "inf", "-inf"):
+        out = tmp_path / "measure_out"
+        assert run("measure", "--session", data_dir / "ds1.eval.json",
+                   "--dataset", data_dir / "ds1.csv", "--threshold", threshold,
+                   "--out", out) == 1, threshold
+        assert not out.exists(), threshold
     # a synth config that is a JSON object but holds a bad value: no file
     # is written, not even the manifest
     config = tmp_path / "synth.json"
@@ -374,6 +391,73 @@ def test_usage_errors_exit_one(run_dir, data_dir, tmp_path):
                   "--data", data_dir, "--datasets", "ds1")):
         assert run(*argv, "--seed", "-1", "--out", out) == 1, argv
         assert not out.exists(), argv
+
+
+def test_manifests_record_the_seed_the_run_used(data_dir, tmp_path):
+    """A seed from the train config, or the checkpoint's seed that eval
+    samples with, is recorded, not the absent --seed flag."""
+    def seed_of(out):
+        return json.loads((out / "manifest.json").read_text())["seed"]
+
+    config = tmp_path / "train.json"
+    config.write_text(json.dumps({"seed": 5, "bc_epochs": 1, "bc_batch": 8,
+                                  "horizon": 5}))
+    assert run("train", "--data", data_dir, "--datasets", "ds1", "--config",
+               config, "--bc-only", "--out", tmp_path / "train") == 0
+    assert seed_of(tmp_path / "train") == 5
+    checkpoint = tmp_path / "train" / "checkpoint.json"
+    for flags, seed in (((), 5), (("--seed", "8"), 8)):
+        out = tmp_path / f"eval{seed}"
+        assert run("eval", "--checkpoint", checkpoint, "--data", data_dir,
+                   "--datasets", "ds1", "--mode", "sample", *flags,
+                   "--out", out) == 0
+        assert seed_of(out) == seed
+
+
+_BLAS_THREADS = """
+import ctypes, sys
+from autoeda.cli import main
+assert main(sys.argv[1:]) == 0
+libs = sorted({line.split()[-1] for line in open("/proc/self/maps")
+               if "openblas" in line.lower() and ".so" in line})
+for path in libs:
+    for name in ("scipy_openblas_get_num_threads64_",
+                 "openblas_get_num_threads64_", "openblas_get_num_threads"):
+        fn = getattr(ctypes.CDLL(path), name, None)
+        if fn is not None:
+            print(fn())
+            sys.exit(0)
+print("none")
+"""
+
+
+def test_deterministic_pins_blas_to_one_thread(tmp_path):
+    """In a fresh interpreter, `--deterministic` leaves the OpenBLAS that
+    numpy loaded at one thread, also when the process inherited a larger
+    thread count."""
+    if not Path("/proc/self/maps").exists():
+        pytest.skip("needs /proc/self/maps to find the BLAS library")
+    src = Path(__file__).resolve().parent.parent / "src"
+    config = tmp_path / "synth.json"
+    config.write_text(json.dumps({"datasets": 1, "rows": 5, "trajectories": 1}))
+    clean = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
+    clean["PYTHONPATH"] = str(src)
+
+    def threads(env, *flags):
+        proc = subprocess.run(
+            [sys.executable, "-c", _BLAS_THREADS, "synth", "--config",
+             str(config), "--out", str(tmp_path / "out"), *flags],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        count = proc.stdout.split()[-1]
+        if count == "none":
+            pytest.skip("numpy loads no OpenBLAS")
+        return int(count)
+
+    assert threads(clean, "--deterministic") == 1
+    assert threads({**clean, "OPENBLAS_NUM_THREADS": "2"}, "--deterministic") == 1
+    if len(os.sched_getaffinity(0)) > 1:
+        assert threads(clean) > 1
 
 
 def test_importing_the_cli_loads_no_numpy():
@@ -493,12 +577,12 @@ def test_data_errors_exit_two(tmp_path, data_dir):
                    "--dataset", data_dir / "ds1.csv") == 2, malformed
         assert run("eval", "--sessions", bad,
                    "--data", data_dir, "--datasets", "ds1") == 2, malformed
-    # a split without session files, for expert and for gold sessions
-    assert run("train", "--data", data_dir, "--datasets", "ds1",
-               "--split", "nosuch", "--out", tmp_path) == 2
+    # a data directory without expert or without gold session files
+    assert run("train", "--data", data_without(data_dir, tmp_path / "nt", "train"),
+               "--datasets", "ds1", "--out", tmp_path) == 2
     assert run("eval", "--sessions", data_dir / "ds1.eval.json",
-               "--data", data_dir, "--datasets", "ds1",
-               "--gold-split", "nosuch") == 2
+               "--data", data_without(data_dir, tmp_path / "ne", "eval"),
+               "--datasets", "ds1") == 2
     # a malformed schema sidecar next to the dataset
     (tmp_path / "ds1.csv").write_bytes((data_dir / "ds1.csv").read_bytes())
     for malformed in ("{bad", '["c1"]', '{"c1": "weird"}'):
