@@ -227,7 +227,7 @@ def _synth_config(overrides: dict):
     checked, so that a bad one is a usage error before any file is
     written."""
     from . import synth, tabular
-    from .train import is_finite_number, is_int
+    from .tabular import is_finite_number, is_int
 
     def bad(message):
         return UsageError(f"bad synth config: {message}")
@@ -559,6 +559,9 @@ def cmd_eval(args) -> int:
 
     data_dir = Path(args.data)
     names = _dataset_names(args.datasets)
+    if args.sessions and len(names) > 1:
+        raise UsageError("a --sessions file holds one dataset's sessions: "
+                         "give --datasets one name")
 
     manifest = Manifest("eval", args, {"n": args.n, "mode": args.mode,
                                        "threshold": args.threshold})
@@ -568,11 +571,11 @@ def cmd_eval(args) -> int:
         generated, seed, _ = _policy_sessions(args, datasets, manifest)
         manifest.data["seed"] = seed
     else:
-        pool = _load_sessions(args.sessions, manifest)
-        generated = [[t for t in pool if t.dataset == ds.name] for ds in datasets]
-        for name, sessions in zip(names, generated):
-            if not sessions:
-                raise DataError(f"{args.sessions} has no sessions for {name}")
+        sessions = [t for t in _load_sessions(args.sessions, manifest)
+                    if t.dataset == datasets[0].name]
+        if not sessions:
+            raise DataError(f"{args.sessions} has no sessions for {names[0]}")
+        generated = [sessions]
     rows = []
     for name, dataset, gold, sessions in zip(names, datasets, golds, generated):
         try:
@@ -646,7 +649,8 @@ def build_parser() -> _Parser:
     common(p)
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--sessions", default=None,
-                   help="pre-generated sessions instead of a checkpoint")
+                   help="one dataset's pre-generated sessions instead of "
+                        "a checkpoint")
     p.add_argument("--data", required=True)
     p.add_argument("--datasets", required=True, help="comma-separated names")
     p.add_argument("--n", type=_positive_int, default=1)

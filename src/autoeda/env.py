@@ -16,9 +16,10 @@ import numpy as np
 
 from . import nn
 from .tabular import (AGG_FUNCS, FILTER_OPS, ColumnKind, Dataset, Display,
-                      FilterPredicate, Grouping, apply_filter, apply_group,
-                      canonical_number, column_histogram, display_fingerprint,
-                      initial_display, parse_number, write_json)
+                      FilterPredicate, Grouping, _text_matches, apply_filter,
+                      apply_group, canonical_number, column_histogram,
+                      display_fingerprint, initial_display, parse_number,
+                      write_json)
 
 ACTION_KINDS = ("GROUP", "FILTER", "BACK", "STOP")
 GLOBAL_FEATURES = 3
@@ -273,8 +274,8 @@ def heads_from_action(action: ActionSpec, display: Display,
     """Head indices reproducing `action` through action_from_heads.
 
     Irrelevant heads are zero. A filter term that is not itself a ranked
-    value maps to the most frequent value satisfying the predicate, else
-    bin 0.
+    value maps to the most frequent value that passes the operator's text
+    test, else bin 0; under EQ and NEQ no other value passes.
     """
     kind_i = ACTION_KINDS.index(action.kind)
     heads = [kind_i, 0, 0, 0, 0]
@@ -294,28 +295,20 @@ def heads_from_action(action: ActionSpec, display: Display,
 def _term_bin(pred, display, idx, layout):
     vals = (display.ranked_values(idx)
             or initial_display(display.dataset).ranked_values(idx))
-    if not vals:
-        return 0
     kind = display.dataset.columns[idx][1]
+    rank = 0
     if kind is ColumnKind.NUMERIC and pred.op in ("EQ", "NEQ"):
         target = parse_number(pred.term)
         if target is not None and target in vals:
-            return min(vals.index(target), layout.term_bins - 1)
+            rank = vals.index(target)
     else:
         texts = ([canonical_number(v) for v in vals]
                  if kind is ColumnKind.NUMERIC else vals)
         if pred.term in texts:
-            return min(texts.index(pred.term), layout.term_bins - 1)
-        matcher = {
-            "CONTAINS": lambda t: pred.term in t,
-            "STARTS_WITH": lambda t: t.startswith(pred.term),
-            "ENDS_WITH": lambda t: t.endswith(pred.term),
-        }.get(pred.op)
-        if matcher is not None:
-            for rank, text in enumerate(texts):
-                if matcher(text):
-                    return min(rank, layout.term_bins - 1)
-    return 0
+            rank = texts.index(pred.term)
+        elif True in (passes := _text_matches(pred.op, pred.term, texts)):
+            rank = passes.index(True)
+    return min(rank, layout.term_bins - 1)
 
 
 def encode_action(heads, layout: HeadLayout) -> np.ndarray:
@@ -350,18 +343,6 @@ def decide(policy: nn.PolicyNet, svecs: np.ndarray, displays,
         heads, logp = nn.sample_action(probs, rng, RELEVANT_HEADS)
     actions = [action_from_heads(h, d) for h, d in zip(heads.tolist(), displays)]
     return heads, logp, actions
-
-
-def play(policy: nn.PolicyNet, env: EdaEnv,
-         rng: np.random.Generator | None = None):
-    """The actions of one episode of `policy` from env.reset(), each taken
-    by `decide`; a state is encoded only when a decision is taken in it."""
-    state = env.reset()
-    while not state.done:
-        svec = state_from_history(state.history)
-        _, _, (action,) = decide(policy, svec[None], [state.current], rng)
-        state = env.step(state, action)
-        yield action
 
 
 @dataclass(frozen=True)

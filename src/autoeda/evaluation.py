@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .env import (DEFAULT_HORIZON, EdaEnv, Trajectory, encode_display, play,
-                  walk_displays)
+from .env import (DEFAULT_HORIZON, EdaEnv, Trajectory, decide, encode_display,
+                  state_from_history, walk_displays)
 from .tabular import Dataset, display_fingerprint
 
 DEFAULT_SIM_THRESHOLD = 0.9
@@ -137,10 +137,15 @@ def all_metrics(gen: list[View], gold: list[list[View]],
 def generate_session(policy: nn.PolicyNet, dataset: Dataset,
                      horizon: int = DEFAULT_HORIZON,
                      rng: np.random.Generator | None = None) -> Trajectory:
-    """Roll the policy over a dataset: each head is sampled from `rng`, or
-    takes its argmax when there is none."""
-    return Trajectory(dataset.name,
-                      tuple(play(policy, EdaEnv(dataset, horizon), rng)))
+    """One episode of the policy over a dataset, decided by `decide`: each
+    head is sampled from `rng`, or takes its argmax without one."""
+    env = EdaEnv(dataset, horizon)
+    state = env.reset()
+    while not state.done:
+        svec = state_from_history(state.history)
+        _, _, (action,) = decide(policy, svec[None], [state.current], rng)
+        state = env.step(state, action)
+    return Trajectory(dataset.name, state.action_history)
 
 
 def evaluate_sessions(dataset: Dataset, sessions, gold_trajectories,

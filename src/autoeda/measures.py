@@ -16,7 +16,8 @@ from itertools import repeat
 import numpy as np
 
 from . import env as _env
-from .tabular import Dataset, Display, column_histogram, initial_display
+from .tabular import (Dataset, Display, column_histogram, initial_display,
+                      is_finite_number)
 
 MEASURE_NAMES = ("a_int", "diversity", "coherence", "readability", "peculiarity")
 DEFAULT_KL_EPS = 1e-6
@@ -169,6 +170,10 @@ def peculiarity(cur: Display, initial: Display, specs: MeasureSpecs) -> float:
     return sigmoid(max_column_kl(initial, cur), specs.divergence)
 
 
+# the action fields a coherence rule's `match` can test
+_MATCH_KEYS = frozenset({"kind", "column", "op", "agg_func", "prior_kind"})
+
+
 @dataclass(frozen=True)
 class CoherenceRule:
     match: dict
@@ -183,21 +188,38 @@ class CoherenceRuleset:
 
     @classmethod
     def from_json(cls, obj) -> "CoherenceRuleset":
-        """A ruleset from a parsed JSON value; anything but a JSON object
-        raises ValueError."""
+        """A ruleset from a parsed JSON value. Raises ValueError unless it is
+        an object whose `filterable_columns` and `groupable_columns` are
+        lists of strings and whose `rules` is a list of objects, each with a
+        `match` object keyed by names among _MATCH_KEYS and a `score` that is
+        a finite number."""
+        def malformed(what):
+            return ValueError(f"malformed coherence ruleset: {what}")
+
         if not isinstance(obj, dict):
-            raise ValueError(f"malformed coherence ruleset: expected a JSON "
-                             f"object, got {type(obj).__name__}")
-        try:
-            rules = tuple(CoherenceRule(dict(r["match"]), float(r["score"]))
-                          for r in obj.get("rules", ()))
-            return cls(
-                filterable_columns=frozenset(obj.get("filterable_columns", ())),
-                groupable_columns=frozenset(obj.get("groupable_columns", ())),
-                rules=rules,
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"malformed coherence ruleset: {exc}") from exc
+            raise malformed(f"expected a JSON object, got {type(obj).__name__}")
+        columns = {}
+        for name in ("filterable_columns", "groupable_columns"):
+            value = obj.get(name, [])
+            if not (isinstance(value, list)
+                    and all(isinstance(c, str) for c in value)):
+                raise malformed(f"{name} must be a list of strings, got {value!r}")
+            columns[name] = frozenset(value)
+        listed = obj.get("rules", [])
+        if not isinstance(listed, list):
+            raise malformed(f"rules must be a list, got {listed!r}")
+        rules = []
+        for i, rule in enumerate(listed, start=1):
+            match = rule.get("match") if isinstance(rule, dict) else None
+            if not (isinstance(match, dict) and set(match) <= _MATCH_KEYS):
+                raise malformed(f"rule {i}: match must be an object with keys "
+                                f"among {sorted(_MATCH_KEYS)}, got {match!r}")
+            score = rule.get("score")
+            if not is_finite_number(score):
+                raise malformed(f"rule {i}: score must be a finite number, "
+                                f"got {score!r}")
+            rules.append(CoherenceRule(dict(match), float(score)))
+        return cls(rules=tuple(rules), **columns)
 
 
 EMPTY_RULESET = CoherenceRuleset()
@@ -245,41 +267,30 @@ def coherence(prev: Display, cur: Display, action, prior_actions,
     return max(-1.0, min(1.0, score))
 
 
-@dataclass(frozen=True)
-class MeasureScores:
-    a_int: float
-    diversity: float
-    coherence: float
-    readability: float
-    peculiarity: float
-
-    def get(self, name: str) -> float:
-        return getattr(self, name)
-
-
 def score_session(dataset: Dataset, actions,
-                  ruleset: CoherenceRuleset = EMPTY_RULESET) -> list[MeasureScores]:
-    """Replay a session and compute all five raw scores per step."""
+                  ruleset: CoherenceRuleset = EMPTY_RULESET) -> list[dict]:
+    """Replay a session and compute all five raw scores per step, one dict
+    keyed by MEASURE_NAMES (in that order) per step."""
     specs = default_measure_specs(dataset.row_count)
     initial = initial_display(dataset)
     scores = []
     seen = [initial]
     prior: list = []
     for prev, action, cur in _env.walk_displays(dataset, actions):
-        scores.append(MeasureScores(
-            a_int=a_int(prev, cur, action, specs),
-            diversity=diversity(cur, seen),
-            coherence=coherence(prev, cur, action, prior, ruleset),
-            readability=readability(prev, cur, specs),
-            peculiarity=peculiarity(cur, initial, specs),
-        ))
+        scores.append({
+            "a_int": a_int(prev, cur, action, specs),
+            "diversity": diversity(cur, seen),
+            "coherence": coherence(prev, cur, action, prior, ruleset),
+            "readability": readability(prev, cur, specs),
+            "peculiarity": peculiarity(cur, initial, specs),
+        })
         prior.append(action)
         if action.kind != "STOP":
             seen.append(cur)
     return scores
 
 
-def normalize_session(raw: list[MeasureScores]) -> list[MeasureScores]:
+def normalize_session(raw: list[dict]) -> list[dict]:
     """Min-max normalize each measure across the session's steps.
 
     A constant series maps to all zeros.
@@ -288,15 +299,15 @@ def normalize_session(raw: list[MeasureScores]) -> list[MeasureScores]:
         raise ValueError("cannot normalize an empty session")
     normalized = [dict() for _ in raw]
     for name in MEASURE_NAMES:
-        series = [s.get(name) for s in raw]
+        series = [s[name] for s in raw]
         lo, hi = min(series), max(series)
         span = hi - lo
         for slot, value in zip(normalized, series):
             slot[name] = 0.0 if span <= 0 else (value - lo) / span
-    return [MeasureScores(**slot) for slot in normalized]
+    return normalized
 
 
-def classify_session(normalized: list[MeasureScores],
+def classify_session(normalized: list[dict],
                      quantile: float = 0.75) -> str:
     """Name of whichever of a_int, diversity and readability has the
     highest per-session quantile score; ties go to the earliest of these.
@@ -307,7 +318,7 @@ def classify_session(normalized: list[MeasureScores],
         raise ValueError("quantile must be in (0, 1)")
     best_name, best_q = None, -math.inf
     for name in ("a_int", "diversity", "readability"):
-        series = [s.get(name) for s in normalized]
+        series = [s[name] for s in normalized]
         q = float(np.quantile(series, quantile))
         if q > best_q:
             best_name, best_q = name, q

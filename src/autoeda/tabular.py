@@ -14,9 +14,11 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 import weakref
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -29,8 +31,24 @@ class ColumnKind(Enum):
 
 
 FILTER_OPS = ("EQ", "NEQ", "CONTAINS", "STARTS_WITH", "ENDS_WITH")
+# each operator's test of a text against its term; NEQ keeps what EQ's
+# test rejects
+_TEXT_TESTS = {"EQ": operator.eq, "NEQ": operator.eq,
+               "CONTAINS": operator.contains,
+               "STARTS_WITH": str.startswith, "ENDS_WITH": str.endswith}
 AGG_FUNCS = ("SUM", "COUNT", "MEAN", "MIN", "MAX")
 NUMERIC_AGGS = frozenset({"SUM", "MEAN", "MIN", "MAX"})
+
+
+def is_int(value) -> bool:
+    """An int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_finite_number(value) -> bool:
+    """A finite int or float that is not a bool."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 def parse_number(text) -> float | None:
@@ -393,6 +411,12 @@ def _cell_text(cell, kind: ColumnKind) -> str:
     return cell
 
 
+def _text_matches(op: str, term: str, texts) -> list[bool]:
+    """Whether each of `texts` passes `op`'s test against `term`, before
+    NEQ's negation."""
+    return list(map(_TEXT_TESTS[op], texts, repeat(term)))
+
+
 def apply_filter(display: Display, pred: FilterPredicate) -> Display:
     """Filter the underlying rows and re-apply any active grouping.
 
@@ -410,15 +434,7 @@ def apply_filter(display: Display, pred: FilterPredicate) -> Display:
         if target is not None:
             keep[codes] = ds._numbers[idx][codes] == target
     else:
-        texts = ds._texts[idx][codes].tolist()
-        if op in ("EQ", "NEQ"):
-            keep[codes] = [t == term for t in texts]
-        elif op == "CONTAINS":
-            keep[codes] = [term in t for t in texts]
-        elif op == "STARTS_WITH":
-            keep[codes] = [t.startswith(term) for t in texts]
-        else:
-            keep[codes] = [t.endswith(term) for t in texts]
+        keep[codes] = _text_matches(op, term, ds._texts[idx][codes].tolist())
     if op == "NEQ":
         keep = ~keep
     rows = display.rows[keep[ds.codes[idx, display.rows]]]

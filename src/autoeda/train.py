@@ -21,9 +21,11 @@ from . import nn
 from .env import (DEFAULT_HORIZON, DEFAULT_TERM_BINS, HEAD_MASKS, EdaEnv,
                   HeadLayout, Step, decide, encode_action, heads_from_action,
                   replay, state_from_history)
-from .tabular import ColumnKind
+from .tabular import ColumnKind, is_finite_number, is_int
 
 CHECKPOINT_VERSION = 4
+# the TrainResult networks a checkpoint stores, each under its field name
+_NETWORKS = ("policy", "value", "discriminator")
 
 # rng sub-stream ids, combined with the run seed through SeedSequence
 STREAM_INIT = 0
@@ -52,17 +54,6 @@ def derive_rng(seed: int, *path: int) -> np.random.Generator:
 _COUNT_MINIMUMS = {"horizon": 1, "total_interactions": 1, "train_interval": 1,
                    "batch_policy": 2, "batch_disc": 2, "bc_epochs": 1,
                    "bc_batch": 1, "term_bins": 1, "buffer_capacity": 1}
-
-
-def is_int(value) -> bool:
-    """An int that is not a bool."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def is_finite_number(value) -> bool:
-    """A finite int or float that is not a bool."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
 
 
 @dataclass
@@ -385,16 +376,16 @@ def assemble_mixed_batch(buffer: deque, expert_steps, policy, disc,
 
 
 def _advantages(value: nn.ValueNet, batch: dict, cfg: TrainConfig):
+    """One-step TD advantages and targets of a batch under `value`."""
     v_s, _ = value.forward(batch["states"])
     v_next, _ = value.forward(batch["next_states"])
     targets = batch["rewards"] + cfg.gamma * v_next * (1.0 - batch["dones"])
     return targets - v_s, targets
 
 
-def ppo_update(policy: nn.PolicyNet, opt: nn.Adam, value: nn.ValueNet,
-               batch: dict, cfg: TrainConfig) -> dict:
+def ppo_update(policy: nn.PolicyNet, opt: nn.Adam, batch: dict,
+               adv: np.ndarray, cfg: TrainConfig) -> dict:
     """One ascent step on the clipped surrogate objective."""
-    adv, _ = _advantages(value, batch, cfg)
     logp, ctx = policy.logprob(batch["states"], batch["heads"], batch["masks"])
     ratio = np.exp(logp - batch["old_logp"])
     surrogate = clipped_surrogate(ratio, adv, cfg.clip_eps)
@@ -408,9 +399,8 @@ def ppo_update(policy: nn.PolicyNet, opt: nn.Adam, value: nn.ValueNet,
 
 
 def value_update(value: nn.ValueNet, opt: nn.Adam, batch: dict,
-                 cfg: TrainConfig) -> float:
+                 targets: np.ndarray) -> float:
     """One semi-gradient step on the mean squared one-step TD error."""
-    _, targets = _advantages(value, batch, cfg)
     loss, grad = value.td_loss_grads(batch["states"], targets)
     opt.step(value.flat, grad)
     return loss
@@ -424,6 +414,18 @@ class TrainResult:
     layout: HeadLayout
     schema: tuple
     bc_history: list = field(default_factory=list)
+
+
+def _networks(schema, cfg: TrainConfig, rng=None) -> TrainResult:
+    """The policy, value and discriminator networks for `schema`, drawn from
+    `rng` in that order, or all zeros without one."""
+    layout = HeadLayout(len(schema), cfg.term_bins)
+    state_dim = layout.state_dim
+    return TrainResult(
+        nn.PolicyNet(state_dim, layout.sizes, cfg.policy_hidden, rng),
+        nn.ValueNet(state_dim, cfg.policy_hidden, rng),
+        nn.DiscriminatorNet(state_dim + layout.action_dim, cfg.disc_hidden, rng),
+        layout, schema)
 
 
 def _check_schemas(datasets):
@@ -449,16 +451,10 @@ def train_gail(cfg: TrainConfig, datasets, expert, metrics_sink=None,
     """
     if not datasets:
         raise ValueError("need at least one training dataset")
-    schema = _check_schemas(datasets)
-    layout = HeadLayout(len(schema), cfg.term_bins)
-    state_dim = layout.state_dim
-
-    init_rng = derive_rng(cfg.seed, STREAM_INIT)
-    policy = nn.PolicyNet(state_dim, layout.sizes, cfg.policy_hidden, init_rng)
-    value = nn.ValueNet(state_dim, cfg.policy_hidden, init_rng)
-    disc = nn.DiscriminatorNet(state_dim + layout.action_dim, cfg.disc_hidden,
-                               init_rng)
-    result = TrainResult(policy, value, disc, layout, schema)
+    result = _networks(_check_schemas(datasets), cfg,
+                       derive_rng(cfg.seed, STREAM_INIT))
+    policy, value, disc = result.policy, result.value, result.discriminator
+    layout = result.layout
     if result_callback is not None:
         result_callback(result)
 
@@ -489,8 +485,9 @@ def train_gail(cfg: TrainConfig, datasets, expert, metrics_sink=None,
                                                    expert_steps, cfg, update_rng)
         batch = assemble_mixed_batch(buffer, expert_steps, policy, disc, cfg,
                                      update_rng)
-        ppo_update(policy, policy_opt, value, batch, cfg)
-        value_loss = value_update(value, value_opt, batch, cfg)
+        adv, targets = _advantages(value, batch, cfg)
+        ppo_update(policy, policy_opt, batch, adv, cfg)
+        value_loss = value_update(value, value_opt, batch, targets)
         new_eps = collector.episode_lengths[before_eps:]
         record = {
             "interval": interval,
@@ -526,11 +523,10 @@ def save_checkpoint(path, result: TrainResult, cfg: TrainConfig) -> None:
         "config": cfg.to_dict(),
         "schema": [[c, k.value] for c, k in result.schema],
     }
-    nets = (("policy", result.policy), ("value", result.value),
-            ("discriminator", result.discriminator))
     with open(path, "w") as fh:
         fh.write(json.dumps(head)[:-1])
-        for name, net in nets:
+        for name in _NETWORKS:
+            net = getattr(result, name)
             fh.write(f', "{name}": {json.dumps(nn.arr_to_json(net.flat))}')
         fh.write("}\n")
 
@@ -543,12 +539,7 @@ def load_checkpoint(path) -> tuple[TrainResult, TrainConfig]:
                          f"{payload.get('format_version')!r}")
     cfg = TrainConfig.from_dict(payload["config"])
     schema = tuple((c, ColumnKind(k)) for c, k in payload["schema"])
-    layout = HeadLayout(len(schema), cfg.term_bins)
-    policy = nn.PolicyNet(layout.state_dim, layout.sizes, cfg.policy_hidden)
-    value = nn.ValueNet(layout.state_dim, cfg.policy_hidden)
-    disc = nn.DiscriminatorNet(layout.state_dim + layout.action_dim,
-                               cfg.disc_hidden)
-    _load_flat(policy, payload["policy"], "policy")
-    _load_flat(value, payload["value"], "value")
-    _load_flat(disc, payload["discriminator"], "discriminator")
-    return TrainResult(policy, value, disc, layout, schema), cfg
+    result = _networks(schema, cfg)
+    for name in _NETWORKS:
+        _load_flat(getattr(result, name), payload[name], name)
+    return result, cfg

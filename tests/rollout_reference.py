@@ -1,5 +1,6 @@
-"""One-episode-at-a-time rollout code, kept as the oracle that pins `env.play`
-and the lockstep `train.RolloutCollector` run with one lane.
+"""One-episode-at-a-time rollout code, kept as the oracle that pins
+`evaluation.generate_session` and the lockstep `train.RolloutCollector` run
+with one lane.
 
 `policy_step` is one policy decision; `RolloutCollector` drives it with a
 hand-kept episode state (dataset index, state, cached encoding) that carries

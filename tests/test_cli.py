@@ -324,6 +324,9 @@ def test_usage_errors_exit_one(run_dir, data_dir, tmp_path):
     assert not (tmp_path / "sessions.json").exists()
     assert run("eval", "--sessions", data_dir / "ds1.eval.json", "--data",
                data_dir, "--datasets", "ds1,ds1") == 1
+    # a session file holds one dataset's sessions; refused before any read
+    assert run("eval", "--sessions", tmp_path / "missing.json", "--data",
+               tmp_path / "missing", "--datasets", "ds1,ds2") == 1
     for threshold in ("0", "-0.5", "1.5", "nan", "x"):
         assert run("eval", "--sessions", data_dir / "ds1.eval.json",
                    "--data", data_dir, "--datasets", "ds1",
@@ -593,8 +596,8 @@ def test_data_errors_exit_two(tmp_path, data_dir):
 
 def test_measure_bad_session_or_ruleset_exits_two(data_dir, tmp_path, capsys):
     """An empty session is a data error that names it, and so are sessions
-    of another dataset and a ruleset file that is valid JSON but not an
-    object."""
+    of another dataset and a ruleset file that is valid JSON but not a
+    well-formed ruleset object."""
     assert run("measure", "--session", data_dir / "ds2.eval.json",
                "--dataset", data_dir / "ds1.csv", "--out", tmp_path / "m") == 2
     err = capsys.readouterr().err
@@ -609,7 +612,7 @@ def test_measure_bad_session_or_ruleset_exits_two(data_dir, tmp_path, capsys):
     assert f"session 2 of {session} is empty" in capsys.readouterr().err
     assert not (tmp_path / "m").exists()
     ruleset = tmp_path / "rules.json"
-    for text in ("[1, 2]", "3", "null"):
+    for text in ("[1, 2]", "3", "null", '{"filterable_columns": "c1"}'):
         ruleset.write_text(text)
         assert run("measure", "--session", data_dir / "ds1.eval.json",
                    "--dataset", data_dir / "ds1.csv",

@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 
 import row_engine as ref
 from rollout_reference import encode
-from autoeda.env import ActionSpec, EdaEnv, encode_display, walk
+from autoeda.env import (ActionSpec, EdaEnv, HeadLayout, encode_display,
+                         heads_from_action, walk)
 from autoeda.measures import coherence
 from autoeda.tabular import (FILTER_OPS, ColumnKind, Dataset, FilterPredicate,
-                             Grouping, column_histogram, display_fingerprint,
-                             initial_display)
+                             Grouping, canonical_number, column_histogram,
+                             display_fingerprint, initial_display, parse_number)
 
 TOL = 1e-12  # encodings and histogram shares; every other quantity is exact
 
@@ -173,3 +174,59 @@ def test_memo_served_encodings_equal_fresh_ones(case):
         assert d._vec.tobytes() == encode(d).tobytes()
         assert encode_display(d, ds) is d._vec
     assert len(ds._encodings) == len({s.current.key for s in first})
+
+
+def reference_term_bin(pred, display, idx, layout):
+    """`env._term_bin` as it was with its own table of text matchers: the
+    exact text first, then the first ranked text the operator accepts, else
+    bin 0."""
+    vals = (display.ranked_values(idx)
+            or initial_display(display.dataset).ranked_values(idx))
+    if not vals:
+        return 0
+    kind = display.dataset.columns[idx][1]
+    if kind is ColumnKind.NUMERIC and pred.op in ("EQ", "NEQ"):
+        target = parse_number(pred.term)
+        if target is not None and target in vals:
+            return min(vals.index(target), layout.term_bins - 1)
+    else:
+        texts = ([canonical_number(v) for v in vals]
+                 if kind is ColumnKind.NUMERIC else vals)
+        if pred.term in texts:
+            return min(texts.index(pred.term), layout.term_bins - 1)
+        matcher = {
+            "CONTAINS": lambda t: pred.term in t,
+            "STARTS_WITH": lambda t: t.startswith(pred.term),
+            "ENDS_WITH": lambda t: t.endswith(pred.term),
+        }.get(pred.op)
+        if matcher is not None:
+            for rank, text in enumerate(texts):
+                if matcher(text):
+                    return min(rank, layout.term_bins - 1)
+    return 0
+
+
+# a view that filters every row away, so each column falls back to the
+# root's ranking, and a column that holds no value at all
+EMPTIED = [ActionSpec("FILTER", filter=FilterPredicate("t", "EQ", "none"))]
+NO_VALUES = Dataset("blank", [("t", "text"), ("n", "numeric")],
+                    [[None, 5.0], [None, None]])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(tables().flatmap(lambda ds: st.tuples(st.just(ds), sessions(ds))))
+@example((NULS, EMPTIED))
+@example((NO_VALUES, [ActionSpec("FILTER", filter=FilterPredicate("n", "EQ", "7"))]))
+def test_term_bins_match_reference(case):
+    """Every view of a random session: each FILTER operator, term and
+    column maps to the reference's term bin at 1, 3 and 20 bins."""
+    ds, actions = case
+    views = {state.current.key: state.current for state in walk(ds, actions)}
+    layouts = [HeadLayout(len(ds.columns), bins) for bins in (1, 3, 20)]
+    for display, col, op, term in itertools.product(
+            views.values(), ds.column_names, FILTER_OPS, TERMS):
+        pred = FilterPredicate(col, op, term)
+        action = ActionSpec("FILTER", filter=pred)
+        for layout in layouts:
+            expected = reference_term_bin(pred, display, ds.column_index(col), layout)
+            assert heads_from_action(action, display, layout)[4] == expected

@@ -7,7 +7,7 @@ import pytest
 
 from autoeda.env import ActionSpec, BACK, STOP, encode_display
 from autoeda.measures import (MEASURE_NAMES, CoherenceRuleset,
-                              MeasureScores, MeasureSpecs, SigmoidSpec, a_int,
+                              MeasureSpecs, SigmoidSpec, a_int,
                               classify_session, coherence,
                               default_measure_specs, diversity, kl_divergence,
                               max_column_kl, normalize_session, peculiarity,
@@ -300,8 +300,28 @@ def test_coherence_clamped(deck):
 
 
 def test_ruleset_malformed():
-    for source in ({"rules": [{"score": 0.5}]}, [1, 2], 3, None):
-        with pytest.raises(ValueError, match="malformed"):
+    """Each malformed input is refused with a message naming its field."""
+    cases = [
+        ({"rules": [{"score": 0.5}]}, "match"),
+        ([1, 2], "JSON object"), (3, "JSON object"), (None, "JSON object"),
+        # a string would be read as the set of its characters
+        ({"filterable_columns": "c1"}, "filterable_columns"),
+        ({"groupable_columns": "c1"}, "groupable_columns"),
+        ({"filterable_columns": ["c1", 2]}, "filterable_columns"),
+        ({"rules": {"match": {}, "score": 0.5}}, "rules"),
+        ({"rules": [5]}, "match"),
+        ({"rules": [{"match": [["kind", "GROUP"]], "score": 0.5}]}, "match"),
+        # an unknown key would match every action
+        ({"rules": [{"match": {"colum": "c1"}, "score": 0.5}]}, "match"),
+        ({"rules": [{"match": {}, "score": True}]}, "score"),
+        ({"rules": [{"match": {}, "score": "0.5"}]}, "score"),
+        ({"rules": [{"match": {}, "score": math.nan}]}, "score"),
+        ({"rules": [{"match": {}, "score": math.inf}]}, "score"),
+        ({"rules": [{"match": {"kind": "GROUP"}}]}, "score"),
+    ]
+    for source, field in cases:
+        with pytest.raises(ValueError,
+                           match=f"malformed coherence ruleset: .*{field}"):
             CoherenceRuleset.from_json(source)
 
 
@@ -311,24 +331,25 @@ def test_ruleset_malformed():
 def _scores(**kwargs):
     base = {name: 0.0 for name in MEASURE_NAMES}
     base.update(kwargs)
-    return MeasureScores(**base)
+    return base
 
 
 def test_normalize_affine():
     raw = [_scores(a_int=0.0), _scores(a_int=5.0), _scores(a_int=10.0)]
     normalized = normalize_session(raw)
-    assert [s.a_int for s in normalized] == [0.0, 0.5, 1.0]
+    assert [s["a_int"] for s in normalized] == [0.0, 0.5, 1.0]
 
 
 def test_normalize_constant_series_is_zero():
     raw = [_scores(diversity=3.0)] * 3
-    assert [s.diversity for s in normalize_session(raw)] == [0.0, 0.0, 0.0]
+    assert [s["diversity"] for s in normalize_session(raw)] == [0.0, 0.0, 0.0]
 
 
 def test_normalize_bounds_and_max(synthetic_bundle):
     dataset, _, _, trajectories = synthetic_bundle
     raw = score_session(dataset, trajectories[0].actions)
     normalized = normalize_session(raw)
+    assert all(list(s) == list(MEASURE_NAMES) for s in raw + normalized)
     for name in MEASURE_NAMES:
         series = [s.get(name) for s in normalized]
         assert min(series) >= 0.0 and max(series) <= 1.0
@@ -386,8 +407,8 @@ def test_classify_affine_invariance():
         raw = [_scores(a_int=float(rng.random()), diversity=float(rng.random()),
                        readability=float(rng.random())) for _ in range(6)]
         label = classify_session(normalize_session(raw))
-        scaled = [_scores(a_int=3.5 * s.a_int + 2.0, diversity=s.diversity,
-                          readability=s.readability) for s in raw]
+        scaled = [_scores(a_int=3.5 * s["a_int"] + 2.0, diversity=s["diversity"],
+                          readability=s["readability"]) for s in raw]
         assert classify_session(normalize_session(scaled)) == label
 
 
@@ -407,8 +428,8 @@ def test_score_session_back_rows_are_flat(deck):
     raw = score_session(deck, actions)
     assert len(raw) == 4
     back = raw[1]
-    assert back.a_int == 0.0
-    assert back.diversity == 0.0  # returning to a seen display
+    assert back["a_int"] == 0.0
+    assert back["diversity"] == 0.0  # returning to a seen display
 
 
 def test_score_session_uses_ruleset(deck):
@@ -416,7 +437,7 @@ def test_score_session_uses_ruleset(deck):
         {"rules": [{"match": {"kind": "GROUP"}, "score": 0.5}]})
     actions = (GROUP("color", "x", "COUNT"),)
     raw = score_session(deck, actions, ruleset)
-    assert raw[0].coherence == 0.5
+    assert raw[0]["coherence"] == 0.5
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ import nn_reference as ref
 from autoeda import nn
 from autoeda.env import BACK, STOP, ActionSpec, HeadLayout, Trajectory
 from autoeda.tabular import FilterPredicate, Grouping
-from autoeda.train import (RolloutCollector, TrainConfig, assemble_mixed_batch,
-                           bc_pretrain, derive_rng,
+from autoeda.train import (RolloutCollector, TrainConfig, _advantages,
+                           assemble_mixed_batch, bc_pretrain, derive_rng,
                            ppo_update, prepare_expert_steps,
                            update_discriminator, value_update)
 
@@ -98,8 +98,9 @@ def _adversarial_run(toy, cfg, rounds=5):
     for _ in range(rounds):
         out.append(update_discriminator(disc, opts[2], buffer, expert, cfg,
                                         update_rng))
-        out.append(ppo_update(policy, opts[0], value, batch, cfg))
-        out.append(value_update(value, opts[1], batch, cfg))
+        adv, targets = _advantages(value, batch, cfg)
+        out.append(ppo_update(policy, opts[0], batch, adv, cfg))
+        out.append(value_update(value, opts[1], batch, targets))
     return out, [net.flat.copy() for net in (policy, value, disc)]
 
 

@@ -12,8 +12,9 @@ from autoeda.env import (BACK, HEAD_MASKS, STOP, ActionSpec, HeadLayout,
                          state_vec_len)
 from autoeda.tabular import FilterPredicate, Grouping
 from autoeda.train import (RolloutCollector, Step, TrainConfig, TrainResult,
-                           _draw, action_agreement, assemble_mixed_batch,
-                           bc_pretrain, clipped_surrogate, derive_rng,
+                           _advantages, _draw, action_agreement,
+                           assemble_mixed_batch, bc_pretrain, clipped_surrogate,
+                           derive_rng,
                            imitation_reward, incoherence_penalty,
                            load_checkpoint, ppo_clip_target, ppo_update,
                            prepare_expert_steps, save_checkpoint, train_gail,
@@ -326,13 +327,13 @@ def test_ppo_update_moves_policy_and_reports_surrogate(toy):
     assert len(batch["states"]) == cfg.batch_policy
     before = policy.flat.copy()
     opt = nn.Adam(policy.flat, 1e-3)
-    stats = ppo_update(policy, opt, value, batch, cfg)
+    adv, _ = _advantages(value, batch, cfg)
+    stats = ppo_update(policy, opt, batch, adv, cfg)
     assert math.isfinite(stats["surrogate"])
     assert not np.allclose(before, policy.flat)
 
 
 def test_ppo_update_surrogate_is_clipped_surrogate(toy):
-    from autoeda.train import _advantages
     cfg = small_cfg()
     policy, value, batch = _ppo_batch(toy, cfg)
     # move the policy off the one that logged old_logp, so ratios leave 1
@@ -340,7 +341,7 @@ def test_ppo_update_surrogate_is_clipped_surrogate(toy):
     adv, _ = _advantages(value, batch, cfg)
     logp, _ = policy.logprob(batch["states"], batch["heads"], batch["masks"])
     ratio = np.exp(logp - batch["old_logp"])
-    stats = ppo_update(policy, nn.Adam(policy.flat, 1e-3), value, batch, cfg)
+    stats = ppo_update(policy, nn.Adam(policy.flat, 1e-3), batch, adv, cfg)
     assert stats["surrogate"] == clipped_surrogate(ratio, adv, cfg.clip_eps)
 
 
@@ -386,7 +387,9 @@ def test_value_update_descends_fixed_batch(toy):
         "dones": np.zeros(16),
     }
     opt = nn.Adam(value.flat, 1e-2)
-    losses = [value_update(value, opt, batch, cfg) for _ in range(100)]
+    # each step's targets come from the value net it updates
+    losses = [value_update(value, opt, batch, _advantages(value, batch, cfg)[1])
+              for _ in range(100)]
     assert losses[-1] < losses[0]
 
 
