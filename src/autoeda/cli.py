@@ -160,10 +160,8 @@ def _load_dataset(path):
         raise DataError(f"dataset file {path} does not exist")
     sidecar = path.with_suffix(".schema.json")
     try:
-        schema = None
-        if sidecar.exists():
-            schema = {c: k.value
-                      for c, k in tabular.load_schema_sidecar(sidecar).items()}
+        schema = (tabular.load_schema_sidecar(sidecar) if sidecar.exists()
+                  else None)
         dataset = tabular.load_dataset(path, schema=schema)
     except (OSError, ValueError) as exc:
         raise DataError(f"cannot load dataset {path}: {exc}") from exc
@@ -419,18 +417,12 @@ def cmd_train(args) -> int:
 # ---------------------------------------------------------------------------
 # generate
 
-def _check_checkpoint_schema(result, dataset):
-    schema = tuple((c, k) for c, k in dataset.columns)
-    if tuple(result.schema) != schema:
-        raise DataError(
-            f"checkpoint schema does not match dataset {dataset.name!r}")
-
-
 def _policy_sessions(args, datasets, manifest: Manifest):
-    """(`args.n` sessions per dataset, seed, config) from `args.checkpoint`,
-    loaded once and recorded as a manifest input. In sample mode each
-    dataset draws from a fresh STREAM_GENERATE generator, so its sessions do
-    not depend on the datasets listed before it."""
+    """(`args.n` sessions per dataset, config) from `args.checkpoint`,
+    loaded once and recorded as a manifest input with the seed it ran
+    with. In sample mode each dataset draws from a fresh STREAM_GENERATE
+    generator, so its sessions do not depend on the datasets listed before
+    it."""
     from .evaluation import generate_session
     from .train import STREAM_GENERATE, derive_rng, load_checkpoint
 
@@ -440,14 +432,17 @@ def _policy_sessions(args, datasets, manifest: Manifest):
         raise DataError(f"cannot load checkpoint {args.checkpoint}: {exc}") from exc
     manifest.add_input(args.checkpoint)
     seed = args.seed if args.seed is not None else cfg.seed
+    manifest.data["seed"] = seed
     per_dataset = []
     for dataset in datasets:
-        _check_checkpoint_schema(result, dataset)
+        if result.schema != dataset.columns:
+            raise DataError(
+                f"checkpoint schema does not match dataset {dataset.name!r}")
         rng = derive_rng(seed, STREAM_GENERATE) if args.mode == "sample" else None
         per_dataset.append([generate_session(result.policy, dataset,
                                              cfg.horizon, rng)
                             for _ in range(args.n)])
-    return per_dataset, seed, cfg
+    return per_dataset, cfg
 
 
 def cmd_generate(args) -> int:
@@ -455,7 +450,7 @@ def cmd_generate(args) -> int:
 
     manifest = Manifest("generate", args, {"n": args.n, "mode": args.mode})
     (dataset,) = _load_datasets([args.dataset], manifest)
-    (sessions,), seed, cfg = _policy_sessions(args, [dataset], manifest)
+    (sessions,), cfg = _policy_sessions(args, [dataset], manifest)
     out_path = Path(args.out or "sessions.json")
     if out_path.is_dir():
         out_path = out_path / "sessions.json"
@@ -463,7 +458,6 @@ def cmd_generate(args) -> int:
     env_mod.save_trajectories(out_path, dataset, sessions)
 
     manifest.data["config"]["horizon"] = cfg.horizon
-    manifest.data["seed"] = seed
     manifest.add_output(out_path)
     manifest.write(out_path.with_name(out_path.stem + ".manifest.json"))
     print(f"wrote {args.n} session(s) to {out_path}")
@@ -562,14 +556,19 @@ def cmd_eval(args) -> int:
     if args.sessions and len(names) > 1:
         raise UsageError("a --sessions file holds one dataset's sessions: "
                          "give --datasets one name")
+    if args.sessions and (args.n, args.mode) != (None, None):
+        raise UsageError("--n and --mode apply only with --checkpoint")
+    config = {"threshold": args.threshold}
+    if args.checkpoint:  # the defaults of `generate`
+        args.n = 1 if args.n is None else args.n
+        args.mode = args.mode or "greedy"
+        config = {"n": args.n, "mode": args.mode, **config}
 
-    manifest = Manifest("eval", args, {"n": args.n, "mode": args.mode,
-                                       "threshold": args.threshold})
+    manifest = Manifest("eval", args, config)
     datasets, golds = _load_split(data_dir, names, "eval", manifest,
                                   "gold sessions")
     if args.checkpoint:
-        generated, seed, _ = _policy_sessions(args, datasets, manifest)
-        manifest.data["seed"] = seed
+        generated, _ = _policy_sessions(args, datasets, manifest)
     else:
         sessions = [t for t in _load_sessions(args.sessions, manifest)
                     if t.dataset == datasets[0].name]
@@ -653,8 +652,11 @@ def build_parser() -> _Parser:
                         "a checkpoint")
     p.add_argument("--data", required=True)
     p.add_argument("--datasets", required=True, help="comma-separated names")
-    p.add_argument("--n", type=_positive_int, default=1)
-    p.add_argument("--mode", choices=("greedy", "sample"), default="greedy")
+    p.add_argument("--n", type=_positive_int, default=None,
+                   help="with --checkpoint: sessions per dataset (default 1)")
+    p.add_argument("--mode", choices=("greedy", "sample"), default=None,
+                   help="with --checkpoint: how heads are chosen "
+                        "(default greedy)")
     p.add_argument("--threshold", type=_fraction, default=0.9)
     p.set_defaults(fn=cmd_eval)
 

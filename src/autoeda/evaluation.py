@@ -29,19 +29,12 @@ class View:
     vec: np.ndarray
 
 
-def views_from_actions(dataset: Dataset, actions,
-                       dedupe_consecutive: bool = False) -> list[View]:
-    """Views of a session: one per FILTER/GROUP step (BACK and STOP add no
-    view). Gold sessions additionally collapse consecutive identical views."""
-    views = []
-    for _, action, cur in walk_displays(dataset, actions):
-        if action.kind not in ("FILTER", "GROUP"):
-            continue
-        fp = display_fingerprint(cur)
-        if dedupe_consecutive and views and views[-1].fingerprint == fp:
-            continue
-        views.append(View(fp, encode_display(cur, dataset)))
-    return views
+def views_from_actions(dataset: Dataset, actions) -> list[View]:
+    """Views of a session, gold or generated: one per FILTER/GROUP step
+    (BACK and STOP add no view)."""
+    return [View(display_fingerprint(cur), encode_display(cur, dataset))
+            for _, action, cur in walk_displays(dataset, actions)
+            if action.kind in ("FILTER", "GROUP")]
 
 
 def precision(gen: list[View], gold: list[list[View]]) -> float:
@@ -151,7 +144,7 @@ def generate_session(policy: nn.PolicyNet, dataset: Dataset,
 def evaluate_sessions(dataset: Dataset, sessions, gold_trajectories,
                       threshold: float = DEFAULT_SIM_THRESHOLD) -> dict:
     """Mean metrics of generated sessions against one dataset's gold set."""
-    gold_views = [views_from_actions(dataset, t.actions, dedupe_consecutive=True)
+    gold_views = [views_from_actions(dataset, t.actions)
                   for t in gold_trajectories]
     gold_views = [g for g in gold_views if g]
     if not gold_views:

@@ -16,8 +16,7 @@ from itertools import repeat
 import numpy as np
 
 from . import env as _env
-from .tabular import (Dataset, Display, column_histogram, initial_display,
-                      is_finite_number)
+from .tabular import Dataset, Display, column_histogram, is_finite_number
 
 MEASURE_NAMES = ("a_int", "diversity", "coherence", "readability", "peculiarity")
 DEFAULT_KL_EPS = 1e-6
@@ -270,24 +269,19 @@ def coherence(prev: Display, cur: Display, action, prior_actions,
 def score_session(dataset: Dataset, actions,
                   ruleset: CoherenceRuleset = EMPTY_RULESET) -> list[dict]:
     """Replay a session and compute all five raw scores per step, one dict
-    keyed by MEASURE_NAMES (in that order) per step."""
+    keyed by MEASURE_NAMES (in that order) per step. A step's earlier views
+    and actions are its before-state's `history` and `action_history`."""
     specs = default_measure_specs(dataset.row_count)
-    initial = initial_display(dataset)
-    scores = []
-    seen = [initial]
-    prior: list = []
-    for prev, action, cur in _env.walk_displays(dataset, actions):
-        scores.append({
-            "a_int": a_int(prev, cur, action, specs),
-            "diversity": diversity(cur, seen),
-            "coherence": coherence(prev, cur, action, prior, ruleset),
-            "readability": readability(prev, cur, specs),
-            "peculiarity": peculiarity(cur, initial, specs),
-        })
-        prior.append(action)
-        if action.kind != "STOP":
-            seen.append(cur)
-    return scores
+    states = _env.walk(dataset, actions)
+    initial = states[0].current
+    return [{
+        "a_int": a_int(before.current, after.current, action, specs),
+        "diversity": diversity(after.current, before.history),
+        "coherence": coherence(before.current, after.current, action,
+                               before.action_history, ruleset),
+        "readability": readability(before.current, after.current, specs),
+        "peculiarity": peculiarity(after.current, initial, specs),
+    } for before, action, after in zip(states, actions, states[1:])]
 
 
 def normalize_session(raw: list[dict]) -> list[dict]:

@@ -184,9 +184,8 @@ def clipped_surrogate(ratios, advantages, eps: float) -> float:
 
 
 def _draw(rng: np.random.Generator, steps, k: int) -> list:
-    """`k` uniform draws from `steps`, with replacement only when fewer
-    than `k` are held."""
-    idx = rng.choice(len(steps), size=k, replace=len(steps) < k)
+    """`k` distinct uniform draws from `steps`, which holds at least `k`."""
+    idx = rng.choice(len(steps), size=k, replace=False)
     return [steps[int(i)] for i in idx]
 
 
@@ -248,18 +247,11 @@ def action_agreement(policy: nn.PolicyNet, expert_steps) -> float:
     greedy choice."""
     if not expert_steps:
         return 0.0
-    states = np.stack([s.state for s in expert_steps])
-    probs, _ = policy.forward(states)
-    hits = 0
-    for i, step in enumerate(expert_steps):
-        mask = HEAD_MASKS[step.heads[0]]
-        ok = True
-        for h in range(len(probs)):
-            if mask[h] and int(np.argmax(probs[h][i])) != int(step.heads[h]):
-                ok = False
-                break
-        hits += ok
-    return hits / len(expert_steps)
+    heads = np.stack([s.heads for s in expert_steps])
+    probs, _ = policy.forward(np.stack([s.state for s in expert_steps]))
+    greedy = np.stack([p.argmax(axis=1) for p in probs], axis=1)
+    hits = ((greedy == heads) | ~HEAD_MASKS[heads[:, 0]]).all(axis=1)
+    return int(hits.sum()) / len(expert_steps)
 
 
 class RolloutCollector:
@@ -429,9 +421,9 @@ def _networks(schema, cfg: TrainConfig, rng=None) -> TrainResult:
 
 
 def _check_schemas(datasets):
-    schema = tuple((c, k) for c, k in datasets[0].columns)
+    schema = datasets[0].columns
     for ds in datasets[1:]:
-        if tuple(ds.columns) != schema:
+        if ds.columns != schema:
             raise ValueError(f"dataset {ds.name!r} schema differs from "
                              f"{datasets[0].name!r}; training needs one schema")
     return schema
@@ -473,14 +465,11 @@ def train_gail(cfg: TrainConfig, datasets, expert, metrics_sink=None,
     value_opt = nn.Adam(value.flat, cfg.lr_adv)
     disc_opt = nn.Adam(disc.flat, cfg.lr_adv)
 
-    done_interactions = 0
-    interval = 0
-    while done_interactions < cfg.total_interactions:
-        interval += 1
-        n = min(cfg.train_interval, cfg.total_interactions - done_interactions)
+    starts = range(0, cfg.total_interactions, cfg.train_interval)
+    for interval, start in enumerate(starts, start=1):
+        n = min(cfg.train_interval, cfg.total_interactions - start)
         before_eps = len(collector.episode_lengths)
         steps = collector.collect(disc, n, buffer)
-        done_interactions += n
         disc_loss, disc_acc = update_discriminator(disc, disc_opt, buffer,
                                                    expert_steps, cfg, update_rng)
         batch = assemble_mixed_batch(buffer, expert_steps, policy, disc, cfg,

@@ -1,7 +1,15 @@
-"""Reference KL divergence: the loop over p whose bits the array-based
-`autoeda.measures.kl_divergence` must reproduce."""
+"""Reference measures code: the loop over p whose bits the array-based
+`autoeda.measures.kl_divergence` must reproduce, and the session scorer
+that kept its own lists of seen views and prior actions, whose scores
+`autoeda.measures.score_session` must reproduce."""
 
 import math
+
+from autoeda.env import walk_displays
+from autoeda.measures import (EMPTY_RULESET, a_int, coherence,
+                              default_measure_specs, diversity, peculiarity,
+                              readability)
+from autoeda.tabular import initial_display
 
 
 def kl_divergence(p, q, eps=1e-6):
@@ -16,3 +24,23 @@ def kl_divergence(p, q, eps=1e-6):
         q_mass = q.get(value, 0.0)
         total += mass * math.log(mass / (q_mass if q_mass > 0 else eps))
     return total
+
+
+def score_session(dataset, actions, ruleset=EMPTY_RULESET):
+    specs = default_measure_specs(dataset.row_count)
+    initial = initial_display(dataset)
+    scores = []
+    seen = [initial]
+    prior = []
+    for prev, action, cur in walk_displays(dataset, actions):
+        scores.append({
+            "a_int": a_int(prev, cur, action, specs),
+            "diversity": diversity(cur, seen),
+            "coherence": coherence(prev, cur, action, prior, ruleset),
+            "readability": readability(prev, cur, specs),
+            "peculiarity": peculiarity(cur, initial, specs),
+        })
+        prior.append(action)
+        if action.kind != "STOP":
+            seen.append(cur)
+    return scores

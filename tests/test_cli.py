@@ -9,6 +9,9 @@ import numpy as np
 import pytest
 
 from autoeda.cli import _THREAD_VARS, main
+from autoeda.env import ActionSpec, Trajectory, save_trajectories
+from autoeda.evaluation import METRIC_COLUMNS
+from autoeda.tabular import FilterPredicate, Grouping, load_dataset
 
 
 def run(*argv):
@@ -250,6 +253,29 @@ def test_eval_self_scores_one(data_dir, capsys, tmp_path):
         assert rows[0][key] == pytest.approx(1.0), key
     text = capsys.readouterr().out
     assert "Precision" in text and "TBLEU-3" in text and "EDA-Sim" in text
+    config = json.loads((tmp_path / "manifest.json").read_text())["config"]
+    assert config == {"threshold": 0.9}
+
+
+def test_eval_gold_file_with_a_repeated_view_scores_one(data_dir, tmp_path):
+    """Gold and generated sessions are cut into views by one rule, so a gold
+    file that re-applies a filter still scores 1.0 against itself."""
+    for suffix in (".csv", ".schema.json"):
+        (tmp_path / f"ds1{suffix}").write_bytes(
+            (data_dir / f"ds1{suffix}").read_bytes())
+    dataset = load_dataset(tmp_path / "ds1.csv")
+    col = dataset.column_names[0]
+    term = str(dataset.dictionaries[0][0])
+    again = ActionSpec("FILTER", filter=FilterPredicate(col, "NEQ", term))
+    group = ActionSpec("GROUP", group=Grouping(col, col, "COUNT"))
+    gold = tmp_path / "ds1.eval.json"
+    save_trajectories(gold, dataset, [
+        Trajectory("ds1", (again, again, group)),
+        Trajectory("ds1", (group, ActionSpec("BACK"), again, again))])
+    assert run("eval", "--sessions", gold, "--data", tmp_path,
+               "--datasets", "ds1", "--out", tmp_path / "out") == 0
+    (row,) = json.loads((tmp_path / "out" / "report.json").read_text())["rows"]
+    assert {k: row[k] for k in METRIC_COLUMNS} == dict.fromkeys(METRIC_COLUMNS, 1.0)
 
 
 def test_eval_with_checkpoint(run_dir, data_dir, tmp_path):
@@ -265,6 +291,8 @@ def test_eval_with_checkpoint(run_dir, data_dir, tmp_path):
     assert input_names(tmp_path / "manifest.json") == [
         "checkpoint.json", "ds1.csv", "ds1.eval.json", "ds1.schema.json",
         "ds2.csv", "ds2.eval.json", "ds2.schema.json"]
+    config = json.loads((tmp_path / "manifest.json").read_text())["config"]
+    assert config == {"n": 1, "mode": "greedy", "threshold": 0.9}
 
 
 def test_eval_checkpoint_sessions_do_not_depend_on_other_datasets(
@@ -324,6 +352,12 @@ def test_usage_errors_exit_one(run_dir, data_dir, tmp_path):
     assert not (tmp_path / "sessions.json").exists()
     assert run("eval", "--sessions", data_dir / "ds1.eval.json", "--data",
                data_dir, "--datasets", "ds1,ds1") == 1
+    # --n and --mode choose how a checkpoint generates; refused before any read
+    for flag in (("--n", "7"), ("--mode", "sample")):
+        assert run("eval", "--sessions", tmp_path / "missing.json", "--data",
+                   tmp_path / "missing", "--datasets", "ds1", *flag,
+                   "--out", tmp_path / "flag_out") == 1, flag
+    assert not (tmp_path / "flag_out").exists()
     # a session file holds one dataset's sessions; refused before any read
     assert run("eval", "--sessions", tmp_path / "missing.json", "--data",
                tmp_path / "missing", "--datasets", "ds1,ds2") == 1

@@ -1,6 +1,8 @@
-"""No dead library code: every public top-level function and class of
-`src/autoeda`, and every public method, is used from the program itself
-(`src/`, `bench/` or `demos/`), not only from the tests."""
+"""No dead library code: every top-level function and class of
+`src/autoeda`, and every method, is used from the program itself (`src/`,
+`bench/` or `demos/`), not only from the tests. Private names (one leading
+underscore, not a dunder) are held to the same rule, so a fold that leaves a
+helper behind is caught."""
 
 import ast
 from pathlib import Path
@@ -16,16 +18,25 @@ ALLOWED = {
 }
 
 
-def _definitions():
-    """(qualified name, file, first line, last line) of each public
-    top-level function and class, and of each public method."""
+def _is_public(name):
+    return not name.startswith("_")
+
+
+def _is_private(name):
+    return name.startswith("_") and not (name.startswith("__")
+                                         and name.endswith("__"))
+
+
+def _definitions(wanted):
+    """(qualified name, file, first line, last line) of each top-level
+    function and class, and of each method, whose name `wanted` accepts."""
     out = []
     for path in sorted(PACKAGE.glob("*.py")):
         module = path.stem
         for node in ast.parse(path.read_text()).body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            if not node.name.startswith("_"):
+            if wanted(node.name):
                 out.append((f"{module}.{node.name}", path, node.lineno,
                             node.end_lineno))
             if isinstance(node, ast.ClassDef):
@@ -33,7 +44,7 @@ def _definitions():
                             item.lineno, item.end_lineno)
                            for item in node.body
                            if isinstance(item, ast.FunctionDef)
-                           and not item.name.startswith("_"))
+                           and wanted(item.name))
     return out
 
 
@@ -55,18 +66,30 @@ def _references():
     return refs
 
 
-def test_every_public_definition_is_used_by_the_program():
+def _unused(wanted):
+    """Qualified names among `_definitions(wanted)` that the program never
+    references outside their own body."""
     refs = _references()
     unused = []
-    for qualname, path, first, last in _definitions():
+    for qualname, path, first, last in _definitions(wanted):
         name = qualname.rpartition(".")[2]
         used = any(not (ref_path == path and first <= line <= last)
                    for ref_path, line in refs.get(name, ()))
         if not used and qualname not in ALLOWED:
             unused.append(qualname)
+    return unused
+
+
+def test_every_public_definition_is_used_by_the_program():
+    unused = _unused(_is_public)
     assert not unused, f"defined but never used by the program: {unused}"
 
 
+def test_every_private_definition_is_used_by_the_program():
+    unused = _unused(_is_private)
+    assert not unused, f"private but never used by the program: {unused}"
+
+
 def test_allowed_names_still_exist():
-    names = {qualname for qualname, *_ in _definitions()}
+    names = {qualname for qualname, *_ in _definitions(_is_public)}
     assert ALLOWED <= names

@@ -4,14 +4,16 @@ reference in `row_engine.py`, on random tables and sessions."""
 import itertools
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import measures_reference
 import row_engine as ref
 from rollout_reference import encode
 from autoeda.env import (ActionSpec, EdaEnv, HeadLayout, encode_display,
                          heads_from_action, walk)
-from autoeda.measures import coherence
+from autoeda.measures import EMPTY_RULESET, CoherenceRuleset, coherence, score_session
 from autoeda.tabular import (FILTER_OPS, ColumnKind, Dataset, FilterPredicate,
                              Grouping, canonical_number, column_histogram,
                              display_fingerprint, initial_display, parse_number)
@@ -230,3 +232,38 @@ def test_term_bins_match_reference(case):
         for layout in layouts:
             expected = reference_term_bin(pred, display, ds.column_index(col), layout)
             assert heads_from_action(action, display, layout)[4] == expected
+
+
+@st.composite
+def sessions_with_repeats(draw, ds):
+    """A random session in which up to two of the actions before a trailing
+    STOP are taken twice in a row."""
+    actions = draw(sessions(ds))
+    n = len(actions) - (actions[-1].kind == "STOP")
+    for i in sorted(draw(st.sets(st.integers(0, n - 1), max_size=2)), reverse=True):
+        actions.insert(i, actions[i])
+    return actions
+
+
+# rules on the previous action's kind, which read each step's prior actions
+PRIOR_RULES = CoherenceRuleset.from_json({
+    "filterable_columns": ["c0", "c"], "groupable_columns": ["c1"],
+    "rules": [{"match": {"prior_kind": "FILTER"}, "score": 0.25},
+              {"match": {"kind": "FILTER", "prior_kind": "GROUP"}, "score": 0.5},
+              {"match": {"kind": "BACK", "prior_kind": "BACK"}, "score": -0.5}]})
+BACK, STOP = ActionSpec("BACK"), ActionSpec("STOP")
+PAIR_FILTER = ActionSpec("FILTER", filter=FilterPredicate("c", "EQ", "a"))
+
+
+@pytest.mark.parametrize("ruleset", [EMPTY_RULESET, PRIOR_RULES],
+                         ids=["no-rules", "prior-kind-rules"])
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(tables().flatmap(lambda ds: st.tuples(st.just(ds), sessions_with_repeats(ds))))
+@example((PAIR, [BACK, BACK, PAIR_FILTER, PAIR_FILTER, BACK, BACK, STOP]))
+def test_session_scores_match_reference(ruleset, case):
+    """Scores read from the walk's states equal those of the scorer that
+    kept its own lists of seen views and prior actions: BACK at the root,
+    repeated actions and a trailing STOP included."""
+    ds, actions = case
+    assert score_session(ds, actions, ruleset) == \
+        measures_reference.score_session(ds, actions, ruleset)

@@ -40,12 +40,6 @@ def test_views_skip_back_and_stop(toy):
     assert len(views) == 2
 
 
-def test_views_dedupe_consecutive(toy):
-    actions = (FILTER("color", "EQ", "red"), FILTER("color", "EQ", "red"))
-    assert len(views_from_actions(toy, actions)) == 2
-    assert len(views_from_actions(toy, actions, dedupe_consecutive=True)) == 1
-
-
 # ---------------------------------------------------------------------------
 # precision
 

@@ -116,8 +116,8 @@ def test_replay_buffer_fifo_capacity():
         buf.append(Step(np.zeros(1), np.zeros(5, dtype=int), np.zeros(1),
                         np.zeros(1), False, 0.0, reward=float(i), logprob=0.0))
     assert len(buf) == 3
-    rewards = {s.reward for s in _draw(np.random.default_rng(0), buf, 16)}
-    assert rewards <= {2.0, 3.0, 4.0}
+    rewards = {s.reward for s in _draw(np.random.default_rng(0), buf, 3)}
+    assert rewards == {2.0, 3.0, 4.0}
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +168,53 @@ def test_bc_overfits_single_pair(toy):
                              HEAD_MASKS[steps[0].heads[:1]])
     assert math.exp(float(logp[0])) >= 0.95
     assert action_agreement(policy, steps) == 1.0
+
+
+def reference_action_agreement(policy, expert_steps):
+    """`action_agreement` as a loop over steps and their heads."""
+    if not expert_steps:
+        return 0.0
+    states = np.stack([s.state for s in expert_steps])
+    probs, _ = policy.forward(states)
+    hits = 0
+    for i, step in enumerate(expert_steps):
+        mask = HEAD_MASKS[step.heads[0]]
+        ok = True
+        for h in range(len(probs)):
+            if mask[h] and int(np.argmax(probs[h][i])) != int(step.heads[h]):
+                ok = False
+                break
+        hits += ok
+    return hits / len(expert_steps)
+
+
+def test_action_agreement_ignores_heads_the_kind_does_not_use(toy):
+    """A seeded random policy against expert steps of all four kinds: half
+    take the greedy choice in every head their kind uses and random values
+    in the rest, half are random. Agreement lies strictly between 0 and 1,
+    and equals the per-step, per-head loop's."""
+    layout = HeadLayout(3)
+    policy = nn.PolicyNet(state_vec_len(toy), layout.sizes, (16, 16),
+                          derive_rng(3, 0))
+    rng = np.random.default_rng(11)
+    states = rng.normal(size=(40, state_vec_len(toy)))
+    probs, _ = policy.forward(states)
+    greedy = np.stack([p.argmax(axis=1) for p in probs], axis=1)
+    steps = []
+    for state, best in zip(states, greedy):
+        heads = np.array([rng.integers(size) for size in layout.sizes])
+        if rng.random() < 0.5:
+            used = HEAD_MASKS[best[0]]
+            heads[used] = best[used]
+        steps.append(Step(state, heads, np.zeros(1), state, False))
+    assert {int(s.heads[0]) for s in steps} == {0, 1, 2, 3}
+    assert any(not np.array_equal(s.heads, best)
+               and (s.heads == best)[HEAD_MASKS[best[0]]].all()
+               for s, best in zip(steps, greedy))
+    agreement = action_agreement(policy, steps)
+    assert 0 < agreement < 1
+    assert agreement == reference_action_agreement(policy, steps)
+    assert action_agreement(policy, []) == reference_action_agreement(policy, [])
 
 
 def test_bc_large_l2_shrinks_parameters(toy):
