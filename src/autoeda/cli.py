@@ -71,6 +71,32 @@ def _fraction(text: str) -> float:
     return x
 
 
+def _refuse_files(paths) -> None:
+    """Refuse the first of `paths` that exists and is not a directory."""
+    for path in paths:
+        if path.exists() and not path.is_dir():
+            raise argparse.ArgumentTypeError(f"{path} is an existing file")
+
+
+def _out_directory(text: str) -> str:
+    """An output directory, refused before any work when it or a parent is
+    an existing file."""
+    path = Path(text)
+    _refuse_files((path, *path.parents))
+    return text
+
+
+def _out_file(text: str) -> str:
+    """An output file, refused before any work when it names a directory
+    (an existing one, or one ending in a path separator) or a parent is an
+    existing file."""
+    path = Path(text)
+    if text.endswith(os.sep) or path.is_dir():
+        raise argparse.ArgumentTypeError(f"{text} names a directory, not a file")
+    _refuse_files(path.parents)
+    return text
+
+
 def _dataset_names(text: str) -> list[str]:
     """The names of a comma-separated --datasets value, each once."""
     names = [n.strip() for n in text.split(",") if n.strip()]
@@ -451,9 +477,7 @@ def cmd_generate(args) -> int:
     manifest = Manifest("generate", args, {"n": args.n, "mode": args.mode})
     (dataset,) = _load_datasets([args.dataset], manifest)
     (sessions,), cfg = _policy_sessions(args, [dataset], manifest)
-    out_path = Path(args.out or "sessions.json")
-    if out_path.is_dir():
-        out_path = out_path / "sessions.json"
+    out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     env_mod.save_trajectories(out_path, dataset, sessions)
 
@@ -601,11 +625,13 @@ def build_parser() -> _Parser:
                      description="Train and analyze EDA session policies")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, out_directory=True):
         p.add_argument("--seed", type=_non_negative_int, default=None)
         p.add_argument("--deterministic", action="store_true",
                        help="single-threaded, byte-reproducible run")
-        p.add_argument("--out", default=None, help="output directory")
+        if out_directory:
+            p.add_argument("--out", type=_out_directory, default=None,
+                           help="output directory")
 
     p = sub.add_parser("synth", help="generate datasets and expert sessions")
     common(p)
@@ -628,7 +654,10 @@ def build_parser() -> _Parser:
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("generate", help="roll sessions from a checkpoint")
-    common(p)
+    common(p, out_directory=False)
+    p.add_argument("--out", type=_out_file, default="sessions.json",
+                   help="session file (default sessions.json); its manifest "
+                        "is written beside it as <stem>.manifest.json")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--dataset", required=True, help="dataset csv path")
     p.add_argument("--n", type=_positive_int, default=1)

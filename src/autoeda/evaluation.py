@@ -96,35 +96,30 @@ def eda_sim(gen: list[View], gold: list[list[View]],
     program) over max(len(gen), len(gold)) is the session score. Using the
     maximum matching keeps the score monotone under threshold relaxation,
     which a greedy earliest-match scan does not guarantee.
+
+    Each distinct (generated, gold) pair of encodings, keyed by the vectors'
+    bytes (one fingerprint can name two encodings), is tested once per call.
     """
     if not 0 < threshold <= 1:
         raise ValueError("threshold must be in (0, 1]")
     if not gold:
         raise ValueError("need at least one gold session")
+    gen_keys = [v.vec.tobytes() for v in gen]
+    gold_keys = [[v.vec.tobytes() for v in session] for session in gold]
+    gen_vecs = {v.vec.tobytes(): v.vec for v in gen}
+    gold_vecs = {v.vec.tobytes(): v.vec for session in gold for v in session}
+    hit = {(a, b): display_similarity(u, w) >= threshold
+           for a, u in gen_vecs.items() for b, w in gold_vecs.items()}
     best = 0.0
-    for session in gold:
-        n, m = len(gen), len(session)
-        prev = [0] * (m + 1)
-        for i in range(1, n + 1):
-            cur = [0] * (m + 1)
-            for j in range(1, m + 1):
-                hit = display_similarity(gen[i - 1].vec,
-                                         session[j - 1].vec) >= threshold
-                cur[j] = max(prev[j], cur[j - 1], prev[j - 1] + (1 if hit else 0))
+    for keys in gold_keys:
+        prev = [0] * (len(keys) + 1)
+        for a in gen_keys:
+            cur = [0]
+            for j, b in enumerate(keys):
+                cur.append(max(prev[j + 1], cur[j], prev[j] + hit[a, b]))
             prev = cur
-        best = max(best, prev[m] / max(n, m, 1))
+        best = max(best, prev[-1] / max(len(gen_keys), len(keys), 1))
     return best
-
-
-def all_metrics(gen: list[View], gold: list[list[View]],
-                threshold: float = DEFAULT_SIM_THRESHOLD) -> dict:
-    return {
-        "precision": precision(gen, gold),
-        "tbleu1": tbleu(gen, gold, 1),
-        "tbleu2": tbleu(gen, gold, 2),
-        "tbleu3": tbleu(gen, gold, 3),
-        "eda_sim": eda_sim(gen, gold, threshold),
-    }
 
 
 def generate_session(policy: nn.PolicyNet, dataset: Dataset,
@@ -143,19 +138,24 @@ def generate_session(policy: nn.PolicyNet, dataset: Dataset,
 
 def evaluate_sessions(dataset: Dataset, sessions, gold_trajectories,
                       threshold: float = DEFAULT_SIM_THRESHOLD) -> dict:
-    """Mean metrics of generated sessions against one dataset's gold set."""
+    """Mean metrics of generated sessions against one dataset's gold set;
+    each distinct session is scored once and counted at every repeat."""
     gold_views = [views_from_actions(dataset, t.actions)
                   for t in gold_trajectories]
     gold_views = [g for g in gold_views if g]
     if not gold_views:
         raise ValueError(f"gold sessions for {dataset.name!r} contain no views")
-    rows = []
-    for traj in sessions:
-        gen_views = views_from_actions(dataset, traj.actions)
-        if not gen_views:
-            rows.append({k: 0.0 for k in METRIC_COLUMNS})
-        else:
-            rows.append(all_metrics(gen_views, gold_views, threshold))
+    scored = {}  # distinct action tuple -> its metrics
+    for actions in dict.fromkeys(traj.actions for traj in sessions):
+        gen = views_from_actions(dataset, actions)
+        scored[actions] = {
+            "precision": precision(gen, gold_views),
+            "tbleu1": tbleu(gen, gold_views, 1),
+            "tbleu2": tbleu(gen, gold_views, 2),
+            "tbleu3": tbleu(gen, gold_views, 3),
+            "eda_sim": eda_sim(gen, gold_views, threshold),
+        } if gen else {k: 0.0 for k in METRIC_COLUMNS}
+    rows = [scored[traj.actions] for traj in sessions]
     return {key: float(np.mean([r[key] for r in rows])) for key in METRIC_COLUMNS}
 
 

@@ -523,6 +523,8 @@ def save_checkpoint(path, result: TrainResult, cfg: TrainConfig) -> None:
 def load_checkpoint(path) -> tuple[TrainResult, TrainConfig]:
     with open(Path(path)) as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError("checkpoint is not a JSON object")
     if payload.get("format_version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version "
                          f"{payload.get('format_version')!r}")

@@ -217,6 +217,26 @@ def test_generate_schema_mismatch_is_data_error(run_dir, tmp_path):
     assert code == 2
 
 
+def test_generate_out_is_the_session_file(run_dir, data_dir, tmp_path, capsys):
+    """`generate --out` names the session file; a value that names a
+    directory, an existing one or one ending in a separator, or that lies
+    under an existing file, is refused before any file is read."""
+    with pytest.raises(SystemExit):
+        run("generate", "--help")
+    assert "session file (default sessions.json)" in capsys.readouterr().out
+    taken = tmp_path / "taken.txt"
+    taken.write_text("kept")
+    for out, message in ((tmp_path, "names a directory, not a file"),
+                         (f"{tmp_path / 'new'}{os.sep}",
+                          "names a directory, not a file"),
+                         (taken / "s.json", f"{taken} is an existing file")):
+        assert run("generate", "--checkpoint", tmp_path / "missing.json",
+                   "--dataset", tmp_path / "missing.csv", "--out", out) == 1, out
+        assert message in capsys.readouterr().err, out
+    assert sorted(tmp_path.iterdir()) == [taken]
+    assert taken.read_text() == "kept"
+
+
 def test_measure_table(data_dir, capsys):
     assert run("measure", "--session", data_dir / "ds1.eval.json",
                "--dataset", data_dir / "ds1.csv", "--threshold", "0.8") == 0
@@ -332,7 +352,7 @@ def test_manifest_records_the_parsed_argv(data_dir, tmp_path, monkeypatch):
     assert json.loads((tmp_path / "manifest.json").read_text())["argv"] == argv
 
 
-def test_usage_errors_exit_one(run_dir, data_dir, tmp_path):
+def test_usage_errors_exit_one(run_dir, data_dir, tmp_path, capsys):
     assert run("train", "--data", "somewhere") == 1  # missing --datasets
     assert run("eval", "--data", "x", "--datasets", "ds1") == 1  # no source
     assert run("nonsense") == 1
@@ -428,6 +448,23 @@ def test_usage_errors_exit_one(run_dir, data_dir, tmp_path):
                   "--data", data_dir, "--datasets", "ds1")):
         assert run(*argv, "--seed", "-1", "--out", out) == 1, argv
         assert not out.exists(), argv
+    # an output directory that is an existing file, or lies under one, is
+    # refused by name before any work or output
+    taken = tmp_path / "taken.txt"
+    taken.write_text("kept")
+    capsys.readouterr()
+    for out in (taken, taken / "sub"):
+        for argv in (("synth",),
+                     ("train", "--data", data_dir, "--datasets", "ds1"),
+                     ("measure", "--session", data_dir / "ds1.eval.json",
+                      "--dataset", data_dir / "ds1.csv"),
+                     ("eval", "--sessions", data_dir / "ds1.eval.json",
+                      "--data", data_dir, "--datasets", "ds1")):
+            assert run(*argv, "--out", out) == 1, (argv, out)
+            captured = capsys.readouterr()
+            assert captured.out == "", (argv, out)
+            assert f"{taken} is an existing file" in captured.err, (argv, out)
+    assert taken.read_text() == "kept"
 
 
 def test_manifests_record_the_seed_the_run_used(data_dir, tmp_path):
@@ -686,13 +723,14 @@ def test_non_string_action_fields_exit_two(data_dir, tmp_path, capsys, field,
     assert err.count(f"action field {field!r} must be a string") == 3
 
 
-def test_malformed_checkpoints_exit_two(run_dir, data_dir, tmp_path):
+def test_malformed_checkpoints_exit_two(run_dir, data_dir, tmp_path, capsys):
     good = json.loads((run_dir / "checkpoint.json").read_text())
     short = dict(good, policy={"shape": [len(good["policy"]["data"]) - 1],
                                "data": good["policy"]["data"][:-1]})
     for name, payload in (("version one", dict(good, format_version=1)),
                           ("policy one entry short", short),
-                          ("network not an object", dict(good, policy=5))):
+                          ("network not an object", dict(good, policy=5)),
+                          ("a list", [1, 2]), ("null", None), ("a string", "x")):
         bad = tmp_path / "ckpt.json"
         bad.write_text(json.dumps(payload))
         assert run("generate", "--checkpoint", bad,
@@ -700,3 +738,5 @@ def test_malformed_checkpoints_exit_two(run_dir, data_dir, tmp_path):
                    "--out", tmp_path / "sessions.json") == 2, name
         assert run("eval", "--checkpoint", bad, "--data", data_dir,
                    "--datasets", "ds1") == 2, name
+        err = capsys.readouterr().err
+        assert err.count(f"data error: cannot load checkpoint {bad}") == 2, name
