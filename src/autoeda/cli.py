@@ -448,7 +448,8 @@ def _policy_sessions(args, datasets, manifest: Manifest):
     loaded once and recorded as a manifest input with the seed it ran
     with. In sample mode each dataset draws from a fresh STREAM_GENERATE
     generator, so its sessions do not depend on the datasets listed before
-    it."""
+    it. In greedy mode every episode takes the same argmaxes, so each
+    dataset's session is decided once and repeated."""
     from .evaluation import generate_session
     from .train import STREAM_GENERATE, derive_rng, load_checkpoint
 
@@ -464,10 +465,14 @@ def _policy_sessions(args, datasets, manifest: Manifest):
         if result.schema != dataset.columns:
             raise DataError(
                 f"checkpoint schema does not match dataset {dataset.name!r}")
-        rng = derive_rng(seed, STREAM_GENERATE) if args.mode == "sample" else None
-        per_dataset.append([generate_session(result.policy, dataset,
-                                             cfg.horizon, rng)
-                            for _ in range(args.n)])
+        if args.mode == "sample":
+            rng = derive_rng(seed, STREAM_GENERATE)
+            per_dataset.append([generate_session(result.policy, dataset,
+                                                 cfg.horizon, rng)
+                                for _ in range(args.n)])
+        else:
+            per_dataset.append([generate_session(result.policy, dataset,
+                                                 cfg.horizon)] * args.n)
     return per_dataset, cfg
 
 
@@ -568,6 +573,19 @@ def cmd_measure(args) -> int:
 # ---------------------------------------------------------------------------
 # eval
 
+def _replay_error(dataset, files):
+    """A DataError naming the first session, over the (path, trajectories)
+    pairs in order, that does not replay on `dataset`; None when all do."""
+    from .env import walk
+    for path, trajectories in files:
+        for i, traj in enumerate(trajectories, start=1):
+            try:
+                walk(dataset, traj.actions)
+            except ValueError as exc:
+                return DataError(f"session {i} of {path} does not replay: {exc}")
+    return None
+
+
 def cmd_eval(args) -> int:
     from .evaluation import evaluate_sessions, report_text, METRIC_COLUMNS
     import numpy as np
@@ -604,7 +622,11 @@ def cmd_eval(args) -> int:
         try:
             metrics = evaluate_sessions(dataset, sessions, gold, args.threshold)
         except ValueError as exc:
-            raise DataError(str(exc)) from exc
+            # the gold views are cut before the generated ones
+            files = [(data_dir / f"{name}.eval.json", gold)]
+            if args.sessions:
+                files.append((args.sessions, sessions))
+            raise _replay_error(dataset, files) or DataError(str(exc)) from exc
         rows.append({"dataset": name, **metrics})
     if len(rows) > 1:
         rows.append({"dataset": "mean",

@@ -222,38 +222,74 @@ class Dataset:
         return len(self.dictionaries[idx]) - 1
 
 
+class _RowSet:
+    """The rows that one or more views of a dataset show, with everything
+    computed from those rows alone: the column summary, the entropy vector,
+    the per-column rankings and each grouping's group table.
+
+    A GROUP view, and a FILTER view that keeps every row, share their
+    parent's row set, so whichever of them computes a value first serves
+    the others. It holds no reference to its dataset, so a dataset is freed
+    by reference counting alone.
+    """
+
+    __slots__ = ("rows", "summary", "entropy", "ranked", "groups")
+
+    def __init__(self, rows):
+        self.rows = rows
+        self.summary = None
+        self.entropy = None
+        self.ranked = {}  # column index -> ranked values
+        self.groups = {}  # Grouping -> (keys, sizes, aggregates)
+
+    def grouped(self, dataset: Dataset, grouping: Grouping):
+        """The group table of `grouping` over these rows, computed once."""
+        table = self.groups.get(grouping)
+        if table is None:
+            table = self.groups[grouping] = _compute_groups(dataset, self.rows,
+                                                            grouping)
+        return table
+
+
 class Display:
     """A dataset view: ordered filters, optional single grouping, rows.
 
     `rows` is the ascending int32 array of the dataset rows that pass the
     filters. A grouped display also holds its group keys (in code order,
     null last), group sizes and aggregate values; `visible_rows` is what a
-    user would see. Instances are immutable and cache per-column statistics.
-    A view whose operation path its dataset has encoded before starts with
-    that encoding.
+    user would see. Instances are immutable. Views that show the same rows
+    (a GROUP view and its parent, a FILTER that keeps every row and its
+    parent) share one set of row statistics: per-column counts, entropies,
+    rankings and group tables, each computed once and read-only. A view
+    whose operation path its dataset has encoded before starts with that
+    encoding.
     """
 
-    __slots__ = ("dataset", "filters", "grouping", "rows",
+    __slots__ = ("dataset", "filters", "grouping", "_rowset",
                  "group_keys", "group_sizes", "group_aggs",
-                 "_summary", "_ranked", "_vec", "_fp", "__weakref__")
+                 "_vec", "_fp", "__weakref__")
 
     def __init__(self, dataset, filters, grouping, rows,
                  group_keys=(), group_sizes=(), group_aggs=()):
+        """`rows` is the `_RowSet` the view shares with every view that
+        shows the same rows."""
         self.dataset = dataset
         self.filters = tuple(filters)
         self.grouping = grouping
-        self.rows = rows
+        self._rowset = rows
         self.group_keys = group_keys
         self.group_sizes = group_sizes
         self.group_aggs = group_aggs
-        self._summary = None
-        self._ranked = {}
         self._vec = dataset._encodings.get((self.filters, grouping))
         self._fp = None
 
     @property
+    def rows(self):
+        return self._rowset.rows
+
+    @property
     def row_count(self) -> int:
-        return len(self.rows)
+        return len(self._rowset.rows)
 
     @property
     def key(self) -> tuple:
@@ -306,9 +342,10 @@ class Display:
         where each column's run of slots starts). A column's run lists its
         values in the order of their first row, the order in which a
         row-by-row count meets them."""
-        if self._summary is None:
+        rowset = self._rowset
+        if rowset.summary is None:
             ds = self.dataset
-            slots = (ds.codes[:, self.rows] + ds._offsets[:-1, None]).ravel()
+            slots = (ds.codes[:, rowset.rows] + ds._offsets[:-1, None]).ravel()
             counts = np.bincount(slots, minlength=ds._offsets[-1])
             first = np.full(len(counts), len(slots))
             np.minimum.at(first, slots, np.arange(len(slots)))
@@ -318,9 +355,12 @@ class Display:
             present = present[~ds._null_slot[present]]
             starts = np.searchsorted(ds._slot_column[present],
                                      np.arange(len(ds.columns) + 1))
-            self._summary = (present, counts[present],
-                             counts[ds._offsets[1:] - 1], starts)
-        return self._summary
+            summary = (present, counts[present], counts[ds._offsets[1:] - 1],
+                       starts)
+            for array in summary:
+                array.setflags(write=False)
+            rowset.summary = summary
+        return rowset.summary
 
     def column_stats(self, idx: int):
         """(codes, counts, nulls): the codes of the non-null values present
@@ -336,28 +376,36 @@ class Display:
         The terms p * log2(p) add up in column_stats order, as a row-by-row
         count would add them, and log2 comes from `math`, once per distinct
         count of a column: numpy's log2 can differ from it in the last bit.
+        The array is read-only.
         """
-        present, counts, _, _ = self._summarize()
-        width = len(self.dataset.columns)
-        if len(present) == 0:
-            return np.zeros(width)
-        column = self.dataset._slot_column[present]
-        totals = np.bincount(column, weights=counts, minlength=width)
-        span = int(counts.max()) + 1
-        key = column * span + counts
-        terms = np.zeros(width * span)
-        for k in np.flatnonzero(np.bincount(key)).tolist():
-            p = (k % span) / totals[k // span]
-            terms[k] = p * math.log2(p)
-        return -np.bincount(column, weights=terms[key], minlength=width)
+        rowset = self._rowset
+        if rowset.entropy is None:
+            present, counts, _, _ = self._summarize()
+            width = len(self.dataset.columns)
+            if len(present) == 0:
+                bits = np.zeros(width)
+            else:
+                column = self.dataset._slot_column[present]
+                totals = np.bincount(column, weights=counts, minlength=width)
+                span = int(counts.max()) + 1
+                key = column * span + counts
+                terms = np.zeros(width * span)
+                for k in np.flatnonzero(np.bincount(key)).tolist():
+                    p = (k % span) / totals[k // span]
+                    terms[k] = p * math.log2(p)
+                bits = -np.bincount(column, weights=terms[key], minlength=width)
+            bits.setflags(write=False)
+            rowset.entropy = bits
+        return rowset.entropy
 
     def ranked_values(self, idx: int):
         """Distinct non-null values, most frequent first (ties by value)."""
-        if idx not in self._ranked:
+        ranked = self._rowset.ranked
+        if idx not in ranked:
             codes, counts, _ = self.column_stats(idx)
             codes = codes[np.lexsort((codes, -counts))]
-            self._ranked[idx] = tuple(self.dataset.dictionaries[idx][codes].tolist())
-        return self._ranked[idx]
+            ranked[idx] = tuple(self.dataset.dictionaries[idx][codes].tolist())
+        return ranked[idx]
 
 
 def initial_display(dataset: Dataset) -> Display:
@@ -367,7 +415,7 @@ def initial_display(dataset: Dataset) -> Display:
     if root is None:
         rows = np.arange(dataset.row_count, dtype=np.int32)
         rows.setflags(write=False)
-        root = Display(dataset, (), None, rows)
+        root = Display(dataset, (), None, _RowSet(rows))
         dataset._root = weakref.ref(root)
     return root
 
@@ -438,11 +486,14 @@ def apply_filter(display: Display, pred: FilterPredicate) -> Display:
     if op == "NEQ":
         keep = ~keep
     rows = display.rows[keep[ds.codes[idx, display.rows]]]
+    # a filter that keeps every row shows its parent's rows
+    rowset = (display._rowset if len(rows) == display.row_count
+              else _RowSet(rows))
     filters = display.filters + (pred,)
     g = display.grouping
     if g is None:
-        return Display(ds, filters, None, rows)
-    return Display(ds, filters, g, rows, *_compute_groups(ds, rows, g))
+        return Display(ds, filters, None, rowset)
+    return Display(ds, filters, g, rowset, *rowset.grouped(ds, g))
 
 
 def apply_group(display: Display, grouping: Grouping) -> Display:
@@ -454,8 +505,9 @@ def apply_group(display: Display, grouping: Grouping) -> Display:
         raise ValueError(
             f"{grouping.agg_func} requires a numeric aggregate column, "
             f"{grouping.agg_col!r} is {agg_kind.value}")
-    return Display(ds, display.filters, grouping, display.rows,
-                   *_compute_groups(ds, display.rows, grouping))
+    rowset = display._rowset
+    return Display(ds, display.filters, grouping, rowset,
+                   *rowset.grouped(ds, grouping))
 
 
 def canonical_term(term: str, kind: ColumnKind) -> str:

@@ -11,6 +11,7 @@ import time
 from collections import Counter
 
 import numpy as np
+import pytest
 
 from autoeda import nn, synth
 from autoeda.cli import main as cli_main
@@ -347,6 +348,7 @@ def test_criterion_7_bc_sanity():
 # ---------------------------------------------------------------------------
 # criterion 8: directional end-to-end reproduction on held-out data
 
+@pytest.mark.slow
 def test_criterion_8_end_to_end_directional():
     start = time.time()
     seed = 6
@@ -392,6 +394,7 @@ def test_criterion_8_end_to_end_directional():
 # ---------------------------------------------------------------------------
 # criterion 9: measure-capture reproduction at desk scale
 
+@pytest.mark.slow
 def test_criterion_9_measure_capture():
     start = time.time()
     seed = 6

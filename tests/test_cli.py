@@ -209,6 +209,34 @@ def test_generate_greedy_deterministic(run_dir, data_dir, tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_greedy_generation_decides_once_per_dataset(run_dir, data_dir, tmp_path,
+                                                   monkeypatch):
+    """Every greedy episode takes the same argmaxes, so `generate` and
+    `eval --checkpoint` decide one session per dataset and repeat it."""
+    import autoeda.evaluation as evaluation
+    calls = []
+    generate_session = evaluation.generate_session
+
+    def counted(policy, dataset, *args):
+        calls.append(dataset.name)
+        return generate_session(policy, dataset, *args)
+
+    monkeypatch.setattr(evaluation, "generate_session", counted)
+    one, five = tmp_path / "one.json", tmp_path / "five.json"
+    for n, out in (("1", one), ("5", five)):
+        assert run("generate", "--checkpoint", run_dir / "checkpoint.json",
+                   "--dataset", data_dir / "ds1.csv", "--n", n,
+                   "--mode", "greedy", "--out", out) == 0
+    assert calls == ["ds1", "ds1"]
+    (session,) = json.loads(one.read_text())["sessions"]
+    assert json.loads(five.read_text())["sessions"] == [session] * 5
+    calls.clear()
+    assert run("eval", "--checkpoint", run_dir / "checkpoint.json",
+               "--data", data_dir, "--datasets", "ds1,ds2", "--n", "5",
+               "--mode", "greedy", "--out", tmp_path / "rep") == 0
+    assert calls == ["ds1", "ds2"]
+
+
 def test_generate_schema_mismatch_is_data_error(run_dir, tmp_path):
     other = tmp_path / "other.csv"
     other.write_text("a,b\n1,x\n")
@@ -689,6 +717,41 @@ def test_measure_bad_session_or_ruleset_exits_two(data_dir, tmp_path, capsys):
                    "--dataset", data_dir / "ds1.csv",
                    "--ruleset", ruleset) == 2, text
         assert "malformed coherence ruleset" in capsys.readouterr().err, text
+
+
+FINISHED = [{"step": 1, "action": {"kind": "STOP"}},
+            {"step": 2, "action": {"kind": "BACK"}}]
+
+
+def test_eval_names_the_gold_session_that_does_not_replay(data_dir, tmp_path,
+                                                         capsys):
+    """A gold session with an action after STOP is a data error that names
+    the gold file and the session's place in it."""
+    for suffix in (".csv", ".schema.json"):
+        (tmp_path / f"ds1{suffix}").write_bytes(
+            (data_dir / f"ds1{suffix}").read_bytes())
+    gold = json.loads((data_dir / "ds1.eval.json").read_text())
+    bad = tmp_path / "ds1.eval.json"
+    bad.write_text(json.dumps({"dataset": "ds1", "sessions": [
+        gold["sessions"][0], FINISHED]}))
+    assert run("eval", "--sessions", data_dir / "ds1.eval.json", "--data",
+               tmp_path, "--datasets", "ds1", "--out", tmp_path / "rep") == 2
+    assert (f"data error: session 2 of {bad} does not replay: "
+            "episode is finished") in capsys.readouterr().err
+    assert not (tmp_path / "rep").exists()
+
+
+def test_eval_names_the_session_that_does_not_replay(data_dir, tmp_path, capsys):
+    """So does a session of the `--sessions` file."""
+    gold = json.loads((data_dir / "ds1.eval.json").read_text())
+    bad = tmp_path / "sessions.json"
+    bad.write_text(json.dumps({"dataset": "ds1", "sessions": [
+        gold["sessions"][0], gold["sessions"][0], FINISHED]}))
+    assert run("eval", "--sessions", bad, "--data", data_dir,
+               "--datasets", "ds1", "--out", tmp_path / "rep") == 2
+    assert (f"data error: session 3 of {bad} does not replay: "
+            "episode is finished") in capsys.readouterr().err
+    assert not (tmp_path / "rep").exists()
 
 
 @pytest.mark.parametrize("field, value", [

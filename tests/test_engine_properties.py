@@ -2,6 +2,7 @@
 reference in `row_engine.py`, on random tables and sessions."""
 
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ from autoeda.env import (ActionSpec, EdaEnv, HeadLayout, encode_display,
                          heads_from_action, walk)
 from autoeda.measures import EMPTY_RULESET, CoherenceRuleset, coherence, score_session
 from autoeda.tabular import (FILTER_OPS, ColumnKind, Dataset, FilterPredicate,
-                             Grouping, canonical_number, column_histogram,
+                             Grouping, apply_filter, apply_group,
+                             canonical_number, column_histogram,
                              display_fingerprint, initial_display, parse_number)
 
 TOL = 1e-12  # encodings and histogram shares; every other quantity is exact
@@ -43,6 +45,14 @@ def tables(draw):
     return Dataset("t", list(zip(names, kinds)), rows)
 
 
+def draw_grouping(draw, ds, col):
+    """A grouping of `col` by a drawn aggregate column and function."""
+    agg_col = draw(st.sampled_from(ds.column_names))
+    funcs = ["COUNT"] + (["SUM", "MEAN", "MIN", "MAX"]
+                         if ds.kind_of(agg_col) is ColumnKind.NUMERIC else [])
+    return Grouping(col, agg_col, draw(st.sampled_from(funcs)))
+
+
 @st.composite
 def sessions(draw, ds):
     actions = []
@@ -53,10 +63,7 @@ def sessions(draw, ds):
             pred = FilterPredicate(col, draw(st.sampled_from(FILTER_OPS)), draw(st.sampled_from(TERMS)))
             actions.append(ActionSpec("FILTER", filter=pred))
         elif kind == "GROUP":
-            agg_col = draw(st.sampled_from(ds.column_names))
-            funcs = ["COUNT"] + (["SUM", "MEAN", "MIN", "MAX"]
-                                 if ds.kind_of(agg_col) is ColumnKind.NUMERIC else [])
-            actions.append(ActionSpec("GROUP", group=Grouping(col, agg_col, draw(st.sampled_from(funcs)))))
+            actions.append(ActionSpec("GROUP", group=draw_grouping(draw, ds, col)))
         else:
             actions.append(ActionSpec(kind))
     if draw(st.booleans()):
@@ -267,3 +274,83 @@ def test_session_scores_match_reference(ruleset, case):
     ds, actions = case
     assert score_session(ds, actions, ruleset) == \
         measures_reference.score_session(ds, actions, ruleset)
+
+
+KEEP_ALL = "\x01"  # no cell holds it, so NEQ on it keeps every row
+
+
+@st.composite
+def lineage_sessions(draw, ds):
+    """A random session after two groupings taken, undone and the first
+    retaken at the root, with FILTERs that keep every row and GROUPs
+    spliced in after its FILTERs."""
+    columns = st.sampled_from(ds.column_names)
+    first, second = (draw_grouping(draw, ds, draw(columns)) for _ in range(2))
+    actions = [a for g in (first, second, first)
+               for a in (ActionSpec("GROUP", group=g), ActionSpec("BACK"))]
+    for action in draw(sessions(ds)):
+        if action.kind == "STOP":
+            break
+        actions.append(action)
+        if action.kind == "FILTER" and draw(st.booleans()):
+            pred = FilterPredicate(draw(columns), "NEQ", KEEP_ALL)
+            actions.append(ActionSpec("FILTER", filter=pred))
+        if action.kind == "FILTER" and draw(st.booleans()):
+            actions.append(ActionSpec("GROUP", group=draw_grouping(draw, ds, draw(columns))))
+    return actions
+
+
+def rebuilt(ds, key):
+    """The view of operation path `key` on a fresh copy of `ds`, which has
+    built no view before."""
+    filters, grouping = key
+    d = initial_display(Dataset(ds.name, ds.columns, ref.dataset_rows(ds)))
+    for pred in filters:
+        d = apply_filter(d, pred)
+    return d if grouping is None else apply_group(d, grouping)
+
+
+def row_statistics(d):
+    """Everything a view computes from its rows, as bytes and reprs, so
+    that the sign of a zero and the last bit of a float count."""
+    width = len(d.dataset.columns)
+    stats = [d.column_stats(i) for i in range(width)]
+    return (d.rows.tobytes(),
+            [(codes.tobytes(), counts.tobytes(), nulls) for codes, counts, nulls in stats],
+            d.entropy_bits().tobytes(),
+            repr([d.ranked_values(i) for i in range(width)]),
+            repr((d.group_keys, d.group_sizes, d.group_aggs)),
+            encode_display(d, d.dataset).tobytes())
+
+
+GROUP_SUM, GROUP_MEAN = (ActionSpec("GROUP", group=Grouping("c", "n", f))
+                         for f in ("SUM", "MEAN"))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(tables().flatmap(lambda ds: st.tuples(st.just(ds), lineage_sessions(ds),
+                                             st.randoms(use_true_random=False))))
+@example((SUMS, [GROUP_SUM, ActionSpec("BACK"), GROUP_MEAN, ActionSpec("BACK"),
+                 ActionSpec("FILTER", filter=FilterPredicate("c", "NEQ", KEEP_ALL)),
+                 GROUP_SUM, ActionSpec("FILTER", filter=FilterPredicate("c", "NEQ", "b")),
+                 GROUP_MEAN, ActionSpec("FILTER", filter=FilterPredicate("n", "NEQ", "1"))],
+          random.Random(0)))
+@example((NULS, EMPTIED + [ActionSpec("GROUP", group=Grouping("t", "t", "COUNT")),
+                           ActionSpec("FILTER", filter=FilterPredicate("t", "NEQ", KEEP_ALL))],
+          random.Random(0)))
+def test_shared_row_sets_match_fresh_datasets(case):
+    """Walk a session twice on one dataset, so that the second walk meets
+    the row sets and group tables of the first, and read every view's row
+    statistics in a random order: each equals, bit for bit, those of the
+    same operation path rebuilt on a fresh dataset, and the rows are those
+    that pass the row engine's filters."""
+    ds, actions, rng = case
+    views = [state.current for _ in range(2) for state in walk(ds, actions)]
+    rng.shuffle(views)
+    rows = ref.dataset_rows(ds)
+    for d in views:
+        assert row_statistics(d) == row_statistics(rebuilt(ds, d.key))
+        view = ref.root(ds)
+        for pred in d.filters:
+            view = ref.filtered(view, pred)
+        assert [rows[i] for i in d.rows] == list(view.rows)

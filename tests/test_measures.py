@@ -496,14 +496,26 @@ def test_kl_memo_warm_scores_equal_fresh_dataset_scores(synthetic_bundle):
 
 
 def test_kl_memo_entry_dies_with_its_dataset():
+    """Neither the memos nor the row sets, whose group tables a held view
+    keeps, refer back to the dataset."""
     gc.disable()  # freed by reference counting alone, no cycle to collect
     try:
-        ds = Dataset("gone", [("color", ColumnKind.CATEGORICAL)],
-                     [["a"], ["b"], ["a"]])
-        score_session(ds, (FILTER("color", "EQ", "a"), BACK, STOP))
+        ds = Dataset("gone", [("color", ColumnKind.CATEGORICAL),
+                              ("n", ColumnKind.NUMERIC)],
+                     [["a", 1.0], ["b", 2.0], ["a", None]])
+        root = initial_display(ds)
+        score_session(ds, (GROUP("color", "n", "SUM"), BACK,
+                           FILTER("color", "NEQ", "c"), GROUP("n", "n", "COUNT"),
+                           FILTER("color", "EQ", "a"), STOP))
         assert ds._kl_memo and ds._encodings
+        assert len(root._rowset.groups) == 2
+        view = apply_group(apply_filter(root, FilterPredicate("color", "EQ", "a")),
+                           Grouping("color", "n", "MEAN"))
+        assert view._rowset.groups
         ref = weakref.ref(ds)
-        del ds
+        del ds, root
+        assert ref() is not None  # the held view keeps its dataset
+        del view
         assert ref() is None
     finally:
         gc.enable()

@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+from autoeda import tabular
 from autoeda.tabular import (ColumnKind, Dataset, FilterPredicate, Grouping,
                              apply_filter, apply_group, canonical_number,
                              column_histogram, display_fingerprint,
@@ -256,6 +257,69 @@ def test_min_max_aggregates(toy):
     assert by_key["red"] == 1.0 and by_key["blue"] == 2.0
     d = apply_group(initial_display(toy), Grouping("color", "score", "MAX"))
     assert dict(d.group_rows)["red"] == 8.0
+
+
+# ---------------------------------------------------------------------------
+# row sets
+
+def test_views_that_show_the_same_rows_share_one_row_set(toy):
+    """A GROUP view and a FILTER view that keeps every row share their
+    parent's row set; a FILTER that drops a row starts its own."""
+    root = initial_display(toy)
+    g = Grouping("color", "score", "SUM")
+    grouped = apply_group(root, g)
+    kept = apply_filter(root, fp("color", "NEQ", "purple"))
+    dropped = apply_filter(root, fp("score", "NEQ", "1"))
+    assert grouped._rowset is root._rowset
+    assert kept._rowset is root._rowset
+    assert apply_filter(grouped, fp("note", "NEQ", "x"))._rowset is root._rowset
+    assert dropped.row_count == root.row_count - 1
+    assert dropped._rowset is not root._rowset
+    assert apply_group(dropped, g)._rowset is dropped._rowset
+    emptied = apply_filter(root, fp("color", "EQ", "purple"))
+    assert apply_filter(emptied, fp("score", "EQ", "1"))._rowset is emptied._rowset
+
+
+def test_a_grouping_is_computed_once_per_row_set(toy, monkeypatch):
+    """Retaking a grouping on a row set, at the root or through a FILTER
+    that keeps every row, reads its group table; another grouping, and
+    the same grouping on other rows, compute their own."""
+    computed = []
+    compute = tabular._compute_groups
+
+    def counted(dataset, rows, grouping):
+        computed.append(grouping)
+        return compute(dataset, rows, grouping)
+
+    monkeypatch.setattr(tabular, "_compute_groups", counted)
+    root = initial_display(toy)
+    by_sum, by_mean = (Grouping("color", "score", f) for f in ("SUM", "MEAN"))
+    first = apply_group(root, by_sum)
+    again = apply_group(root, by_sum)
+    kept = apply_filter(first, fp("color", "NEQ", "purple"))
+    apply_group(apply_filter(root, fp("note", "NEQ", "x")), by_sum)
+    assert computed == [by_sum]
+    assert again.group_rows == kept.group_rows == first.group_rows
+    mean = apply_group(root, by_mean)
+    assert mean.group_rows != first.group_rows
+    apply_group(apply_filter(root, fp("color", "EQ", "red")), by_sum)
+    assert computed == [by_sum, by_mean, by_sum]
+
+
+def test_cached_row_statistics_are_read_only(toy):
+    """The summary and entropy arrays a row set hands to every view that
+    shares it cannot be written through any of them."""
+    d = apply_filter(initial_display(toy), fp("color", "NEQ", "red"))
+    grouped = apply_group(d, Grouping("color", "score", "COUNT"))
+    assert grouped.entropy_bits() is d.entropy_bits()
+    assert grouped._summarize() is d._summarize()
+    for array in (*d._summarize(), d.entropy_bits()):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0
+    _, counts, _ = d.column_stats(1)
+    with pytest.raises(ValueError):
+        counts[0] = 0
 
 
 # ---------------------------------------------------------------------------
