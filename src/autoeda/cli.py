@@ -722,13 +722,14 @@ def _parser() -> _Parser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if "--deterministic" in argv:
-        # must happen before numpy is imported anywhere in this process, and
-        # must override a thread count the process inherited
-        for var in _THREAD_VARS:
-            os.environ[var] = "1"
     try:
         args = _parser().parse_args(argv)
+        if args.deterministic:
+            # parsing loads no numpy, so this still comes before numpy is
+            # imported anywhere in this process; it must override a thread
+            # count the process inherited
+            for var in _THREAD_VARS:
+                os.environ[var] = "1"
         args.argv = argv
         return args.fn(args)
     except (UsageError, DataError, NumericalError) as exc:

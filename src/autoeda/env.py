@@ -16,10 +16,9 @@ import numpy as np
 
 from . import nn
 from .tabular import (AGG_FUNCS, FILTER_OPS, ColumnKind, Dataset, Display,
-                      FilterPredicate, Grouping, _text_matches, apply_filter,
-                      apply_group, canonical_number, column_histogram,
-                      display_fingerprint, initial_display, parse_number,
-                      write_json)
+                      FilterPredicate, Grouping, apply_filter, apply_group,
+                      column_histogram, display_fingerprint, filter_passes,
+                      initial_display, write_json)
 
 ACTION_KINDS = ("GROUP", "FILTER", "BACK", "STOP")
 GLOBAL_FEATURES = 3
@@ -240,8 +239,10 @@ def action_from_heads(heads, display: Display) -> ActionSpec:
     """Materialize head indices into a concrete action for a display.
 
     Total by construction: the term bin clamps to the least frequent
-    available value, an empty column falls back to the full table's ranking,
-    and a numeric-only aggregate over a non-numeric column degrades to COUNT.
+    available value, an empty column falls back to the full table's mode
+    (a column with no value at all to the term ""), and a numeric-only
+    aggregate over a non-numeric column degrades to COUNT. The term is the
+    value's text in `Dataset.texts`.
     """
     kind_i, col_i, agg_i, op_i, bin_i = heads
     kind = ACTION_KINDS[kind_i]
@@ -255,27 +256,19 @@ def action_from_heads(heads, display: Display) -> ActionSpec:
         if func != "COUNT" and base.kind_of(agg_col) is not ColumnKind.NUMERIC:
             func = "COUNT"
         return ActionSpec("GROUP", group=Grouping(col, agg_col, func))
-    op = FILTER_OPS[op_i]
-    vals = display.ranked_values(col_i)
-    if vals:
-        value = vals[min(bin_i, len(vals) - 1)]
-    else:
-        base_vals = initial_display(base).ranked_values(col_i)
-        if not base_vals:
-            return ActionSpec("FILTER", filter=FilterPredicate(col, op, ""))
-        value = base_vals[0]  # mode of the full table
-    kind_c = base.columns[col_i][1]
-    term = canonical_number(value) if kind_c is ColumnKind.NUMERIC else value
-    return ActionSpec("FILTER", filter=FilterPredicate(col, op, term))
+    codes = (display.ranked_codes(col_i)
+             or initial_display(base).ranked_codes(col_i)[:1])
+    term = base.texts[col_i][codes[min(bin_i, len(codes) - 1)]] if codes else ""
+    return ActionSpec("FILTER", filter=FilterPredicate(col, FILTER_OPS[op_i], term))
 
 
 def heads_from_action(action: ActionSpec, display: Display,
                       layout: HeadLayout) -> tuple[int, ...]:
     """Head indices reproducing `action` through action_from_heads.
 
-    Irrelevant heads are zero. A filter term that is not itself a ranked
-    value maps to the most frequent value that passes the operator's text
-    test, else bin 0; under EQ and NEQ no other value passes.
+    Irrelevant heads are zero. A filter term that is not the text of a
+    ranked value maps to the most frequent value it selects by
+    `filter_passes` (before NEQ's negation), else bin 0.
     """
     kind_i = ACTION_KINDS.index(action.kind)
     heads = [kind_i, 0, 0, 0, 0]
@@ -293,21 +286,15 @@ def heads_from_action(action: ActionSpec, display: Display,
 
 
 def _term_bin(pred, display, idx, layout):
-    vals = (display.ranked_values(idx)
-            or initial_display(display.dataset).ranked_values(idx))
-    kind = display.dataset.columns[idx][1]
-    rank = 0
-    if kind is ColumnKind.NUMERIC and pred.op in ("EQ", "NEQ"):
-        target = parse_number(pred.term)
-        if target is not None and target in vals:
-            rank = vals.index(target)
+    ds = display.dataset
+    codes = display.ranked_codes(idx) or initial_display(ds).ranked_codes(idx)
+    texts = ds.texts[idx].take(codes).tolist()
+    if pred.term in texts:
+        rank = texts.index(pred.term)
+    elif True in (passes := filter_passes(ds, idx, pred.op, pred.term, codes)):
+        rank = passes.index(True)
     else:
-        texts = ([canonical_number(v) for v in vals]
-                 if kind is ColumnKind.NUMERIC else vals)
-        if pred.term in texts:
-            rank = texts.index(pred.term)
-        elif True in (passes := _text_matches(pred.op, pred.term, texts)):
-            rank = passes.index(True)
+        rank = 0
     return min(rank, layout.term_bins - 1)
 
 

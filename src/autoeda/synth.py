@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .env import ActionSpec, Trajectory
-from .tabular import ColumnKind, Dataset, FilterPredicate, Grouping, canonical_number
+from .tabular import ColumnKind, Dataset, FilterPredicate, Grouping
 
 TEXT_POSITIONS = ("START", "MIDDLE", "END")
 TEXT_CELL_LEN = 12
@@ -238,13 +238,14 @@ def populate_rows(schema, patterns, dag: CorrelationDag, n_rows: int,
     return Dataset(name, list(schema), rows)
 
 
-def nearest_realized_value(dataset: Dataset, column: str, target: float) -> float:
-    """The column's value closest to `target`, the smaller one on a tie."""
+def nearest_realized_code(dataset: Dataset, column: str, target: float) -> int:
+    """The code of the column's value closest to `target`, the smaller
+    value on a tie."""
     values = dataset.dictionaries[dataset.column_index(column)][:-1]
     if len(values) == 0:
         raise ValueError(f"column {column!r} has no values to filter on")
     # the dictionary is ascending, so the first minimum is the smaller value
-    return values[int(np.argmin(np.abs(values.astype(float) - target)))]
+    return int(np.argmin(np.abs(values.astype(float) - target)))
 
 
 _POSITION_OPS = {"START": "STARTS_WITH", "MIDDLE": "CONTAINS", "END": "ENDS_WITH"}
@@ -254,8 +255,9 @@ def _filter_for(dataset: Dataset, column: str, pattern) -> ActionSpec:
     if isinstance(pattern, CategoryPattern):
         pred = FilterPredicate(column, "EQ", pattern.value)
     elif isinstance(pattern, NumericPattern):
-        value = nearest_realized_value(dataset, column, pattern.mu)
-        pred = FilterPredicate(column, "EQ", canonical_number(value))
+        code = nearest_realized_code(dataset, column, pattern.mu)
+        pred = FilterPredicate(column, "EQ",
+                               dataset.texts[dataset.column_index(column)][code])
     else:
         pred = FilterPredicate(column, _POSITION_OPS[pattern.position],
                                pattern.substring)

@@ -15,7 +15,6 @@ import csv
 import json
 import math
 import operator
-import weakref
 from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
@@ -121,7 +120,10 @@ class Dataset:
     order followed by None, and `codes[i]` gives each row's position in it.
     Code K is thus the null sentinel, and code order is value order with
     nulls last. Values that compare equal (0.0 and -0.0) share one code,
-    whose dictionary entry is the first of them in row order.
+    whose dictionary entry is the first of them in row order. `texts[i]`
+    spells each entry as a FILTER term and a CSV cell do (numbers in
+    `canonical_number` form), "" for null. The dataset keeps the row set of
+    all its rows, which every root view shows.
     """
 
     def __init__(self, name: str, columns, rows):
@@ -164,9 +166,7 @@ class Dataset:
             np.array(values[:-1].tolist() + [math.nan])
             if kind is ColumnKind.NUMERIC else None
             for values, (_, kind) in zip(self.dictionaries, columns))
-        # each dictionary entry as a filter reads it, "" for null (the text
-        # a CSV cell holds)
-        self._texts = tuple(
+        self.texts = tuple(
             np.array([_cell_text(v, kind) for v in values[:-1].tolist()] + [""],
                      dtype=object)
             for values, (_, kind) in zip(self.dictionaries, columns))
@@ -178,10 +178,10 @@ class Dataset:
         self._slot_column = np.repeat(np.arange(width), sizes)
         self._null_slot = np.zeros(self._offsets[-1], dtype=bool)
         self._null_slot[self._offsets[1:] - 1] = True
-        # the shared initial display, held weakly: a strong reference would
-        # form a cycle that keeps every loaded table alive until the cyclic
-        # garbage collector runs
-        self._root = None
+        # a row set holds no reference to its dataset, so this forms no cycle
+        rows = np.arange(n_rows, dtype=np.int32)
+        rows.setflags(write=False)
+        self._all_rows = _RowSet(rows)
         # Display.key -> read-only encoding (env.encode_display), and
         # (before key, after key) -> KL (measures.max_column_kl). Keys hold
         # only predicates and groupings, so nothing refers back to the
@@ -239,7 +239,7 @@ class _RowSet:
         self.rows = rows
         self.summary = None
         self.entropy = None
-        self.ranked = {}  # column index -> ranked values
+        self.ranked = {}  # column index -> ranked codes
         self.groups = {}  # Grouping -> (keys, sizes, aggregates)
 
     def grouped(self, dataset: Dataset, grouping: Grouping):
@@ -258,16 +258,17 @@ class Display:
     filters. A grouped display also holds its group keys (in code order,
     null last), group sizes and aggregate values; `visible_rows` is what a
     user would see. Instances are immutable. Views that show the same rows
-    (a GROUP view and its parent, a FILTER that keeps every row and its
-    parent) share one set of row statistics: per-column counts, entropies,
-    rankings and group tables, each computed once and read-only. A view
-    whose operation path its dataset has encoded before starts with that
-    encoding.
+    (every root view of a dataset, a GROUP view and its parent, a FILTER
+    that keeps every row and its parent) share one set of row statistics:
+    per-column counts, entropies, rankings and group tables, each computed
+    once and read-only. The root views' set lives as long as the dataset.
+    A view whose operation path its dataset has encoded before starts with
+    that encoding.
     """
 
     __slots__ = ("dataset", "filters", "grouping", "_rowset",
                  "group_keys", "group_sizes", "group_aggs",
-                 "_vec", "_fp", "__weakref__")
+                 "_vec", "_fp")
 
     def __init__(self, dataset, filters, grouping, rows,
                  group_keys=(), group_sizes=(), group_aggs=()):
@@ -398,26 +399,21 @@ class Display:
             rowset.entropy = bits
         return rowset.entropy
 
-    def ranked_values(self, idx: int):
-        """Distinct non-null values, most frequent first (ties by value)."""
+    def ranked_codes(self, idx: int) -> tuple:
+        """Codes of the distinct non-null values, most frequent first (ties
+        by value, which is code order)."""
         ranked = self._rowset.ranked
         if idx not in ranked:
             codes, counts, _ = self.column_stats(idx)
-            codes = codes[np.lexsort((codes, -counts))]
-            ranked[idx] = tuple(self.dataset.dictionaries[idx][codes].tolist())
+            ranked[idx] = tuple(codes[np.lexsort((codes, -counts))].tolist())
         return ranked[idx]
 
 
 def initial_display(dataset: Dataset) -> Display:
-    """The unfiltered, ungrouped view: one instance per dataset, shared by
-    every caller while any of them holds it."""
-    root = dataset._root() if dataset._root is not None else None
-    if root is None:
-        rows = np.arange(dataset.row_count, dtype=np.int32)
-        rows.setflags(write=False)
-        root = Display(dataset, (), None, _RowSet(rows))
-        dataset._root = weakref.ref(root)
-    return root
+    """The unfiltered, ungrouped view. Every root view of a dataset shows
+    the dataset's own row set of all rows, so their row statistics and
+    group tables are computed once per dataset."""
+    return Display(dataset, (), None, dataset._all_rows)
 
 
 def _compute_groups(dataset: Dataset, rows, grouping: Grouping):
@@ -459,31 +455,33 @@ def _cell_text(cell, kind: ColumnKind) -> str:
     return cell
 
 
-def _text_matches(op: str, term: str, texts) -> list[bool]:
-    """Whether each of `texts` passes `op`'s test against `term`, before
-    NEQ's negation."""
-    return list(map(_TEXT_TESTS[op], texts, repeat(term)))
+def filter_passes(dataset: Dataset, idx: int, op: str, term: str,
+                  codes) -> list[bool]:
+    """Whether each of column `idx`'s non-null dictionary `codes` (an int
+    array or sequence) passes `op`'s test against `term`, before NEQ's
+    negation. EQ and NEQ on a numeric column compare numbers; every other
+    test reads the dictionary texts."""
+    if op in ("EQ", "NEQ") and dataset.columns[idx][1] is ColumnKind.NUMERIC:
+        target = parse_number(term)
+        if target is None:
+            return [False] * len(codes)
+        return (dataset._numbers[idx].take(codes) == target).tolist()
+    return list(map(_TEXT_TESTS[op], dataset.texts[idx].take(codes).tolist(),
+                    repeat(term)))
 
 
 def apply_filter(display: Display, pred: FilterPredicate) -> Display:
     """Filter the underlying rows and re-apply any active grouping.
 
-    EQ and NEQ on a numeric column compare numbers; every other test reads
-    the dictionary text of each distinct value present in the view, never
+    `filter_passes` tests each distinct value present in the view, never
     each row. A null matches nothing, so NEQ keeps it.
     """
     ds = display.dataset
     idx = ds.column_index(pred.column)
-    op, term = pred.op, pred.term
     codes, _, _ = display.column_stats(idx)
     keep = np.zeros(len(ds.dictionaries[idx]), dtype=bool)
-    if ds.columns[idx][1] is ColumnKind.NUMERIC and op in ("EQ", "NEQ"):
-        target = parse_number(term)
-        if target is not None:
-            keep[codes] = ds._numbers[idx][codes] == target
-    else:
-        keep[codes] = _text_matches(op, term, ds._texts[idx][codes].tolist())
-    if op == "NEQ":
+    keep[codes] = filter_passes(ds, idx, pred.op, pred.term, codes)
+    if pred.op == "NEQ":
         keep = ~keep
     rows = display.rows[keep[ds.codes[idx, display.rows]]]
     # a filter that keeps every row shows its parent's rows
@@ -656,7 +654,7 @@ def write_dataset(dataset: Dataset, path) -> None:
     """Write CSV with canonical numeric text; nulls as empty cells,
     gathered from each column's dictionary text by the codes."""
     columns = [texts[codes].tolist()
-               for texts, codes in zip(dataset._texts, dataset.codes)]
+               for texts, codes in zip(dataset.texts, dataset.codes)]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(dataset.column_names)

@@ -536,7 +536,7 @@ print("none")
 def test_deterministic_pins_blas_to_one_thread(tmp_path):
     """In a fresh interpreter, `--deterministic` leaves the OpenBLAS that
     numpy loaded at one thread, also when the process inherited a larger
-    thread count."""
+    thread count, and so does the abbreviation argparse accepts for it."""
     if not Path("/proc/self/maps").exists():
         pytest.skip("needs /proc/self/maps to find the BLAS library")
     src = Path(__file__).resolve().parent.parent / "src"
@@ -557,6 +557,7 @@ def test_deterministic_pins_blas_to_one_thread(tmp_path):
         return int(count)
 
     assert threads(clean, "--deterministic") == 1
+    assert threads(clean, "--determ") == 1
     assert threads({**clean, "OPENBLAS_NUM_THREADS": "2"}, "--deterministic") == 1
     if len(os.sched_getaffinity(0)) > 1:
         assert threads(clean) > 1

@@ -2,7 +2,7 @@
 `src/autoeda`, and every method, is used from the program itself (`src/`,
 `bench/` or `demos/`), not only from the tests. Private names (one leading
 underscore, not a dunder) are held to the same rule, so a fold that leaves a
-helper behind is caught."""
+helper behind is caught, and no module imports another's private name."""
 
 import ast
 from pathlib import Path
@@ -88,6 +88,19 @@ def test_every_public_definition_is_used_by_the_program():
 def test_every_private_definition_is_used_by_the_program():
     unused = _unused(_is_private)
     assert not unused, f"private but never used by the program: {unused}"
+
+
+def test_no_module_imports_another_modules_private_name():
+    """A private name stays inside its module: what another module needs
+    is public."""
+    imports = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                imports.extend(f"{path.stem}: from {'.' * node.level}"
+                               f"{node.module or ''} import {alias.name}"
+                               for alias in node.names if _is_private(alias.name))
+    assert not imports, f"private names imported across modules: {imports}"
 
 
 def test_allowed_names_still_exist():

@@ -12,11 +12,12 @@ from hypothesis import strategies as st
 import measures_reference
 import row_engine as ref
 from rollout_reference import encode
-from autoeda.env import (ActionSpec, EdaEnv, HeadLayout, encode_display,
+from autoeda.env import (ACTION_KINDS, ActionSpec, EdaEnv, HeadLayout,
+                         action_from_heads, default_agg_col, encode_display,
                          heads_from_action, walk)
 from autoeda.measures import EMPTY_RULESET, CoherenceRuleset, coherence, score_session
-from autoeda.tabular import (FILTER_OPS, ColumnKind, Dataset, FilterPredicate,
-                             Grouping, apply_filter, apply_group,
+from autoeda.tabular import (AGG_FUNCS, FILTER_OPS, ColumnKind, Dataset,
+                             FilterPredicate, Grouping, apply_filter, apply_group,
                              canonical_number, column_histogram,
                              display_fingerprint, initial_display, parse_number)
 
@@ -96,7 +97,8 @@ def assert_same_view(d, view, ds):
         # the same values and counts, in the order of their first row
         assert list(zip(ds.dictionaries[idx][codes], counts)) == list(expected.items())
         assert nulls == expected_nulls
-        assert d.ranked_values(idx) == ref.ranked(view, idx)
+        ranked = ds.dictionaries[idx][list(d.ranked_codes(idx))].tolist()
+        assert tuple(ranked) == ref.ranked(view, idx)
         assert ds.distinct_count(idx) == len({r[idx] for r in rows if r[idx] is not None})
         hist, expected = column_histogram(d, col), ref.histogram(view, col)
         assert list(hist) == list(expected)  # same keys, in the same order
@@ -185,15 +187,12 @@ def test_memo_served_encodings_equal_fresh_ones(case):
     assert len(ds._encodings) == len({s.current.key for s in first})
 
 
-def reference_term_bin(pred, display, idx, layout):
-    """`env._term_bin` as it was with its own table of text matchers: the
-    exact text first, then the first ranked text the operator accepts, else
-    bin 0."""
-    vals = (display.ranked_values(idx)
-            or initial_display(display.dataset).ranked_values(idx))
+def reference_term_bin(pred, vals, kind, layout):
+    """`env._term_bin` as it was with its own table of text matchers, over
+    the ranked values `vals` of a column of `kind`: the exact text first,
+    then the first ranked text the operator accepts, else bin 0."""
     if not vals:
         return 0
-    kind = display.dataset.columns[idx][1]
     if kind is ColumnKind.NUMERIC and pred.op in ("EQ", "NEQ"):
         target = parse_number(pred.term)
         if target is not None and target in vals:
@@ -215,6 +214,13 @@ def reference_term_bin(pred, display, idx, layout):
     return 0
 
 
+def distinct_views(ds, actions):
+    """(engine view, reference view) of each distinct operation path of a
+    session, the reset view included."""
+    pairs = zip(walk(ds, actions), reference_walk(ds, actions))
+    return {state.current.key: (state.current, view) for state, view in pairs}.values()
+
+
 # a view that filters every row away, so each column falls back to the
 # root's ranking, and a column that holds no value at all
 EMPTIED = [ActionSpec("FILTER", filter=FilterPredicate("t", "EQ", "none"))]
@@ -230,15 +236,68 @@ def test_term_bins_match_reference(case):
     """Every view of a random session: each FILTER operator, term and
     column maps to the reference's term bin at 1, 3 and 20 bins."""
     ds, actions = case
-    views = {state.current.key: state.current for state in walk(ds, actions)}
     layouts = [HeadLayout(len(ds.columns), bins) for bins in (1, 3, 20)]
-    for display, col, op, term in itertools.product(
-            views.values(), ds.column_names, FILTER_OPS, TERMS):
-        pred = FilterPredicate(col, op, term)
-        action = ActionSpec("FILTER", filter=pred)
-        for layout in layouts:
-            expected = reference_term_bin(pred, display, ds.column_index(col), layout)
-            assert heads_from_action(action, display, layout)[4] == expected
+    root = ref.root(ds)
+    for (display, view), (idx, (col, kind)) in itertools.product(
+            distinct_views(ds, actions), enumerate(ds.columns)):
+        # the view's ranking, or the full table's when the view has none
+        vals = ref.ranked(view, idx) or ref.ranked(root, idx)
+        for op, term in itertools.product(FILTER_OPS, TERMS):
+            pred = FilterPredicate(col, op, term)
+            action = ActionSpec("FILTER", filter=pred)
+            for layout in layouts:
+                expected = reference_term_bin(pred, vals, kind, layout)
+                assert heads_from_action(action, display, layout)[4] == expected
+
+
+def reference_action_from_heads(heads, ds, ranked, root_ranked):
+    """`env.action_from_heads` as it was, given each column's ranked values
+    in the view (`ranked`) and in the full table (`root_ranked`): a ranked
+    value turned into its term by `canonical_number` on a numeric column."""
+    kind_i, col_i, agg_i, op_i, bin_i = heads
+    kind = ACTION_KINDS[kind_i]
+    if kind in ("BACK", "STOP"):
+        return ActionSpec(kind)
+    col = ds.column_names[col_i]
+    if kind == "GROUP":
+        func = AGG_FUNCS[agg_i]
+        agg_col = default_agg_col(ds, col)
+        if func != "COUNT" and ds.kind_of(agg_col) is not ColumnKind.NUMERIC:
+            func = "COUNT"
+        return ActionSpec("GROUP", group=Grouping(col, agg_col, func))
+    op = FILTER_OPS[op_i]
+    vals = ranked[col_i]
+    if vals:
+        value = vals[min(bin_i, len(vals) - 1)]
+    else:
+        base_vals = root_ranked[col_i]
+        if not base_vals:
+            return ActionSpec("FILTER", filter=FilterPredicate(col, op, ""))
+        value = base_vals[0]  # mode of the full table
+    kind_c = ds.columns[col_i][1]
+    term = canonical_number(value) if kind_c is ColumnKind.NUMERIC else value
+    return ActionSpec("FILTER", filter=FilterPredicate(col, op, term))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(tables().flatmap(lambda ds: st.tuples(st.just(ds), sessions(ds))))
+@example((NULS, EMPTIED))
+@example((NO_VALUES, [ActionSpec("FILTER", filter=FilterPredicate("n", "EQ", "7"))]))
+def test_actions_from_heads_match_reference(case):
+    """Every head tuple, with term bins past the longest ranking, on every
+    view of a random session gives the reference's action: the same term
+    text on emptied views and on columns that hold no value too."""
+    ds, actions = case
+    heads = list(itertools.product(
+        range(len(ACTION_KINDS)), range(len(ds.columns)), range(len(AGG_FUNCS)),
+        range(len(FILTER_OPS)), range(ds.row_count + 1)))
+    root = ref.root(ds)
+    root_ranked = [ref.ranked(root, idx) for idx in range(len(ds.columns))]
+    for display, view in distinct_views(ds, actions):
+        ranked = [ref.ranked(view, idx) for idx in range(len(ds.columns))]
+        for h in heads:
+            assert action_from_heads(h, display) == \
+                reference_action_from_heads(h, ds, ranked, root_ranked)
 
 
 @st.composite
@@ -318,7 +377,7 @@ def row_statistics(d):
     return (d.rows.tobytes(),
             [(codes.tobytes(), counts.tobytes(), nulls) for codes, counts, nulls in stats],
             d.entropy_bits().tobytes(),
-            repr([d.ranked_values(i) for i in range(width)]),
+            repr([d.ranked_codes(i) for i in range(width)]),
             repr((d.group_keys, d.group_sizes, d.group_aggs)),
             encode_display(d, d.dataset).tobytes())
 

@@ -277,15 +277,15 @@ def test_filter_mode_selection(toy):
 
 def test_bin_clamps_to_least_frequent(toy):
     d = initial_display(toy)
-    ranked = d.ranked_values(0)
+    ranked = d.ranked_codes(0)
     a = action_from_heads((1, 0, 0, 0, 19), d)
-    assert a.filter.term == ranked[-1]
+    assert a.filter.term == toy.texts[0][ranked[-1]]
 
 
 def test_frequency_rank_order(toy):
     # color counts: red 4, blue 3, green 2 -> ranks 0,1,2
     d = initial_display(toy)
-    assert d.ranked_values(0) == ("red", "blue", "green")
+    assert [toy.texts[0][c] for c in d.ranked_codes(0)] == ["red", "blue", "green"]
     for b, expected in enumerate(("red", "blue", "green")):
         a = action_from_heads((1, 0, 0, 0, b), d)
         assert a.filter.term == expected
@@ -359,8 +359,8 @@ def test_substring_term_maps_to_matching_value_bin(toy):
     layout = HeadLayout(3, term_bins=20)
     d = initial_display(toy)
     heads = heads_from_action(FILTER("note", "CONTAINS", "alpha"), d, layout)
-    ranked = d.ranked_values(2)
-    assert ranked[heads[4]].find("alpha") >= 0
+    ranked = d.ranked_codes(2)
+    assert toy.texts[2][ranked[heads[4]]].find("alpha") >= 0
 
 
 # ---------------------------------------------------------------------------

@@ -497,7 +497,9 @@ def test_kl_memo_warm_scores_equal_fresh_dataset_scores(synthetic_bundle):
 
 def test_kl_memo_entry_dies_with_its_dataset():
     """Neither the memos nor the row sets, whose group tables a held view
-    keeps, refer back to the dataset."""
+    keeps, refer back to the dataset: not even the row set of all rows that
+    the dataset keeps, once it holds a summary, rankings and group
+    tables."""
     gc.disable()  # freed by reference counting alone, no cycle to collect
     try:
         ds = Dataset("gone", [("color", ColumnKind.CATEGORICAL),
@@ -508,6 +510,9 @@ def test_kl_memo_entry_dies_with_its_dataset():
                            FILTER("color", "NEQ", "c"), GROUP("n", "n", "COUNT"),
                            FILTER("color", "EQ", "a"), STOP))
         assert ds._kl_memo and ds._encodings
+        root.ranked_codes(0)
+        assert root._rowset is ds._all_rows
+        assert root._rowset.summary is not None and root._rowset.ranked
         assert len(root._rowset.groups) == 2
         view = apply_group(apply_filter(root, FilterPredicate("color", "EQ", "a")),
                            Grouping("color", "n", "MEAN"))

@@ -320,14 +320,20 @@ def test_draws_match_choice_at_cdf_boundaries(weights):
         assert cells(fast) == cells(slow), u
 
 
+def nearest_realized_value(dataset, column, target):
+    """The value at `synth.nearest_realized_code`."""
+    code = synth.nearest_realized_code(dataset, column, target)
+    return dataset.dictionaries[dataset.column_index(column)][code]
+
+
 def test_nearest_realized_value(synthetic_dataset):
     idx = synthetic_dataset.column_index("n1")
     values = [r[idx] for r in dataset_rows(synthetic_dataset) if r[idx] is not None]
     target = 50.0
-    got = synth.nearest_realized_value(synthetic_dataset, "n1", target)
+    got = nearest_realized_value(synthetic_dataset, "n1", target)
     assert abs(got - target) == min(abs(v - target) for v in values)
     for target in np.linspace(-10, 110, 241).tolist():
-        assert (synth.nearest_realized_value(synthetic_dataset, "n1", target)
+        assert (nearest_realized_value(synthetic_dataset, "n1", target)
                 == ref.nearest_realized_value(synthetic_dataset, "n1", target))
 
 
@@ -339,12 +345,12 @@ def test_nearest_realized_value_ties_and_single_value():
     # 2 and 4 lie halfway between two values: the smaller one wins
     for target, want in ((2.0, 1.0), (4.0, 3.0), (3.0, 3.0), (-50.0, 1.0),
                          (50.0, 5.0), (4.5, 5.0)):
-        for nearest in (synth.nearest_realized_value, ref.nearest_realized_value):
+        for nearest in (nearest_realized_value, ref.nearest_realized_value):
             assert nearest(ds, "x", target) == want, (target, nearest)
     for target in (-1.0, 7.0, 1e9):
-        assert synth.nearest_realized_value(ds, "one", target) == 7.0
+        assert nearest_realized_value(ds, "one", target) == 7.0
         assert ref.nearest_realized_value(ds, "one", target) == 7.0
-    for nearest in (synth.nearest_realized_value, ref.nearest_realized_value):
+    for nearest in (nearest_realized_value, ref.nearest_realized_value):
         with pytest.raises(ValueError):
             nearest(ds, "none", 0.0)
 

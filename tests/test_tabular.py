@@ -11,6 +11,7 @@ from autoeda.tabular import (ColumnKind, Dataset, FilterPredicate, Grouping,
                              column_histogram, display_fingerprint,
                              initial_display, load_dataset, load_schema_sidecar,
                              write_dataset, write_schema_sidecar)
+from autoeda.env import ActionSpec, walk
 from row_engine import dataset_rows
 
 
@@ -304,6 +305,25 @@ def test_a_grouping_is_computed_once_per_row_set(toy, monkeypatch):
     assert mean.group_rows != first.group_rows
     apply_group(apply_filter(root, fp("color", "EQ", "red")), by_sum)
     assert computed == [by_sum, by_mean, by_sum]
+
+
+def test_the_dataset_keeps_its_root_row_set(toy, monkeypatch):
+    """Every root view shows the dataset's one row set, also when no view
+    of the dataset is held between two calls, so a grouping taken at the
+    root in two separate session walks is computed once."""
+    assert initial_display(toy)._rowset is initial_display(toy)._rowset
+    computed = []
+    compute = tabular._compute_groups
+
+    def counted(dataset, rows, grouping):
+        computed.append(grouping)
+        return compute(dataset, rows, grouping)
+
+    monkeypatch.setattr(tabular, "_compute_groups", counted)
+    group = ActionSpec("GROUP", group=Grouping("color", "score", "SUM"))
+    walk(toy, [group])
+    walk(toy, [group])
+    assert computed == [group.group]
 
 
 def test_cached_row_statistics_are_read_only(toy):
