@@ -1,12 +1,12 @@
 """Small fully-connected networks with hand-written backprop.
 
-Three architectures: a multi-head softmax policy (tanh trunk), a scalar
-value net, and a logistic discriminator over state-action vectors. Each
-network keeps its parameters in one float64 vector, `flat`, whose reshaped
-views are the weight and bias arrays; gradients, Adam and the L2 term work on
-whole vectors in the same order. Analytic gradients are exact; the test suite
-pins them against central finite differences. Everything is float64 numpy and
-deterministic.
+Three architectures: a multi-head softmax policy (a tanh trunk, then one
+matmul and a segmented softmax for all heads), a scalar value net, and a
+logistic discriminator over state-action vectors. Each network keeps its
+parameters in one float64 vector, `flat`, whose reshaped views are the weight
+and bias arrays; gradients, Adam and the L2 term work on whole vectors in the
+same order. Analytic gradients are exact; the test suite pins them against
+central finite differences. Everything is float64 numpy and deterministic.
 """
 
 from __future__ import annotations
@@ -113,44 +113,46 @@ class Mlp:
 class PolicyNet:
     """tanh trunk feeding one linear+softmax head per action component.
 
-    Head layers start at zero so the untrained policy is uniform on every
-    head; the trunk uses fan-in scaled uniform init. `flat` holds the trunk
-    parameters, then each head's weight and bias.
+    The heads share one (hidden, action_dim) weight matrix and one
+    (action_dim,) bias; head h owns the columns from `starts[h]` on, as many
+    as `head_sizes[h]`. Head layers start at zero so the untrained policy is
+    uniform on every head; the trunk uses fan-in scaled uniform init. `flat`
+    holds the trunk parameters, then the head matrix, then the head bias.
     """
 
     def __init__(self, state_dim: int, head_sizes, hidden=(50, 50, 50),
                  rng: np.random.Generator | None = None):
         self.state_dim = state_dim
         self.head_sizes = tuple(head_sizes)
+        self.starts = np.cumsum((0, *self.head_sizes[:-1]))
         trunk_sizes = (state_dim, *hidden)
         self.n_trunk = _segments(_layer_shapes(trunk_sizes))[-1][1]
         self.head_segments = _segments(
-            [shape for k in self.head_sizes for shape in ((hidden[-1], k), (k,))],
-            self.n_trunk)
+            _layer_shapes((hidden[-1], sum(self.head_sizes))), self.n_trunk)
         self.flat = np.zeros(self.head_segments[-1][1])
         self.trunk = Mlp(trunk_sizes, ("tanh",) * len(hidden), rng,
                          self.flat[:self.n_trunk])
-        heads = _views(self.flat, self.head_segments)
-        self.head_weights, self.head_biases = heads[0::2], heads[1::2]
+        self.head_weight, self.head_bias = _views(self.flat, self.head_segments)
 
     def forward(self, states: np.ndarray):
-        """Per-head probability rows for a batch of states.
+        """Per-head probability rows for a batch of states: one (k, size)
+        column view per head of one (k, action_dim) softmax matrix.
 
-        Each head's softmax keeps its shifted logits `z` and normalizer
-        `s = sum(exp(z))` in the context, for `logprob`, next to the
+        One matmul gives every head's logits. Each head's segment is shifted
+        by its maximum and divided by its normalizer `s = sum(exp(z))`, both
+        taken with `reduceat` over `starts`. The context keeps the shifted
+        logits `z` and the (k, heads) normalizers for `logprob`, next to the
         probabilities that `backward_logprob` reads.
         """
         states = np.atleast_2d(states)
         feat, cache = self.trunk.forward(states)
-        probs, norms = [], []
-        for w, b in zip(self.head_weights, self.head_biases):
-            logits = feat @ w + b
-            z = logits - logits.max(axis=-1, keepdims=True)
-            e = np.exp(z)
-            s = e.sum(axis=-1, keepdims=True)
-            probs.append(e / s)
-            norms.append((z, s))
-        return probs, (feat, cache, norms, probs)
+        logits = feat @ self.head_weight + self.head_bias
+        z = logits - np.repeat(np.maximum.reduceat(logits, self.starts, axis=1),
+                               self.head_sizes, axis=1)
+        e = np.exp(z)
+        s = np.add.reduceat(e, self.starts, axis=1)
+        p = e / np.repeat(s, self.head_sizes, axis=1)
+        return np.split(p, self.starts[1:], axis=1), (feat, cache, z, s, p)
 
     def logprob(self, states: np.ndarray, head_idx: np.ndarray,
                 masks: np.ndarray):
@@ -159,31 +161,25 @@ class PolicyNet:
         head_idx and masks are (B, n_heads); masked-out heads contribute 0.
         """
         _, ctx = self.forward(states)
-        _, _, norms, _ = ctx
-        batch = np.arange(head_idx.shape[0])
-        total = np.zeros(head_idx.shape[0])
-        for h, (z, s) in enumerate(norms):
-            logp = z[batch, head_idx[:, h]] - np.log(s)[:, 0]
-            total += np.where(masks[:, h], logp, 0.0)
-        return total, ctx
+        _, _, z, s, _ = ctx
+        batch = np.arange(head_idx.shape[0])[:, None]
+        logp = z[batch, self.starts + head_idx] - np.log(s)
+        return np.where(masks, logp, 0.0).sum(axis=1), ctx
 
     def backward_logprob(self, ctx, head_idx: np.ndarray, masks: np.ndarray,
                          coeffs: np.ndarray):
         """Flat gradient of sum_i coeffs[i] * logprob_i w.r.t. `flat`."""
-        feat, cache, _, probs = ctx
-        batch = np.arange(head_idx.shape[0])
+        feat, cache, _, _, p = ctx
+        batch = np.arange(head_idx.shape[0])[:, None]
+        dlogits = p * -coeffs[:, None]
+        dlogits[batch, self.starts + head_idx] += coeffs[:, None]
+        dlogits *= np.repeat(masks, self.head_sizes, axis=1)
         grad = np.empty_like(self.flat)
-        head_grads = _views(grad, self.head_segments)
-        dfeat = np.zeros_like(feat)
-        neg_coeffs = -coeffs[:, None]
-        for h, p in enumerate(probs):
-            dlogits = p * neg_coeffs  # the bits of -p * coeffs[:, None]
-            dlogits[batch, head_idx[:, h]] += coeffs
-            dlogits *= masks[:, h:h + 1]
-            np.matmul(feat.T, dlogits, out=head_grads[2 * h])
-            dlogits.sum(axis=0, out=head_grads[2 * h + 1])
-            dfeat += dlogits @ self.head_weights[h].T
-        self.trunk.backward(cache, dfeat, grad[:self.n_trunk])
+        dweight, dbias = _views(grad, self.head_segments)
+        np.matmul(feat.T, dlogits, out=dweight)
+        dlogits.sum(axis=0, out=dbias)
+        self.trunk.backward(cache, dlogits @ self.head_weight.T,
+                            grad[:self.n_trunk])
         return grad
 
 

@@ -23,7 +23,7 @@ from .env import (DEFAULT_HORIZON, DEFAULT_TERM_BINS, HEAD_MASKS, EdaEnv,
                   replay, state_from_history)
 from .tabular import ColumnKind, is_finite_number, is_int
 
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 # the TrainResult networks a checkpoint stores, each under its field name
 _NETWORKS = ("policy", "value", "discriminator")
 

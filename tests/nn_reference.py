@@ -3,14 +3,18 @@ normalizers, built its gradient views once and ran Adam in place: the oracle
 that the library's step must match bit for bit.
 
 Here every backward cuts its gradient views with a per-call `np.prod`,
-`backward_logprob` recomputes each head's softmax, `logprob` runs its own
+`backward_logprob` recomputes the softmax, `logprob` runs its own
 log-softmax, Adam allocates its temporaries and the L2 term is
-`2.0 * coeff * flat`. The functions carry the signatures of the `nn` methods
-they stand for; `installed()` puts them in place of those methods, so a test
-can run the training functions of `autoeda.train` on the reference
-arithmetic. `sample_action` is the sampler as it was before it walked each
-head's probabilities on Python floats: one `rng.random()`, `cumsum` and
-`searchsorted` per head.
+`2.0 * coeff * flat`. The policy's heads are one matmul, as in the library,
+and each head's softmax takes its maximum and its sum with the library's
+`reduceat` over the head's columns, so the sums add in the same order; the
+one-head-at-a-time arithmetic is the other oracle, in heads_reference.py,
+which agrees to rounding. The functions carry the signatures of the `nn`
+methods they stand for; `installed()` puts them in place of those methods,
+so a test can run the training functions of `autoeda.train` on the
+reference arithmetic. `sample_action` is the sampler as it was before it
+walked each head's probabilities on Python floats: one `rng.random()`,
+`cumsum` and `searchsorted` per head.
 """
 
 import contextlib
@@ -36,11 +40,6 @@ def softmax(logits):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def log_softmax(logits):
-    z = logits - logits.max(axis=-1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
-
-
 def mlp_backward(self, cache, dout, grad=None):
     shapes = [shape for n_in, n_out in zip(self.sizes, self.sizes[1:])
               for shape in ((n_in, n_out), (n_out,))]
@@ -61,41 +60,57 @@ def mlp_backward(self, cache, dout, grad=None):
     return grad  # the input's gradient, dout, was formed and dropped
 
 
+def _head_columns(self):
+    """The first column of each head and each column's head."""
+    starts = np.cumsum((0, *self.head_sizes[:-1]))
+    return starts, np.repeat(np.arange(len(self.head_sizes)), self.head_sizes)
+
+
+def segmented_softmax(self, logits):
+    starts, head_of = _head_columns(self)
+    z = logits - np.maximum.reduceat(logits, starts, axis=1)[:, head_of]
+    e = np.exp(z)
+    return e / np.add.reduceat(e, starts, axis=1)[:, head_of]
+
+
+def segmented_log_softmax(self, logits):
+    starts, head_of = _head_columns(self)
+    z = logits - np.maximum.reduceat(logits, starts, axis=1)[:, head_of]
+    return z - np.log(np.add.reduceat(np.exp(z), starts, axis=1))[:, head_of]
+
+
 def policy_forward(self, states):
     states = np.atleast_2d(states)
     feat, cache = self.trunk.forward(states)
-    logits = [feat @ w + b for w, b in zip(self.head_weights, self.head_biases)]
-    return [softmax(l) for l in logits], (states, feat, cache, logits)
+    logits = feat @ self.head_weight + self.head_bias
+    p = segmented_softmax(self, logits)
+    starts, _ = _head_columns(self)
+    return np.split(p, starts[1:], axis=1), (states, feat, cache, logits)
 
 
 def policy_logprob(self, states, head_idx, masks):
     _, ctx = self.forward(states)
     _, _, _, logits = ctx
-    batch = np.arange(head_idx.shape[0])
-    total = np.zeros(head_idx.shape[0])
-    for h, head_logits in enumerate(logits):
-        logp = log_softmax(head_logits)[batch, head_idx[:, h]]
-        total += np.where(masks[:, h], logp, 0.0)
-    return total, ctx
+    starts, _ = _head_columns(self)
+    batch = np.arange(head_idx.shape[0])[:, None]
+    logp = segmented_log_softmax(self, logits)[batch, starts + head_idx]
+    return np.where(masks, logp, 0.0).sum(axis=1), ctx
 
 
 def policy_backward_logprob(self, ctx, head_idx, masks, coeffs):
     _, feat, cache, logits = ctx
-    head_shapes = [shape for k in self.head_sizes
-                   for shape in ((feat.shape[1], k), (k,))]
-    batch = np.arange(head_idx.shape[0])
+    starts, head_of = _head_columns(self)
+    batch = np.arange(head_idx.shape[0])[:, None]
+    dlogits = -segmented_softmax(self, logits) * coeffs[:, None]
+    dlogits[batch, starts + head_idx] += coeffs[:, None]
+    dlogits *= masks[:, head_of]
+    head_shapes = [self.head_weight.shape, self.head_bias.shape]
     grad = np.empty_like(self.flat)
-    head_grads = _split(grad[self.n_trunk:], head_shapes)
-    dfeat = np.zeros_like(feat)
-    for h, head_logits in enumerate(logits):
-        p = softmax(head_logits)
-        dlogits = -p * coeffs[:, None]
-        dlogits[batch, head_idx[:, h]] += coeffs
-        dlogits *= masks[:, h:h + 1]
-        np.matmul(feat.T, dlogits, out=head_grads[2 * h])
-        dlogits.sum(axis=0, out=head_grads[2 * h + 1])
-        dfeat += dlogits @ self.head_weights[h].T
-    self.trunk.backward(cache, dfeat, grad[:self.n_trunk])
+    dweight, dbias = _split(grad[self.n_trunk:], head_shapes)
+    np.matmul(feat.T, dlogits, out=dweight)
+    dlogits.sum(axis=0, out=dbias)
+    self.trunk.backward(cache, dlogits @ self.head_weight.T,
+                        grad[:self.n_trunk])
     return grad
 
 

@@ -28,6 +28,7 @@ from autoeda.train import (TrainConfig, action_agreement, bc_pretrain,
                            ppo_clip_target, prepare_expert_steps, train_gail,
                            STREAM_SYNTH, STREAM_TRAJECTORIES,
                            STREAM_SPLIT, STREAM_GENERATE)
+from heads_reference import head_views
 from row_engine import dataset_rows
 
 
@@ -127,7 +128,7 @@ def test_criterion_2_gradient_fidelity(fd_gradient):
         sd = int(rng.integers(3, 8))
         head_sizes = (4, 3, 4, 3, 3)
         policy = nn.PolicyNet(sd, head_sizes, tuple(rng.integers(3, 7, size=2)), rng)
-        for w, b in zip(policy.head_weights, policy.head_biases):
+        for w, b in head_views(policy):
             w += rng.normal(scale=0.3, size=w.shape)
             b += rng.normal(scale=0.1, size=b.shape)
         states = rng.normal(size=(2, sd))

@@ -804,3 +804,18 @@ def test_malformed_checkpoints_exit_two(run_dir, data_dir, tmp_path, capsys):
                    "--datasets", "ds1") == 2, name
         err = capsys.readouterr().err
         assert err.count(f"data error: cannot load checkpoint {bad}") == 2, name
+
+
+def test_version_four_checkpoint_is_refused(run_dir, data_dir, tmp_path, capsys):
+    """A version-4 policy vector held one weight and bias per head; it has
+    the length of today's trunk, head matrix and head bias, so only its
+    version keeps it from loading with its heads permuted."""
+    good = json.loads((run_dir / "checkpoint.json").read_text())
+    old = tmp_path / "v4.json"
+    old.write_text(json.dumps(dict(good, format_version=4)))
+    out = tmp_path / "sessions.json"
+    assert run("generate", "--checkpoint", old, "--dataset",
+               data_dir / "ds1.csv", "--out", out) == 2
+    assert not out.exists()
+    assert (f"data error: cannot load checkpoint {old}: unsupported checkpoint "
+            f"version 4") in capsys.readouterr().err

@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import heads_reference as heads_ref
 from autoeda import nn
-from autoeda.env import RELEVANT_HEADS
+from autoeda.env import (ACTION_KINDS, HEAD_MASKS, N_HEADS, RELEVANT_HEADS,
+                         HeadLayout)
 
 
 def assert_close_grads(analytic, numeric, rtol=1e-4, atol=1e-7):
@@ -17,7 +21,7 @@ def assert_close_grads(analytic, numeric, rtol=1e-4, atol=1e-7):
 def random_policy(rng, state_dim=6, hidden=(8, 7), heads=(4, 3, 5, 5, 4)):
     policy = nn.PolicyNet(state_dim, heads, hidden, rng)
     # randomize the zero-initialized heads so gradients are generic
-    for w, b in zip(policy.head_weights, policy.head_biases):
+    for w, b in heads_ref.head_views(policy):
         w += rng.normal(scale=0.3, size=w.shape)
         b += rng.normal(scale=0.1, size=b.shape)
     return policy
@@ -45,8 +49,8 @@ def test_policy_pinned_toy_forward_matches_hand_computation():
     policy = nn.PolicyNet(2, (2,), (2,), np.random.default_rng(0))
     policy.trunk.weights[0][...] = [[0.5, -0.25], [0.1, 0.3]]
     policy.trunk.biases[0][...] = [0.05, -0.1]
-    policy.head_weights[0][...] = [[1.0, -1.0], [0.5, 0.25]]
-    policy.head_biases[0][...] = [0.0, 0.2]
+    policy.head_weight[...] = [[1.0, -1.0], [0.5, 0.25]]
+    policy.head_bias[...] = [0.0, 0.2]
     x = np.array([0.4, -0.6])
     h1 = math.tanh(0.4 * 0.5 + (-0.6) * 0.1 + 0.05)
     h2 = math.tanh(0.4 * -0.25 + (-0.6) * 0.3 - 0.1)
@@ -149,10 +153,104 @@ def test_policy_irrelevant_head_gradient_is_zero():
     masks[0, 0] = True
     _, ctx = policy.logprob(states, heads, masks)
     grad = policy.backward_logprob(ctx, heads, masks, np.ones(1))
-    # the kind head (0) follows the trunk; heads 1-4 fill the rest of `flat`
-    kind_end = (policy.n_trunk + policy.head_weights[0].size
-                + policy.head_biases[0].size)
-    assert np.all(grad[kind_end:] == 0.0)
+    # the head matrix follows the trunk, then the head bias; the kind head
+    # (0) owns the first columns of each, heads 1-4 the rest
+    n_bias = policy.head_bias.size
+    dweight = grad[policy.n_trunk:-n_bias].reshape(policy.head_weight.shape)
+    kind = policy.head_sizes[0]
+    assert np.all(dweight[:, kind:] == 0.0)
+    assert np.all(grad[-n_bias:][kind:] == 0.0)
+
+
+# ---------------------------------------------------------------------------
+# fused heads against the per-head oracle
+
+@st.composite
+def policy_cases(draw):
+    """A random policy on a real head layout; 1, 16, 32 or 64 states with
+    none, half or all of their rows BACK; random, all-false, all-true or
+    per-kind masks; and coefficients of one sign or of both."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    layout = HeadLayout(draw(st.integers(1, 8)), draw(st.integers(1, 20)))
+    policy = nn.PolicyNet(6, layout.sizes, (8, 7), rng)
+    scale = draw(st.sampled_from((0.1, 1.0, 10.0)))
+    for w, b in heads_ref.head_views(policy):
+        w += rng.normal(scale=scale, size=w.shape)
+        b += rng.normal(scale=scale, size=b.shape)
+    batch = draw(st.sampled_from((1, 16, 32, 64)))
+    heads = rng.integers(0, layout.sizes, size=(batch, N_HEADS))
+    heads[rng.random(batch) < draw(st.sampled_from((0.0, 0.5, 1.0))), 0] = \
+        ACTION_KINDS.index("BACK")
+    masks = {"random": rng.random((batch, N_HEADS)) < 0.5,
+             "none": np.zeros((batch, N_HEADS), dtype=bool),
+             "all": np.ones((batch, N_HEADS), dtype=bool),
+             "kind": HEAD_MASKS[heads[:, 0]]}[
+        draw(st.sampled_from(("random", "none", "all", "kind")))]
+    coeffs = rng.normal(size=batch)
+    sign = draw(st.sampled_from((None, 1.0, -1.0)))
+    if sign is not None:
+        coeffs = sign * np.abs(coeffs)
+    return policy, rng.normal(size=(batch, 6)), heads, masks, coeffs
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(policy_cases())
+def test_fused_heads_match_per_head_oracle(case):
+    policy, states, heads, masks, coeffs = case
+    probs, _ = policy.forward(states)
+    ref_probs = heads_ref.forward(policy, states)[-1]
+    assert [p.shape for p in probs] == [p.shape for p in ref_probs]
+    for p, ref_p in zip(probs, ref_probs):
+        np.testing.assert_allclose(p, ref_p, rtol=0, atol=1e-12)
+    logp, ctx = policy.logprob(states, heads, masks)
+    np.testing.assert_allclose(
+        logp, heads_ref.logprob(policy, states, heads, masks), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(
+        policy.backward_logprob(ctx, heads, masks, coeffs),
+        heads_ref.backward_logprob(policy, states, heads, masks, coeffs),
+        rtol=0, atol=1e-12)
+
+
+class _Matmuls(np.ndarray):
+    """An array whose matmuls, and those of every array computed from it,
+    append their operand shapes to `shapes`."""
+    shapes = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+        plain = [np.asarray(x) for x in inputs]
+        if out is not None:
+            kwargs["out"] = tuple(np.asarray(o) for o in out)
+        if ufunc is np.matmul:
+            _Matmuls.shapes.append([x.shape for x in plain])
+        result = getattr(ufunc, method)(*plain, **kwargs)
+        if out is not None:
+            return out[0] if len(out) == 1 else out
+        return result.view(_Matmuls) if isinstance(result, np.ndarray) else result
+
+
+def test_policy_heads_take_one_matmul_forward_and_two_backward(monkeypatch):
+    """One head matmul in `forward` and two in `backward_logprob`, whatever
+    the number of heads: a matmul whose operands have a dimension other
+    than the batch, state and hidden widths is a head matmul."""
+    rng = np.random.default_rng(16)
+    policy = random_policy(rng)  # heads (4, 3, 5, 5, 4): 21 columns
+    trunk_dims = {2, 6, 8, 7}  # batch, state and hidden widths
+    states = rng.normal(size=(2, 6)).view(_Matmuls)
+    heads, masks = np.array([[1, 2, 0, 3, 1], [2, 0, 4, 4, 3]]), np.ones((2, 5), bool)
+    monkeypatch.setattr(_Matmuls, "shapes", [])
+
+    def head_matmuls():
+        count = sum(any(set(shape) - trunk_dims for shape in shapes)
+                    for shapes in _Matmuls.shapes)
+        _Matmuls.shapes.clear()
+        return count
+
+    policy.forward(states)
+    assert head_matmuls() == 1
+    _, ctx = policy.logprob(states, heads, masks)
+    assert head_matmuls() == 1
+    policy.backward_logprob(ctx, heads, masks, np.ones(2))
+    assert head_matmuls() == 2
 
 
 def test_l2_penalty_gradient_is_linear():
@@ -317,10 +415,11 @@ def test_adam_three_step_hand_trace():
 
 
 def _param_arrays(policy):
-    """The policy's arrays in `flat` order: trunk layers, then heads."""
-    layers = (list(zip(policy.trunk.weights, policy.trunk.biases))
-              + list(zip(policy.head_weights, policy.head_biases)))
-    return [a for layer in layers for a in layer]
+    """The policy's arrays in `flat` order: trunk layers, then the head
+    matrix and the head bias."""
+    trunk = zip(policy.trunk.weights, policy.trunk.biases)
+    return [a for layer in trunk for a in layer] + [policy.head_weight,
+                                                    policy.head_bias]
 
 
 def _reference_bc_step(arrays, grads, ms, vs, t, coeff, lr,
@@ -363,7 +462,8 @@ def test_flat_adam_step_matches_per_array_reference():
 def test_parameter_arrays_are_views_of_flat():
     rng = np.random.default_rng(14)
     policy = random_policy(rng)
-    assert np.shares_memory(policy.head_weights[0], policy.flat)
+    assert np.shares_memory(policy.head_weight, policy.flat)
+    assert np.shares_memory(policy.head_bias, policy.flat)
     assert np.array_equal(
         np.concatenate([a.ravel() for a in _param_arrays(policy)]), policy.flat)
     for net in (nn.ValueNet(6, (5,), rng), nn.DiscriminatorNet(6, (5,), rng)):

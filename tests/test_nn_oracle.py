@@ -8,6 +8,7 @@ from collections import deque
 import numpy as np
 
 import nn_reference as ref
+from heads_reference import head_views
 from autoeda import nn
 from autoeda.env import BACK, STOP, ActionSpec, HeadLayout, Trajectory
 from autoeda.tabular import FilterPredicate, Grouping
@@ -85,7 +86,7 @@ def _adversarial_run(toy, cfg, rounds=5):
     disc = nn.DiscriminatorNet(layout.state_dim + layout.action_dim, (8, 8), rng)
     # the untrained heads are zero; move them so the softmax is generic
     head_rng = derive_rng(cfg.seed, 9)
-    for w in policy.head_weights:
+    for w, _ in head_views(policy):
         w += head_rng.normal(scale=0.5, size=w.shape)
     buffer = deque(maxlen=cfg.buffer_capacity)
     RolloutCollector(policy, [toy], layout, cfg,

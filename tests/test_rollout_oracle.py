@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import rollout_reference as ref
+from heads_reference import head_views
 from autoeda import nn, train
 from autoeda.env import (BACK, HEAD_MASKS, STOP, ActionSpec, EdaEnv,
                          HeadLayout, Trajectory, replay, state_from_history)
@@ -54,7 +55,7 @@ def nets(layout, seed):
     policy = nn.PolicyNet(layout.state_dim, layout.sizes, (16, 16), rng)
     disc = nn.DiscriminatorNet(layout.state_dim + layout.action_dim, (8, 8), rng)
     head_rng = derive_rng(seed, 9)
-    for w in policy.head_weights:
+    for w, _ in head_views(policy):
         w += head_rng.normal(scale=1.5, size=w.shape)
     return policy, disc
 

@@ -544,7 +544,7 @@ def test_checkpoint_is_one_json_document_written_in_pieces(tmp_path, toy):
     path = tmp_path / "ckpt.json"
     save_checkpoint(path, result, cfg)
     payload = {
-        "format_version": 4, "config": cfg.to_dict(),
+        "format_version": 5, "config": cfg.to_dict(),
         "schema": [[c, k.value] for c, k in toy.columns],
         "policy": nn.arr_to_json(policy.flat),
         "value": nn.arr_to_json(value.flat),
@@ -612,7 +612,7 @@ def test_load_checkpoint_refuses_old_version_and_wrong_length(tmp_path, toy):
     assert "optimizers" not in good
     short = good["value"]["data"][:-1]
     for payload in (dict(good, format_version=1), dict(good, format_version=2),
-                    dict(good, format_version=3),
+                    dict(good, format_version=3), dict(good, format_version=4),
                     dict(good, value={"shape": [len(short)], "data": short}),
                     dict(good, policy={"shape": [1], "data": [0.5]})):
         path.write_text(json.dumps(payload))
