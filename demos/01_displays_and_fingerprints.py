@@ -27,7 +27,7 @@ orders = Dataset("orders", [
 
 d0 = initial_display(orders)
 print("initial rows:", d0.row_count)
-print("region histogram:", column_histogram(d0, "region"))
+print("region histogram:", dict(column_histogram(d0, "region")))
 
 # filter, then group: one group row per region with the amount total
 narrowed = apply_filter(d0, FilterPredicate("amount", "NEQ", "50"))

@@ -539,11 +539,12 @@ def cmd_measure(args) -> int:
             raise DataError(str(exc)) from exc
         manifest.add_input(args.ruleset)
 
-    report = {"dataset": dataset.name, "threshold": args.threshold, "sessions": []}
-    tables = []
+    scored = {}  # distinct action tuple -> (its report entry, its table)
     for i, traj in enumerate(trajectories, start=1):
         if not traj.actions:
             raise DataError(f"session {i} of {args.session} is empty")
+        if traj.actions in scored:
+            continue
         try:
             raw = score_session(dataset, traj.actions, ruleset)
         except ValueError as exc:
@@ -560,8 +561,12 @@ def cmd_measure(args) -> int:
                 "normalized": {m: round(z.get(m), 6) for m in MEASURE_NAMES},
                 "highlight": [m for m in MEASURE_NAMES if z.get(m) > args.threshold],
             })
-        report["sessions"].append({"steps": steps})
-        tables.append(_measure_table(traj.actions, normalized, args.threshold))
+        scored[traj.actions] = ({"steps": steps}, _measure_table(
+            traj.actions, normalized, args.threshold))
+    results = [scored[traj.actions] for traj in trajectories]
+    report = {"dataset": dataset.name, "threshold": args.threshold,
+              "sessions": [entry for entry, _ in results]}
+    tables = [table for _, table in results]
 
     text = ("\n\n".join(tables)) + "\n"
     print(text, end="")

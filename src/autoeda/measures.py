@@ -104,7 +104,9 @@ def max_column_kl(before: Display, after: Display) -> float:
 
     Both displays must be views of one dataset, which scores each pair of
     operation paths (`Display.key`) once: equal paths give bit-identical
-    histograms.
+    histograms. A pair it has not scored reads each column's KL from the
+    after view's row set, which keeps it per before row set and column (see
+    `_column_kl`), so views that share their row sets share their KLs.
     """
     base = before.dataset
     if after.dataset is not base:
@@ -112,11 +114,37 @@ def max_column_kl(before: Display, after: Display) -> float:
     memo = base._kl_memo
     key = (before.key, after.key)
     if key not in memo:
-        memo[key] = max(
-            kl_divergence(column_histogram(before, col), column_histogram(after, col))
-            for col in base.column_names
-        )
+        memo[key] = max(_column_kl(before, after, idx, col)
+                        for idx, col in enumerate(base.column_names))
     return memo[key]
+
+
+def _grouped_on(display: Display, column: str) -> bool:
+    g = display.grouping
+    return g is not None and g.grp_col == column
+
+
+def _column_kl(before: Display, after: Display, idx: int, column: str) -> float:
+    """KL(before || after) over one column, computed once per (before row
+    set, after row set, column).
+
+    The after row set keeps it under (before row set, idx) when it shows
+    fewer rows than the before row set, as a FILTER that drops rows does
+    against its parent and the root, so an entry refers only to a larger
+    row set and never closes a cycle. A view grouped on the column is
+    computed each time: its histogram there comes from its groups.
+    """
+    source, target = before._rowset, after._rowset
+    if (len(target.rows) >= len(source.rows)
+            or _grouped_on(before, column) or _grouped_on(after, column)):
+        return kl_divergence(column_histogram(before, column),
+                             column_histogram(after, column))
+    key = (source, idx)
+    kl = target.kl.get(key)
+    if kl is None:
+        kl = target.kl[key] = kl_divergence(column_histogram(before, column),
+                                            column_histogram(after, column))
+    return kl
 
 
 def a_int(prev: Display, cur: Display, action, specs: MeasureSpecs) -> float:

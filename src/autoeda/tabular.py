@@ -15,10 +15,12 @@ import csv
 import json
 import math
 import operator
+from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -225,22 +227,28 @@ class Dataset:
 class _RowSet:
     """The rows that one or more views of a dataset show, with everything
     computed from those rows alone: the column summary, the entropy vector,
-    the per-column rankings and each grouping's group table.
+    the per-column rankings and histograms, each grouping's group table,
+    and the per-column KLs measured against an earlier row set.
 
     A GROUP view, and a FILTER view that keeps every row, share their
     parent's row set, so whichever of them computes a value first serves
     the others. It holds no reference to its dataset, so a dataset is freed
-    by reference counting alone.
+    by reference counting alone. A KL entry refers to its before row set,
+    which always shows more rows (`measures.max_column_kl`), so row sets
+    never refer to each other in a cycle.
     """
 
-    __slots__ = ("rows", "summary", "entropy", "ranked", "groups")
+    __slots__ = ("rows", "summary", "entropy", "ranked", "histograms",
+                 "groups", "kl")
 
     def __init__(self, rows):
         self.rows = rows
         self.summary = None
         self.entropy = None
         self.ranked = {}  # column index -> ranked codes
+        self.histograms = {}  # column index -> read-only histogram
         self.groups = {}  # Grouping -> (keys, sizes, aggregates)
+        self.kl = {}  # (before row set, column index) -> KL
 
     def grouped(self, dataset: Dataset, grouping: Grouping):
         """The group table of `grouping` over these rows, computed once."""
@@ -260,8 +268,9 @@ class Display:
     user would see. Instances are immutable. Views that show the same rows
     (every root view of a dataset, a GROUP view and its parent, a FILTER
     that keeps every row and its parent) share one set of row statistics:
-    per-column counts, entropies, rankings and group tables, each computed
-    once and read-only. The root views' set lives as long as the dataset.
+    per-column counts, entropies, rankings, histograms and group tables,
+    and the per-column KLs against earlier row sets, each computed once and
+    read-only. The root views' set lives as long as the dataset.
     A view whose operation path its dataset has encoded before starts with
     that encoding.
     """
@@ -543,13 +552,16 @@ def display_fingerprint(display: Display) -> str:
     return fp
 
 
-def column_histogram(display: Display, column: str) -> dict:
+def column_histogram(display: Display, column: str) -> Mapping:
     """Relative value frequencies for one column of a display.
 
-    Nulls are excluded (tracked separately as a count). For the grouped
-    column of a grouped display the keys are the group keys, each with the
-    same weight, mirroring the visible one-row-per-group table; a null group
-    appears under the key None.
+    Nulls are excluded (tracked separately as a count). The histogram is
+    computed once per row set and column and shared, read-only, by every
+    view that shows those rows. For the grouped column of a grouped display
+    the keys are the group keys, each with the same weight, mirroring the
+    visible one-row-per-group table; a null group appears under the key
+    None. That histogram depends on the grouping too, so it is built anew
+    on each call.
     """
     ds = display.dataset
     idx = ds.column_index(column)
@@ -560,11 +572,14 @@ def column_histogram(display: Display, column: str) -> dict:
             return {}
         share = 1.0 / n
         return {key: share for key in display.group_keys}
-    codes, counts, _ = display.column_stats(idx)
-    if len(codes) == 0:
-        return {}
-    values = ds.dictionaries[idx][codes].tolist()
-    return dict(zip(values, (counts / counts.sum()).tolist()))
+    histograms = display._rowset.histograms
+    hist = histograms.get(idx)
+    if hist is None:
+        codes, counts, _ = display.column_stats(idx)
+        values = ds.dictionaries[idx][codes].tolist()
+        hist = histograms[idx] = MappingProxyType(
+            dict(zip(values, (counts / counts.sum()).tolist())))
+    return hist
 
 
 def _infer_kind(strings, numbers, n_rows, max_categorical, categorical_fraction):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from autoeda.cli import _THREAD_VARS, main
-from autoeda.env import ActionSpec, Trajectory, save_trajectories
+from autoeda.env import ActionSpec, Trajectory, load_trajectories, save_trajectories
 from autoeda.evaluation import METRIC_COLUMNS
 from autoeda.tabular import FilterPredicate, Grouping, load_dataset
 
@@ -289,6 +289,47 @@ def test_measure_json_report(data_dir, tmp_path):
     for step in steps:
         for name, value in step["normalized"].items():
             assert 0.0 <= value <= 1.0
+
+
+def test_measure_scores_each_distinct_session_once(data_dir, capsys, tmp_path,
+                                                   monkeypatch):
+    """A session file that repeats sessions scores each distinct one once,
+    and prints and writes, at every repeat, the bytes a file without
+    repeats gives for that session."""
+    from autoeda import measures
+    dataset = load_dataset(data_dir / "ds1.csv")
+    distinct = list(dict.fromkeys(load_trajectories(data_dir / "ds1.train.json")))[:3]
+    assert len(distinct) == 3
+    order = [0, 1, 0, 2, 1, 0, 0]
+    plain, repeated = tmp_path / "plain.json", tmp_path / "repeated.json"
+    save_trajectories(plain, dataset, distinct)
+    save_trajectories(repeated, dataset, [distinct[k] for k in order])
+    outputs = {}
+    for path in (plain, repeated):
+        capsys.readouterr()
+        assert run("measure", "--session", path, "--dataset", data_dir / "ds1.csv",
+                   "--out", tmp_path / path.stem) == 0
+        outputs[path.stem] = capsys.readouterr().out
+    tables = outputs["plain"][:-1].split("\n\n")
+    assert len(tables) == 3
+    text = "\n\n".join(tables[k] for k in order) + "\n"
+    assert outputs["repeated"] == text
+    assert (tmp_path / "repeated" / "measures.txt").read_text() == text
+    report = json.loads((tmp_path / "plain" / "measures.json").read_text())
+    report["sessions"] = [report["sessions"][k] for k in order]
+    assert ((tmp_path / "repeated" / "measures.json").read_text()
+            == json.dumps(report, indent=1) + "\n")
+
+    calls = []
+    score = measures.score_session
+
+    def counted(dataset, actions, ruleset):
+        calls.append(actions)
+        return score(dataset, actions, ruleset)
+
+    monkeypatch.setattr(measures, "score_session", counted)
+    assert run("measure", "--session", repeated, "--dataset", data_dir / "ds1.csv") == 0
+    assert calls == [t.actions for t in distinct]
 
 
 def test_eval_self_scores_one(data_dir, capsys, tmp_path):

@@ -15,7 +15,8 @@ from rollout_reference import encode
 from autoeda.env import (ACTION_KINDS, ActionSpec, EdaEnv, HeadLayout,
                          action_from_heads, default_agg_col, encode_display,
                          heads_from_action, walk)
-from autoeda.measures import EMPTY_RULESET, CoherenceRuleset, coherence, score_session
+from autoeda.measures import (EMPTY_RULESET, CoherenceRuleset, coherence, kl_divergence,
+                              max_column_kl, score_session)
 from autoeda.tabular import (AGG_FUNCS, FILTER_OPS, ColumnKind, Dataset,
                              FilterPredicate, Grouping, apply_filter, apply_group,
                              canonical_number, column_histogram,
@@ -413,3 +414,55 @@ def test_shared_row_sets_match_fresh_datasets(case):
         for pred in d.filters:
             view = ref.filtered(view, pred)
         assert [rows[i] for i in d.rows] == list(view.rows)
+
+
+def cold_histograms(d):
+    """Each column's histogram of `d`'s operation path, rebuilt on a fresh
+    copy of its dataset, where they are the first histograms computed."""
+    fresh = rebuilt(d.dataset, d.key)
+    return {col: dict(column_histogram(fresh, col)) for col in d.dataset.column_names}
+
+
+# a GROUP after a FILTER that drops rows, a FILTER that keeps every row
+# after it, BACK to the root, an emptied view and a FILTER two steps deep,
+# on a table whose grouped column's value counts differ from one another
+SHARED = [ActionSpec("FILTER", filter=FilterPredicate("n", "NEQ", "1")), GROUP_SUM,
+          ActionSpec("FILTER", filter=FilterPredicate("c", "NEQ", KEEP_ALL)),
+          ActionSpec("BACK"), ActionSpec("BACK"), ActionSpec("BACK"),
+          ActionSpec("FILTER", filter=FilterPredicate("c", "EQ", "none")), ActionSpec("BACK"),
+          ActionSpec("FILTER", filter=FilterPredicate("n", "NEQ", "2")),
+          ActionSpec("FILTER", filter=FilterPredicate("c", "EQ", "a")), GROUP_MEAN]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(tables().flatmap(lambda ds: st.tuples(
+    st.just(ds), st.lists(lineage_sessions(ds), min_size=1, max_size=2),
+    st.randoms(use_true_random=False))))
+@example((SUMS, [SHARED, SHARED[:2] + [ActionSpec("BACK")] + SHARED[8:]], random.Random(0)))
+def test_cached_histograms_and_kls_match_fresh_datasets(case):
+    """Walk random sessions on one dataset, so that later walks meet the
+    row sets of earlier ones, and read the views' histograms and KLs in a
+    random order: each equals, by ==, the value computed first on a fresh
+    dataset, and each session scores as its walk on a fresh dataset does.
+    The KLs read are those of the program (each view against the one
+    before it and against the root) and a sample of other ordered pairs."""
+    ds, walks, rng = case
+    columns = ds.column_names
+    for actions in walks:
+        views = [state.current for state in walk(ds, actions)]
+        cold = {}
+        for d in views:
+            if d.key not in cold:
+                cold[d.key] = cold_histograms(d)
+        pairs = list(zip(views, views[1:])) + [(views[0], d) for d in views]
+        pairs += rng.sample([(a, b) for a in views for b in views], min(40, len(views) ** 2))
+        queries = [(d, col) for d in views for col in columns] + pairs
+        rng.shuffle(queries)
+        for a, b in queries:
+            if isinstance(b, str):
+                assert column_histogram(a, b) == cold[a.key][b]
+            else:
+                assert max_column_kl(a, b) == max(
+                    kl_divergence(cold[a.key][c], cold[b.key][c]) for c in columns)
+        fresh = Dataset(ds.name, ds.columns, ref.dataset_rows(ds))
+        assert score_session(ds, actions) == score_session(fresh, actions)

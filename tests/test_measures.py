@@ -1,12 +1,14 @@
 import gc
 import math
 import weakref
+from types import MappingProxyType
 
 import numpy as np
 import pytest
 
+from autoeda import measures
 from autoeda.env import ActionSpec, BACK, STOP, encode_display
-from autoeda.measures import (MEASURE_NAMES, CoherenceRuleset,
+from autoeda.measures import (DEFAULT_KL_EPS, MEASURE_NAMES, CoherenceRuleset,
                               MeasureSpecs, SigmoidSpec, a_int,
                               classify_session, coherence,
                               default_measure_specs, diversity, kl_divergence,
@@ -496,10 +498,11 @@ def test_kl_memo_warm_scores_equal_fresh_dataset_scores(synthetic_bundle):
 
 
 def test_kl_memo_entry_dies_with_its_dataset():
-    """Neither the memos nor the row sets, whose group tables a held view
-    keeps, refer back to the dataset: not even the row set of all rows that
-    the dataset keeps, once it holds a summary, rankings and group
-    tables."""
+    """Neither the memos nor the row sets, whose group tables, histograms
+    and KLs a held view keeps, refer back to the dataset: not even the row
+    set of all rows that the dataset keeps, once it holds a summary,
+    rankings, histograms and group tables. A held view's KL entries keep
+    the larger row sets they were measured against, and nothing more."""
     gc.disable()  # freed by reference counting alone, no cycle to collect
     try:
         ds = Dataset("gone", [("color", ColumnKind.CATEGORICAL),
@@ -514,13 +517,83 @@ def test_kl_memo_entry_dies_with_its_dataset():
         assert root._rowset is ds._all_rows
         assert root._rowset.summary is not None and root._rowset.ranked
         assert len(root._rowset.groups) == 2
-        view = apply_group(apply_filter(root, FilterPredicate("color", "EQ", "a")),
-                           Grouping("color", "n", "MEAN"))
-        assert view._rowset.groups
+        assert len(root._rowset.histograms) == 2
+        narrowed = apply_filter(root, FilterPredicate("color", "EQ", "a"))
+        view = apply_group(narrowed, Grouping("color", "n", "MEAN"))
+        # a FILTER after a GROUP that keeps every row shares the grouped
+        # view's row set, which keeps the KLs measured against the root's
+        kept = apply_filter(view, FilterPredicate("n", "NEQ", "7"))
+        assert kept._rowset is view._rowset is narrowed._rowset
+        max_column_kl(root, kept)
+        assert view._rowset.groups and view._rowset.histograms
+        assert list(view._rowset.kl) == [(root._rowset, 1)]
+        # a FILTER after a GROUP that drops rows, measured against its
+        # parent: column 0, which both are grouped on, is left out
+        dropped = apply_filter(view, FilterPredicate("n", "NEQ", "1"))
+        max_column_kl(view, dropped)
+        assert list(dropped._rowset.kl) == [(view._rowset, 1)]
         ref = weakref.ref(ds)
-        del ds, root
-        assert ref() is not None  # the held view keeps its dataset
+        del ds, root, narrowed, kept
+        assert ref() is not None  # the held views keep their dataset
         del view
+        assert ref() is not None
+        del dropped
         assert ref() is None
     finally:
         gc.enable()
+
+
+def _counted_kl(monkeypatch):
+    """The (p, q) histograms of every kl_divergence call from now on."""
+    compared = []
+    kl = measures.kl_divergence
+
+    def counted(p, q, eps=DEFAULT_KL_EPS):
+        compared.append((p, q))
+        return kl(p, q, eps)
+
+    monkeypatch.setattr(measures, "kl_divergence", counted)
+    return compared
+
+
+def test_a_row_set_keeps_its_kls_per_earlier_row_set_and_column(toy, monkeypatch):
+    """A view that shares the row set of one already measured reads its
+    KLs; a column either view is grouped on, a pair of views of one row
+    set, and the same row set measured against another earlier row set
+    run kl_divergence again."""
+    compared = _counted_kl(monkeypatch)
+    root = initial_display(toy)
+    width = len(toy.columns)
+    narrowed = apply_filter(root, FilterPredicate("score", "NEQ", "1"))
+    max_column_kl(root, narrowed)
+    assert len(compared) == width
+    kept = apply_filter(narrowed, FilterPredicate("color", "NEQ", "purple"))
+    max_column_kl(root, kept)
+    assert len(compared) == width
+    max_column_kl(root, apply_group(kept, Grouping("color", "score", "SUM")))
+    assert len(compared) == width + 1  # the grouped column
+    deeper = apply_filter(kept, FilterPredicate("color", "NEQ", "red"))
+    max_column_kl(root, deeper)
+    max_column_kl(narrowed, deeper)
+    max_column_kl(kept, deeper)
+    assert len(compared) == 3 * width + 1
+    max_column_kl(narrowed, apply_group(narrowed, Grouping("note", "score", "MAX")))
+    assert len(compared) == 4 * width + 1
+
+
+def test_scoring_runs_kl_divergence_once_per_row_set_pair_and_column(
+        synthetic_bundle, monkeypatch):
+    """Scoring sessions on one dataset never compares two row sets on one
+    column twice: a cached histogram stands for one row set and column, so
+    no (p, q) pair of them recurs. Views of one row set, whose histograms
+    are one object, and grouped columns, whose histograms are plain dicts,
+    are left out."""
+    dataset, _, _, trajectories = synthetic_bundle
+    ds = Dataset(dataset.name, dataset.columns, dataset_rows(dataset))
+    compared = _counted_kl(monkeypatch)
+    for t in trajectories:
+        score_session(ds, t.actions)
+    cached = [(p, q) for p, q in compared if p is not q
+              and isinstance(p, MappingProxyType) and isinstance(q, MappingProxyType)]
+    assert cached
+    assert len({(id(p), id(q)) for p, q in cached}) == len(cached)
