@@ -117,45 +117,69 @@ def encode_display(display: Display, base: Dataset) -> np.ndarray:
     `base` must be the display's own dataset. It keeps the encoding of each
     operation path (`Display.key`) it has seen, up to ENCODING_MEMO_SIZE of
     them: equal paths encode bit-identically, so a rebuilt view starts out
-    encoded.
+    encoded. Every ungrouped view of one row set shares one encoding, which
+    a grouped view copies and patches.
     """
     if display.dataset is not base:
         raise ValueError("encode_display needs a view of its base dataset")
     if display._vec is not None:
         return display._vec
-    n_cols = len(base.columns)
-    vec = np.zeros(FEATURES_PER_COLUMN * n_cols + GLOBAL_FEATURES)
-    columns = vec[:-GLOBAL_FEATURES].reshape(n_cols, FEATURES_PER_COLUMN)
-    n = base.row_count
+    vec = _rows_encoding(display, base)
     g = display.grouping
     if g is not None:
-        columns[base.column_index(g.grp_col), 3] = 0.5
+        vec = vec.copy()
+        columns = vec[:-GLOBAL_FEATURES].reshape(len(base.columns),
+                                                 FEATURES_PER_COLUMN)
+        gi = base.column_index(g.grp_col)
+        n = base.row_count
+        if n and display.row_count:  # one visible row per group
+            bits = _uniform_entropy_bits(len(column_histogram(display, g.grp_col)))
+            columns[gi, 0] = min(1.0, bits / base._entropy_scale[gi])
+        columns[gi, 3] = 0.5
         columns[base.column_index(g.agg_col), 3] = 1.0
-    if n and display.row_count:
-        _, _, nulls, starts = display._summarize()
-        distinct = np.diff(starts)
-        # a column with no values keeps +0.0, where entropy_bits gives it
-        # -0.0; each quotient below is the one a Python division gives
-        bits = np.where(distinct > 0, display.entropy_bits(), 0.0)
-        if g is not None:  # one visible row per group
-            bits[base.column_index(g.grp_col)] = _uniform_entropy_bits(
-                len(column_histogram(display, g.grp_col)))
-        norms = [math.log2(max(2, base.distinct_count(i))) for i in range(n_cols)]
-        columns[:, 0] = np.minimum(1.0, bits / norms)
-        columns[:, 1] = distinct / n
-        columns[:, 2] = nulls / n
-    if g is not None and display.group_count > 0 and n > 0:
-        sizes = np.asarray(display.group_sizes, dtype=float)
-        vec[-3] = display.group_count / n
-        vec[-2] = float(sizes.mean()) / n
-        vec[-1] = float(sizes.var()) / (n * n)
+        k = display.group_count
+        if k > 0 and n > 0:
+            # the mean and variance as ndarray.mean and .var compute them
+            sizes = np.array(display.group_sizes, dtype=float)
+            mean = np.add.reduce(sizes) / k
+            sizes -= mean
+            sizes *= sizes
+            vec[-3] = k / n
+            vec[-2] = mean / n
+            vec[-1] = np.add.reduce(sizes) / k / (n * n)
+        vec.setflags(write=False)
     display._vec = vec
-    vec.setflags(write=False)
     memo = base._encodings
     if len(memo) >= ENCODING_MEMO_SIZE:
         del memo[next(iter(memo))]
     memo[display.key] = vec
     return vec
+
+
+def _rows_encoding(display: Display, base: Dataset) -> np.ndarray:
+    """The encoding of an ungrouped view of `display`'s rows, computed once
+    per row set, read-only: role flags and globals zero.
+
+    Each column's entropy is scaled by `base._entropy_scale`; a column with
+    no values keeps +0.0, where entropy_bits gives it -0.0, and each
+    quotient is the one a Python division gives.
+    """
+    rowset = display._rowset
+    if rowset.encoding is None:
+        n_cols = len(base.columns)
+        vec = np.zeros(FEATURES_PER_COLUMN * n_cols + GLOBAL_FEATURES)
+        n = base.row_count
+        if n and display.row_count:
+            columns = vec[:-GLOBAL_FEATURES].reshape(n_cols, FEATURES_PER_COLUMN)
+            _, _, nulls, starts = display._summarize()
+            distinct = np.diff(starts)
+            bits = np.where(distinct > 0, display.entropy_bits(), 0.0)
+            columns[:, 0] = np.minimum(1.0, bits / base._entropy_scale)
+            columns[:, 1] = distinct / n
+            columns[:, 2] = nulls / n
+        vec.setflags(write=False)
+        rowset.encoding = vec
+    return rowset.encoding
 
 
 def state_from_history(history) -> np.ndarray:
@@ -235,30 +259,48 @@ def default_agg_col(base: Dataset, grp_col: str) -> str:
     return fallback if fallback is not None else grp_col
 
 
+_COUNT = AGG_FUNCS.index("COUNT")
+
+
+def action_heads(heads, display: Display) -> tuple[int, ...]:
+    """The head values that the action of `heads` on `display` uses, as
+    `heads_from_action` gives them back: heads its kind ignores are zero, a
+    numeric-only aggregate over a non-numeric column degrades to COUNT, and
+    the term bin clamps to the view's least frequent value (bin 0 when the
+    view has none, where the action falls back to the full table's mode).
+    """
+    kind_i, col_i, agg_i, op_i, bin_i = heads
+    if kind_i == 0:  # GROUP
+        base = display.dataset
+        if (agg_i != _COUNT and base.kind_of(default_agg_col(
+                base, base.column_names[col_i])) is not ColumnKind.NUMERIC):
+            agg_i = _COUNT
+        return kind_i, col_i, agg_i, 0, 0
+    if kind_i == 1:  # FILTER
+        ranked = len(display.ranked_codes(col_i))
+        return kind_i, col_i, 0, op_i, min(bin_i, max(ranked, 1) - 1)
+    return kind_i, 0, 0, 0, 0
+
+
 def action_from_heads(heads, display: Display) -> ActionSpec:
     """Materialize head indices into a concrete action for a display.
 
-    Total by construction: the term bin clamps to the least frequent
-    available value, an empty column falls back to the full table's mode
-    (a column with no value at all to the term ""), and a numeric-only
-    aggregate over a non-numeric column degrades to COUNT. The term is the
-    value's text in `Dataset.texts`.
+    Total by construction (`action_heads`): an empty column falls back to
+    the full table's mode, and a column with no value at all to the term
+    "". The term is the value's text in `Dataset.texts`.
     """
-    kind_i, col_i, agg_i, op_i, bin_i = heads
+    kind_i, col_i, agg_i, op_i, bin_i = action_heads(heads, display)
     kind = ACTION_KINDS[kind_i]
     if kind in ("BACK", "STOP"):
         return ActionSpec(kind)
     base = display.dataset
     col = base.column_names[col_i]
     if kind == "GROUP":
-        func = AGG_FUNCS[agg_i]
-        agg_col = default_agg_col(base, col)
-        if func != "COUNT" and base.kind_of(agg_col) is not ColumnKind.NUMERIC:
-            func = "COUNT"
-        return ActionSpec("GROUP", group=Grouping(col, agg_col, func))
+        return ActionSpec("GROUP", group=Grouping(
+            col, default_agg_col(base, col), AGG_FUNCS[agg_i]))
     codes = (display.ranked_codes(col_i)
              or initial_display(base).ranked_codes(col_i)[:1])
-    term = base.texts[col_i][codes[min(bin_i, len(codes) - 1)]] if codes else ""
+    term = base.texts[col_i][codes[bin_i]] if codes else ""
     return ActionSpec("FILTER", filter=FilterPredicate(col, FILTER_OPS[op_i], term))
 
 
@@ -309,6 +351,20 @@ def encode_action(heads, layout: HeadLayout) -> np.ndarray:
             vec[offset + heads[h]] = 1.0
         offset += size
     return vec
+
+
+def action_one_hots(heads, displays, layout: HeadLayout) -> np.ndarray:
+    """The (k, action_dim) action vectors of k decisions, one per row of the
+    (k, heads) array `heads` on its display: row i is
+    `encode_action(heads_from_action(action_from_heads(heads[i],
+    displays[i]), displays[i], layout), layout)`, set from `action_heads`
+    in one assignment."""
+    used = np.array([action_heads(h, d) for h, d in zip(heads.tolist(), displays)])
+    rows, cols = np.nonzero(HEAD_MASKS[used[:, 0]])
+    starts = np.cumsum((0,) + layout.sizes[:-1])
+    vecs = np.zeros((len(used), layout.action_dim))
+    vecs[rows, starts[cols] + used[rows, cols]] = 1.0
+    return vecs
 
 
 def decide(policy: nn.PolicyNet, svecs: np.ndarray, displays,

@@ -180,6 +180,10 @@ class Dataset:
         self._slot_column = np.repeat(np.arange(width), sizes)
         self._null_slot = np.zeros(self._offsets[-1], dtype=bool)
         self._null_slot[self._offsets[1:] - 1] = True
+        # each column's entropy scale in env.encode_display: log2 of its
+        # distinct count, at least 1 bit
+        self._entropy_scale = np.array(
+            [math.log2(max(2, self.distinct_count(i))) for i in range(width)])
         # a row set holds no reference to its dataset, so this forms no cycle
         rows = np.arange(n_rows, dtype=np.int32)
         rows.setflags(write=False)
@@ -226,9 +230,10 @@ class Dataset:
 
 class _RowSet:
     """The rows that one or more views of a dataset show, with everything
-    computed from those rows alone: the column summary, the entropy vector,
-    the per-column rankings and histograms, each grouping's group table,
-    and the per-column KLs measured against an earlier row set.
+    computed from those rows alone: the column summary, the encoding of an
+    ungrouped view of them (`env.encode_display`), the per-column rankings
+    and histograms, each grouping's group table, and the per-column KLs
+    measured against an earlier row set.
 
     A GROUP view, and a FILTER view that keeps every row, share their
     parent's row set, so whichever of them computes a value first serves
@@ -238,24 +243,26 @@ class _RowSet:
     never refer to each other in a cycle.
     """
 
-    __slots__ = ("rows", "summary", "entropy", "ranked", "histograms",
+    __slots__ = ("rows", "summary", "encoding", "ranked", "histograms",
                  "groups", "kl")
 
     def __init__(self, rows):
         self.rows = rows
         self.summary = None
-        self.entropy = None
+        self.encoding = None
         self.ranked = {}  # column index -> ranked codes
         self.histograms = {}  # column index -> read-only histogram
-        self.groups = {}  # Grouping -> (keys, sizes, aggregates)
+        # Grouping -> [keys, sizes, aggregates or None until first read]
+        self.groups = {}
         self.kl = {}  # (before row set, column index) -> KL
 
-    def grouped(self, dataset: Dataset, grouping: Grouping):
-        """The group table of `grouping` over these rows, computed once."""
+    def grouped(self, dataset: Dataset, grouping: Grouping) -> list:
+        """The group table of `grouping` over these rows: its keys and
+        sizes, computed once, and a place for its aggregates."""
         table = self.groups.get(grouping)
         if table is None:
-            table = self.groups[grouping] = _compute_groups(dataset, self.rows,
-                                                            grouping)
+            table = self.groups[grouping] = [
+                *_compute_groups(dataset, self.rows, grouping), None]
         return table
 
 
@@ -264,11 +271,12 @@ class Display:
 
     `rows` is the ascending int32 array of the dataset rows that pass the
     filters. A grouped display also holds its group keys (in code order,
-    null last), group sizes and aggregate values; `visible_rows` is what a
-    user would see. Instances are immutable. Views that show the same rows
-    (every root view of a dataset, a GROUP view and its parent, a FILTER
-    that keeps every row and its parent) share one set of row statistics:
-    per-column counts, entropies, rankings, histograms and group tables,
+    null last) and group sizes, and computes its aggregate values when they
+    are first read; `visible_rows` is what a user would see. Instances are
+    immutable. Views that show the same rows (every root view of a dataset,
+    a GROUP view and its parent, a FILTER that keeps every row and its
+    parent) share one set of row statistics: per-column counts, rankings,
+    histograms, group tables and aggregates, the encoding of their rows,
     and the per-column KLs against earlier row sets, each computed once and
     read-only. The root views' set lives as long as the dataset.
     A view whose operation path its dataset has encoded before starts with
@@ -276,20 +284,20 @@ class Display:
     """
 
     __slots__ = ("dataset", "filters", "grouping", "_rowset",
-                 "group_keys", "group_sizes", "group_aggs",
-                 "_vec", "_fp")
+                 "group_keys", "group_sizes", "_vec", "_fp")
 
-    def __init__(self, dataset, filters, grouping, rows,
-                 group_keys=(), group_sizes=(), group_aggs=()):
+    def __init__(self, dataset, filters, grouping, rows):
         """`rows` is the `_RowSet` the view shares with every view that
         shows the same rows."""
         self.dataset = dataset
         self.filters = tuple(filters)
         self.grouping = grouping
         self._rowset = rows
-        self.group_keys = group_keys
-        self.group_sizes = group_sizes
-        self.group_aggs = group_aggs
+        if grouping is None:
+            self.group_keys = self.group_sizes = ()
+        else:
+            self.group_keys, self.group_sizes, _ = rows.grouped(dataset,
+                                                                grouping)
         self._vec = dataset._encodings.get((self.filters, grouping))
         self._fp = None
 
@@ -312,6 +320,18 @@ class Display:
     @property
     def group_count(self) -> int:
         return len(self.group_sizes)
+
+    @property
+    def group_aggs(self) -> tuple:
+        """Each group's aggregate value, computed on first read and kept
+        with the row set's group table."""
+        if self.grouping is None:
+            return ()
+        table = self._rowset.grouped(self.dataset, self.grouping)
+        if table[2] is None:
+            table[2] = _group_aggregates(self.dataset, self.rows,
+                                         self.grouping)
+        return table[2]
 
     @property
     def group_rows(self):
@@ -386,27 +406,22 @@ class Display:
         The terms p * log2(p) add up in column_stats order, as a row-by-row
         count would add them, and log2 comes from `math`, once per distinct
         count of a column: numpy's log2 can differ from it in the last bit.
-        The array is read-only.
+        Computed on each call: its one reader, `env.encode_display`, keeps
+        what it derives from it once per row set.
         """
-        rowset = self._rowset
-        if rowset.entropy is None:
-            present, counts, _, _ = self._summarize()
-            width = len(self.dataset.columns)
-            if len(present) == 0:
-                bits = np.zeros(width)
-            else:
-                column = self.dataset._slot_column[present]
-                totals = np.bincount(column, weights=counts, minlength=width)
-                span = int(counts.max()) + 1
-                key = column * span + counts
-                terms = np.zeros(width * span)
-                for k in np.flatnonzero(np.bincount(key)).tolist():
-                    p = (k % span) / totals[k // span]
-                    terms[k] = p * math.log2(p)
-                bits = -np.bincount(column, weights=terms[key], minlength=width)
-            bits.setflags(write=False)
-            rowset.entropy = bits
-        return rowset.entropy
+        present, counts, _, _ = self._summarize()
+        width = len(self.dataset.columns)
+        if len(present) == 0:
+            return np.zeros(width)
+        column = self.dataset._slot_column[present]
+        totals = np.bincount(column, weights=counts, minlength=width)
+        span = int(counts.max()) + 1
+        key = column * span + counts
+        terms = np.zeros(width * span)
+        for k in np.flatnonzero(np.bincount(key)).tolist():
+            p = (k % span) / totals[k // span]
+            terms[k] = p * math.log2(p)
+        return -np.bincount(column, weights=terms[key], minlength=width)
 
     def ranked_codes(self, idx: int) -> tuple:
         """Codes of the distinct non-null values, most frequent first (ties
@@ -426,7 +441,18 @@ def initial_display(dataset: Dataset) -> Display:
 
 
 def _compute_groups(dataset: Dataset, rows, grouping: Grouping):
-    """Group keys, sizes and aggregates; keys in code order, null last.
+    """Group keys and sizes; keys in code order, null last."""
+    gi = dataset.column_index(grouping.grp_col)
+    sizes = np.bincount(dataset.codes[gi, rows],
+                        minlength=len(dataset.dictionaries[gi]))
+    present = np.flatnonzero(sizes)
+    return (tuple(dataset.dictionaries[gi][present].tolist()),
+            tuple(sizes[present].tolist()))
+
+
+def _group_aggregates(dataset: Dataset, rows, grouping: Grouping) -> tuple:
+    """Each group's aggregate, in `_compute_groups` order: None for a group
+    with no numeric cell to aggregate.
 
     Aggregates add their cells in row order, as a running sum would.
     """
@@ -454,8 +480,7 @@ def _compute_groups(dataset: Dataset, rows, grouping: Grouping):
             (np.fmin if func == "MIN" else np.fmax).at(acc, keys_v, values)
         aggs = [v if n else None
                 for v, n in zip(acc[present].tolist(), filled[present].tolist())]
-    return (tuple(dataset.dictionaries[gi][present].tolist()),
-            tuple(sizes[present].tolist()), tuple(aggs))
+    return tuple(aggs)
 
 
 def _cell_text(cell, kind: ColumnKind) -> str:
@@ -496,11 +521,7 @@ def apply_filter(display: Display, pred: FilterPredicate) -> Display:
     # a filter that keeps every row shows its parent's rows
     rowset = (display._rowset if len(rows) == display.row_count
               else _RowSet(rows))
-    filters = display.filters + (pred,)
-    g = display.grouping
-    if g is None:
-        return Display(ds, filters, None, rowset)
-    return Display(ds, filters, g, rowset, *rowset.grouped(ds, g))
+    return Display(ds, display.filters + (pred,), display.grouping, rowset)
 
 
 def apply_group(display: Display, grouping: Grouping) -> Display:
@@ -512,9 +533,7 @@ def apply_group(display: Display, grouping: Grouping) -> Display:
         raise ValueError(
             f"{grouping.agg_func} requires a numeric aggregate column, "
             f"{grouping.agg_col!r} is {agg_kind.value}")
-    rowset = display._rowset
-    return Display(ds, display.filters, grouping, rowset,
-                   *rowset.grouped(ds, grouping))
+    return Display(ds, display.filters, grouping, display._rowset)
 
 
 def canonical_term(term: str, kind: ColumnKind) -> str:
@@ -568,10 +587,7 @@ def column_histogram(display: Display, column: str) -> Mapping:
     g = display.grouping
     if g is not None and g.grp_col == column:
         n = display.group_count
-        if n == 0:
-            return {}
-        share = 1.0 / n
-        return {key: share for key in display.group_keys}
+        return dict.fromkeys(display.group_keys, 1.0 / n) if n else {}
     histograms = display._rowset.histograms
     hist = histograms.get(idx)
     if hist is None:
@@ -609,6 +625,8 @@ def _read_columns(path: Path):
             header = next(reader)
         except StopIteration:
             raise ValueError(f"{path}: empty file, expected a header row") from None
+        if not header:
+            raise ValueError(f"{path}: the header row names no columns")
         rows = []
         for r, row in enumerate(reader):
             if len(row) != len(header):

@@ -18,9 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from . import nn
-from .env import (DEFAULT_HORIZON, DEFAULT_TERM_BINS, HEAD_MASKS, EdaEnv,
-                  HeadLayout, Step, decide, encode_action, heads_from_action,
-                  replay, state_from_history)
+from .env import (DEFAULT_HORIZON, DEFAULT_TERM_BINS, HEAD_MASKS,
+                  HISTORY_WINDOW, EdaEnv, HeadLayout, Step, action_one_hots,
+                  decide, encode_display, replay, state_from_history)
 from .tabular import ColumnKind, is_finite_number, is_int
 
 CHECKPOINT_VERSION = 5
@@ -257,7 +257,12 @@ def action_agreement(policy: nn.PolicyNet, expert_steps) -> float:
 class RolloutCollector:
     """LANES episodes stepped in lockstep. A lane whose episode finishes
     restarts on the next training dataset, round-robin, and an episode runs
-    on across collection windows."""
+    on across collection windows.
+
+    A step's next state vector is its state vector shifted by one display
+    encoding, the new display's, or the same vector when the history did
+    not grow. Its action vector is a row of the tick's `action_one_hots`.
+    """
 
     def __init__(self, policy: nn.PolicyNet, datasets, layout: HeadLayout,
                  cfg: TrainConfig, rng: np.random.Generator):
@@ -282,22 +287,27 @@ class RolloutCollector:
         tick steps the first min(LANES, steps left) lanes with one policy
         and one discriminator forward."""
         out = []
-        cfg, layout, lanes = self.cfg, self.layout, self._lanes
+        cfg, lanes = self.cfg, self._lanes
+        width = self.layout.state_dim // HISTORY_WINDOW
         while len(out) < n_steps:
             k = min(len(lanes), n_steps - len(out))
             svecs = np.stack([svec for _, _, svec in lanes[:k]])
-            heads, logps, actions = decide(
-                self.policy, svecs, [state.current for _, state, _ in lanes[:k]],
-                self.rng)
+            displays = [state.current for _, state, _ in lanes[:k]]
+            heads, logps, actions = decide(self.policy, svecs, displays,
+                                           self.rng)
+            # the discriminator sees the heads each action uses, as for
+            # expert steps
+            avecs = action_one_hots(heads, displays, self.layout)
             steps = []
             for i, (action, logp) in enumerate(zip(actions, logps.tolist())):
                 env, state, svec = lanes[i]
-                # the discriminator sees the canonical heads, as for expert steps
-                avec = encode_action(heads_from_action(
-                    action, state.current, layout), layout)
                 next_state = env.step(state, action)
-                next_svec = state_from_history(next_state.history)
-                step = Step(state=svec, heads=heads[i], action_vec=avec,
+                if len(next_state.history) > len(state.history):
+                    next_svec = np.concatenate((svec[width:], encode_display(
+                        next_state.history[-1], env.dataset)))
+                else:
+                    next_svec = svec
+                step = Step(state=svec, heads=heads[i], action_vec=avecs[i],
                             next_state=next_svec, done=next_state.done,
                             logprob=logp)
                 if cfg.penalty_enabled:
@@ -308,8 +318,7 @@ class RolloutCollector:
                     lanes[i] = self._start()
                 else:
                     lanes[i] = env, next_state, next_svec
-            d_probs, _ = disc.forward(np.concatenate(
-                [svecs, np.stack([step.action_vec for step in steps])], axis=1))
+            d_probs, _ = disc.forward(np.concatenate([svecs, avecs], axis=1))
             for step, d_prob in zip(steps, d_probs.tolist()):
                 step.reward = imitation_reward(d_prob, step.penalty)
             buffer.extend(steps)

@@ -75,6 +75,8 @@ def load_dataset(path, schema=None, delimiter=",", name=None,
             header = next(reader)
         except StopIteration:
             raise ValueError(f"{path}: empty file, expected a header row") from None
+        if not header:
+            raise ValueError(f"{path}: the header row names no columns")
         raw = []
         for r, row in enumerate(reader):
             if len(row) != len(header):

@@ -727,6 +727,13 @@ def test_data_errors_exit_two(tmp_path, data_dir):
     assert run("eval", "--sessions", data_dir / "ds1.eval.json",
                "--data", data_without(data_dir, tmp_path / "ne", "eval"),
                "--datasets", "ds1") == 2
+    # a table whose header row names no columns
+    headless = data_without(data_dir, tmp_path / "nc", "schema")
+    (headless / "ds1.csv").write_text("\n")
+    assert run("train", "--data", headless, "--datasets", "ds1",
+               "--out", tmp_path / "nc-out") == 2
+    assert run("measure", "--session", data_dir / "ds1.eval.json",
+               "--dataset", headless / "ds1.csv") == 2
     # a malformed schema sidecar next to the dataset
     (tmp_path / "ds1.csv").write_bytes((data_dir / "ds1.csv").read_bytes())
     for malformed in ("{bad", '["c1"]', '{"c1": "weird"}'):

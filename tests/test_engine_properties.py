@@ -13,8 +13,8 @@ import measures_reference
 import row_engine as ref
 from rollout_reference import encode
 from autoeda.env import (ACTION_KINDS, ActionSpec, EdaEnv, HeadLayout,
-                         action_from_heads, default_agg_col, encode_display,
-                         heads_from_action, walk)
+                         action_from_heads, action_one_hots, default_agg_col,
+                         encode_action, encode_display, heads_from_action, walk)
 from autoeda.measures import (EMPTY_RULESET, CoherenceRuleset, coherence, kl_divergence,
                               max_column_kl, score_session)
 from autoeda.tabular import (AGG_FUNCS, FILTER_OPS, ColumnKind, Dataset,
@@ -301,6 +301,57 @@ def test_actions_from_heads_match_reference(case):
                 reference_action_from_heads(h, ds, ranked, root_ranked)
 
 
+def every_head(ds, bins):
+    """Every head tuple of a layout over `ds` with `bins` term bins."""
+    return list(itertools.product(
+        range(len(ACTION_KINDS)), range(len(ds.columns)), range(len(AGG_FUNCS)),
+        range(len(FILTER_OPS)), range(bins)))
+
+
+@st.composite
+def one_hot_ticks(draw):
+    """A table, a session on it, a term bin count, and the head tuples of
+    one tick of up to 16 lanes, their term bins often past a view's
+    ranking."""
+    ds = draw(tables())
+    bins = draw(st.sampled_from([1, 3, 20]))
+    head = st.tuples(st.integers(0, len(ACTION_KINDS) - 1),
+                     st.integers(0, len(ds.columns) - 1),
+                     st.integers(0, len(AGG_FUNCS) - 1),
+                     st.integers(0, len(FILTER_OPS) - 1), st.integers(0, bins - 1))
+    return ds, draw(sessions(ds)), bins, draw(st.lists(head, min_size=1, max_size=16))
+
+
+# a text-only table, where SUM, MEAN, MIN and MAX degrade to COUNT, and an
+# emptied view; a column with no value, whose ranking is empty at the root
+# too; text operators on a numeric column
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(one_hot_ticks())
+@example((NULS, EMPTIED, 20, every_head(NULS, 20)))
+@example((NO_VALUES, [ActionSpec("FILTER", filter=FilterPredicate("n", "EQ", "7"))], 3,
+          every_head(NO_VALUES, 3)))
+@example((PAIR, [], 20, every_head(PAIR, 20)))
+def test_tick_one_hots_match_the_canonical_round_trip(case):
+    """Each row of a tick's one-hot matrix, with every head tuple on every
+    view of a random session, equals the action vector of the round trip
+    through the action and back to its canonical heads; and each GROUP
+    action applies, so a numeric-only aggregate over a column of another
+    kind has degraded to COUNT on both sides."""
+    ds, actions, bins, heads = case
+    layout = HeadLayout(len(ds.columns), bins)
+    views = [state.current for state in walk(ds, actions)]
+    for shift in range(len(views)):
+        displays = [views[(i + shift) % len(views)] for i in range(len(heads))]
+        got = action_one_hots(np.array(heads), displays, layout)
+        assert got.shape == (len(heads), layout.action_dim)
+        for row, h, d in zip(got, heads, displays):
+            action = action_from_heads(h, d)
+            if action.kind == "GROUP":
+                apply_group(d, action.group)
+            canonical = heads_from_action(action, d, layout)
+            assert np.array_equal(row, encode_action(canonical, layout))
+
+
 @st.composite
 def sessions_with_repeats(draw, ds):
     """A random session in which up to two of the actions before a trailing
@@ -466,3 +517,34 @@ def test_cached_histograms_and_kls_match_fresh_datasets(case):
                     kl_divergence(cold[a.key][c], cold[b.key][c]) for c in columns)
         fresh = Dataset(ds.name, ds.columns, ref.dataset_rows(ds))
         assert score_session(ds, actions) == score_session(fresh, actions)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(tables().flatmap(lambda ds: st.tuples(st.just(ds), lineage_sessions(ds),
+                                             st.randoms(use_true_random=False))))
+@example((SUMS, SHARED, random.Random(0)))
+def test_lazy_aggregates_match_reference_whenever_read(case):
+    """Step a session and, after each step, read the group table of a
+    random view built so far, or of none; then read every view in a random
+    order. Each read equals the row engine's, whether the row set's
+    aggregates were first read through an earlier view, a later one or
+    this one."""
+    ds, actions, rng = case
+    env = EdaEnv(ds, horizon=len(actions))
+    expected = reference_walk(ds, actions)
+    states = [env.reset()]
+
+    def check(i):
+        d, view = states[i].current, expected[i]
+        assert d.group_aggs == tuple(agg for _, agg in view.group_rows)
+        assert d.group_rows == view.group_rows
+        assert d.visible_rows == view.visible
+
+    for action in actions:
+        states.append(env.step(states[-1], action))
+        if rng.random() < 0.5:
+            check(rng.randrange(len(states)))
+    order = list(range(len(states)))
+    rng.shuffle(order)
+    for i in order:
+        check(i)

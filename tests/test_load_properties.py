@@ -90,6 +90,7 @@ def load_both(text, schema=None, max_categorical=20, categorical_fraction=0.05):
 @given(LOAD_CASES)
 @example(("a,b\n", None, 20, 0.05))
 @example(("", None, 20, 0.05))
+@example(("\n", None, 20, 0.05))
 @example(("n,m\n0,-0\n-0,0\n0,-0\n", None, 20, 0.05))
 @example(("a,b\n1,1\n2,x\ny,3\n", {"a": "numeric", "b": "numeric"}, 20, 0.05))
 def test_load_matches_row_reference(case):

@@ -11,7 +11,7 @@ from autoeda.tabular import (ColumnKind, Dataset, FilterPredicate, Grouping,
                              column_histogram, display_fingerprint,
                              initial_display, load_dataset, load_schema_sidecar,
                              write_dataset, write_schema_sidecar)
-from autoeda.env import ActionSpec, walk
+from autoeda.env import ActionSpec, encode_display, walk
 from row_engine import dataset_rows
 
 
@@ -327,13 +327,17 @@ def test_the_dataset_keeps_its_root_row_set(toy, monkeypatch):
 
 
 def test_cached_row_statistics_are_read_only(toy):
-    """The summary and entropy arrays a row set hands to every view that
-    shares it cannot be written through any of them."""
+    """The summary arrays and the encoding a row set hands to every view
+    that shares it cannot be written through any of them; a grouped view's
+    own encoding, patched from a copy, cannot be written either."""
     d = apply_filter(initial_display(toy), fp("color", "NEQ", "red"))
     grouped = apply_group(d, Grouping("color", "score", "COUNT"))
-    assert grouped.entropy_bits() is d.entropy_bits()
+    kept = apply_filter(d, fp("color", "NEQ", "purple"))
     assert grouped._summarize() is d._summarize()
-    for array in (*d._summarize(), d.entropy_bits()):
+    assert encode_display(kept, toy) is encode_display(d, toy)
+    assert encode_display(grouped, toy) is not encode_display(d, toy)
+    for array in (*d._summarize(), encode_display(d, toy),
+                  encode_display(grouped, toy)):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 0

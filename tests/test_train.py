@@ -7,10 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from autoeda import nn, train
-from autoeda.env import (BACK, HEAD_MASKS, STOP, ActionSpec, HeadLayout,
-                         state_vec_len)
-from autoeda.tabular import FilterPredicate, Grouping
+from autoeda import nn, tabular, train
+from autoeda.env import (BACK, HEAD_MASKS, STOP, ActionSpec, EdaEnv, HeadLayout,
+                         state_from_history, state_vec_len)
+from autoeda.tabular import Dataset, FilterPredicate, Grouping
+from row_engine import dataset_rows
 from autoeda.train import (RolloutCollector, Step, TrainConfig, TrainResult,
                            _advantages, _draw, action_agreement,
                            assemble_mixed_batch, bc_pretrain, clipped_surrogate,
@@ -277,6 +278,53 @@ def test_rollouts_deterministic(toy):
         ts = collector.collect(disc, 25, buf)
         streams.append([(t.reward, tuple(t.heads), t.done) for t in ts])
     assert streams[0] == streams[1]
+
+
+def test_collected_states_are_those_of_their_histories(toy, monkeypatch):
+    """Each collected step's state and next state equal, bit for bit,
+    `state_from_history` of the episode states before and after it, across
+    windows that split episodes and episodes that end by STOP or horizon."""
+    transitions = []
+    step = EdaEnv.step
+
+    def recorded(self, state, action):
+        after = step(self, state, action)
+        transitions.append((state, after))
+        return after
+
+    monkeypatch.setattr(EdaEnv, "step", recorded)
+    cfg = small_cfg(horizon=5)
+    layout, policy, _, disc = _fresh_nets(toy, cfg)
+    collector = RolloutCollector(policy, [toy], layout, cfg, derive_rng(4, 2))
+    steps = [t for n in (37, 50, 9) for t in collector.collect(disc, n, deque())]
+    assert len(steps) == len(transitions) == 96
+    assert {int(t.heads[0]) for t in steps} == {0, 1, 2, 3}
+    for t, (before, after) in zip(steps, transitions):
+        assert t.state.tobytes() == state_from_history(before.history).tobytes()
+        assert t.next_state.tobytes() == state_from_history(after.history).tobytes()
+
+
+def test_a_collect_window_computes_only_what_it_reads(synthetic_dataset,
+                                                     monkeypatch):
+    """One window at the default lane count on a fresh copy of the
+    synthetic table computes no group aggregate, and encodes once per view
+    a step appends to its episode's history (GROUP, FILTER and BACK, not
+    STOP)."""
+    ds = Dataset("fresh", synthetic_dataset.columns, dataset_rows(synthetic_dataset))
+    aggregates, encoded = [], []
+    monkeypatch.setattr(tabular, "_group_aggregates",
+                        lambda *args: aggregates.append(args))
+    encode = train.encode_display
+    monkeypatch.setattr(train, "encode_display",
+                        lambda d, base: encoded.append(d) or encode(d, base))
+    cfg = small_cfg(horizon=12)
+    layout, policy, _, disc = _fresh_nets(ds, cfg)
+    collector = RolloutCollector(policy, [ds], layout, cfg, derive_rng(3, 2))
+    steps = collector.collect(disc, 512, deque())
+    kinds = [int(t.heads[0]) for t in steps]
+    assert kinds.count(0) > 0
+    assert aggregates == []
+    assert len(encoded) == len(kinds) - kinds.count(3)
 
 
 # ---------------------------------------------------------------------------
