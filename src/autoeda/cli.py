@@ -188,6 +188,9 @@ def _load_dataset(path):
     try:
         schema = (tabular.load_schema_sidecar(sidecar) if sidecar.exists()
                   else None)
+    except (OSError, ValueError) as exc:
+        raise DataError(f"cannot load schema sidecar {sidecar}: {exc}") from exc
+    try:
         dataset = tabular.load_dataset(path, schema=schema)
     except (OSError, ValueError) as exc:
         raise DataError(f"cannot load dataset {path}: {exc}") from exc

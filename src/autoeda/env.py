@@ -182,13 +182,6 @@ def _rows_encoding(display: Display, base: Dataset) -> np.ndarray:
     return rowset.encoding
 
 
-def state_from_history(history) -> np.ndarray:
-    """Concatenate encodings of the last three displays, zero-padded on the left."""
-    recent = [encode_display(d, d.dataset) for d in history[-HISTORY_WINDOW:]]
-    pad = np.zeros((HISTORY_WINDOW - len(recent)) * len(recent[0]))
-    return np.concatenate([pad, *recent])
-
-
 @dataclass(frozen=True)
 class EpisodeState:
     display_stack: tuple
@@ -199,6 +192,21 @@ class EpisodeState:
     @property
     def current(self) -> Display:
         return self.display_stack[-1]
+
+
+def state_vec(state: EpisodeState, prev: np.ndarray | None = None) -> np.ndarray:
+    """The state vector of `state` (the last HISTORY_WINDOW display
+    encodings of its history, zero-padded on the left) from `prev`, the
+    previous state's, by the one window rule: a reset (no `prev`) is the
+    zero vector with the root view pushed in; GROUP, FILTER and BACK shift
+    `prev` by the new display's encoding; STOP keeps `prev`."""
+    if prev is not None and state.action_history[-1].kind == "STOP":
+        return prev
+    display = state.history[-1]
+    vec = encode_display(display, display.dataset)
+    if prev is None:
+        prev = np.zeros(HISTORY_WINDOW * len(vec))
+    return np.concatenate((prev[len(vec):], vec))
 
 
 class EdaEnv:
@@ -282,14 +290,13 @@ def action_heads(heads, display: Display) -> tuple[int, ...]:
     return kind_i, 0, 0, 0, 0
 
 
-def action_from_heads(heads, display: Display) -> ActionSpec:
-    """Materialize head indices into a concrete action for a display.
-
-    Total by construction (`action_heads`): an empty column falls back to
-    the full table's mode, and a column with no value at all to the term
-    "". The term is the value's text in `Dataset.texts`.
-    """
-    kind_i, col_i, agg_i, op_i, bin_i = action_heads(heads, display)
+def action_from_heads(used, display: Display) -> ActionSpec:
+    """Materialize the head values an action uses (`action_heads`, as
+    `decide` computes them) into a concrete action, recomputing none: an
+    empty column falls back to the full table's mode, and a column with no
+    value at all to the term "". The term is the value's text in
+    `Dataset.texts`."""
+    kind_i, col_i, agg_i, op_i, bin_i = used
     kind = ACTION_KINDS[kind_i]
     if kind in ("BACK", "STOP"):
         return ActionSpec(kind)
@@ -340,26 +347,11 @@ def _term_bin(pred, display, idx, layout):
     return min(rank, layout.term_bins - 1)
 
 
-def encode_action(heads, layout: HeadLayout) -> np.ndarray:
-    """One-hot blocks per head of canonical head indices (from
-    heads_from_action); heads unused by the kind in head 0 stay zero."""
-    vec = np.zeros(layout.action_dim)
-    offset = 0
-    relevant = RELEVANT_HEADS[heads[0]]
-    for h, size in enumerate(layout.sizes):
-        if h in relevant:
-            vec[offset + heads[h]] = 1.0
-        offset += size
-    return vec
-
-
-def action_one_hots(heads, displays, layout: HeadLayout) -> np.ndarray:
-    """The (k, action_dim) action vectors of k decisions, one per row of the
-    (k, heads) array `heads` on its display: row i is
-    `encode_action(heads_from_action(action_from_heads(heads[i],
-    displays[i]), displays[i], layout), layout)`, set from `action_heads`
-    in one assignment."""
-    used = np.array([action_heads(h, d) for h, d in zip(heads.tolist(), displays)])
+def encode_action(used: np.ndarray, layout: HeadLayout) -> np.ndarray:
+    """The (k, action_dim) one-hot matrix of k actions from the (k, N_HEADS)
+    integer array of the head values they use (`action_heads` of a
+    decision, `heads_from_action` of an expert action), set in one
+    assignment; the heads a row's kind ignores stay zero."""
     rows, cols = np.nonzero(HEAD_MASKS[used[:, 0]])
     starts = np.cumsum((0,) + layout.sizes[:-1])
     vecs = np.zeros((len(used), layout.action_dim))
@@ -371,8 +363,9 @@ def decide(policy: nn.PolicyNet, svecs: np.ndarray, displays,
            rng: np.random.Generator | None = None):
     """One decision in each of k states: one policy forward on their
     stacked (k, state_dim) vectors, and the actions on their current
-    `displays`. Returns the (k, heads) head indices, the (k,) log-probs and
-    the k actions.
+    `displays`. Returns the (k, N_HEADS) head indices, the k tuples of
+    head values the actions use (`action_heads`, computed once per
+    decision), the (k,) log-probs and the k actions.
 
     With `rng` every head is sampled and a log-prob covers the heads the
     sampled kind uses; without it every head takes its argmax and the
@@ -384,8 +377,9 @@ def decide(policy: nn.PolicyNet, svecs: np.ndarray, displays,
         logp = None
     else:
         heads, logp = nn.sample_action(probs, rng, RELEVANT_HEADS)
-    actions = [action_from_heads(h, d) for h, d in zip(heads.tolist(), displays)]
-    return heads, logp, actions
+    used = [action_heads(h, d) for h, d in zip(heads.tolist(), displays)]
+    actions = [action_from_heads(u, d) for u, d in zip(used, displays)]
+    return heads, used, logp, actions
 
 
 @dataclass(frozen=True)
@@ -433,19 +427,21 @@ def walk_displays(dataset: Dataset, actions):
 
 def replay(dataset: Dataset, actions,
            layout: HeadLayout | None = None) -> list[Step]:
-    """Training-ready steps of a session, one per action."""
+    """Training-ready steps of a session, one per action: states by the one
+    window rule, action vectors from one `encode_action` call."""
     if layout is None:
         layout = HeadLayout(len(dataset.columns))
     states = walk(dataset, actions)
-    vecs = [state_from_history(s.history) for s in states]
-    steps = []
-    for t, action in enumerate(actions, start=1):
-        heads = heads_from_action(action, states[t - 1].current, layout)
-        steps.append(Step(
-            state=vecs[t - 1], heads=np.asarray(heads),
-            action_vec=encode_action(heads, layout),
-            next_state=vecs[t], done=states[t].done))
-    return steps
+    vecs = [state_vec(states[0])]
+    for state in states[1:]:
+        vecs.append(state_vec(state, vecs[-1]))
+    heads = np.array([heads_from_action(action, before.current, layout)
+                      for before, action in zip(states, actions)],
+                     dtype=np.int64).reshape(len(actions), N_HEADS)
+    avecs = encode_action(heads, layout)
+    return [Step(state=vecs[t], heads=heads[t], action_vec=avecs[t],
+                 next_state=vecs[t + 1], done=states[t + 1].done)
+            for t in range(len(actions))]
 
 
 def action_to_json(action: ActionSpec) -> dict:

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import nn
 from .env import (DEFAULT_HORIZON, EdaEnv, Trajectory, decide, encode_display,
-                  state_from_history, walk_displays)
+                  state_vec, walk_displays)
 from .tabular import Dataset, display_fingerprint
 
 DEFAULT_SIM_THRESHOLD = 0.9
@@ -126,12 +126,14 @@ def generate_session(policy: nn.PolicyNet, dataset: Dataset,
                      horizon: int = DEFAULT_HORIZON,
                      rng: np.random.Generator | None = None) -> Trajectory:
     """One episode of the policy over a dataset, decided by `decide`: each
-    head is sampled from `rng`, or takes its argmax without one."""
+    head is sampled from `rng`, or takes its argmax without one. Each state
+    that decides is encoded by the one window rule (`env.state_vec`) from
+    the one before it; the finished episode's last state is not encoded."""
     env = EdaEnv(dataset, horizon)
-    state = env.reset()
+    state, svec = env.reset(), None
     while not state.done:
-        svec = state_from_history(state.history)
-        _, _, (action,) = decide(policy, svec[None], [state.current], rng)
+        svec = state_vec(state, svec)
+        *_, (action,) = decide(policy, svec[None], [state.current], rng)
         state = env.step(state, action)
     return Trajectory(dataset.name, state.action_history)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import ActionSpec, Trajectory
+from .env import BACK, STOP, ActionSpec, Trajectory
 from .tabular import ColumnKind, Dataset, FilterPredicate, Grouping
 
 TEXT_POSITIONS = ("START", "MIDDLE", "END")
@@ -298,7 +298,7 @@ def _visit(col, dataset: Dataset, pat_by_col, outgoing, rng: np.random.Generator
         if edge.dst_col not in visited:
             _visit(edge.dst_col, dataset, pat_by_col, outgoing, rng, group_prob,
                    visited, actions)
-        actions.extend([ActionSpec("BACK"), ActionSpec("BACK")])
+        actions.extend([BACK, BACK])
 
 
 def generate_expert_trajectories(dataset: Dataset, patterns, dag: CorrelationDag,
@@ -328,7 +328,7 @@ def generate_expert_trajectories(dataset: Dataset, patterns, dag: CorrelationDag
         for root in roots:
             _visit(root, dataset, pat_by_col, outgoing, rng, group_prob,
                    visited, actions)
-        actions.append(ActionSpec("STOP"))
+        actions.append(STOP)
         trajectories.append(Trajectory(dataset.name, tuple(actions)))
     return trajectories
 

@@ -624,13 +624,13 @@ def _read_columns(path: Path):
         try:
             header = next(reader)
         except StopIteration:
-            raise ValueError(f"{path}: empty file, expected a header row") from None
+            raise ValueError("empty file, expected a header row") from None
         if not header:
-            raise ValueError(f"{path}: the header row names no columns")
+            raise ValueError("the header row names no columns")
         rows = []
         for r, row in enumerate(reader):
             if len(row) != len(header):
-                raise ValueError(f"{path}: row {r + 1} has {len(row)} cells, expected {len(header)}")
+                raise ValueError(f"row {r + 1} has {len(row)} cells, expected {len(header)}")
             rows.append(row)
     columns = list(zip(*rows)) if rows else [()] * len(header)
     return header, columns, len(rows)
@@ -670,7 +670,7 @@ def load_dataset(path, schema: dict | None = None, max_categorical: int = 20,
         encoded.append(_encode_column(cells, distinct, values))
     if bad:
         r, i, cell = min(bad)
-        raise ValueError(f"{path}: row {r + 1}, column {header[i]!r}: "
+        raise ValueError(f"row {r + 1}, column {header[i]!r}: "
                          f"non-numeric cell {cell!r} in numeric column")
     return Dataset._encoded(path.stem, list(zip(header, kinds)), encoded, n_rows)
 
@@ -679,7 +679,7 @@ def load_schema_sidecar(path) -> dict:
     with open(path) as fh:
         obj = json.load(fh)
     if not isinstance(obj, dict):
-        raise ValueError(f"schema sidecar {path} is not a column -> kind object")
+        raise ValueError("not a column -> kind object")
     return {col: ColumnKind(kind) for col, kind in obj.items()}
 
 

@@ -18,9 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import nn
-from .env import (DEFAULT_HORIZON, DEFAULT_TERM_BINS, HEAD_MASKS,
-                  HISTORY_WINDOW, EdaEnv, HeadLayout, Step, action_one_hots,
-                  decide, encode_display, replay, state_from_history)
+from .env import (DEFAULT_HORIZON, DEFAULT_TERM_BINS, HEAD_MASKS, EdaEnv,
+                  HeadLayout, Step, decide, encode_action, replay, state_vec)
 from .tabular import ColumnKind, is_finite_number, is_int
 
 CHECKPOINT_VERSION = 5
@@ -259,9 +258,10 @@ class RolloutCollector:
     restarts on the next training dataset, round-robin, and an episode runs
     on across collection windows.
 
-    A step's next state vector is its state vector shifted by one display
-    encoding, the new display's, or the same vector when the history did
-    not grow. Its action vector is a row of the tick's `action_one_hots`.
+    A step's state vectors follow the one window rule (`env.state_vec`).
+    Its heads are the sampled ones, whose log-prob PPO's ratio needs; its
+    action vector is a row of the tick's `encode_action` of the head values
+    its action uses, as `decide` returns them.
     """
 
     def __init__(self, policy: nn.PolicyNet, datasets, layout: HeadLayout,
@@ -278,7 +278,7 @@ class RolloutCollector:
         """(env, state, state vector) of a new episode on the next dataset."""
         env = next(self._envs)
         state = env.reset()
-        return env, state, state_from_history(state.history)
+        return env, state, state_vec(state)
 
     def collect(self, disc: nn.DiscriminatorNet, n_steps: int,
                 buffer: deque) -> list[Step]:
@@ -288,25 +288,20 @@ class RolloutCollector:
         and one discriminator forward."""
         out = []
         cfg, lanes = self.cfg, self._lanes
-        width = self.layout.state_dim // HISTORY_WINDOW
         while len(out) < n_steps:
             k = min(len(lanes), n_steps - len(out))
             svecs = np.stack([svec for _, _, svec in lanes[:k]])
             displays = [state.current for _, state, _ in lanes[:k]]
-            heads, logps, actions = decide(self.policy, svecs, displays,
-                                           self.rng)
+            heads, used, logps, actions = decide(self.policy, svecs, displays,
+                                                 self.rng)
             # the discriminator sees the heads each action uses, as for
             # expert steps
-            avecs = action_one_hots(heads, displays, self.layout)
+            avecs = encode_action(np.array(used), self.layout)
             steps = []
             for i, (action, logp) in enumerate(zip(actions, logps.tolist())):
                 env, state, svec = lanes[i]
                 next_state = env.step(state, action)
-                if len(next_state.history) > len(state.history):
-                    next_svec = np.concatenate((svec[width:], encode_display(
-                        next_state.history[-1], env.dataset)))
-                else:
-                    next_svec = svec
+                next_svec = state_vec(next_state, svec)
                 step = Step(state=svec, heads=heads[i], action_vec=avecs[i],
                             next_state=next_svec, done=next_state.done,
                             logprob=logp)

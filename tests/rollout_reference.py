@@ -10,6 +10,11 @@ training loop did, so the new code must make the same rng calls in the same
 order. Each decision samples with the reference sampler of `nn_reference`
 and encodes its states with `encode_state`, which computes every display's
 encoding afresh and neither reads nor fills any cache.
+
+`state_from_history` and `one_hot` are the library's state window and
+action encoder as they were, a window rebuilt from the last three displays
+and one action's blocks set a head at a time: the oracles of `env.state_vec`
+and the batched `env.encode_action`.
 """
 
 import math
@@ -20,8 +25,8 @@ import numpy as np
 
 import nn_reference
 from autoeda.env import (ACTION_KINDS, HISTORY_WINDOW, N_HEADS, RELEVANT_HEADS,
-                         EdaEnv, Trajectory, action_from_heads, encode_action,
-                         heads_from_action)
+                         EdaEnv, Trajectory, action_from_heads, action_heads,
+                         encode_display, heads_from_action)
 from autoeda.tabular import column_histogram
 from autoeda.train import imitation_reward, incoherence_penalty
 
@@ -56,6 +61,26 @@ def encode(display):
     return vec
 
 
+def state_from_history(history):
+    """Concatenate encodings of the last three displays, zero-padded on the left."""
+    recent = [encode_display(d, d.dataset) for d in history[-HISTORY_WINDOW:]]
+    pad = np.zeros((HISTORY_WINDOW - len(recent)) * len(recent[0]))
+    return np.concatenate([pad, *recent])
+
+
+def one_hot(heads, layout):
+    """One-hot blocks per head of one action's head values; heads unused by
+    the kind in head 0 stay zero."""
+    vec = np.zeros(layout.action_dim)
+    offset = 0
+    relevant = RELEVANT_HEADS[heads[0]]
+    for h, size in enumerate(layout.sizes):
+        if h in relevant:
+            vec[offset + heads[h]] = 1.0
+        offset += size
+    return vec
+
+
 def head_mask(kind):
     """The heads an action of `kind` uses, as each step once carried them."""
     mask = np.zeros(N_HEADS, dtype=bool)
@@ -86,7 +111,7 @@ def policy_step(policy, env, state, rng=None, svec=None):
         heads, logp = tuple(int(np.argmax(p)) for p in dists), None
     else:
         heads, logp = nn_reference.sample_action(dists, rng, RELEVANT_HEADS)
-    action = action_from_heads(heads, state.current)
+    action = action_from_heads(action_heads(heads, state.current), state.current)
     return svec, heads, logp, action, env.step(state, action)
 
 
@@ -143,9 +168,9 @@ class RolloutCollector:
             env, state = self._env, self._state
             svec, heads, logp, action, new_state = policy_step(
                 policy, env, state, self.rng, self._svec)
-            avec = encode_action(heads_from_action(action, state.current,
-                                                   self.layout),
-                                 self.layout)
+            avec = one_hot(heads_from_action(action, state.current,
+                                             self.layout),
+                           self.layout)
             penalty = 0.0
             if cfg.penalty_enabled:
                 penalty = incoherence_penalty(new_state.action_history)

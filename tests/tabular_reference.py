@@ -74,13 +74,13 @@ def load_dataset(path, schema=None, delimiter=",", name=None,
         try:
             header = next(reader)
         except StopIteration:
-            raise ValueError(f"{path}: empty file, expected a header row") from None
+            raise ValueError("empty file, expected a header row") from None
         if not header:
-            raise ValueError(f"{path}: the header row names no columns")
+            raise ValueError("the header row names no columns")
         raw = []
         for r, row in enumerate(reader):
             if len(row) != len(header):
-                raise ValueError(f"{path}: row {r + 1} has {len(row)} cells, expected {len(header)}")
+                raise ValueError(f"row {r + 1} has {len(row)} cells, expected {len(header)}")
             raw.append(row)
 
     schema = {k: ColumnKind(v) for k, v in (schema or {}).items()}
@@ -101,7 +101,7 @@ def load_dataset(path, schema=None, delimiter=",", name=None,
             elif kinds[i] is ColumnKind.NUMERIC:
                 value = parse_number(cell)
                 if value is None:
-                    raise ValueError(f"{path}: row {r + 1}, column {header[i]!r}: "
+                    raise ValueError(f"row {r + 1}, column {header[i]!r}: "
                                      f"non-numeric cell {cell!r} in numeric column")
                 out.append(value)
             else:

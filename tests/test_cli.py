@@ -742,6 +742,33 @@ def test_data_errors_exit_two(tmp_path, data_dir):
                    "--dataset", tmp_path / "ds1.csv") == 2, malformed
 
 
+def test_dataset_load_errors_name_each_file_once(tmp_path, data_dir, capsys):
+    """A CSV's own load errors name the CSV once; a schema sidecar's name
+    the sidecar, not the CSV."""
+    csv_path, sidecar = tmp_path / "ds1.csv", tmp_path / "ds1.schema.json"
+
+    def error_of(csv_text, sidecar_text=None):
+        csv_path.write_text(csv_text)
+        if sidecar_text is None:
+            sidecar.unlink(missing_ok=True)
+        else:
+            sidecar.write_text(sidecar_text)
+        assert run("measure", "--session", data_dir / "ds1.eval.json",
+                   "--dataset", csv_path) == 2
+        return capsys.readouterr().err
+
+    for csv_text, sidecar_text, detail in (
+            ("", None, "empty file"), ("\n", None, "names no columns"),
+            ("a,b\n1,2\n3\n", None, "row 2 has 1 cells"),
+            ("a,b\n1,2\n3,x\n", '{"b": "numeric"}', "non-numeric cell 'x'")):
+        err = error_of(csv_text, sidecar_text)
+        assert err.count(str(csv_path)) == 1 and detail in err, err
+        assert str(sidecar) not in err, err
+    for sidecar_text in ("{bad", '["c1"]', '{"a": "weird"}'):
+        err = error_of("a,b\n1,2\n", sidecar_text)
+        assert err.count(str(sidecar)) == 1 and str(csv_path) not in err, err
+
+
 def test_measure_bad_session_or_ruleset_exits_two(data_dir, tmp_path, capsys):
     """An empty session is a data error that names it, and so are sessions
     of another dataset and a ruleset file that is valid JSON but not a

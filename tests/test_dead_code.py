@@ -1,8 +1,9 @@
-"""No dead library code: every top-level function and class of
-`src/autoeda`, and every method, is used from the program itself (`src/`,
-`bench/` or `demos/`), not only from the tests. Private names (one leading
-underscore, not a dunder) are held to the same rule, so a fold that leaves a
-helper behind is caught, and no module imports another's private name."""
+"""No dead library code: every top-level function, class and assigned
+name of `src/autoeda`, and every method, is used from the program itself
+(`src/`, `bench/` or `demos/`), not only from the tests. Private names (one
+leading underscore, not a dunder) are held to the same rule, so a fold that
+leaves a helper behind is caught, and no module imports another's private
+name."""
 
 import ast
 from pathlib import Path
@@ -48,6 +49,26 @@ def _definitions(wanted):
     return out
 
 
+def _assignments():
+    """(qualified name, file, first line, last line) of each name a
+    module-level assignment binds, dunders apart."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            names = [n.id for t in targets for n in ast.walk(t)
+                     if isinstance(n, ast.Name)]
+            out.extend((f"{path.stem}.{name}", path, node.lineno, node.end_lineno)
+                       for name in names
+                       if not (name.startswith("__") and name.endswith("__")))
+    return out
+
+
 def _references():
     """name -> [(file, line)] of every Name, attribute and imported name."""
     refs = {}
@@ -66,12 +87,12 @@ def _references():
     return refs
 
 
-def _unused(wanted):
-    """Qualified names among `_definitions(wanted)` that the program never
+def _unused(definitions):
+    """Qualified names among `definitions` that the program never
     references outside their own body."""
     refs = _references()
     unused = []
-    for qualname, path, first, last in _definitions(wanted):
+    for qualname, path, first, last in definitions:
         name = qualname.rpartition(".")[2]
         used = any(not (ref_path == path and first <= line <= last)
                    for ref_path, line in refs.get(name, ()))
@@ -81,13 +102,18 @@ def _unused(wanted):
 
 
 def test_every_public_definition_is_used_by_the_program():
-    unused = _unused(_is_public)
+    unused = _unused(_definitions(_is_public))
     assert not unused, f"defined but never used by the program: {unused}"
 
 
 def test_every_private_definition_is_used_by_the_program():
-    unused = _unused(_is_private)
+    unused = _unused(_definitions(_is_private))
     assert not unused, f"private but never used by the program: {unused}"
+
+
+def test_every_module_level_name_is_used_by_the_program():
+    unused = _unused(_assignments())
+    assert not unused, f"assigned but never used by the program: {unused}"
 
 
 def test_no_module_imports_another_modules_private_name():

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 import measures_reference
 import row_engine as ref
-from rollout_reference import encode
-from autoeda.env import (ACTION_KINDS, ActionSpec, EdaEnv, HeadLayout,
-                         action_from_heads, action_one_hots, default_agg_col,
+from rollout_reference import encode, one_hot
+from autoeda.env import (ACTION_KINDS, N_HEADS, ActionSpec, EdaEnv, HeadLayout,
+                         action_from_heads, action_heads, default_agg_col,
                          encode_action, encode_display, heads_from_action, walk)
 from autoeda.measures import (EMPTY_RULESET, CoherenceRuleset, coherence, kl_divergence,
                               max_column_kl, score_session)
@@ -297,7 +297,7 @@ def test_actions_from_heads_match_reference(case):
     for display, view in distinct_views(ds, actions):
         ranked = [ref.ranked(view, idx) for idx in range(len(ds.columns))]
         for h in heads:
-            assert action_from_heads(h, display) == \
+            assert action_from_heads(action_heads(h, display), display) == \
                 reference_action_from_heads(h, ds, ranked, root_ranked)
 
 
@@ -333,23 +333,62 @@ def one_hot_ticks(draw):
 @example((PAIR, [], 20, every_head(PAIR, 20)))
 def test_tick_one_hots_match_the_canonical_round_trip(case):
     """Each row of a tick's one-hot matrix, with every head tuple on every
-    view of a random session, equals the action vector of the round trip
-    through the action and back to its canonical heads; and each GROUP
-    action applies, so a numeric-only aggregate over a column of another
-    kind has degraded to COUNT on both sides."""
+    view of a random session, equals the per-head action vector of the
+    round trip through the action and back to its canonical heads; and each
+    GROUP action applies, so a numeric-only aggregate over a column of
+    another kind has degraded to COUNT on both sides."""
     ds, actions, bins, heads = case
     layout = HeadLayout(len(ds.columns), bins)
     views = [state.current for state in walk(ds, actions)]
     for shift in range(len(views)):
         displays = [views[(i + shift) % len(views)] for i in range(len(heads))]
-        got = action_one_hots(np.array(heads), displays, layout)
+        # as the collector builds them, from the head values `decide` returns
+        used = np.array([action_heads(h, d) for h, d in zip(heads, displays)])
+        got = encode_action(used, layout)
         assert got.shape == (len(heads), layout.action_dim)
-        for row, h, d in zip(got, heads, displays):
-            action = action_from_heads(h, d)
+        for row, u, d in zip(got, used.tolist(), displays):
+            action = action_from_heads(u, d)
             if action.kind == "GROUP":
                 apply_group(d, action.group)
             canonical = heads_from_action(action, d, layout)
-            assert np.array_equal(row, encode_action(canonical, layout))
+            assert canonical == tuple(u)
+            assert np.array_equal(row, one_hot(canonical, layout))
+
+
+@st.composite
+def encoder_cases(draw):
+    """A table, a session on it, a layout of 1 to 20 term bins, and k of
+    {0, 1, 16} head tuples of every kind."""
+    ds = draw(tables())
+    layout = HeadLayout(len(ds.columns), draw(st.integers(1, 20)))
+    head = st.tuples(*(st.integers(0, size - 1) for size in layout.sizes))
+    k = draw(st.sampled_from([0, 1, 16]))
+    return ds, draw(sessions(ds)), layout, draw(st.lists(head, min_size=k, max_size=k))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(encoder_cases())
+@example((PAIR, [ActionSpec("BACK"), ActionSpec("FILTER", filter=FilterPredicate("c", "EQ", "b")),
+                 ActionSpec("GROUP", group=Grouping("c", "n", "SUM")), ActionSpec("STOP")],
+          HeadLayout(2, 4), [(kind, 1, 1, 2, 3) for kind in range(4)] * 4))
+def test_batched_one_hots_match_the_per_head_oracle(case):
+    """`encode_action` of k rows of head values, from `action_heads` of
+    decisions on a session's views and from `heads_from_action` of the
+    session's actions, equals the per-head `one_hot` of each row, bit for
+    bit; k = 0 gives a (0, action_dim) matrix."""
+    ds, actions, layout, heads = case
+    states = walk(ds, actions)
+    views = [state.current for state in states]
+    used = [action_heads(h, views[i % len(views)]) for i, h in enumerate(heads)]
+    expert = [heads_from_action(a, state.current, layout)
+              for state, a in zip(states, actions)]
+    expert = [expert[i % len(expert)] for i in range(len(heads))]
+    for rows in (used, expert):
+        got = encode_action(np.array(rows, dtype=np.int64).reshape(-1, N_HEADS),
+                            layout)
+        assert got.shape == (len(heads), layout.action_dim)
+        want = np.array([one_hot(r, layout) for r in rows]).reshape(got.shape)
+        assert np.array_equal(got, want)
 
 
 @st.composite

@@ -9,10 +9,10 @@ import pytest
 from autoeda import env
 from autoeda.env import (BACK, STOP, ActionSpec, EdaEnv, HeadLayout,
                          Trajectory, action_from_heads, action_from_json,
-                         action_to_json, encode_action, encode_display,
-                         heads_from_action, load_trajectories, replay,
-                         save_trajectories, state_from_history,
-                         state_vec_len, walk)
+                         action_heads, action_to_json, encode_action,
+                         encode_display, heads_from_action, load_trajectories,
+                         replay, save_trajectories, state_vec, state_vec_len,
+                         walk)
 from autoeda.tabular import (ColumnKind, Dataset, FilterPredicate, Grouping,
                              apply_filter, apply_group, display_fingerprint,
                              initial_display, load_dataset, write_dataset)
@@ -25,6 +25,17 @@ def FILTER(col, op, term):
 
 def GROUP(grp, agg, func):
     return ActionSpec("GROUP", group=Grouping(grp, agg, func))
+
+
+def act(heads, display):
+    """The action of a decision's head indices on `display`, as `decide`
+    materializes it."""
+    return action_from_heads(action_heads(heads, display), display)
+
+
+def one_hot(heads, layout):
+    """The action vector of one action's head values."""
+    return encode_action(np.array([heads]), layout)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -152,13 +163,13 @@ def test_state_window_padding(toy):
     env = EdaEnv(toy)
     s0 = env.reset()
     block = len(encode_display(s0.current, toy))
-    vec = state_from_history(s0.history)
+    vec = state_vec(s0)
     assert vec.shape == (3 * block,) == (state_vec_len(toy),)
     assert np.all(vec[:2 * block] == 0.0)
     assert np.allclose(vec[2 * block:], encode_display(s0.current, toy))
 
     s1 = env.step(s0, FILTER("color", "EQ", "red"))
-    vec1 = state_from_history(s1.history)
+    vec1 = state_vec(s1, vec)
     assert np.all(vec1[:block] == 0.0)
     assert np.allclose(vec1[block:2 * block], encode_display(s0.current, toy))
     assert np.allclose(vec1[2 * block:], encode_display(s1.current, toy))
@@ -174,10 +185,19 @@ def test_state_window_after_back_reflects_stack_tops(toy):
     assert [display_fingerprint(d) for d in s.history] == \
         [display_fingerprint(d) for d in (d0, d1, d0)]
     block = len(encode_display(d0, toy))
-    vec = state_from_history(s.history)
+    vec = None
+    for state in walk(toy, s.action_history):
+        vec = state_vec(state, vec)
     assert np.allclose(vec[:block], encode_display(d0, toy))
     assert np.allclose(vec[block:2 * block], encode_display(d1, toy))
     assert np.allclose(vec[2 * block:], encode_display(d0, toy))
+
+
+def test_stop_keeps_the_state_vector(toy):
+    env = EdaEnv(toy)
+    s0 = env.reset()
+    vec = state_vec(s0)
+    assert state_vec(env.step(s0, STOP), vec) is vec
 
 
 # ---------------------------------------------------------------------------
@@ -265,20 +285,20 @@ def test_stop_ends_episode(toy):
 # heads <-> actions
 
 def test_kind_stop_ignores_other_heads(toy):
-    a = action_from_heads((3, 2, 4, 4, 19), initial_display(toy))
+    a = act((3, 2, 4, 4, 19), initial_display(toy))
     assert a == STOP
 
 
 def test_filter_mode_selection(toy):
     d = initial_display(toy)
-    a = action_from_heads((1, 0, 0, 0, 0), d)
+    a = act((1, 0, 0, 0, 0), d)
     assert a == FILTER("color", "EQ", "red")  # red is the mode (4 of 9)
 
 
 def test_bin_clamps_to_least_frequent(toy):
     d = initial_display(toy)
     ranked = d.ranked_codes(0)
-    a = action_from_heads((1, 0, 0, 0, 19), d)
+    a = act((1, 0, 0, 0, 19), d)
     assert a.filter.term == toy.texts[0][ranked[-1]]
 
 
@@ -287,14 +307,14 @@ def test_frequency_rank_order(toy):
     d = initial_display(toy)
     assert [toy.texts[0][c] for c in d.ranked_codes(0)] == ["red", "blue", "green"]
     for b, expected in enumerate(("red", "blue", "green")):
-        a = action_from_heads((1, 0, 0, 0, b), d)
+        a = act((1, 0, 0, 0, b), d)
         assert a.filter.term == expected
 
 
 def test_empty_column_falls_back_to_base_mode(toy):
     empty = apply_filter(initial_display(toy),
                          FilterPredicate("color", "EQ", "nothing"))
-    a = action_from_heads((1, 0, 0, 0, 5), empty)
+    a = act((1, 0, 0, 0, 5), empty)
     assert a.filter.term == "red"
 
 
@@ -302,18 +322,18 @@ def test_group_reconstruction_forces_valid_agg(toy):
     d = initial_display(toy)
     # grouping the numeric column: aggregate falls to the first other column,
     # which is categorical, so SUM degrades to COUNT
-    a = action_from_heads((0, 1, 0, 0, 0), d)
+    a = act((0, 1, 0, 0, 0), d)
     assert a.group.grp_col == "score"
     assert a.group.agg_func == "COUNT"
     # grouping a categorical column keeps the numeric aggregate
-    a = action_from_heads((0, 0, 0, 0, 0), d)
+    a = act((0, 0, 0, 0, 0), d)
     assert a.group == Grouping("color", "score", "SUM")
 
 
 def test_encode_action_back_one_hot(toy):
     layout = HeadLayout(3)
     d = initial_display(toy)
-    vec = encode_action(heads_from_action(BACK, d, layout), layout)
+    vec = one_hot(heads_from_action(BACK, d, layout), layout)
     assert vec.shape == (layout.action_dim,)
     assert vec.sum() == 1.0 and vec[2] == 1.0
 
@@ -322,7 +342,7 @@ def test_encode_action_group_blocks(toy):
     layout = HeadLayout(3)
     d = initial_display(toy)
     action = GROUP("score", "color", "COUNT")
-    vec = encode_action(heads_from_action(action, d, layout), layout)
+    vec = one_hot(heads_from_action(action, d, layout), layout)
     k, c, g, o, b = layout.sizes
     assert vec[0] == 1.0                      # kind block
     assert vec[k + 1] == 1.0                  # column block: score
@@ -341,12 +361,13 @@ def test_head_round_trip_exhaustive():
     layout = HeadLayout(3, term_bins=5)
     d = initial_display(ds)
     for heads in itertools.product(*(range(s) for s in layout.sizes)):
-        action = action_from_heads(heads, d)
+        action = act(heads, d)
         back = heads_from_action(action, d, layout)
+        assert back == action_heads(heads, d)
         again = action_from_heads(back, d)
         assert again == action
         # argmax of the encoded blocks equals the canonical heads
-        vec = encode_action(back, layout)
+        vec = one_hot(back, layout)
         offset = 0
         for h, size in enumerate(layout.sizes):
             block = vec[offset:offset + size]

@@ -12,7 +12,7 @@ import rollout_reference as ref
 from heads_reference import head_views
 from autoeda import nn, train
 from autoeda.env import (BACK, HEAD_MASKS, STOP, ActionSpec, EdaEnv,
-                         HeadLayout, Trajectory, replay, state_from_history)
+                         HeadLayout, Trajectory, replay)
 from autoeda.evaluation import generate_session
 from autoeda.tabular import Dataset, FilterPredicate, Grouping
 from autoeda.train import (RolloutCollector, TrainConfig, assemble_mixed_batch,
@@ -209,7 +209,7 @@ def test_lockstep_lanes_agree_with_batch_one_forwards(pair, monkeypatch):
     collector = RolloutCollector(policy, pair, layout, cfg,
                                  derive_rng(cfg.seed, 2))
     buffer = deque(maxlen=cfg.buffer_capacity)
-    resets = [state_from_history(EdaEnv(ds, cfg.horizon).reset().history)
+    resets = [ref.state_from_history(EdaEnv(ds, cfg.horizon).reset().history)
               for ds in pair]
     assert not np.array_equal(*resets)
     lanes = [[] for _ in range(LANES)]

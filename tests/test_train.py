@@ -7,10 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from autoeda import nn, tabular, train
+from autoeda import env, evaluation, nn, tabular, train
 from autoeda.env import (BACK, HEAD_MASKS, STOP, ActionSpec, EdaEnv, HeadLayout,
-                         state_from_history, state_vec_len)
+                         heads_from_action, replay, state_vec_len, walk)
 from autoeda.tabular import Dataset, FilterPredicate, Grouping
+from rollout_reference import one_hot, state_from_history
 from row_engine import dataset_rows
 from autoeda.train import (RolloutCollector, Step, TrainConfig, TrainResult,
                            _advantages, _draw, action_agreement,
@@ -280,10 +281,8 @@ def test_rollouts_deterministic(toy):
     assert streams[0] == streams[1]
 
 
-def test_collected_states_are_those_of_their_histories(toy, monkeypatch):
-    """Each collected step's state and next state equal, bit for bit,
-    `state_from_history` of the episode states before and after it, across
-    windows that split episodes and episodes that end by STOP or horizon."""
+def recording_steps(monkeypatch):
+    """(before, after) episode states of every `EdaEnv.step` from now on."""
     transitions = []
     step = EdaEnv.step
 
@@ -293,6 +292,14 @@ def test_collected_states_are_those_of_their_histories(toy, monkeypatch):
         return after
 
     monkeypatch.setattr(EdaEnv, "step", recorded)
+    return transitions
+
+
+def test_collected_states_are_those_of_their_histories(toy, monkeypatch):
+    """Each collected step's state and next state equal, bit for bit,
+    `state_from_history` of the episode states before and after it, across
+    windows that split episodes and episodes that end by STOP or horizon."""
+    transitions = recording_steps(monkeypatch)
     cfg = small_cfg(horizon=5)
     layout, policy, _, disc = _fresh_nets(toy, cfg)
     collector = RolloutCollector(policy, [toy], layout, cfg, derive_rng(4, 2))
@@ -302,6 +309,63 @@ def test_collected_states_are_those_of_their_histories(toy, monkeypatch):
     for t, (before, after) in zip(steps, transitions):
         assert t.state.tobytes() == state_from_history(before.history).tobytes()
         assert t.next_state.tobytes() == state_from_history(after.history).tobytes()
+
+
+def test_replayed_states_and_actions_are_those_of_the_oracles(toy, synthetic_bundle):
+    """Each replayed step's state and next state equal `state_from_history`
+    of the walk's states, and its action vector the per-head `one_hot` of
+    its `heads_from_action`, bit for bit: BACK at the root, a repeated BACK
+    and a closing STOP included; an empty session replays to no step."""
+    dataset, _, _, trajectories = synthetic_bundle
+    sessions = [(dataset, t.actions) for t in trajectories] + [
+        (toy, (BACK, ActionSpec("FILTER", filter=FilterPredicate("color", "EQ", "red")),
+               BACK, BACK, STOP)),
+        (toy, ())]
+    kinds = set()
+    for ds, actions in sessions:
+        layout = HeadLayout(len(ds.columns), 7)
+        states = walk(ds, actions)
+        steps = replay(ds, actions, layout)
+        assert len(steps) == len(actions)
+        for t, (step, action) in enumerate(zip(steps, actions)):
+            assert step.state.tobytes() == \
+                state_from_history(states[t].history).tobytes()
+            assert step.next_state.tobytes() == \
+                state_from_history(states[t + 1].history).tobytes()
+            heads = heads_from_action(action, states[t].current, layout)
+            assert tuple(step.heads.tolist()) == heads
+            assert step.action_vec.tobytes() == one_hot(heads, layout).tobytes()
+            kinds.add(action.kind)
+    assert kinds == {"GROUP", "FILTER", "BACK", "STOP"}
+
+
+@pytest.mark.parametrize("sample", [True, False], ids=["sampled", "greedy"])
+def test_generated_states_are_those_of_their_histories(toy, monkeypatch, sample):
+    """Each state `generate_session` decides in equals `state_from_history`
+    of its episode state, bit for bit, and the finished episode's last
+    state is not encoded."""
+    transitions = recording_steps(monkeypatch)
+    decided, encoded = [], []
+    decide, encode = evaluation.decide, env.encode_display
+    monkeypatch.setattr(evaluation, "decide",
+                        lambda policy, svecs, *a: decided.append(svecs[0].copy())
+                        or decide(policy, svecs, *a))
+    monkeypatch.setattr(env, "encode_display",
+                        lambda d, base: encoded.append(d) or encode(d, base))
+    cfg = small_cfg()
+    _, policy, _, _ = _fresh_nets(toy, cfg)
+    policy.flat[...] = derive_rng(8, 0).normal(scale=0.3, size=policy.flat.shape)
+    rng = derive_rng(8, 7) if sample else None
+    for _ in range(8):
+        before = len(transitions)
+        evaluation.generate_session(policy, toy, 6, rng)
+        assert len(encoded) == len(transitions) == len(decided)
+        assert transitions[-1][1].done and transitions[before][0].action_history == ()
+    # a state decided after GROUP and one after BACK
+    assert {b.action_history[-1].kind for b, _ in transitions
+            if b.action_history} >= {"GROUP", "BACK"}
+    for svec, (before, _) in zip(decided, transitions):
+        assert svec.tobytes() == state_from_history(before.history).tobytes()
 
 
 def test_a_collect_window_computes_only_what_it_reads(synthetic_dataset,
@@ -314,8 +378,8 @@ def test_a_collect_window_computes_only_what_it_reads(synthetic_dataset,
     aggregates, encoded = [], []
     monkeypatch.setattr(tabular, "_group_aggregates",
                         lambda *args: aggregates.append(args))
-    encode = train.encode_display
-    monkeypatch.setattr(train, "encode_display",
+    encode = env.encode_display
+    monkeypatch.setattr(env, "encode_display",
                         lambda d, base: encoded.append(d) or encode(d, base))
     cfg = small_cfg(horizon=12)
     layout, policy, _, disc = _fresh_nets(ds, cfg)
@@ -324,7 +388,23 @@ def test_a_collect_window_computes_only_what_it_reads(synthetic_dataset,
     kinds = [int(t.heads[0]) for t in steps]
     assert kinds.count(0) > 0
     assert aggregates == []
-    assert len(encoded) == len(kinds) - kinds.count(3)
+    # and each episode's root, when its lane starts
+    starts = train.LANES + len(collector.episode_lengths)
+    assert len(encoded) == len(kinds) - kinds.count(3) + starts
+
+
+def test_a_collect_window_takes_each_decisions_heads_once(toy, monkeypatch):
+    """One window calls `action_heads` once per step, and no other code
+    path recomputes the head values an action uses."""
+    calls = []
+    action_heads = env.action_heads
+    monkeypatch.setattr(env, "action_heads",
+                        lambda h, d: calls.append(h) or action_heads(h, d))
+    cfg = small_cfg(horizon=5)
+    layout, policy, _, disc = _fresh_nets(toy, cfg)
+    collector = RolloutCollector(policy, [toy], layout, cfg, derive_rng(4, 2))
+    steps = collector.collect(disc, 50, deque())
+    assert len(calls) == len(steps) == 50
 
 
 # ---------------------------------------------------------------------------
