@@ -499,31 +499,10 @@ def cmd_generate(args) -> int:
 # ---------------------------------------------------------------------------
 # measure
 
-_MEASURE_LABELS = {
-    "a_int": "A-INT", "diversity": "Diversity", "coherence": "Coherence",
-    "readability": "Readability", "peculiarity": "Peculiarity",
-}
-
-
-def _measure_table(actions, normalized, threshold: float) -> str:
-    from .evaluation import text_table
-    from .measures import MEASURE_NAMES
-    headers = ["Step", "Action"] + [_MEASURE_LABELS[m] for m in MEASURE_NAMES]
-    body = []
-    for t, (action, scores) in enumerate(zip(actions, normalized), start=1):
-        cells = [str(t), str(action)]
-        for m in MEASURE_NAMES:
-            v = scores.get(m)
-            mark = "*" if v > threshold else " "
-            cells.append(f"{v:.2f}{mark}")
-        body.append(cells)
-    return text_table(headers, body)
-
-
 def cmd_measure(args) -> int:
-    from . import env as env_mod
-    from .measures import (EMPTY_RULESET, MEASURE_NAMES, CoherenceRuleset,
-                           normalize_session, score_session)
+    from .evaluation import session_report
+    from .measures import (EMPTY_RULESET, CoherenceRuleset, normalize_session,
+                           score_session)
 
     manifest = Manifest("measure", args, {"threshold": args.threshold})
     (dataset,) = _load_datasets([args.dataset], manifest)
@@ -553,19 +532,8 @@ def cmd_measure(args) -> int:
         except ValueError as exc:
             raise DataError(f"session {i} of {args.session} does not replay: "
                             f"{exc}") from exc
-        normalized = normalize_session(raw)
-        steps = []
-        for t, (action, r, z) in enumerate(zip(traj.actions, raw, normalized),
-                                           start=1):
-            steps.append({
-                "step": t,
-                "action": env_mod.action_to_json(action),
-                "raw": {m: round(r.get(m), 6) for m in MEASURE_NAMES},
-                "normalized": {m: round(z.get(m), 6) for m in MEASURE_NAMES},
-                "highlight": [m for m in MEASURE_NAMES if z.get(m) > args.threshold],
-            })
-        scored[traj.actions] = ({"steps": steps}, _measure_table(
-            traj.actions, normalized, args.threshold))
+        scored[traj.actions] = session_report(
+            traj.actions, raw, normalize_session(raw), args.threshold)
     results = [scored[traj.actions] for traj in trajectories]
     report = {"dataset": dataset.name, "threshold": args.threshold,
               "sessions": [entry for entry, _ in results]}

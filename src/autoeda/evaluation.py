@@ -3,7 +3,8 @@
 hits under an order-preserving alignment.
 
 Views are the displays produced by FILTER/GROUP steps, identified by their
-operation fingerprint and carried with their feature encoding.
+operation fingerprint and carried with their feature encoding. The text
+reports of `eval` and `measure` are built here too.
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .env import (DEFAULT_HORIZON, EdaEnv, Trajectory, decide, encode_display,
-                  state_vec, walk_displays)
+from .env import (DEFAULT_HORIZON, EdaEnv, Trajectory, action_to_json, decide,
+                  encode_display, state_vec, walk_displays)
+from .measures import MEASURE_NAMES
 from .tabular import Dataset, display_fingerprint
 
 DEFAULT_SIM_THRESHOLD = 0.9
@@ -176,3 +178,31 @@ def report_text(rows) -> str:
     return text_table(headers, [[str(r["dataset"])]
                                 + [f"{r[k]:.4f}" for k in METRIC_COLUMNS]
                                 for r in rows])
+
+
+_MEASURE_LABELS = {
+    "a_int": "A-INT", "diversity": "Diversity", "coherence": "Coherence",
+    "readability": "Readability", "peculiarity": "Peculiarity",
+}
+
+
+def session_report(actions, raw, normalized, threshold: float):
+    """(entry, table) of one scored session for `measure`'s report. The
+    entry lists each step's action and its raw and normalized scores,
+    rounded to 6 places, and highlights the measures whose normalized
+    score is above `threshold`; the table shows the normalized scores to
+    2 places, each one above `threshold` marked with `*`."""
+    steps, body = [], []
+    for t, (action, r, z) in enumerate(zip(actions, raw, normalized), start=1):
+        steps.append({
+            "step": t,
+            "action": action_to_json(action),
+            "raw": {m: round(r[m], 6) for m in MEASURE_NAMES},
+            "normalized": {m: round(z[m], 6) for m in MEASURE_NAMES},
+            "highlight": [m for m in MEASURE_NAMES if z[m] > threshold],
+        })
+        body.append([str(t), str(action)]
+                    + [f"{z[m]:.2f}{'*' if z[m] > threshold else ' '}"
+                       for m in MEASURE_NAMES])
+    headers = ["Step", "Action"] + [_MEASURE_LABELS[m] for m in MEASURE_NAMES]
+    return {"steps": steps}, text_table(headers, body)

@@ -131,12 +131,17 @@ def _column_kl(before: Display, after: Display, idx: int, column: str) -> float:
     The after row set keeps it under (before row set, idx) when it shows
     fewer rows than the before row set, as a FILTER that drops rows does
     against its parent and the root, so an entry refers only to a larger
-    row set and never closes a cycle. A view grouped on the column is
-    computed each time: its histogram there comes from its groups.
+    row set and never closes a cycle. Two views of one row set that
+    neither is grouped on the column read one histogram there, and
+    `kl_divergence` of a histogram against itself is exactly 0.0, so it is
+    not called. A view grouped on the column is computed each time: its
+    histogram there comes from its groups.
     """
     source, target = before._rowset, after._rowset
-    if (len(target.rows) >= len(source.rows)
-            or _grouped_on(before, column) or _grouped_on(after, column)):
+    grouped = _grouped_on(before, column) or _grouped_on(after, column)
+    if source is target and not grouped:
+        return 0.0
+    if grouped or len(target.rows) >= len(source.rows):
         return kl_divergence(column_histogram(before, column),
                              column_histogram(after, column))
     key = (source, idx)

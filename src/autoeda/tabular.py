@@ -114,6 +114,20 @@ def _encode_column(cells, distinct, values):
     return np.array(present + [None], dtype=object), codes
 
 
+def _encode_strings(cells, distinct):
+    """(dictionary, codes) of a non-numeric CSV column, given each row's
+    cell and the column's distinct cells. The empty string is the null
+    cell; it sorts first, so it is dropped from the front."""
+    present = sorted(distinct)
+    if present and present[0] == "":
+        del present[0]
+    code = dict(zip(present, range(len(present))))
+    code[""] = len(present)
+    codes = np.fromiter(map(code.__getitem__, cells), dtype=np.int32,
+                        count=len(cells))
+    return np.array(present + [None], dtype=object), codes
+
+
 class Dataset:
     """Immutable table. Cells are float (numeric columns), str, or None.
 
@@ -169,8 +183,9 @@ class Dataset:
             if kind is ColumnKind.NUMERIC else None
             for values, (_, kind) in zip(self.dictionaries, columns))
         self.texts = tuple(
-            np.array([_cell_text(v, kind) for v in values[:-1].tolist()] + [""],
+            np.array([canonical_number(v) for v in values[:-1].tolist()] + [""],
                      dtype=object)
+            if kind is ColumnKind.NUMERIC else np.append(values[:-1], "")
             for values, (_, kind) in zip(self.dictionaries, columns))
         # every column's codes shifted into one slot space, so that one
         # bincount counts all columns: column i owns slots offsets[i] to
@@ -483,12 +498,6 @@ def _group_aggregates(dataset: Dataset, rows, grouping: Grouping) -> tuple:
     return tuple(aggs)
 
 
-def _cell_text(cell, kind: ColumnKind) -> str:
-    if kind is ColumnKind.NUMERIC:
-        return canonical_number(cell)
-    return cell
-
-
 def filter_passes(dataset: Dataset, idx: int, op: str, term: str,
                   codes) -> list[bool]:
     """Whether each of column `idx`'s non-null dictionary `codes` (an int
@@ -618,20 +627,26 @@ def _infer_kind(strings, numbers, n_rows, max_categorical, categorical_fraction)
 
 
 def _read_columns(path: Path):
-    """(header, one tuple of raw strings per column, row count)."""
+    """(header, one tuple of raw strings per column, row count). A row the
+    csv module cannot parse, such as one with a field over its size limit,
+    raises ValueError naming the row."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
+        header, rows = None, []
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError("empty file, expected a header row") from None
-        if not header:
-            raise ValueError("the header row names no columns")
-        rows = []
-        for r, row in enumerate(reader):
-            if len(row) != len(header):
-                raise ValueError(f"row {r + 1} has {len(row)} cells, expected {len(header)}")
-            rows.append(row)
+            header = next(reader, None)
+            if header is None:
+                raise ValueError("empty file, expected a header row")
+            if not header:
+                raise ValueError("the header row names no columns")
+            for row in reader:
+                if len(row) != len(header):
+                    raise ValueError(f"row {len(rows) + 1} has {len(row)} cells, "
+                                     f"expected {len(header)}")
+                rows.append(row)
+        except csv.Error as exc:
+            row = "the header row" if header is None else f"row {len(rows) + 1}"
+            raise ValueError(f"{row}: {exc}") from None
     columns = list(zip(*rows)) if rows else [()] * len(header)
     return header, columns, len(rows)
 
@@ -663,11 +678,10 @@ def load_dataset(path, schema: dict | None = None, max_categorical: int = 20,
                 if v is None and s != "":
                     bad.append((cells.index(s), i, s))
                     break
-            values = numbers
+            encoded.append(_encode_column(cells, distinct, numbers))
         else:
-            values = [None if s == "" else s for s in distinct]
+            encoded.append(_encode_strings(cells, distinct))
         kinds.append(kind)
-        encoded.append(_encode_column(cells, distinct, values))
     if bad:
         r, i, cell = min(bad)
         raise ValueError(f"row {r + 1}, column {header[i]!r}: "

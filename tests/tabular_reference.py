@@ -75,13 +75,19 @@ def load_dataset(path, schema=None, delimiter=",", name=None,
             header = next(reader)
         except StopIteration:
             raise ValueError("empty file, expected a header row") from None
+        except csv.Error as exc:
+            raise ValueError(f"the header row: {exc}") from None
         if not header:
             raise ValueError("the header row names no columns")
         raw = []
-        for r, row in enumerate(reader):
-            if len(row) != len(header):
-                raise ValueError(f"row {r + 1} has {len(row)} cells, expected {len(header)}")
-            raw.append(row)
+        try:
+            for row in reader:
+                if len(row) != len(header):
+                    raise ValueError(f"row {len(raw) + 1} has {len(row)} cells, "
+                                     f"expected {len(header)}")
+                raw.append(row)
+        except csv.Error as exc:
+            raise ValueError(f"row {len(raw) + 1}: {exc}") from None
 
     schema = {k: ColumnKind(v) for k, v in (schema or {}).items()}
     kinds = []

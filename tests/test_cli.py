@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import os
@@ -695,7 +696,7 @@ def test_synth_accepts_the_edges_of_each_range(tmp_path):
     assert evaluation["sessions"] == []
 
 
-def test_data_errors_exit_two(tmp_path, data_dir):
+def test_data_errors_exit_two(tmp_path, data_dir, run_dir, capsys):
     assert run("train", "--data", tmp_path, "--datasets", "nope",
                "--out", tmp_path) == 2
     assert run("measure", "--session", tmp_path / "missing.json",
@@ -734,6 +735,23 @@ def test_data_errors_exit_two(tmp_path, data_dir):
                "--out", tmp_path / "nc-out") == 2
     assert run("measure", "--session", data_dir / "ds1.eval.json",
                "--dataset", headless / "ds1.csv") == 2
+    # a cell longer than the csv module's field size limit
+    oversized = data_without(data_dir, tmp_path / "big", "schema")
+    big_csv = oversized / "ds1.csv"
+    big_csv.write_text("c1\n" + "x" * 140000 + "\n")
+    capsys.readouterr()
+    for args in (("train", "--data", oversized, "--datasets", "ds1",
+                  "--out", tmp_path / "big-out"),
+                 ("measure", "--session", data_dir / "ds1.eval.json",
+                  "--dataset", big_csv),
+                 ("generate", "--checkpoint", run_dir / "checkpoint.json",
+                  "--dataset", big_csv, "--out", tmp_path / "big.json"),
+                 ("eval", "--sessions", data_dir / "ds1.eval.json",
+                  "--data", oversized, "--datasets", "ds1")):
+        assert run(*args) == 2, args[0]
+        assert capsys.readouterr().err == (
+            f"data error: cannot load dataset {big_csv}: row 1: field larger "
+            f"than field limit ({csv.field_size_limit()})\n"), args[0]
     # a malformed schema sidecar next to the dataset
     (tmp_path / "ds1.csv").write_bytes((data_dir / "ds1.csv").read_bytes())
     for malformed in ("{bad", '["c1"]', '{"c1": "weird"}'):

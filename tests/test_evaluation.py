@@ -8,7 +8,9 @@ from autoeda import nn
 from autoeda.env import ActionSpec, BACK, STOP, HeadLayout, state_vec_len
 from autoeda.evaluation import (METRIC_COLUMNS, View, display_similarity,
                                 eda_sim, evaluate_sessions, generate_session,
-                                precision, tbleu, views_from_actions)
+                                precision, session_report, tbleu,
+                                views_from_actions)
+from autoeda.measures import MEASURE_NAMES
 from autoeda.tabular import FilterPredicate, Grouping
 from autoeda.train import derive_rng
 
@@ -281,3 +283,27 @@ def test_evaluate_sessions_identity_scores_one(synthetic_bundle):
     metrics = evaluate_sessions(dataset, [gold[0]], gold)
     for column in METRIC_COLUMNS:
         assert metrics[column] == pytest.approx(1.0), column
+
+
+def test_session_report_highlights_only_scores_above_the_threshold():
+    """The report entry rounds both score sets to 6 places and highlights,
+    and the table stars, only normalized scores strictly above the
+    threshold; a score equal to it is left plain."""
+    actions = (FILTER("a", "EQ", "x"), BACK)
+    raw = [dict.fromkeys(MEASURE_NAMES, 0.1234567), dict.fromkeys(MEASURE_NAMES, -2.0)]
+    normalized = [dict.fromkeys(MEASURE_NAMES, 0.5),
+                  {**dict.fromkeys(MEASURE_NAMES, 0.0), "diversity": 0.5000001}]
+    entry, table = session_report(actions, raw, normalized, 0.5)
+    assert entry == {"steps": [
+        {"step": 1, "action": {"kind": "FILTER", "column": "a", "op": "EQ", "term": "x"},
+         "raw": dict.fromkeys(MEASURE_NAMES, 0.123457),
+         "normalized": dict.fromkeys(MEASURE_NAMES, 0.5), "highlight": []},
+        {"step": 2, "action": {"kind": "BACK"},
+         "raw": dict.fromkeys(MEASURE_NAMES, -2.0),
+         "normalized": {**dict.fromkeys(MEASURE_NAMES, 0.0), "diversity": 0.5},
+         "highlight": ["diversity"]}]}
+    assert table.splitlines() == [
+        "Step  Action         A-INT  Diversity  Coherence  Readability  Peculiarity",
+        "----  -------------  -----  ---------  ---------  -----------  -----------",
+        "1     FILTER a EQ x  0.50   0.50       0.50       0.50         0.50       ",
+        "2     BACK           0.00   0.50*      0.00       0.00         0.00       "]

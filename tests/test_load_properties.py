@@ -16,7 +16,8 @@ import measures_reference
 import tabular_reference as ref
 from autoeda.env import walk
 from autoeda.measures import kl_divergence
-from autoeda.tabular import ColumnKind, Dataset, column_histogram, load_dataset
+from autoeda.tabular import (ColumnKind, Dataset, canonical_number,
+                             column_histogram, load_dataset)
 
 # strings that parse to one number ("1", "1.0", "01", " 1"; "0", "-0"; "1e3",
 # "1000"), strings that do not ("inf", "nan"), and text with a comma, a
@@ -38,14 +39,22 @@ def outcome(fn):
 
 def observed(ds):
     """Kinds, dictionaries by repr (so 0.0 and -0.0 and "1" and 1.0 differ),
-    codes and row count of a `Dataset`."""
+    codes, row count and dictionary texts by repr of a `Dataset`."""
     return (ds.columns, [list(map(repr, d.tolist())) for d in ds.dictionaries],
-            ds.codes.tolist(), ds.row_count)
+            ds.codes.tolist(), ds.row_count,
+            [list(map(repr, t.tolist())) for t in ds.texts])
 
 
 def expected(encoded):
+    """`observed` of the reference encoding; an entry's text is its
+    `canonical_number` in a numeric column, the string itself otherwise,
+    and "" for null."""
     columns, dictionaries, codes, n_rows = encoded
-    return columns, [list(map(repr, d)) for d in dictionaries], codes, n_rows
+    texts = [["" if v is None else canonical_number(v)
+              if kind is ColumnKind.NUMERIC else v for v in d]
+             for (_, kind), d in zip(columns, dictionaries)]
+    return (columns, [list(map(repr, d)) for d in dictionaries], codes, n_rows,
+            [list(map(repr, t)) for t in texts])
 
 
 @st.composite
@@ -105,6 +114,21 @@ def test_load_keeps_the_first_zero_in_row_order():
     assert load_both("n\n-0\n0\n")[0][1][1] == [["-0.0", "None"]]
     got, _ = load_both('n\n1\n1.0\n01\n 1\n1e3\n1000\n""\n')
     assert got[1][1:3] == ([["1.0", "1000.0", "None"]], [[0, 0, 0, 0, 1, 1, 2]])
+
+
+def test_an_oversized_field_names_its_row():
+    """A field over the csv module's size limit is a ValueError naming its
+    row, as the reference's is; a row before it that is one cell short is
+    reported first, and one after it is not."""
+    big = "x" * (csv.field_size_limit() + 1)
+    reason = f"field larger than field limit ({csv.field_size_limit()})"
+    for text, message in (
+            (f"{big}\n1\n", f"the header row: {reason}"),
+            (f"a\n1\n{big}\n", f"row 2: {reason}"),
+            (f"a,b\n1,2\n3,{big}\n4\n", f"row 2: {reason}"),
+            (f"a,b\n1\n3,{big}\n", "row 1 has 1 cells, expected 2")):
+        got, want = load_both(text)
+        assert got == want == ("error", message)
 
 
 def test_load_error_names_the_first_bad_row_then_column():

@@ -558,9 +558,10 @@ def _counted_kl(monkeypatch):
 
 def test_a_row_set_keeps_its_kls_per_earlier_row_set_and_column(toy, monkeypatch):
     """A view that shares the row set of one already measured reads its
-    KLs; a column either view is grouped on, a pair of views of one row
-    set, and the same row set measured against another earlier row set
-    run kl_divergence again."""
+    KLs; a column either view is grouped on and the same row set measured
+    against another earlier row set run kl_divergence again. A pair of
+    views of one row set runs it only on the column the GROUP view is
+    grouped on."""
     compared = _counted_kl(monkeypatch)
     root = initial_display(toy)
     width = len(toy.columns)
@@ -578,7 +579,30 @@ def test_a_row_set_keeps_its_kls_per_earlier_row_set_and_column(toy, monkeypatch
     max_column_kl(kept, deeper)
     assert len(compared) == 3 * width + 1
     max_column_kl(narrowed, apply_group(narrowed, Grouping("note", "score", "MAX")))
-    assert len(compared) == 4 * width + 1
+    assert len(compared) == 3 * width + 2
+
+
+def test_views_of_one_row_set_differ_by_zero_without_a_kl_call(toy, monkeypatch):
+    """A GROUP view and a FILTER that keeps every row share their parent's
+    row set: against the parent, in either direction, every column neither
+    view is grouped on gives exactly +0.0 with no kl_divergence call, and
+    the grouped column still calls it."""
+    compared = _counted_kl(monkeypatch)
+    root = initial_display(toy)
+    narrowed = apply_filter(root, FilterPredicate("score", "NEQ", "1"))
+    for parent in (root, narrowed):
+        grouped = apply_group(parent, Grouping("color", "score", "SUM"))
+        kept = apply_filter(parent, FilterPredicate("color", "NEQ", "purple"))
+        for view in (grouped, kept):
+            assert view._rowset is parent._rowset
+            for before, after in ((parent, view), (view, parent)):
+                for idx, col in enumerate(toy.column_names):
+                    calls = len(compared)
+                    kl = measures._column_kl(before, after, idx, col)
+                    if view is grouped and col == "color":
+                        assert len(compared) == calls + 1
+                    else:
+                        assert repr(kl) == "0.0" and len(compared) == calls
 
 
 def test_scoring_runs_kl_divergence_once_per_row_set_pair_and_column(
