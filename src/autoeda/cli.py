@@ -192,6 +192,8 @@ def _load_dataset(path):
         raise DataError(f"cannot load schema sidecar {sidecar}: {exc}") from exc
     try:
         dataset = tabular.load_dataset(path, schema=schema)
+    except tabular.UnknownSchemaColumn as exc:
+        raise DataError(f"cannot load schema sidecar {sidecar}: {exc}") from exc
     except (OSError, ValueError) as exc:
         raise DataError(f"cannot load dataset {path}: {exc}") from exc
     return dataset, sidecar if schema is not None else None
@@ -574,8 +576,8 @@ def cmd_eval(args) -> int:
     if args.sessions and len(names) > 1:
         raise UsageError("a --sessions file holds one dataset's sessions: "
                          "give --datasets one name")
-    if args.sessions and (args.n, args.mode) != (None, None):
-        raise UsageError("--n and --mode apply only with --checkpoint")
+    if args.sessions and (args.n, args.mode, args.seed) != (None, None, None):
+        raise UsageError("--n, --mode and --seed apply only with --checkpoint")
     config = {"threshold": args.threshold}
     if args.checkpoint:  # the defaults of `generate`
         args.n = 1 if args.n is None else args.n
@@ -623,8 +625,9 @@ def build_parser() -> _Parser:
                      description="Train and analyze EDA session policies")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out_directory=True):
-        p.add_argument("--seed", type=_non_negative_int, default=None)
+    def common(p, out_directory=True, seed=True):
+        if seed:
+            p.add_argument("--seed", type=_non_negative_int, default=None)
         p.add_argument("--deterministic", action="store_true",
                        help="single-threaded, byte-reproducible run")
         if out_directory:
@@ -663,7 +666,7 @@ def build_parser() -> _Parser:
     p.set_defaults(fn=cmd_generate)
 
     p = sub.add_parser("measure", help="per-step interestingness table")
-    common(p)
+    common(p, seed=False)  # measure draws nothing
     p.add_argument("--session", required=True, help="session JSON file")
     p.add_argument("--dataset", required=True, help="dataset csv path")
     p.add_argument("--ruleset", default=None, help="coherence ruleset JSON")

@@ -102,54 +102,33 @@ def max_column_kl(before: Display, after: Display) -> float:
     """The largest per-column KL(before || after) over their dataset's
     columns.
 
-    Both displays must be views of one dataset, which scores each pair of
-    operation paths (`Display.key`) once: equal paths give bit-identical
-    histograms. A pair it has not scored reads each column's KL from the
-    after view's row set, which keeps it per before row set and column (see
-    `_column_kl`), so views that share their row sets share their KLs.
+    Both displays must be views of one dataset. A column's histogram in a
+    view is fixed by the view's rows, and so by its `row_filters`, and by
+    whether the view is grouped on that column, so the dataset keeps each
+    column's KL under (before row filters, after row filters) and (column
+    index, before grouped on it, after grouped on it), and computes it
+    once.
     """
     base = before.dataset
     if after.dataset is not base:
         raise ValueError("max_column_kl needs two views of one dataset")
-    memo = base._kl_memo
-    key = (before.key, after.key)
-    if key not in memo:
-        memo[key] = max(_column_kl(before, after, idx, col)
-                        for idx, col in enumerate(base.column_names))
-    return memo[key]
+    kls = base._kl_memo.setdefault((before.row_filters,
+                                    after.row_filters), {})
+    grouped_before, grouped_after = map(_grouped_column, (before, after))
+
+    def column_kl(idx, column):
+        key = (idx, column == grouped_before, column == grouped_after)
+        kl = kls.get(key)
+        if kl is None:
+            kl = kls[key] = kl_divergence(column_histogram(before, column),
+                                          column_histogram(after, column))
+        return kl
+
+    return max(column_kl(idx, col) for idx, col in enumerate(base.column_names))
 
 
-def _grouped_on(display: Display, column: str) -> bool:
-    g = display.grouping
-    return g is not None and g.grp_col == column
-
-
-def _column_kl(before: Display, after: Display, idx: int, column: str) -> float:
-    """KL(before || after) over one column, computed once per (before row
-    set, after row set, column).
-
-    The after row set keeps it under (before row set, idx) when it shows
-    fewer rows than the before row set, as a FILTER that drops rows does
-    against its parent and the root, so an entry refers only to a larger
-    row set and never closes a cycle. Two views of one row set that
-    neither is grouped on the column read one histogram there, and
-    `kl_divergence` of a histogram against itself is exactly 0.0, so it is
-    not called. A view grouped on the column is computed each time: its
-    histogram there comes from its groups.
-    """
-    source, target = before._rowset, after._rowset
-    grouped = _grouped_on(before, column) or _grouped_on(after, column)
-    if source is target and not grouped:
-        return 0.0
-    if grouped or len(target.rows) >= len(source.rows):
-        return kl_divergence(column_histogram(before, column),
-                             column_histogram(after, column))
-    key = (source, idx)
-    kl = target.kl.get(key)
-    if kl is None:
-        kl = target.kl[key] = kl_divergence(column_histogram(before, column),
-                                            column_histogram(after, column))
-    return kl
+def _grouped_column(display: Display) -> str | None:
+    return None if display.grouping is None else display.grouping.grp_col
 
 
 def a_int(prev: Display, cur: Display, action, specs: MeasureSpecs) -> float:

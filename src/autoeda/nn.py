@@ -120,7 +120,7 @@ class PolicyNet:
     holds the trunk parameters, then the head matrix, then the head bias.
     """
 
-    def __init__(self, state_dim: int, head_sizes, hidden=(50, 50, 50),
+    def __init__(self, state_dim: int, head_sizes, hidden,
                  rng: np.random.Generator | None = None):
         self.state_dim = state_dim
         self.head_sizes = tuple(head_sizes)
@@ -184,7 +184,7 @@ class PolicyNet:
 
 
 class ValueNet:
-    def __init__(self, state_dim: int, hidden=(50, 50, 50),
+    def __init__(self, state_dim: int, hidden,
                  rng: np.random.Generator | None = None):
         self.net = Mlp((state_dim, *hidden, 1),
                        ("tanh",) * len(hidden) + ("linear",), rng)
@@ -208,7 +208,7 @@ class ValueNet:
 class DiscriminatorNet:
     """ReLU net with a clamped logistic output strictly inside (0, 1)."""
 
-    def __init__(self, input_dim: int, hidden=(32, 32),
+    def __init__(self, input_dim: int, hidden,
                  rng: np.random.Generator | None = None):
         self.net = Mlp((input_dim, *hidden, 1),
                        ("relu",) * len(hidden) + ("linear",), rng)

@@ -202,11 +202,12 @@ class Dataset:
         # a row set holds no reference to its dataset, so this forms no cycle
         rows = np.arange(n_rows, dtype=np.int32)
         rows.setflags(write=False)
-        self._all_rows = _RowSet(rows)
+        self._all_rows = _RowSet(rows, ())
         # Display.key -> read-only encoding (env.encode_display), and
-        # (before key, after key) -> KL (measures.max_column_kl). Keys hold
-        # only predicates and groupings, so nothing refers back to the
-        # dataset, and the memos die with it.
+        # (before row filters, after row filters) -> {(column index, before
+        # grouped on it, after grouped on it): KL} (measures.max_column_kl).
+        # Keys hold only predicates, groupings, ints and bools, so nothing
+        # refers back to the dataset, and the memos die with it.
         self._encodings = {}
         self._kl_memo = {}
 
@@ -244,32 +245,30 @@ class Dataset:
 
 
 class _RowSet:
-    """The rows that one or more views of a dataset show, with everything
-    computed from those rows alone: the column summary, the encoding of an
-    ungrouped view of them (`env.encode_display`), the per-column rankings
-    and histograms, each grouping's group table, and the per-column KLs
-    measured against an earlier row set.
+    """The rows that one or more views of a dataset show, the filters that
+    decide them (`Display.row_filters`), and everything computed from those
+    rows alone: the column summary, the encoding of an ungrouped view of
+    them (`env.encode_display`), the per-column rankings and histograms,
+    and each grouping's group table.
 
     A GROUP view, and a FILTER view that keeps every row, share their
     parent's row set, so whichever of them computes a value first serves
     the others. It holds no reference to its dataset, so a dataset is freed
-    by reference counting alone. A KL entry refers to its before row set,
-    which always shows more rows (`measures.max_column_kl`), so row sets
-    never refer to each other in a cycle.
+    by reference counting alone.
     """
 
-    __slots__ = ("rows", "summary", "encoding", "ranked", "histograms",
-                 "groups", "kl")
+    __slots__ = ("rows", "filters", "summary", "encoding", "ranked",
+                 "histograms", "groups")
 
-    def __init__(self, rows):
+    def __init__(self, rows, filters):
         self.rows = rows
+        self.filters = filters
         self.summary = None
         self.encoding = None
         self.ranked = {}  # column index -> ranked codes
         self.histograms = {}  # column index -> read-only histogram
         # Grouping -> [keys, sizes, aggregates or None until first read]
         self.groups = {}
-        self.kl = {}  # (before row set, column index) -> KL
 
     def grouped(self, dataset: Dataset, grouping: Grouping) -> list:
         """The group table of `grouping` over these rows: its keys and
@@ -291,11 +290,10 @@ class Display:
     immutable. Views that show the same rows (every root view of a dataset,
     a GROUP view and its parent, a FILTER that keeps every row and its
     parent) share one set of row statistics: per-column counts, rankings,
-    histograms, group tables and aggregates, the encoding of their rows,
-    and the per-column KLs against earlier row sets, each computed once and
-    read-only. The root views' set lives as long as the dataset.
-    A view whose operation path its dataset has encoded before starts with
-    that encoding.
+    histograms, group tables and aggregates, and the encoding of their
+    rows, each computed once and read-only. The root views' set lives as
+    long as the dataset. A view whose operation path its dataset has
+    encoded before starts with that encoding.
     """
 
     __slots__ = ("dataset", "filters", "grouping", "_rowset",
@@ -323,6 +321,13 @@ class Display:
     @property
     def row_count(self) -> int:
         return len(self._rowset.rows)
+
+    @property
+    def row_filters(self) -> tuple:
+        """The filters that decide the view's rows: its filters without
+        those that kept every row they were given. On one dataset, equal
+        row filters mean equal rows."""
+        return self._rowset.filters
 
     @property
     def key(self) -> tuple:
@@ -529,7 +534,7 @@ def apply_filter(display: Display, pred: FilterPredicate) -> Display:
     rows = display.rows[keep[ds.codes[idx, display.rows]]]
     # a filter that keeps every row shows its parent's rows
     rowset = (display._rowset if len(rows) == display.row_count
-              else _RowSet(rows))
+              else _RowSet(rows, display.row_filters + (pred,)))
     return Display(ds, display.filters + (pred,), display.grouping, rowset)
 
 
@@ -651,18 +656,27 @@ def _read_columns(path: Path):
     return header, columns, len(rows)
 
 
+class UnknownSchemaColumn(ValueError):
+    """A schema names a column that the CSV's header does not."""
+
+
 def load_dataset(path, schema: dict | None = None, max_categorical: int = 20,
                  categorical_fraction: float = 0.05) -> Dataset:
     """Load a CSV file with a header row; the dataset is named after the
     file's stem.
 
     `schema` maps column names to ColumnKind (or its string value) and
-    overrides inference. Empty cells load as null. Each distinct string of
+    overrides inference; naming a column the header does not raises
+    UnknownSchemaColumn. Empty cells load as null. Each distinct string of
     a column is parsed once.
     """
     path = Path(path)
     header, columns, n_rows = _read_columns(path)
     schema = {k: ColumnKind(v) for k, v in (schema or {}).items()}
+    unknown = [c for c in schema if c not in header]
+    if unknown:
+        raise UnknownSchemaColumn("schema names column(s) not in the header: "
+                                  + ", ".join(map(repr, unknown)))
     kinds, encoded, bad = [], [], []
     for i, (col, cells) in enumerate(zip(header, columns)):
         distinct = list(dict.fromkeys(cells))

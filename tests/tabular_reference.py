@@ -90,6 +90,10 @@ def load_dataset(path, schema=None, delimiter=",", name=None,
             raise ValueError(f"row {len(raw) + 1}: {exc}") from None
 
     schema = {k: ColumnKind(v) for k, v in (schema or {}).items()}
+    unknown = [c for c in schema if c not in header]
+    if unknown:
+        raise ValueError("schema names column(s) not in the header: "
+                         + ", ".join(map(repr, unknown)))
     kinds = []
     for i, col in enumerate(header):
         if col in schema:

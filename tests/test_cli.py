@@ -426,9 +426,11 @@ def test_usage_errors_exit_one(run_dir, data_dir, tmp_path, capsys):
     assert run("train", "--data", "somewhere") == 1  # missing --datasets
     assert run("eval", "--data", "x", "--datasets", "ds1") == 1  # no source
     assert run("nonsense") == 1
-    # only synth and train take a config file
-    assert run("measure", "--session", tmp_path / "s.json", "--dataset",
-               data_dir / "ds1.csv", "--config", "x.json") == 1
+    # only synth and train take a config file, and measure, which draws
+    # nothing, takes no seed
+    for flag in (("--config", "x.json"), ("--seed", "5")):
+        assert run("measure", "--session", tmp_path / "s.json", "--dataset",
+                   data_dir / "ds1.csv", *flag) == 1, flag
     assert run("generate", "--checkpoint", run_dir / "checkpoint.json",
                "--dataset", data_dir / "ds1.csv", "--config", "x.json") == 1
     assert run("eval", "--sessions", tmp_path / "s.json", "--data", data_dir,
@@ -442,8 +444,9 @@ def test_usage_errors_exit_one(run_dir, data_dir, tmp_path, capsys):
     assert not (tmp_path / "sessions.json").exists()
     assert run("eval", "--sessions", data_dir / "ds1.eval.json", "--data",
                data_dir, "--datasets", "ds1,ds1") == 1
-    # --n and --mode choose how a checkpoint generates; refused before any read
-    for flag in (("--n", "7"), ("--mode", "sample")):
+    # --n, --mode and --seed choose how a checkpoint generates; refused
+    # before any read
+    for flag in (("--n", "7"), ("--mode", "sample"), ("--seed", "7")):
         assert run("eval", "--sessions", tmp_path / "missing.json", "--data",
                    tmp_path / "missing", "--datasets", "ds1", *flag,
                    "--out", tmp_path / "flag_out") == 1, flag
@@ -514,7 +517,7 @@ def test_usage_errors_exit_one(run_dir, data_dir, tmp_path, capsys):
     for argv in (("synth",),
                  ("generate", "--checkpoint", run_dir / "checkpoint.json",
                   "--dataset", data_dir / "ds1.csv"),
-                 ("eval", "--sessions", data_dir / "ds1.eval.json",
+                 ("eval", "--checkpoint", run_dir / "checkpoint.json",
                   "--data", data_dir, "--datasets", "ds1")):
         assert run(*argv, "--seed", "-1", "--out", out) == 1, argv
         assert not out.exists(), argv
@@ -782,9 +785,11 @@ def test_dataset_load_errors_name_each_file_once(tmp_path, data_dir, capsys):
         err = error_of(csv_text, sidecar_text)
         assert err.count(str(csv_path)) == 1 and detail in err, err
         assert str(sidecar) not in err, err
-    for sidecar_text in ("{bad", '["c1"]', '{"a": "weird"}'):
+    for sidecar_text in ("{bad", '["c1"]', '{"a": "weird"}', '{"zz": "text"}'):
         err = error_of("a,b\n1,2\n", sidecar_text)
         assert err.count(str(sidecar)) == 1 and str(csv_path) not in err, err
+    assert err == (f"data error: cannot load schema sidecar {sidecar}: schema "
+                   f"names column(s) not in the header: 'zz'\n")
 
 
 def test_measure_bad_session_or_ruleset_exits_two(data_dir, tmp_path, capsys):

@@ -498,11 +498,12 @@ def test_kl_memo_warm_scores_equal_fresh_dataset_scores(synthetic_bundle):
 
 
 def test_kl_memo_entry_dies_with_its_dataset():
-    """Neither the memos nor the row sets, whose group tables, histograms
-    and KLs a held view keeps, refer back to the dataset: not even the row
-    set of all rows that the dataset keeps, once it holds a summary,
-    rankings, histograms and group tables. A held view's KL entries keep
-    the larger row sets they were measured against, and nothing more."""
+    """The KL memo's keys hold only filter predicates, column indices and
+    grouped flags, and its values only floats: no view, row set or dataset.
+    Neither the memos nor the row sets, whose group tables and histograms a
+    held view keeps, refer back to the dataset: not even the row set of all
+    rows that the dataset keeps, once it holds a summary, rankings,
+    histograms and group tables."""
     gc.disable()  # freed by reference counting alone, no cycle to collect
     try:
         ds = Dataset("gone", [("color", ColumnKind.CATEGORICAL),
@@ -520,18 +521,24 @@ def test_kl_memo_entry_dies_with_its_dataset():
         assert len(root._rowset.histograms) == 2
         narrowed = apply_filter(root, FilterPredicate("color", "EQ", "a"))
         view = apply_group(narrowed, Grouping("color", "n", "MEAN"))
-        # a FILTER after a GROUP that keeps every row shares the grouped
-        # view's row set, which keeps the KLs measured against the root's
         kept = apply_filter(view, FilterPredicate("n", "NEQ", "7"))
         assert kept._rowset is view._rowset is narrowed._rowset
         max_column_kl(root, kept)
         assert view._rowset.groups and view._rowset.histograms
-        assert list(view._rowset.kl) == [(root._rowset, 1)]
-        # a FILTER after a GROUP that drops rows, measured against its
-        # parent: column 0, which both are grouped on, is left out
         dropped = apply_filter(view, FilterPredicate("n", "NEQ", "1"))
         max_column_kl(view, dropped)
-        assert list(dropped._rowset.kl) == [(view._rowset, 1)]
+        assert (0, True, True) in ds._kl_memo[view.row_filters,
+                                              dropped.row_filters]
+        for pair, kls in ds._kl_memo.items():
+            assert type(pair) is tuple and len(pair) == 2
+            for filters in pair:
+                assert type(filters) is tuple
+                for p in filters:
+                    assert type(p) is FilterPredicate
+                    assert {type(v) for v in (p.column, p.op, p.term)} == {str}
+            for key, kl in kls.items():
+                assert [type(v) for v in key] == [int, bool, bool]
+                assert type(kl) is float
         ref = weakref.ref(ds)
         del ds, root, narrowed, kept
         assert ref() is not None  # the held views keep their dataset
@@ -556,53 +563,74 @@ def _counted_kl(monkeypatch):
     return compared
 
 
-def test_a_row_set_keeps_its_kls_per_earlier_row_set_and_column(toy, monkeypatch):
-    """A view that shares the row set of one already measured reads its
-    KLs; a column either view is grouped on and the same row set measured
-    against another earlier row set run kl_divergence again. A pair of
-    views of one row set runs it only on the column the GROUP view is
-    grouped on."""
+def test_kl_memo_runs_kl_divergence_once_per_filter_pair_column_and_grouping(
+        toy, monkeypatch):
+    """One kl_divergence call per (before row filters, after row filters,
+    column, before grouped on it, after grouped on it): a repeated pair,
+    equal filters on fresh views, a FILTER that keeps every row and another
+    grouping on the same column read the memo; a new pair of row filters
+    computes every column, and so do the same filters in another order,
+    and a column a view is grouped on computes anew."""
     compared = _counted_kl(monkeypatch)
     root = initial_display(toy)
     width = len(toy.columns)
-    narrowed = apply_filter(root, FilterPredicate("score", "NEQ", "1"))
+    drop = FilterPredicate("score", "NEQ", "1")
+    narrowed = apply_filter(root, drop)
     max_column_kl(root, narrowed)
     assert len(compared) == width
+    max_column_kl(root, narrowed)
+    max_column_kl(initial_display(toy), apply_filter(initial_display(toy), drop))
     kept = apply_filter(narrowed, FilterPredicate("color", "NEQ", "purple"))
     max_column_kl(root, kept)
     assert len(compared) == width
-    max_column_kl(root, apply_group(kept, Grouping("color", "score", "SUM")))
+    max_column_kl(root, apply_group(narrowed, Grouping("color", "score", "SUM")))
     assert len(compared) == width + 1  # the grouped column
-    deeper = apply_filter(kept, FilterPredicate("color", "NEQ", "red"))
-    max_column_kl(root, deeper)
-    max_column_kl(narrowed, deeper)
-    max_column_kl(kept, deeper)
-    assert len(compared) == 3 * width + 1
-    max_column_kl(narrowed, apply_group(narrowed, Grouping("note", "score", "MAX")))
-    assert len(compared) == 3 * width + 2
+    max_column_kl(root, apply_group(kept, Grouping("color", "note", "COUNT")))
+    assert len(compared) == width + 1
+    max_column_kl(root, apply_group(narrowed, Grouping("note", "score", "MAX")))
+    assert len(compared) == width + 2
+    max_column_kl(apply_group(root, Grouping("color", "score", "MIN")),
+                  apply_group(narrowed, Grouping("color", "score", "SUM")))
+    assert len(compared) == width + 3  # the column both are grouped on
+    max_column_kl(narrowed, root)
+    assert len(compared) == 2 * width + 3
+    blue = FilterPredicate("color", "NEQ", "blue")
+    one_way = apply_filter(narrowed, blue)
+    other_way = apply_filter(apply_filter(root, blue), drop)
+    assert np.array_equal(one_way.rows, other_way.rows)
+    max_column_kl(root, one_way)
+    max_column_kl(root, other_way)
+    assert len(compared) == 4 * width + 3
+    plain = {(i, False, False) for i in range(width)}
+    assert {pair: set(kls) for pair, kls in toy._kl_memo.items()} == {
+        ((), (drop,)): plain | {(0, False, True), (2, False, True),
+                                (0, True, True)},
+        ((drop,), ()): plain,
+        ((), (drop, blue)): plain,
+        ((), (blue, drop)): plain,
+    }
 
 
-def test_views_of_one_row_set_differ_by_zero_without_a_kl_call(toy, monkeypatch):
-    """A GROUP view and a FILTER that keeps every row share their parent's
-    row set: against the parent, in either direction, every column neither
-    view is grouped on gives exactly +0.0 with no kl_divergence call, and
-    the grouped column still calls it."""
-    compared = _counted_kl(monkeypatch)
+def test_views_of_one_row_set_differ_by_exactly_zero(toy):
+    """A GROUP view and a FILTER that keeps every row show their parent's
+    rows: against the parent, in either direction, every column neither
+    view is grouped on gives exactly +0.0, and so does the FILTER's
+    largest KL."""
     root = initial_display(toy)
     narrowed = apply_filter(root, FilterPredicate("score", "NEQ", "1"))
     for parent in (root, narrowed):
         grouped = apply_group(parent, Grouping("color", "score", "SUM"))
         kept = apply_filter(parent, FilterPredicate("color", "NEQ", "purple"))
+        assert grouped._rowset is kept._rowset is parent._rowset
         for view in (grouped, kept):
-            assert view._rowset is parent._rowset
             for before, after in ((parent, view), (view, parent)):
+                kl = max_column_kl(before, after)
+                kls = toy._kl_memo[before.row_filters, after.row_filters]
                 for idx, col in enumerate(toy.column_names):
-                    calls = len(compared)
-                    kl = measures._column_kl(before, after, idx, col)
-                    if view is grouped and col == "color":
-                        assert len(compared) == calls + 1
-                    else:
-                        assert repr(kl) == "0.0" and len(compared) == calls
+                    if not (view is grouped and col == "color"):
+                        assert repr(kls[idx, False, False]) == "0.0"
+                if view is kept:
+                    assert repr(kl) == "0.0"
 
 
 def test_scoring_runs_kl_divergence_once_per_row_set_pair_and_column(

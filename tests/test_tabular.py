@@ -85,6 +85,12 @@ def test_load_errors(tmp_path):
         load_dataset(_write(tmp_path, ""))
     with pytest.raises(OSError):
         load_dataset(tmp_path / "missing.csv")
+    # a schema naming a column the header does not, such as a misspelt one
+    with pytest.raises(tabular.UnknownSchemaColumn,
+                       match=r"^schema names column\(s\) not in the header: "
+                             r"'zz', 'c'$"):
+        load_dataset(_write(tmp_path, "a,b\n1,2\n"),
+                     schema={"zz": "text", "a": "numeric", "c": "text"})
 
 
 def test_nulls_load_as_none(tmp_path):
@@ -265,7 +271,8 @@ def test_min_max_aggregates(toy):
 
 def test_views_that_show_the_same_rows_share_one_row_set(toy):
     """A GROUP view and a FILTER view that keeps every row share their
-    parent's row set; a FILTER that drops a row starts its own."""
+    parent's row set; a FILTER that drops a row starts its own. A view's
+    row filters are its filters without those that kept every row."""
     root = initial_display(toy)
     g = Grouping("color", "score", "SUM")
     grouped = apply_group(root, g)
@@ -279,6 +286,12 @@ def test_views_that_show_the_same_rows_share_one_row_set(toy):
     assert apply_group(dropped, g)._rowset is dropped._rowset
     emptied = apply_filter(root, fp("color", "EQ", "purple"))
     assert apply_filter(emptied, fp("score", "EQ", "1"))._rowset is emptied._rowset
+    deeper = apply_filter(apply_filter(kept, fp("score", "NEQ", "1")),
+                          fp("note", "NEQ", "x"))
+    assert root.row_filters == grouped.row_filters == kept.row_filters == ()
+    assert deeper.row_filters == dropped.row_filters == (fp("score", "NEQ", "1"),)
+    assert len(deeper.filters) == 3
+    assert deeper.rows.tolist() == dropped.rows.tolist()
 
 
 def test_a_grouping_is_computed_once_per_row_set(toy, monkeypatch):
