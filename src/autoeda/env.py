@@ -26,8 +26,9 @@ FEATURES_PER_COLUMN = 4
 HISTORY_WINDOW = 3
 DEFAULT_HORIZON = 12
 DEFAULT_TERM_BINS = 20
-# encodings a dataset keeps, one per operation path, the oldest dropped
-# first: a full memo of an 8-column table holds about 3 to 4 MB
+# encodings a dataset keeps, one per (row filters, grouping), the oldest
+# dropped first: a full memo of an 8-column table holds about 4.4 MB, and
+# a default 100k-interaction `train` fills it
 ENCODING_MEMO_SIZE = 4096
 
 # heads: kind, column, agg_func, filter_op, term_bin
@@ -114,17 +115,36 @@ def encode_display(display: Display, base: Dataset) -> np.ndarray:
     scaled by the base row count (squared for the variance). All entries
     land in [0, 1]; an empty display is zero apart from the role flags.
 
-    `base` must be the display's own dataset. It keeps the encoding of each
-    operation path (`Display.key`) it has seen, up to ENCODING_MEMO_SIZE of
-    them: equal paths encode bit-identically, so a rebuilt view starts out
-    encoded. Every ungrouped view of one row set shares one encoding, which
-    a grouped view copies and patches.
+    `base` must be the display's own dataset. It keeps the encoding of
+    each (row filters, grouping) it has seen, up to ENCODING_MEMO_SIZE of
+    them: equal row filters mean equal rows, so a view whose rows and
+    grouping were encoded before starts out encoded. An ungrouped view's
+    entry, (row filters, None), is computed once, all columns at once from
+    the rows' summary; a grouped view copies and patches it. Each entropy
+    is scaled by `base._entropy_scale`; a column with no values keeps +0.0,
+    where entropy_bits gives it -0.0, and each quotient is the one a Python
+    division gives.
     """
     if display.dataset is not base:
         raise ValueError("encode_display needs a view of its base dataset")
     if display._vec is not None:
         return display._vec
-    vec = _rows_encoding(display, base)
+    memo = base._encodings
+    filters = display.row_filters
+    vec = memo.get((filters, None))
+    if vec is None:
+        n_cols = len(base.columns)
+        vec = np.zeros(FEATURES_PER_COLUMN * n_cols + GLOBAL_FEATURES)
+        n = base.row_count
+        if n and display.row_count:
+            columns = vec[:-GLOBAL_FEATURES].reshape(n_cols, FEATURES_PER_COLUMN)
+            _, _, nulls, starts = display._summarize()
+            distinct = np.diff(starts)
+            bits = np.where(distinct > 0, display.entropy_bits(), 0.0)
+            columns[:, 0] = np.minimum(1.0, bits / base._entropy_scale)
+            columns[:, 1] = distinct / n
+            columns[:, 2] = nulls / n
+        _remember(memo, (filters, None), vec)
     g = display.grouping
     if g is not None:
         vec = vec.copy()
@@ -147,39 +167,17 @@ def encode_display(display: Display, base: Dataset) -> np.ndarray:
             vec[-3] = k / n
             vec[-2] = mean / n
             vec[-1] = np.add.reduce(sizes) / k / (n * n)
-        vec.setflags(write=False)
+        _remember(memo, (filters, g), vec)
     display._vec = vec
-    memo = base._encodings
-    if len(memo) >= ENCODING_MEMO_SIZE:
-        del memo[next(iter(memo))]
-    memo[display.key] = vec
     return vec
 
 
-def _rows_encoding(display: Display, base: Dataset) -> np.ndarray:
-    """The encoding of an ungrouped view of `display`'s rows, computed once
-    per row set, read-only: role flags and globals zero.
-
-    Each column's entropy is scaled by `base._entropy_scale`; a column with
-    no values keeps +0.0, where entropy_bits gives it -0.0, and each
-    quotient is the one a Python division gives.
-    """
-    rowset = display._rowset
-    if rowset.encoding is None:
-        n_cols = len(base.columns)
-        vec = np.zeros(FEATURES_PER_COLUMN * n_cols + GLOBAL_FEATURES)
-        n = base.row_count
-        if n and display.row_count:
-            columns = vec[:-GLOBAL_FEATURES].reshape(n_cols, FEATURES_PER_COLUMN)
-            _, _, nulls, starts = display._summarize()
-            distinct = np.diff(starts)
-            bits = np.where(distinct > 0, display.entropy_bits(), 0.0)
-            columns[:, 0] = np.minimum(1.0, bits / base._entropy_scale)
-            columns[:, 1] = distinct / n
-            columns[:, 2] = nulls / n
-        vec.setflags(write=False)
-        rowset.encoding = vec
-    return rowset.encoding
+def _remember(memo: dict, key: tuple, vec: np.ndarray) -> None:
+    """Store a read-only encoding, dropping the oldest entry of a full memo."""
+    vec.setflags(write=False)
+    if len(memo) >= ENCODING_MEMO_SIZE:
+        del memo[next(iter(memo))]
+    memo[key] = vec
 
 
 @dataclass(frozen=True)

@@ -203,11 +203,12 @@ class Dataset:
         rows = np.arange(n_rows, dtype=np.int32)
         rows.setflags(write=False)
         self._all_rows = _RowSet(rows, ())
-        # Display.key -> read-only encoding (env.encode_display), and
-        # (before row filters, after row filters) -> {(column index, before
-        # grouped on it, after grouped on it): KL} (measures.max_column_kl).
-        # Keys hold only predicates, groupings, ints and bools, so nothing
-        # refers back to the dataset, and the memos die with it.
+        # (row filters, grouping or None) -> read-only encoding
+        # (env.encode_display), and (before row filters, after row filters)
+        # -> {(column index, before grouped on it, after grouped on it): KL}
+        # (measures.max_column_kl). Keys hold only predicates, groupings,
+        # ints and bools, so nothing refers back to the dataset, and the
+        # memos die with it.
         self._encodings = {}
         self._kl_memo = {}
 
@@ -247,8 +248,7 @@ class Dataset:
 class _RowSet:
     """The rows that one or more views of a dataset show, the filters that
     decide them (`Display.row_filters`), and everything computed from those
-    rows alone: the column summary, the encoding of an ungrouped view of
-    them (`env.encode_display`), the per-column rankings and histograms,
+    rows alone: the column summary, the per-column rankings and histograms,
     and each grouping's group table.
 
     A GROUP view, and a FILTER view that keeps every row, share their
@@ -257,14 +257,13 @@ class _RowSet:
     by reference counting alone.
     """
 
-    __slots__ = ("rows", "filters", "summary", "encoding", "ranked",
-                 "histograms", "groups")
+    __slots__ = ("rows", "filters", "summary", "ranked", "histograms",
+                 "groups")
 
     def __init__(self, rows, filters):
         self.rows = rows
         self.filters = filters
         self.summary = None
-        self.encoding = None
         self.ranked = {}  # column index -> ranked codes
         self.histograms = {}  # column index -> read-only histogram
         # Grouping -> [keys, sizes, aggregates or None until first read]
@@ -290,10 +289,10 @@ class Display:
     immutable. Views that show the same rows (every root view of a dataset,
     a GROUP view and its parent, a FILTER that keeps every row and its
     parent) share one set of row statistics: per-column counts, rankings,
-    histograms, group tables and aggregates, and the encoding of their
-    rows, each computed once and read-only. The root views' set lives as
-    long as the dataset. A view whose operation path its dataset has
-    encoded before starts with that encoding.
+    histograms, group tables and aggregates, each computed once and
+    read-only. The root views' set lives as long as the dataset. A view
+    whose row filters and grouping its dataset has encoded before starts
+    with that encoding.
     """
 
     __slots__ = ("dataset", "filters", "grouping", "_rowset",
@@ -311,7 +310,7 @@ class Display:
         else:
             self.group_keys, self.group_sizes, _ = rows.grouped(dataset,
                                                                 grouping)
-        self._vec = dataset._encodings.get((self.filters, grouping))
+        self._vec = dataset._encodings.get((rows.filters, grouping))
         self._fp = None
 
     @property
@@ -328,14 +327,6 @@ class Display:
         those that kept every row they were given. On one dataset, equal
         row filters mean equal rows."""
         return self._rowset.filters
-
-    @property
-    def key(self) -> tuple:
-        """The exact operation path, (filters, grouping). On one dataset,
-        equal keys mean bit-identical rows, groups, counts and histograms.
-        Unlike `display_fingerprint`, it never merges views that differ in
-        a term's text, such as CONTAINS "5" and "5.0" on a numeric column."""
-        return self.filters, self.grouping
 
     @property
     def group_count(self) -> int:
@@ -427,7 +418,7 @@ class Display:
         count would add them, and log2 comes from `math`, once per distinct
         count of a column: numpy's log2 can differ from it in the last bit.
         Computed on each call: its one reader, `env.encode_display`, keeps
-        what it derives from it once per row set.
+        what it derives from it in the dataset's encoding memo.
         """
         present, counts, _, _ = self._summarize()
         width = len(self.dataset.columns)

@@ -3,7 +3,8 @@ name of `src/autoeda`, and every method, is used from the program itself
 (`src/`, `bench/` or `demos/`), not only from the tests. Private names (one
 leading underscore, not a dunder) are held to the same rule, so a fold that
 leaves a helper behind is caught, and no module imports another's private
-name."""
+name. Every `__slots__` entry is read by the program, so a fold that leaves
+a cache slot behind, assigned but never read, is caught too."""
 
 import ast
 from pathlib import Path
@@ -69,21 +70,43 @@ def _assignments():
     return out
 
 
-def _references():
-    """name -> [(file, line)] of every Name, attribute and imported name."""
-    refs = {}
+def _slots():
+    """Qualified name of each `__slots__` entry of a class."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for item in node.body:
+                if (isinstance(item, ast.Assign)
+                        and any(isinstance(t, ast.Name) and t.id == "__slots__"
+                                for t in item.targets)):
+                    out.extend(f"{path.stem}.{node.name}.{elt.value}"
+                               for elt in item.value.elts)
+    return out
+
+
+def _program_nodes():
+    """(file, node) of every AST node of the program."""
     for top in ("src", "bench", "demos"):
         for path in sorted((ROOT / top).rglob("*.py")):
             for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Name):
-                    name = node.id
-                elif isinstance(node, ast.Attribute):
-                    name = node.attr
-                elif isinstance(node, ast.alias):
-                    name = node.name.rpartition(".")[2]
-                else:
-                    continue
-                refs.setdefault(name, []).append((path, node.lineno))
+                yield path, node
+
+
+def _references():
+    """name -> [(file, line)] of every Name, attribute and imported name."""
+    refs = {}
+    for path, node in _program_nodes():
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.name.rpartition(".")[2]
+        else:
+            continue
+        refs.setdefault(name, []).append((path, node.lineno))
     return refs
 
 
@@ -114,6 +137,16 @@ def test_every_private_definition_is_used_by_the_program():
 def test_every_module_level_name_is_used_by_the_program():
     unused = _unused(_assignments())
     assert not unused, f"assigned but never used by the program: {unused}"
+
+
+def test_every_slot_is_read_by_the_program():
+    """An assignment, in `__init__` or elsewhere, is not a read: a slot is
+    used only where the program loads it."""
+    reads = {node.attr for _, node in _program_nodes()
+             if isinstance(node, ast.Attribute)
+             and isinstance(node.ctx, ast.Load)}
+    unread = [q for q in _slots() if q.rpartition(".")[2] not in reads]
+    assert not unread, f"slots never read by the program: {unread}"
 
 
 def test_no_module_imports_another_modules_private_name():

@@ -174,8 +174,10 @@ def test_expert_views_encode_bit_for_bit(synthetic_bundle):
 @given(tables().flatmap(lambda ds: st.tuples(st.just(ds), sessions(ds))))
 def test_memo_served_encodings_equal_fresh_ones(case):
     """Walk a random session twice. The second walk builds new views, and
-    each starts with the encoding its path got in the first walk; that and
-    every encoding of the first walk equal one computed afresh."""
+    each starts with the encoding its row filters and grouping got in the
+    first walk; that and every encoding of the first walk equal one
+    computed afresh. The memo holds one entry per row filters and grouping
+    of the first walk's views, and one per row filters ungrouped."""
     ds, actions = case
     first = walk(ds, actions)
     for state in first:  # bytes, so that the sign of a zero counts too
@@ -185,7 +187,9 @@ def test_memo_served_encodings_equal_fresh_ones(case):
         assert d._vec is not None
         assert d._vec.tobytes() == encode(d).tobytes()
         assert encode_display(d, ds) is d._vec
-    assert len(ds._encodings) == len({s.current.key for s in first})
+    views = [state.current for state in first]
+    assert set(ds._encodings) == {(d.row_filters, g) for d in views
+                                  for g in (None, d.grouping)}
 
 
 def reference_term_bin(pred, vals, kind, layout):
@@ -219,7 +223,8 @@ def distinct_views(ds, actions):
     """(engine view, reference view) of each distinct operation path of a
     session, the reset view included."""
     pairs = zip(walk(ds, actions), reference_walk(ds, actions))
-    return {state.current.key: (state.current, view) for state, view in pairs}.values()
+    return {(state.current.filters, state.current.grouping): (state.current, view)
+            for state, view in pairs}.values()
 
 
 # a view that filters every row away, so each column falls back to the
@@ -451,8 +456,8 @@ def lineage_sessions(draw, ds):
 
 
 def rebuilt(ds, key):
-    """The view of operation path `key` on a fresh copy of `ds`, which has
-    built no view before."""
+    """The view of operation path `key`, (filters, grouping), on a fresh
+    copy of `ds`, which has built no view before."""
     filters, grouping = key
     d = initial_display(Dataset(ds.name, ds.columns, ref.dataset_rows(ds)))
     for pred in filters:
@@ -499,7 +504,7 @@ def test_shared_row_sets_match_fresh_datasets(case):
     rng.shuffle(views)
     rows = ref.dataset_rows(ds)
     for d in views:
-        assert row_statistics(d) == row_statistics(rebuilt(ds, d.key))
+        assert row_statistics(d) == row_statistics(rebuilt(ds, (d.filters, d.grouping)))
         view = ref.root(ds)
         for pred in d.filters:
             view = ref.filtered(view, pred)
@@ -509,7 +514,7 @@ def test_shared_row_sets_match_fresh_datasets(case):
 def cold_histograms(d):
     """Each column's histogram of `d`'s operation path, rebuilt on a fresh
     copy of its dataset, where they are the first histograms computed."""
-    fresh = rebuilt(d.dataset, d.key)
+    fresh = rebuilt(d.dataset, (d.filters, d.grouping))
     return {col: dict(column_histogram(fresh, col)) for col in d.dataset.column_names}
 
 
@@ -542,18 +547,19 @@ def test_cached_histograms_and_kls_match_fresh_datasets(case):
         views = [state.current for state in walk(ds, actions)]
         cold = {}
         for d in views:
-            if d.key not in cold:
-                cold[d.key] = cold_histograms(d)
+            if (d.filters, d.grouping) not in cold:
+                cold[d.filters, d.grouping] = cold_histograms(d)
         pairs = list(zip(views, views[1:])) + [(views[0], d) for d in views]
         pairs += rng.sample([(a, b) for a in views for b in views], min(40, len(views) ** 2))
         queries = [(d, col) for d in views for col in columns] + pairs
         rng.shuffle(queries)
         for a, b in queries:
             if isinstance(b, str):
-                assert column_histogram(a, b) == cold[a.key][b]
+                assert column_histogram(a, b) == cold[a.filters, a.grouping][b]
             else:
                 assert max_column_kl(a, b) == max(
-                    kl_divergence(cold[a.key][c], cold[b.key][c]) for c in columns)
+                    kl_divergence(cold[a.filters, a.grouping][c],
+                                  cold[b.filters, b.grouping][c]) for c in columns)
         fresh = Dataset(ds.name, ds.columns, ref.dataset_rows(ds))
         assert score_session(ds, actions) == score_session(fresh, actions)
 

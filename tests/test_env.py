@@ -13,9 +13,10 @@ from autoeda.env import (BACK, STOP, ActionSpec, EdaEnv, HeadLayout,
                          encode_display, heads_from_action, load_trajectories,
                          replay, save_trajectories, state_vec, state_vec_len,
                          walk)
-from autoeda.tabular import (ColumnKind, Dataset, FilterPredicate, Grouping,
-                             apply_filter, apply_group, display_fingerprint,
-                             initial_display, load_dataset, write_dataset)
+from autoeda.tabular import (ColumnKind, Dataset, Display, FilterPredicate,
+                             Grouping, apply_filter, apply_group,
+                             display_fingerprint, initial_display,
+                             load_dataset, write_dataset)
 from row_engine import dataset_rows
 
 
@@ -104,34 +105,70 @@ def test_encodings_bounded(synthetic_bundle):
 
 
 def test_rebuilt_view_starts_encoded(toy):
-    """A second view of one operation path takes the first one's encoding
-    from the dataset, without computing it."""
+    """A second view of one row-filter stack and grouping takes the first
+    one's encoding from the dataset, without computing it. Encoding a
+    grouped view also stores the encoding of its rows ungrouped."""
     d0 = initial_display(toy)
-    first = apply_group(apply_filter(d0, FilterPredicate("score", "NEQ", "2")),
-                        Grouping("color", "score", "SUM"))
+    pred = FilterPredicate("score", "NEQ", "2")
+    group = Grouping("color", "score", "SUM")
+    first = apply_group(apply_filter(d0, pred), group)
     vec = encode_display(first, toy)
-    again = apply_filter(apply_group(d0, Grouping("color", "score", "SUM")),
-                         FilterPredicate("score", "NEQ", "2"))
-    assert again.key == first.key and again is not first
+    again = apply_filter(apply_group(d0, group), pred)
+    assert again is not first
+    assert (again.row_filters, again.grouping) == ((pred,), group)
     assert again._vec is vec
     assert encode_display(again, toy) is vec
     assert not vec.flags.writeable
-    assert apply_group(d0, Grouping("color", "score", "SUM"))._vec is None
+    assert list(toy._encodings) == [((pred,), None), ((pred,), group)]
+    plain = apply_filter(d0, pred)
+    assert plain._vec is toy._encodings[(pred,), None]
+    assert not plain._vec.flags.writeable
+    assert apply_group(d0, group)._vec is None
+
+
+@pytest.mark.parametrize("grouping", [None, Grouping("color", "score", "SUM")])
+def test_views_with_equal_row_filters_share_one_encoding(toy, monkeypatch, grouping):
+    """Views whose row filters are equal show equal rows, so they share one
+    encoding, computed once, though they were built through different
+    operation paths and hold different row sets."""
+    calls = []
+    entropy_bits = Display.entropy_bits
+    monkeypatch.setattr(Display, "entropy_bits",
+                        lambda d: calls.append(d) or entropy_bits(d))
+    red = FilterPredicate("color", "EQ", "red")
+    keep = FilterPredicate("score", "NEQ", "100")  # keeps every row
+
+    def view(*preds):
+        d = initial_display(toy)
+        for pred in preds:
+            d = apply_filter(d, pred)
+        return d if grouping is None else apply_group(d, grouping)
+
+    first = view(red, keep)
+    vec = encode_display(first, toy)
+    second = view(red)
+    assert first.filters != second.filters and first._rowset is not second._rowset
+    assert first.row_filters == second.row_filters == (red,)
+    assert encode_display(second, toy) is vec
+    assert len(calls) == 1
 
 
 def test_encoding_memo_drops_its_oldest_entry(toy, monkeypatch):
     monkeypatch.setattr(env, "ENCODING_MEMO_SIZE", 2)
     d0 = initial_display(toy)
-    steps = [lambda: apply_filter(d0, FilterPredicate("color", "EQ", "red")),
-             lambda: apply_group(d0, Grouping("color", "score", "SUM")),
-             lambda: apply_filter(d0, FilterPredicate("note", "CONTAINS", "a"))]
+    red = FilterPredicate("color", "EQ", "red")
+    note = FilterPredicate("note", "CONTAINS", "a")
+    group = Grouping("color", "score", "SUM")
+    steps = [lambda: apply_filter(d0, red), lambda: apply_group(d0, group),
+             lambda: apply_filter(d0, note)]
     views = [build() for build in steps]
     vecs = [encode_display(d, toy) for d in views]
-    assert list(toy._encodings) == [views[1].key, views[2].key]
+    # the GROUP view stored its rows' ungrouped entry, then its own
+    assert list(toy._encodings) == [((), group), ((note,), None)]
     cold = steps[0]()
     assert cold._vec is None
     assert np.array_equal(encode_display(cold, toy), vecs[0])
-    assert list(toy._encodings) == [views[2].key, views[0].key]
+    assert list(toy._encodings) == [((note,), None), ((red,), None)]
     assert steps[1]()._vec is None
     assert steps[2]()._vec is vecs[2]
 
