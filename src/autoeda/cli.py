@@ -172,7 +172,7 @@ def _load_sessions(path, manifest: Manifest, what: str = "session file"):
     from . import env as env_mod
     try:
         trajectories = env_mod.load_trajectories(path)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError) as exc:
         raise DataError(f"cannot read {what} {path}: {exc}") from exc
     manifest.add_input(path)
     return trajectories

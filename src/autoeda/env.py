@@ -453,17 +453,40 @@ def action_to_json(action: ActionSpec) -> dict:
     return {"kind": action.kind}
 
 
+# how an error names the type of a parsed JSON value
+_JSON_TYPES = {dict: "an object", list: "a list", str: "a string",
+               int: "a number", float: "a number", bool: "a boolean",
+               type(None): "null"}
+
+
+def _expect(value, kind: type, what: str):
+    """`value`, a parsed JSON value, if it is a `kind`; else ValueError
+    naming `what` it is."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{what} must be {_JSON_TYPES[kind]}, "
+                         f"got {_JSON_TYPES[type(value)]}")
+    return value
+
+
+def _member(obj: dict, name: str, kind: type = object):
+    """The `name` member of a JSON object, which must be a `kind`."""
+    if name not in obj:
+        raise ValueError(f'"{name}" is missing')
+    return _expect(obj[name], kind, f'"{name}"')
+
+
 def _text_fields(obj: dict, *names: str) -> list[str]:
     for name in names:
-        if not isinstance(obj[name], str):
+        if not isinstance(_member(obj, name), str):
             raise ValueError(f"action field {name!r} must be a string, "
                              f"got {obj[name]!r}")
     return [obj[name] for name in names]
 
 
 def action_from_json(obj: dict) -> ActionSpec:
-    """The action of a JSON object; a non-string field raises ValueError."""
-    kind = obj["kind"]
+    """The action of a JSON object; a missing or non-string field raises
+    ValueError."""
+    kind = _member(obj, "kind")
     if kind == "GROUP":
         return ActionSpec("GROUP", group=Grouping(
             *_text_fields(obj, "grp_col", "agg_col", "agg_func")))
@@ -491,10 +514,21 @@ def save_trajectories(path, dataset: Dataset, trajectories) -> None:
 
 
 def load_trajectories(path) -> list[Trajectory]:
+    """The sessions of a session file. A file not laid out as
+    `save_trajectories` writes raises ValueError naming the session (from
+    1), the step (from 1) and the field at fault."""
     with open(Path(path)) as fh:
-        payload = json.load(fh)
-    name = payload["dataset"]
-    return [
-        Trajectory(name, tuple(action_from_json(step["action"]) for step in session))
-        for session in payload["sessions"]
-    ]
+        payload = _expect(json.load(fh), dict, "the file")
+    name = _member(payload, "dataset", str)
+    trajectories = []
+    for s, session in enumerate(_member(payload, "sessions", list), start=1):
+        actions = []
+        for t, step in enumerate(_expect(session, list, f"session {s}"),
+                                 start=1):
+            try:
+                step = _expect(step, dict, "the step")
+                actions.append(action_from_json(_member(step, "action", dict)))
+            except ValueError as exc:
+                raise ValueError(f"session {s}, step {t}: {exc}") from None
+        trajectories.append(Trajectory(name, tuple(actions)))
+    return trajectories

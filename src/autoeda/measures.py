@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
 from . import env as _env
-from .tabular import Dataset, Display, column_histogram, is_finite_number
+from .tabular import (Dataset, Display, Histogram, column_histogram,
+                      is_finite_number)
 
 MEASURE_NAMES = ("a_int", "diversity", "coherence", "readability", "peculiarity")
 DEFAULT_KL_EPS = 1e-6
@@ -67,23 +67,29 @@ def default_measure_specs(row_count: int) -> MeasureSpecs:
     )
 
 
-def kl_divergence(p: dict, q: dict, eps: float = DEFAULT_KL_EPS) -> float:
-    """KL(p || q) over the union support.
+def kl_divergence(p: Histogram, q: Histogram,
+                  eps: float = DEFAULT_KL_EPS) -> float:
+    """KL(p || q) of two histograms over one dictionary (the same array).
 
     Zero-mass q entries are smoothed to eps so the sum stays finite; p
     entries with zero mass contribute nothing. Two empty histograms give 0.
 
-    The terms are those of a loop over p: each ratio is one float division,
-    its log comes from `math` (numpy's log can differ in the last bit), and
-    the terms add up in p's order, starting from 0.0, so the result has the
-    loop's bits.
+    q's shares are read at p's codes through a dense array over the
+    dictionary, so no value is hashed. The terms are those of a loop over
+    p's values: each ratio is one float division, its log comes from `math`
+    (numpy's log can differ in the last bit), and the terms add up in p's
+    order, starting from 0.0, so the result has the loop's bits.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be a positive finite number, got {eps!r}")
+    if p.dictionary is not q.dictionary:
+        raise ValueError("kl_divergence needs two histograms over one "
+                         "dictionary")
     if not p and not q:
         return 0.0
-    mass = np.fromiter(p.values(), dtype=float, count=len(p))
-    q_mass = np.fromiter(map(q.get, p, repeat(0.0)), dtype=float, count=len(p))
+    dense = np.zeros(len(p.dictionary))
+    dense[q.codes] = q.shares
+    mass, q_mass = p.shares, dense[p.codes]
     keep = ~(mass <= 0)
     mass, q_mass = mass[keep], q_mass[keep]
     # overflow to inf and inf - inf stay silent, as in Python float arithmetic

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
 from pathlib import Path
-from types import MappingProxyType
 
 import numpy as np
 
@@ -248,8 +247,8 @@ class Dataset:
 class _RowSet:
     """The rows that one or more views of a dataset show, the filters that
     decide them (`Display.row_filters`), and everything computed from those
-    rows alone: the column summary, the per-column rankings and histograms,
-    and each grouping's group table.
+    rows alone: the column summary, the per-column rankings, and each
+    grouping's group table.
 
     A GROUP view, and a FILTER view that keeps every row, share their
     parent's row set, so whichever of them computes a value first serves
@@ -257,20 +256,18 @@ class _RowSet:
     by reference counting alone.
     """
 
-    __slots__ = ("rows", "filters", "summary", "ranked", "histograms",
-                 "groups")
+    __slots__ = ("rows", "filters", "summary", "ranked", "groups")
 
     def __init__(self, rows, filters):
         self.rows = rows
         self.filters = filters
         self.summary = None
         self.ranked = {}  # column index -> ranked codes
-        self.histograms = {}  # column index -> read-only histogram
-        # Grouping -> [keys, sizes, aggregates or None until first read]
+        # Grouping -> [codes, sizes, aggregates or None until first read]
         self.groups = {}
 
     def grouped(self, dataset: Dataset, grouping: Grouping) -> list:
-        """The group table of `grouping` over these rows: its keys and
+        """The group table of `grouping` over these rows: its codes and
         sizes, computed once, and a place for its aggregates."""
         table = self.groups.get(grouping)
         if table is None:
@@ -283,20 +280,20 @@ class Display:
     """A dataset view: ordered filters, optional single grouping, rows.
 
     `rows` is the ascending int32 array of the dataset rows that pass the
-    filters. A grouped display also holds its group keys (in code order,
-    null last) and group sizes, and computes its aggregate values when they
-    are first read; `visible_rows` is what a user would see. Instances are
-    immutable. Views that show the same rows (every root view of a dataset,
-    a GROUP view and its parent, a FILTER that keeps every row and its
-    parent) share one set of row statistics: per-column counts, rankings,
-    histograms, group tables and aggregates, each computed once and
-    read-only. The root views' set lives as long as the dataset. A view
-    whose row filters and grouping its dataset has encoded before starts
-    with that encoding.
+    filters. A grouped display also holds its group sizes, reads its group
+    keys (in code order, null last) from its group codes, and computes its
+    aggregate values when they are first read; `visible_rows` is what a
+    user would see. Instances are immutable. Views that show the same rows
+    (every root view of a dataset, a GROUP view and its parent, a FILTER
+    that keeps every row and its parent) share one set of row statistics:
+    per-column counts, rankings, group tables and aggregates, each computed
+    once and read-only. The root views' set lives as long as the dataset. A
+    view whose row filters and grouping its dataset has encoded before
+    starts with that encoding.
     """
 
-    __slots__ = ("dataset", "filters", "grouping", "_rowset",
-                 "group_keys", "group_sizes", "_vec", "_fp")
+    __slots__ = ("dataset", "filters", "grouping", "_rowset", "group_sizes",
+                 "_vec", "_fp")
 
     def __init__(self, dataset, filters, grouping, rows):
         """`rows` is the `_RowSet` the view shares with every view that
@@ -305,11 +302,8 @@ class Display:
         self.filters = tuple(filters)
         self.grouping = grouping
         self._rowset = rows
-        if grouping is None:
-            self.group_keys = self.group_sizes = ()
-        else:
-            self.group_keys, self.group_sizes, _ = rows.grouped(dataset,
-                                                                grouping)
+        self.group_sizes = (() if grouping is None
+                            else rows.grouped(dataset, grouping)[1])
         self._vec = dataset._encodings.get((rows.filters, grouping))
         self._fp = None
 
@@ -327,6 +321,16 @@ class Display:
         those that kept every row they were given. On one dataset, equal
         row filters mean equal rows."""
         return self._rowset.filters
+
+    @property
+    def group_keys(self) -> tuple:
+        """Each group's key, in code order with the null group (None)
+        last."""
+        ds, g = self.dataset, self.grouping
+        if g is None:
+            return ()
+        codes = self._rowset.grouped(ds, g)[0]
+        return tuple(ds.dictionaries[ds.column_index(g.grp_col)][codes].tolist())
 
     @property
     def group_count(self) -> int:
@@ -452,13 +456,13 @@ def initial_display(dataset: Dataset) -> Display:
 
 
 def _compute_groups(dataset: Dataset, rows, grouping: Grouping):
-    """Group keys and sizes; keys in code order, null last."""
+    """Group codes (read-only) and sizes; in code order, null last."""
     gi = dataset.column_index(grouping.grp_col)
     sizes = np.bincount(dataset.codes[gi, rows],
                         minlength=len(dataset.dictionaries[gi]))
     present = np.flatnonzero(sizes)
-    return (tuple(dataset.dictionaries[gi][present].tolist()),
-            tuple(sizes[present].tolist()))
+    present.setflags(write=False)
+    return present, tuple(sizes[present].tolist())
 
 
 def _group_aggregates(dataset: Dataset, rows, grouping: Grouping) -> tuple:
@@ -576,31 +580,53 @@ def display_fingerprint(display: Display) -> str:
     return fp
 
 
-def column_histogram(display: Display, column: str) -> Mapping:
+class Histogram(Mapping):
+    """One column's relative value frequencies in dictionary-code space:
+    `dictionary` is the column's `Dataset.dictionaries` entry, `codes` the
+    codes present and `shares` their shares. It reads as value -> share;
+    that dict is built only when something iterates it or looks up a value.
+    """
+
+    __slots__ = ("dictionary", "codes", "shares", "_by_value")
+
+    def __init__(self, dictionary, codes, shares):
+        self.dictionary, self.codes, self.shares = dictionary, codes, shares
+        self._by_value = None
+
+    def _values(self) -> dict:
+        if self._by_value is None:
+            self._by_value = dict(zip(self.dictionary[self.codes].tolist(),
+                                      self.shares.tolist()))
+        return self._by_value
+
+    def __getitem__(self, value):
+        return self._values()[value]
+
+    def __iter__(self):
+        return iter(self._values())
+
+    def __len__(self):
+        return len(self.codes)
+
+
+def column_histogram(display: Display, column: str) -> Histogram:
     """Relative value frequencies for one column of a display.
 
-    Nulls are excluded (tracked separately as a count). The histogram is
-    computed once per row set and column and shared, read-only, by every
-    view that shows those rows. For the grouped column of a grouped display
-    the keys are the group keys, each with the same weight, mirroring the
-    visible one-row-per-group table; a null group appears under the key
-    None. That histogram depends on the grouping too, so it is built anew
-    on each call.
+    Nulls are excluded (tracked separately as a count), and the codes come
+    in `column_stats` order. For the grouped column of a grouped display
+    the codes are the group codes, each with the same share, mirroring the
+    visible one-row-per-group table; a null group appears under the null
+    code, whose value is None.
     """
     ds = display.dataset
     idx = ds.column_index(column)
     g = display.grouping
     if g is not None and g.grp_col == column:
-        n = display.group_count
-        return dict.fromkeys(display.group_keys, 1.0 / n) if n else {}
-    histograms = display._rowset.histograms
-    hist = histograms.get(idx)
-    if hist is None:
-        codes, counts, _ = display.column_stats(idx)
-        values = ds.dictionaries[idx][codes].tolist()
-        hist = histograms[idx] = MappingProxyType(
-            dict(zip(values, (counts / counts.sum()).tolist())))
-    return hist
+        codes = display._rowset.grouped(ds, g)[0]
+        return Histogram(ds.dictionaries[idx], codes,
+                         np.ones(len(codes)) / len(codes))
+    codes, counts, _ = display.column_stats(idx)
+    return Histogram(ds.dictionaries[idx], codes, counts / counts.sum())
 
 
 def _infer_kind(strings, numbers, n_rows, max_categorical, categorical_fraction):

@@ -22,7 +22,7 @@ from autoeda.measures import (classify_session, default_measure_specs,
                               diversity, kl_divergence, normalize_session,
                               peculiarity, readability, score_session, sigmoid)
 from autoeda.tabular import (ColumnKind, FilterPredicate, Grouping,
-                             initial_display)
+                             column_histogram, initial_display)
 from autoeda.train import (TrainConfig, action_agreement, bc_pretrain,
                            clipped_surrogate, derive_rng, incoherence_penalty,
                            ppo_clip_target, prepare_expert_steps, train_gail,
@@ -206,9 +206,10 @@ def test_criterion_3_ppo_clip_exactness():
 def test_criterion_4_measure_identities(toy):
     specs = default_measure_specs(toy.row_count)
     d0 = initial_display(toy)
-    p = {"a": 0.3, "b": 0.45, "c": 0.25}
     checks = {
-        "kl self": kl_divergence(p, dict(p)) == 0.0,
+        "kl self": all(kl_divergence(column_histogram(d0, c),
+                                     column_histogram(d0, c)) == 0.0
+                       for c in toy.column_names),
         "diversity repeat": diversity(d0, [d0]) == 0.0,
         "readability equal": readability(d0, d0, specs) == 0.0,
         "peculiarity floor": peculiarity(d0, d0, specs)

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -608,6 +609,66 @@ def test_deterministic_pins_blas_to_one_thread(tmp_path):
         assert threads(clean) > 1
 
 
+# synth, a short deterministic train, then generate, measure and eval, each
+# reading what the one before wrote; paths are relative to the run's
+# directory, so that the manifests of two runs name the same files
+HASH_SEED_PIPELINE = [
+    ["synth", "--config", "synth.json", "--seed", "3", "--out", "data"],
+    ["train", "--data", "data", "--datasets", "ds1,ds2", "--config",
+     "train.json", "--seed", "4", "--out", "run"],
+    ["generate", "--checkpoint", "run/checkpoint.json", "--dataset",
+     "data/ds1.csv", "--n", "3", "--mode", "sample", "--seed", "5",
+     "--out", "gen/sessions.json"],
+    ["measure", "--session", "gen/sessions.json", "--dataset", "data/ds1.csv",
+     "--out", "measure"],
+    ["eval", "--sessions", "gen/sessions.json", "--data", "data",
+     "--datasets", "ds1", "--out", "eval"],
+]
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    """Under PYTHONHASHSEED 0 and 1, each in a fresh interpreter, every
+    file the pipeline writes has the same bytes, apart from the manifests'
+    start and finish times. One interpreter per hash seed runs every
+    command with `--deterministic`, so the first pins BLAS to one thread
+    before numpy loads."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = ("import json, sys\nfrom autoeda.cli import main\n"
+              "for argv in json.loads(sys.argv[1]):\n"
+              "    assert main(argv + ['--deterministic']) == 0, argv\n")
+
+    def outputs(hash_seed):
+        root = tmp_path / f"hash{hash_seed}"
+        root.mkdir()
+        (root / "synth.json").write_text(json.dumps({
+            "datasets": 2, "rows": 80, "trajectories": 6, "n_edges": 2,
+            "n_patterns": 2}))
+        (root / "train.json").write_text(json.dumps({
+            "total_interactions": 64, "train_interval": 32, "horizon": 5,
+            "batch_policy": 8, "batch_disc": 16, "bc_epochs": 2,
+            "bc_batch": 8}))
+        env = {**os.environ, "PYTHONPATH": str(src),
+               "PYTHONHASHSEED": str(hash_seed)}
+        proc = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(HASH_SEED_PIPELINE)],
+            cwd=root, env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        files = {}
+        for path in sorted(root.rglob("*")):
+            if path.is_file():
+                data = path.read_bytes()
+                if path.name.endswith("manifest.json"):
+                    data, times = re.subn(rb'"(started|finished)_at": "[^"]*"',
+                                          b"", data)
+                    assert times == 2
+                files[str(path.relative_to(root))] = data
+        return files
+
+    first = outputs(0)
+    assert len([name for name in first if name.endswith("manifest.json")]) == 5
+    assert first == outputs(1)
+
+
 def test_importing_the_cli_loads_no_numpy():
     """`--deterministic` pins BLAS threads in `main` through environment
     variables, which only take effect while numpy is not yet loaded."""
@@ -851,6 +912,59 @@ def test_eval_names_the_session_that_does_not_replay(data_dir, tmp_path, capsys)
     assert (f"data error: session 3 of {bad} does not replay: "
             "episode is finished") in capsys.readouterr().err
     assert not (tmp_path / "rep").exists()
+
+
+def sessions_file(second):
+    """A session file for ds1 whose second session is `second`."""
+    return {"dataset": "ds1", "sessions": [FINISHED[:1], second]}
+
+
+STOP_STEP = FINISHED[0]
+FILTER_ACTION = {"kind": "FILTER", "column": "c1", "op": "EQ", "term": "a"}
+GROUP_ACTION = {"kind": "GROUP", "grp_col": "c1", "agg_col": "n1",
+                "agg_func": "COUNT"}
+
+
+@pytest.mark.parametrize("payload, message", [
+    ([], "the file must be an object, got a list"),
+    ({"sessions": []}, '"dataset" is missing'),
+    ({"dataset": 1, "sessions": []}, '"dataset" must be a string, got a number'),
+    ({"dataset": "ds1"}, '"sessions" is missing'),
+    ({"dataset": "ds1", "sessions": {}}, '"sessions" must be a list, got an object'),
+    (sessions_file(STOP_STEP), "session 2 must be a list, got an object"),
+    (sessions_file([STOP_STEP, 5]),
+     "session 2, step 2: the step must be an object, got a number"),
+    (sessions_file([STOP_STEP, {"step": 2}]), 'session 2, step 2: "action" is missing'),
+    (sessions_file([STOP_STEP, {"action": "STOP"}]),
+     'session 2, step 2: "action" must be an object, got a string'),
+    (sessions_file([STOP_STEP, {"action": {}}]), 'session 2, step 2: "kind" is missing'),
+    (sessions_file([STOP_STEP, {"action": {**FILTER_ACTION, "term": None}}]),
+     "session 2, step 2: action field 'term' must be a string, got None"),
+    (sessions_file([STOP_STEP, {"action": {k: v for k, v in FILTER_ACTION.items()
+                                           if k != "op"}}]),
+     'session 2, step 2: "op" is missing'),
+    (sessions_file([STOP_STEP, {"action": {k: v for k, v in GROUP_ACTION.items()
+                                           if k != "agg_col"}}]),
+     'session 2, step 2: "agg_col" is missing'),
+    (sessions_file([STOP_STEP, {"action": {"kind": "JUMP"}}]),
+     "session 2, step 2: unknown action kind 'JUMP'"),
+])
+def test_malformed_session_files_name_the_place_at_fault(data_dir, tmp_path,
+                                                         capsys, payload,
+                                                         message):
+    """A session file of the wrong shape is a data error (exit 2) in
+    measure and in eval, and the message names the session, the step and
+    the field at fault."""
+    bad = tmp_path / "s.json"
+    bad.write_text(json.dumps(payload))
+    assert run("measure", "--session", bad, "--dataset", data_dir / "ds1.csv",
+               "--out", tmp_path / "m") == 2
+    assert (f"data error: cannot read session file {bad}: {message}\n"
+            in capsys.readouterr().err)
+    assert run("eval", "--sessions", bad, "--data", data_dir,
+               "--datasets", "ds1", "--out", tmp_path / "e") == 2
+    assert f"{bad}: {message}\n" in capsys.readouterr().err
+    assert not (tmp_path / "m").exists() and not (tmp_path / "e").exists()
 
 
 @pytest.mark.parametrize("field, value", [

@@ -152,6 +152,43 @@ def test_engine_matches_row_reference(case):
         assert states[a].current.shows_same_rows(states[b].current) == same
 
 
+# a FILTER that keeps every row, a grouping of a column with nulls (so a
+# null group) and of one without, an emptied view, and a FILTER that drops
+# rows, on a column whose first-row order is not its code order
+NULL_GROUP = Dataset("null_group", [("c", "categorical"), ("n", "numeric")],
+                     [["b", 1.0], [None, 2.0], ["a", None], ["b", 1.0], [None, 5.0]])
+NULL_GROUP_SESSION = [ActionSpec("FILTER", filter=FilterPredicate("c", "NEQ", "z")),
+                      ActionSpec("GROUP", group=Grouping("c", "n", "COUNT")),
+                      ActionSpec("GROUP", group=Grouping("n", "c", "COUNT")),
+                      ActionSpec("BACK"), ActionSpec("BACK"),
+                      ActionSpec("FILTER", filter=FilterPredicate("c", "EQ", "z")), ActionSpec("BACK"),
+                      ActionSpec("FILTER", filter=FilterPredicate("n", "NEQ", "2")),
+                      ActionSpec("GROUP", group=Grouping("c", "n", "SUM"))]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(tables().flatmap(lambda ds: st.tuples(st.just(ds), sessions(ds))))
+@example((NULL_GROUP, NULL_GROUP_SESSION))
+def test_code_space_histograms_and_kls_match_the_dict_oracle(case):
+    """On every column, each view of a random session has a histogram that
+    reads as the row engine's value -> share dict, item by item in its
+    order (values in order of first row; for the grouped column, the group
+    keys with the null group last) and bit for bit, and the KL of every
+    ordered pair of the session's views, a grouped column against a plain
+    one among them, is the dict loop's, bit for bit."""
+    ds, actions = case
+    displays = [state.current for state in walk(ds, actions)]
+    views = reference_walk(ds, actions)
+    for col in ds.column_names:
+        hists = [column_histogram(d, col) for d in displays]
+        dicts = [ref.histogram(view, col) for view in views]
+        for hist, want in zip(hists, dicts):
+            assert repr(list(hist.items())) == repr(list(want.items()))
+        for a, b in itertools.product(range(len(views)), repeat=2):
+            got = kl_divergence(hists[a], hists[b])
+            assert repr(got) == repr(measures_reference.kl_divergence(dicts[a], dicts[b]))
+
+
 # a share of 28/31, whose log2 numpy can round differently from math.log2
 SKEWED = Dataset("skewed", [("c", "categorical")], [["a"]] * 28 + [["b"], ["c"], ["d"]])
 
@@ -537,10 +574,11 @@ SHARED = [ActionSpec("FILTER", filter=FilterPredicate("n", "NEQ", "1")), GROUP_S
 def test_cached_histograms_and_kls_match_fresh_datasets(case):
     """Walk random sessions on one dataset, so that later walks meet the
     row sets of earlier ones, and read the views' histograms and KLs in a
-    random order: each equals, by ==, the value computed first on a fresh
-    dataset, and each session scores as its walk on a fresh dataset does.
-    The KLs read are those of the program (each view against the one
-    before it and against the root) and a sample of other ordered pairs."""
+    random order: each histogram equals, by ==, the one computed first on a
+    fresh dataset, each KL equals the dict loop's over those, and each
+    session scores as its walk on a fresh dataset does. The KLs read are
+    those of the program (each view against the one before it and against
+    the root) and a sample of other ordered pairs."""
     ds, walks, rng = case
     columns = ds.column_names
     for actions in walks:
@@ -558,8 +596,9 @@ def test_cached_histograms_and_kls_match_fresh_datasets(case):
                 assert column_histogram(a, b) == cold[a.filters, a.grouping][b]
             else:
                 assert max_column_kl(a, b) == max(
-                    kl_divergence(cold[a.filters, a.grouping][c],
-                                  cold[b.filters, b.grouping][c]) for c in columns)
+                    measures_reference.kl_divergence(cold[a.filters, a.grouping][c],
+                                                     cold[b.filters, b.grouping][c])
+                    for c in columns)
         fresh = Dataset(ds.name, ds.columns, ref.dataset_rows(ds))
         assert score_session(ds, actions) == score_session(fresh, actions)
 

@@ -1,7 +1,6 @@
 import gc
 import math
 import weakref
-from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -17,6 +16,7 @@ from autoeda.measures import (DEFAULT_KL_EPS, MEASURE_NAMES, CoherenceRuleset,
 from autoeda.tabular import (ColumnKind, Dataset, FilterPredicate, Grouping,
                              apply_filter, apply_group, column_histogram,
                              display_fingerprint, initial_display)
+from measures_reference import histograms
 from row_engine import dataset_rows
 
 
@@ -57,13 +57,17 @@ def test_sigmoid_invalid_width():
 # ---------------------------------------------------------------------------
 # KL divergence
 
-def test_kl_identity_is_exactly_zero():
+def test_kl_identity_is_exactly_zero(toy):
     p = {"a": 0.3, "b": 0.5, "c": 0.2}
-    assert kl_divergence(p, dict(p)) == 0.0
+    assert kl_divergence(*histograms(p, dict(p))) == 0.0
+    d0 = initial_display(toy)
+    for col in toy.column_names:
+        assert repr(kl_divergence(column_histogram(d0, col),
+                                  column_histogram(d0, col))) == "0.0"
 
 
 def test_kl_point_mass_vs_uniform():
-    val = kl_divergence({"a": 1.0}, {"a": 0.5, "b": 0.5})
+    val = kl_divergence(*histograms({"a": 1.0}, {"a": 0.5, "b": 0.5}))
     assert val == pytest.approx(math.log(2))
 
 
@@ -81,7 +85,8 @@ def test_kl_random_pairs_match_summation_oracle():
             if pv > 0:
                 qv = q.get(v, 0.0)
                 expected += pv * math.log(pv / (qv if qv > 0 else eps))
-        assert kl_divergence(p, q, eps) == pytest.approx(expected, abs=1e-12)
+        assert kl_divergence(*histograms(p, q), eps) == \
+            pytest.approx(expected, abs=1e-12)
 
 
 def test_kl_nonnegative_within_smoothing_tolerance():
@@ -92,13 +97,37 @@ def test_kl_nonnegative_within_smoothing_tolerance():
         p = dict(zip(range(n), rng.dirichlet(np.ones(n))))
         m = int(rng.integers(1, 8))
         q = dict(zip(range(m), rng.dirichlet(np.ones(m))))
-        assert kl_divergence(p, q, eps) >= -eps * (n + m)
+        assert kl_divergence(*histograms(p, q), eps) >= -eps * (n + m)
 
 
 def test_kl_empty_distributions():
-    assert kl_divergence({}, {}) == 0.0
+    assert kl_divergence(*histograms({}, {})) == 0.0
     with pytest.raises(ValueError):
-        kl_divergence({}, {}, eps=0.0)
+        kl_divergence(*histograms({}, {}), eps=0.0)
+
+
+def test_kl_refuses_histograms_over_two_dictionaries(toy):
+    """Codes index one dictionary: histograms of two columns, or of one
+    column of two equal datasets, are refused, even when both are empty."""
+    copy = Dataset(toy.name, [(c, k.value) for c, k in toy.columns],
+                   dataset_rows(toy))
+    d0, c0 = initial_display(toy), initial_display(copy)
+    empty = apply_filter(d0, FilterPredicate("color", "EQ", "zzz"))
+    pairs = [(column_histogram(d0, "color"), column_histogram(c0, "color")),
+             (column_histogram(d0, "color"), column_histogram(d0, "note")),
+             (column_histogram(empty, "color"), column_histogram(empty, "note"))]
+    for p, q in pairs:
+        for args in ((p, q), (q, p)):
+            with pytest.raises(ValueError, match="one dictionary"):
+                kl_divergence(*args)
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, 0.0, -1e-6])
+def test_kl_refuses_an_eps_that_is_not_positive_and_finite(eps):
+    """A NaN eps would give NaN, and an infinite one a log of 0."""
+    p, q = histograms({"a": 0.5, "b": 0.5}, {"a": 1.0})
+    with pytest.raises(ValueError, match="positive finite"):
+        kl_divergence(p, q, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -500,10 +529,10 @@ def test_kl_memo_warm_scores_equal_fresh_dataset_scores(synthetic_bundle):
 def test_kl_memo_entry_dies_with_its_dataset():
     """The KL memo's keys hold only filter predicates, column indices and
     grouped flags, and its values only floats: no view, row set or dataset.
-    Neither the memos nor the row sets, whose group tables and histograms a
-    held view keeps, refer back to the dataset: not even the row set of all
-    rows that the dataset keeps, once it holds a summary, rankings,
-    histograms and group tables."""
+    Neither the memos nor the row sets, whose group tables a held view
+    keeps, refer back to the dataset: not even the row set of all rows that
+    the dataset keeps, once it holds a summary, rankings and group
+    tables."""
     gc.disable()  # freed by reference counting alone, no cycle to collect
     try:
         ds = Dataset("gone", [("color", ColumnKind.CATEGORICAL),
@@ -518,13 +547,12 @@ def test_kl_memo_entry_dies_with_its_dataset():
         assert root._rowset is ds._all_rows
         assert root._rowset.summary is not None and root._rowset.ranked
         assert len(root._rowset.groups) == 2
-        assert len(root._rowset.histograms) == 2
         narrowed = apply_filter(root, FilterPredicate("color", "EQ", "a"))
         view = apply_group(narrowed, Grouping("color", "n", "MEAN"))
         kept = apply_filter(view, FilterPredicate("n", "NEQ", "7"))
         assert kept._rowset is view._rowset is narrowed._rowset
         max_column_kl(root, kept)
-        assert view._rowset.groups and view._rowset.histograms
+        assert view._rowset.groups
         dropped = apply_filter(view, FilterPredicate("n", "NEQ", "1"))
         max_column_kl(view, dropped)
         assert (0, True, True) in ds._kl_memo[view.row_filters,
@@ -636,16 +664,27 @@ def test_views_of_one_row_set_differ_by_exactly_zero(toy):
 def test_scoring_runs_kl_divergence_once_per_row_set_pair_and_column(
         synthetic_bundle, monkeypatch):
     """Scoring sessions on one dataset never compares two row sets on one
-    column twice: a cached histogram stands for one row set and column, so
-    no (p, q) pair of them recurs. Views of one row set, whose histograms
-    are one object, and grouped columns, whose histograms are plain dicts,
+    column twice: each histogram is keyed by its view's row filters and
+    its column, and no (p, q) pair of those keys recurs. Views of one row
+    set, and grouped columns, whose histograms depend on the grouping too,
     are left out."""
     dataset, _, _, trajectories = synthetic_bundle
     ds = Dataset(dataset.name, dataset.columns, dataset_rows(dataset))
+    built = {}  # id of a histogram -> (histogram, its key or None)
+    histogram = measures.column_histogram
+
+    def keyed(display, column):
+        hist = histogram(display, column)
+        grouped = display.grouping is not None and display.grouping.grp_col == column
+        built[id(hist)] = hist, None if grouped else (display.row_filters, column)
+        return hist
+
+    monkeypatch.setattr(measures, "column_histogram", keyed)
     compared = _counted_kl(monkeypatch)
     for t in trajectories:
         score_session(ds, t.actions)
-    cached = [(p, q) for p, q in compared if p is not q
-              and isinstance(p, MappingProxyType) and isinstance(q, MappingProxyType)]
-    assert cached
-    assert len({(id(p), id(q)) for p, q in cached}) == len(cached)
+    pairs = [(built[id(p)][1], built[id(q)][1]) for p, q in compared]
+    plain = [(a, b) for a, b in pairs
+             if a is not None and b is not None and a[0] != b[0]]
+    assert plain
+    assert len(set(plain)) == len(plain)
