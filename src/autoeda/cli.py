@@ -484,10 +484,13 @@ def _policy_sessions(args, datasets, manifest: Manifest):
 def cmd_generate(args) -> int:
     from . import env as env_mod
 
+    out_path = Path(args.out)
+    for flag in ("checkpoint", "dataset"):
+        if out_path.resolve() == Path(getattr(args, flag)).resolve():
+            raise UsageError(f"--out {out_path} is the --{flag} file")
     manifest = Manifest("generate", args, {"n": args.n, "mode": args.mode})
     (dataset,) = _load_datasets([args.dataset], manifest)
     (sessions,), cfg = _policy_sessions(args, [dataset], manifest)
-    out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     env_mod.save_trajectories(out_path, dataset, sessions)
 

@@ -11,6 +11,7 @@ central finite differences. Everything is float64 numpy and deterministic.
 
 from __future__ import annotations
 
+import base64
 import math
 
 import numpy as np
@@ -324,8 +325,11 @@ def l2_penalty(flat: np.ndarray, coeff: float,
 
 
 def arr_to_json(a: np.ndarray) -> dict:
-    return {"shape": list(a.shape), "data": a.ravel().tolist()}
+    """`a`'s shape and the base64 text of its little-endian float64 bytes."""
+    raw = np.ascontiguousarray(a, "<f8").tobytes()
+    return {"shape": list(a.shape), "f8le": base64.b64encode(raw).decode("ascii")}
 
 
 def arr_from_json(obj: dict) -> np.ndarray:
-    return np.asarray(obj["data"], dtype=float).reshape(obj["shape"])
+    raw = base64.b64decode(obj["f8le"], validate=True)
+    return np.frombuffer(raw, "<f8").reshape(obj["shape"])

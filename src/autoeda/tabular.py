@@ -741,8 +741,7 @@ def write_dataset(dataset: Dataset, path) -> None:
 
 def write_json(path, obj, indent: int) -> None:
     """`obj` as indented JSON and a newline, encoded whole and written at
-    once. (A checkpoint, the one unindented document, is written by
-    `train.save_checkpoint` a network at a time.)"""
+    once."""
     with open(path, "w") as fh:
         fh.write(json.dumps(obj, indent=indent) + "\n")
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from collections import deque
 from dataclasses import dataclass, field, asdict
 from itertools import cycle
@@ -22,7 +23,7 @@ from .env import (DEFAULT_HORIZON, DEFAULT_TERM_BINS, HEAD_MASKS, EdaEnv,
                   HeadLayout, Step, decide, encode_action, replay, state_vec)
 from .tabular import ColumnKind, is_finite_number, is_int
 
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
 # the TrainResult networks a checkpoint stores, each under its field name
 _NETWORKS = ("policy", "value", "discriminator")
 
@@ -508,23 +509,25 @@ def _load_flat(net, obj, name: str) -> None:
 
 
 def save_checkpoint(path, result: TrainResult, cfg: TrainConfig) -> None:
-    """The bytes of `json.dumps(payload) + "\\n"`, encoded a piece at a time:
-    the head fields, then each network, so that only one network's text is
-    held at once. Encoding the whole payload in one `write_json` gives the
-    same bytes but raised peak RSS by 1.7 MB on the `clone` bench workload
-    (46.8-46.9 to 48.5-48.6 MB) and by 0.9-1.2 MB on `imitate` (58.1-58.4
-    to 59.3 MB), two `--seconds 0` runs each at seed 1."""
-    head = {
+    """`json.dumps(payload) + "\\n"`, written to `.<name>.partial` beside
+    `path` and renamed onto it: `path` holds its old bytes or the whole new
+    checkpoint, never a part, and a failed save leaves no partial file."""
+    path = Path(path)
+    payload = {
         "format_version": CHECKPOINT_VERSION,
         "config": cfg.to_dict(),
         "schema": [[c, k.value] for c, k in result.schema],
+        **{name: nn.arr_to_json(getattr(result, name).flat)
+           for name in _NETWORKS},
     }
-    with open(path, "w") as fh:
-        fh.write(json.dumps(head)[:-1])
-        for name in _NETWORKS:
-            net = getattr(result, name)
-            fh.write(f', "{name}": {json.dumps(nn.arr_to_json(net.flat))}')
-        fh.write("}\n")
+    partial = path.with_name(f".{path.name}.partial")
+    try:
+        with open(partial, "w") as fh:
+            fh.write(json.dumps(payload) + "\n")
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path) -> tuple[TrainResult, TrainConfig]:

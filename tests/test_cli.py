@@ -1,3 +1,4 @@
+import base64
 import csv
 import hashlib
 import json
@@ -10,10 +11,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from autoeda import nn
 from autoeda.cli import _THREAD_VARS, main
 from autoeda.env import ActionSpec, Trajectory, load_trajectories, save_trajectories
 from autoeda.evaluation import METRIC_COLUMNS
 from autoeda.tabular import FilterPredicate, Grouping, load_dataset
+from autoeda.train import load_checkpoint
 
 
 def run(*argv):
@@ -265,6 +268,24 @@ def test_generate_out_is_the_session_file(run_dir, data_dir, tmp_path, capsys):
         assert message in capsys.readouterr().err, out
     assert sorted(tmp_path.iterdir()) == [taken]
     assert taken.read_text() == "kept"
+
+
+def test_generate_refuses_to_overwrite_its_inputs(run_dir, data_dir, tmp_path,
+                                                  capsys):
+    """An --out that names the checkpoint or the dataset CSV, however it is
+    spelled, is a usage error raised before any file is read or written."""
+    for name in ("ds1.csv", "ds1.schema.json"):
+        (tmp_path / name).write_bytes((data_dir / name).read_bytes())
+    ckpt = tmp_path / "checkpoint.json"
+    ckpt.write_bytes((run_dir / "checkpoint.json").read_bytes())
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    for out, flag in ((ckpt, "--checkpoint"),
+                      (tmp_path / "new" / ".." / "checkpoint.json", "--checkpoint"),
+                      (tmp_path / "ds1.csv", "--dataset")):
+        assert run("generate", "--checkpoint", ckpt, "--dataset",
+                   tmp_path / "ds1.csv", "--out", out) == 1, out
+        assert f"is the {flag} file" in capsys.readouterr().err, out
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def test_measure_table(data_dir, capsys):
@@ -743,7 +764,8 @@ def test_non_finite_adversarial_training_exits_three(data_dir, tmp_path,
     out = tmp_path / "out"
     assert run("train", "--data", data_dir, "--datasets", "ds1",
                "--config", config, "--no-bc", "--out", out) == 3
-    assert "NaN" in (out / "checkpoint.json").read_text()
+    policy = load_checkpoint(out / "checkpoint.json")[0].policy
+    assert np.isnan(policy.flat[0]) and np.isfinite(policy.flat[1:]).all()
     assert (out / "metrics.ndjson").read_text() == ""
     assert not (out / "manifest.json").exists()
 
@@ -1001,10 +1023,28 @@ def test_non_string_action_fields_exit_two(data_dir, tmp_path, capsys, field,
 
 def test_malformed_checkpoints_exit_two(run_dir, data_dir, tmp_path, capsys):
     good = json.loads((run_dir / "checkpoint.json").read_text())
-    short = dict(good, policy={"shape": [len(good["policy"]["data"]) - 1],
-                               "data": good["policy"]["data"][:-1]})
+    raw = base64.b64decode(good["policy"]["f8le"])
+    n = len(raw) // 8
+
+    def policy(shape, f8le):
+        return dict(good, policy={"shape": shape, "f8le": f8le})
+
+    def b64(data):
+        return base64.b64encode(data).decode("ascii")
+
+    decimal = {name: {"shape": good[name]["shape"],
+                      "data": nn.arr_from_json(good[name]).tolist()}
+               for name in ("policy", "value", "discriminator")}
     for name, payload in (("version one", dict(good, format_version=1)),
-                          ("policy one entry short", short),
+                          ("version five", dict(good, format_version=5,
+                                                **decimal)),
+                          ("decimal arrays", dict(good, **decimal)),
+                          ("array field a list", policy([n], [0.0] * n)),
+                          ("array field a number", policy([n], 5)),
+                          ("bad base64", policy([n], "!" + good["policy"]["f8le"])),
+                          ("bytes not a multiple of 8", policy([n], b64(raw[:-3]))),
+                          ("count does not match shape", policy([n + 1], b64(raw))),
+                          ("policy one entry short", policy([n - 1], b64(raw[:-8]))),
                           ("network not an object", dict(good, policy=5)),
                           ("a list", [1, 2]), ("null", None), ("a string", "x")):
         bad = tmp_path / "ckpt.json"

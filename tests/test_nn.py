@@ -1,3 +1,4 @@
+import base64
 import math
 
 import numpy as np
@@ -479,3 +480,19 @@ def test_parameter_arrays_are_views_of_flat():
 def test_arr_json_round_trip():
     a = np.arange(6, dtype=float).reshape(2, 3)
     assert np.array_equal(nn.arr_from_json(nn.arr_to_json(a)), a)
+
+
+def test_arr_json_keeps_every_bit_as_little_endian_float64():
+    """-0.0, a subnormal, both infinities and a NaN with a payload come back
+    with the same bits, and the stored bytes are `<f8` whatever the byte
+    order of the array encoded."""
+    a = np.array([-0.0, 1e-310, math.inf, -math.inf, math.nan, 1.5])
+    a.view(np.uint64)[4] |= 0xABCD  # a quiet NaN with a payload
+    bits = a.view(np.uint64).copy()
+    assert math.isnan(a[4]) and bits[4] != np.float64(math.nan).view(np.uint64)
+    little = b"".join(int(b).to_bytes(8, "little") for b in bits)
+    for encoded in (a, a.astype(">f8")):
+        obj = nn.arr_to_json(encoded)
+        assert obj == {"shape": [6],
+                       "f8le": base64.b64encode(little).decode("ascii")}
+        assert nn.arr_from_json(obj).view(np.uint64).tolist() == bits.tolist()

@@ -658,32 +658,87 @@ def test_checkpoint_round_trip_three_columns(tmp_path, toy):
                               getattr(result, name).flat), name
 
 
-def test_checkpoint_is_one_json_document_written_in_pieces(tmp_path, toy):
-    """The pieces add up to the bytes of `json.dumps(payload) + "\n"`, a
-    non-finite parameter included, and load back to the same networks."""
+def test_checkpoint_is_one_strict_json_document(tmp_path, toy):
+    """The file is the bytes of `json.dumps(payload) + "\n"`; non-finite
+    parameters leave it strict JSON, with no NaN or Infinity token, and
+    every parameter loads back with the same bits."""
     cfg = small_cfg(policy_hidden=(16, 16), disc_hidden=(8, 8))
     layout, policy, value, disc = _fresh_nets(toy, cfg)
     rng = derive_rng(5, 0)
     for net in (policy, value, disc):
         net.flat[...] = rng.normal(scale=1e3, size=net.flat.shape)
     value.flat[3] = 1e-310
+    value.flat[4] = -0.0
     disc.flat[0] = math.inf
+    disc.flat[1] = -math.inf
+    policy.flat[2] = math.nan
+    policy.flat.view(np.uint64)[2] |= 0xABCD  # a NaN payload
     result = TrainResult(policy, value, disc, layout, tuple(toy.columns))
     path = tmp_path / "ckpt.json"
     save_checkpoint(path, result, cfg)
     payload = {
-        "format_version": 5, "config": cfg.to_dict(),
+        "format_version": 6, "config": cfg.to_dict(),
         "schema": [[c, k.value] for c, k in toy.columns],
         "policy": nn.arr_to_json(policy.flat),
         "value": nn.arr_to_json(value.flat),
         "discriminator": nn.arr_to_json(disc.flat),
     }
     assert path.read_text() == json.dumps(payload) + "\n"
+
+    def refuse(token):
+        raise AssertionError(f"{token} is not strict JSON")
+
+    assert json.loads(path.read_text(), parse_constant=refuse) == payload
     loaded, loaded_cfg = load_checkpoint(path)
     assert loaded_cfg == cfg
     for name in ("policy", "value", "discriminator"):
-        assert np.array_equal(getattr(loaded, name).flat,
-                              getattr(result, name).flat), name
+        assert np.array_equal(getattr(loaded, name).flat.view(np.uint64),
+                              getattr(result, name).flat.view(np.uint64)), name
+
+
+def test_failed_save_leaves_the_old_checkpoint(tmp_path, toy, monkeypatch):
+    """A save that raises after writing part of its file, or after writing
+    all of it, leaves the previous checkpoint byte-identical and no partial
+    file behind."""
+    cfg = small_cfg(policy_hidden=(16, 16), disc_hidden=(8, 8))
+    layout, policy, value, disc = _fresh_nets(toy, cfg)
+    result = TrainResult(policy, value, disc, layout, tuple(toy.columns))
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(path, result, cfg)
+    before = path.read_bytes()
+    policy.flat[...] = 1.0
+
+    class FullDisk:
+        """A file that takes half of what is written, then fails."""
+
+        def __init__(self, file, mode):
+            self.fh = open(file, mode)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[:len(text) // 2])
+            raise OSError(28, "No space left on device")
+
+    def interrupted(src, dst):
+        raise KeyboardInterrupt
+
+    for target, fake, error in ((train, ("open", FullDisk), OSError),
+                                (train.os, ("replace", interrupted),
+                                 KeyboardInterrupt)):
+        with monkeypatch.context() as m:
+            m.setattr(target, *fake, raising=False)
+            with pytest.raises(error):
+                save_checkpoint(path, result, cfg)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt.json"]
+    save_checkpoint(path, result, cfg)
+    assert np.all(load_checkpoint(path)[0].policy.flat == 1.0)
+    assert [p.name for p in tmp_path.iterdir()] == ["ckpt.json"]
 
 
 def test_checkpoint_layout_is_derived_from_schema_and_term_bins(tmp_path, toy):
@@ -738,11 +793,10 @@ def test_load_checkpoint_refuses_old_version_and_wrong_length(tmp_path, toy):
     assert np.array_equal(loaded.discriminator.flat, disc.flat)
     good = json.loads(path.read_text())
     assert "optimizers" not in good
-    short = good["value"]["data"][:-1]
-    for payload in (dict(good, format_version=1), dict(good, format_version=2),
-                    dict(good, format_version=3), dict(good, format_version=4),
-                    dict(good, value={"shape": [len(short)], "data": short}),
-                    dict(good, policy={"shape": [1], "data": [0.5]})):
+    short = nn.arr_to_json(value.flat[:-1])
+    for payload in (*(dict(good, format_version=v) for v in range(1, 6)),
+                    dict(good, value=short),
+                    dict(good, policy=nn.arr_to_json(np.array([0.5])))):
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError):
             load_checkpoint(path)
