@@ -97,6 +97,16 @@ def _out_file(text: str) -> str:
     return text
 
 
+def _refuse_out_at(out, inputs) -> None:
+    """A usage error when the output path `out` resolves to one of
+    `inputs`, (path, what it is) pairs: an output never replaces an
+    input."""
+    target = Path(out).resolve()
+    for path, what in inputs:
+        if target == Path(path).resolve():
+            raise UsageError(f"--out {out} is {what}")
+
+
 def _dataset_names(text: str) -> list[str]:
     """The names of a comma-separated --datasets value, each once."""
     names = [n.strip() for n in text.split(",") if n.strip()]
@@ -400,6 +410,7 @@ def cmd_train(args) -> int:
     from .train import TrainConfig
 
     names = _dataset_names(args.datasets)
+    _refuse_out_at(args.out or ".", [(args.data, "the --data directory")])
     overrides = _read_json_config(args.config)
     if args.seed is not None:
         overrides["seed"] = args.seed
@@ -485,9 +496,11 @@ def cmd_generate(args) -> int:
     from . import env as env_mod
 
     out_path = Path(args.out)
-    for flag in ("checkpoint", "dataset"):
-        if out_path.resolve() == Path(getattr(args, flag)).resolve():
-            raise UsageError(f"--out {out_path} is the --{flag} file")
+    _refuse_out_at(out_path, [
+        (args.checkpoint, "the --checkpoint file"),
+        (args.dataset, "the --dataset file"),
+        (Path(args.dataset).with_suffix(".schema.json"),
+         "the --dataset file's schema sidecar")])
     manifest = Manifest("generate", args, {"n": args.n, "mode": args.mode})
     (dataset,) = _load_datasets([args.dataset], manifest)
     (sessions,), cfg = _policy_sessions(args, [dataset], manifest)
@@ -509,6 +522,9 @@ def cmd_measure(args) -> int:
     from .measures import (EMPTY_RULESET, CoherenceRuleset, normalize_session,
                            score_session)
 
+    if args.out:
+        _refuse_out_at(args.out, [(Path(args.dataset).parent,
+                                   "the directory of the --dataset file")])
     manifest = Manifest("measure", args, {"threshold": args.threshold})
     (dataset,) = _load_datasets([args.dataset], manifest)
     trajectories = _load_sessions(args.session, manifest)
@@ -576,6 +592,8 @@ def cmd_eval(args) -> int:
 
     data_dir = Path(args.data)
     names = _dataset_names(args.datasets)
+    if args.out:
+        _refuse_out_at(args.out, [(data_dir, "the --data directory")])
     if args.sessions and len(names) > 1:
         raise UsageError("a --sessions file holds one dataset's sessions: "
                          "give --datasets one name")

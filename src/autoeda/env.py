@@ -358,23 +358,28 @@ def encode_action(used: np.ndarray, layout: HeadLayout) -> np.ndarray:
 
 
 def decide(policy: nn.PolicyNet, svecs: np.ndarray, displays,
-           rng: np.random.Generator | None = None):
-    """One decision in each of k states: one policy forward on their
-    stacked (k, state_dim) vectors, and the actions on their current
-    `displays`. Returns the (k, N_HEADS) head indices, the k tuples of
-    head values the actions use (`action_heads`, computed once per
-    decision), the (k,) log-probs and the k actions.
+           uniforms: np.ndarray | None = None, rows: slice = slice(None)):
+    """One decision in each of k states: one policy forward on a stacked
+    batch of state vectors, whose `rows` are the k states (all of them by
+    default), and the actions on their current `displays`. Returns the
+    (k, N_HEADS) head indices, the k tuples of head values the actions use
+    (`action_heads`, computed once per decision), the (k,) log-probs and
+    the k actions.
 
-    With `rng` every head is sampled and a log-prob covers the heads the
-    sampled kind uses; without it every head takes its argmax and the
+    A row's forward bits can depend on the batch's shape, so a caller that
+    decides only some rows of a batch passes the whole batch, whatever
+    fills the other rows. With a (k, N_HEADS) block of `uniforms` every
+    head is sampled (`nn.sample_action`) and a log-prob covers the heads
+    the sampled kind uses; without it every head takes its argmax and the
     log-probs are None.
     """
     probs, _ = policy.forward(svecs)
-    if rng is None:
+    probs = [p[rows] for p in probs]
+    if uniforms is None:
         heads = np.stack([p.argmax(axis=1) for p in probs], axis=1)
         logp = None
     else:
-        heads, logp = nn.sample_action(probs, rng, RELEVANT_HEADS)
+        heads, logp = nn.sample_action(probs, uniforms, RELEVANT_HEADS)
     used = [action_heads(h, d) for h, d in zip(heads.tolist(), displays)]
     actions = [action_from_heads(u, d) for u, d in zip(used, displays)]
     return heads, used, logp, actions

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .env import (DEFAULT_HORIZON, EdaEnv, Trajectory, action_to_json, decide,
-                  encode_display, state_vec, walk_displays)
+from .env import (DEFAULT_HORIZON, N_HEADS, EdaEnv, Trajectory, action_to_json,
+                  decide, encode_display, state_vec, walk_displays)
 from .measures import MEASURE_NAMES
 from .tabular import Dataset, display_fingerprint
 
@@ -128,14 +128,16 @@ def generate_session(policy: nn.PolicyNet, dataset: Dataset,
                      horizon: int = DEFAULT_HORIZON,
                      rng: np.random.Generator | None = None) -> Trajectory:
     """One episode of the policy over a dataset, decided by `decide`: each
-    head is sampled from `rng`, or takes its argmax without one. Each state
-    that decides is encoded by the one window rule (`env.state_vec`) from
-    the one before it; the finished episode's last state is not encoded."""
+    head is sampled from a row of uniforms drawn from `rng`, or takes its
+    argmax without one. Each state that decides is encoded by the one
+    window rule (`env.state_vec`) from the one before it; the finished
+    episode's last state is not encoded."""
     env = EdaEnv(dataset, horizon)
     state, svec = env.reset(), None
     while not state.done:
         svec = state_vec(state, svec)
-        *_, (action,) = decide(policy, svec[None], [state.current], rng)
+        uniforms = None if rng is None else rng.random((1, N_HEADS))
+        *_, (action,) = decide(policy, svec[None], [state.current], uniforms)
         state = env.step(state, action)
     return Trajectory(dataset.name, state.action_history)
 

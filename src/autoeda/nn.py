@@ -282,22 +282,22 @@ class Adam:
         flat -= num
 
 
-def sample_action(probs, rng: np.random.Generator, relevant_by_kind):
-    """Sample one index per head for each of k rows; each row's joint
-    log-prob covers the heads its sampled kind actually uses (head 0 is the
-    kind head). `probs` holds one (k, size) array per head.
+def sample_action(probs, uniforms: np.ndarray, relevant_by_kind):
+    """Sample one index per head for each of k rows from a (k, heads)
+    block of uniforms; each row's joint log-prob covers the heads its
+    sampled kind actually uses (head 0 is the kind head). `probs` holds one
+    (k, size) array per head.
 
     Row r's head h takes the first index whose running sum of probabilities
-    is not <= u[r, h], clamped to the last: `searchsorted(cumsum(p), u,
-    "right")`, whose sums add in the same order and whose NaNs sort last,
-    worked out on Python floats. One draw of a (k, heads) block of uniforms,
-    row by row, leaves the generator where k * heads single draws would.
-    Returns the (k, heads) indices and the (k,) log-probs.
+    is not <= uniforms[r, h], clamped to the last: `searchsorted(cumsum(p),
+    u, "right")`, whose sums add in the same order and whose NaNs sort last,
+    worked out on Python floats. Returns the (k, heads) indices and the
+    (k,) log-probs.
     """
     n_heads = len(probs)
     rows = [p.tolist() for p in probs]
     indices, chosen = [], []
-    for r, us in enumerate(rng.random((len(probs[0]), n_heads)).tolist()):
+    for r, us in enumerate(uniforms.tolist()):
         row_indices = []
         for head, u in zip(rows, us):
             p = head[r]

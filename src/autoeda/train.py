@@ -8,19 +8,22 @@ ping-ponging between BACK and FILTER/GROUP.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
+import pickle
+import signal
 from collections import deque
 from dataclasses import dataclass, field, asdict
-from itertools import cycle
 from pathlib import Path
 
 import numpy as np
 
 from . import nn
-from .env import (DEFAULT_HORIZON, DEFAULT_TERM_BINS, HEAD_MASKS, EdaEnv,
-                  HeadLayout, Step, decide, encode_action, replay, state_vec)
+from .env import (DEFAULT_HORIZON, DEFAULT_TERM_BINS, HEAD_MASKS, N_HEADS,
+                  EdaEnv, HeadLayout, Step, decide, encode_action, replay,
+                  state_vec)
 from .tabular import ColumnKind, is_finite_number, is_int
 
 CHECKPOINT_VERSION = 6
@@ -40,6 +43,16 @@ STREAM_GENERATE = 7
 # episodes a rollout collector steps in lockstep: one policy forward and one
 # discriminator forward serve up to this many steps
 LANES = 16
+# ticks one part of a collector may run ahead of the counts it has read from
+# the other part
+_LAG = 4096
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return 1
 
 
 def derive_rng(seed: int, *path: int) -> np.random.Generator:
@@ -256,13 +269,40 @@ def action_agreement(policy: nn.PolicyNet, expert_steps) -> float:
 
 class RolloutCollector:
     """LANES episodes stepped in lockstep. A lane whose episode finishes
-    restarts on the next training dataset, round-robin, and an episode runs
-    on across collection windows.
+    restarts on the next training dataset, round-robin in lane order, and
+    an episode runs on across collection windows.
 
     A step's state vectors follow the one window rule (`env.state_vec`).
     Its heads are the sampled ones, whose log-prob PPO's ratio needs; its
     action vector is a row of the tick's `encode_action` of the head values
     its action uses, as `decide` returns them.
+
+    The lanes are stepped in two parts when the process can fork and may
+    run on at least two CPUs: building the collector forks a worker, which
+    steps lanes LANES // 2 on until `close`, and this process steps the
+    others. Otherwise this process steps every lane. The steps are the same
+    either way, bit for bit:
+    - a window draws its uniforms as one (n, N_HEADS) block, the values and
+      final rng state of per-tick draws, and sends them to the worker with
+      the policy and discriminator parameters;
+    - each part runs a tick's policy and discriminator forwards on the
+      tick's whole batch, the other part's rows zero, because a row's bits
+      depend on the batch's shape, and reads back its own rows;
+    - after each tick each part sends the other how many of its lanes
+      finished, because the next episode to start takes the next dataset
+      of the cycle; a finished lane restarts at the next tick, and a part
+      waits for the other's counts only then;
+    - at the end of a window the worker sends its steps as arrays, and this
+      process rebuilds them as `Step`s whose state is the lane's previous
+      next state, as in one process.
+
+    The worker is forked, not spawned. A spawned worker would start an
+    interpreter and re-import numpy and autoeda, about 107 ms on a 2-core
+    VM, more than half of the 197 ms that one process takes for 4096
+    interactions on three 1000-row tables, and then have to be sent the
+    datasets and lanes; a fork shares them copy-on-write in about 0.7 ms.
+    The fork happens before any rollout, in a process that starts no
+    threads of its own (under `--deterministic` BLAS runs one thread).
     """
 
     def __init__(self, policy: nn.PolicyNet, datasets, layout: HeadLayout,
@@ -271,54 +311,240 @@ class RolloutCollector:
         self.layout = layout
         self.cfg = cfg
         self.rng = rng
-        self._envs = cycle([EdaEnv(ds, cfg.horizon) for ds in datasets])
-        self._lanes = [self._start() for _ in range(LANES)]
         self.episode_lengths: list[int] = []
+        self._envs = [EdaEnv(ds, cfg.horizon) for ds in datasets]
+        self._started = 0    # episodes started, in every lane
+        lanes = [self._start() for _ in range(LANES)]
+        self._first = 0      # the first lane this process steps
+        self._finished = []  # positions in _lanes that finished at the last tick
+        self._ticks = 0      # ticks stepped
+        self._heard = 0      # ticks whose count from the other part is in _started
+        self._pid = None     # the worker's, in the process that forked it
+        self._inbox = self._outbox = None
+        if LANES > 1 and hasattr(os, "fork") and _cpus() >= 2:
+            self._fork(lanes)
+        else:
+            self._lanes = lanes
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+    def close(self) -> None:
+        """End the worker, if there is one, and close the pipes to it."""
+        if self._pid is None:
+            return
+        pid, self._pid = self._pid, None
+        os.kill(pid, signal.SIGKILL)  # it holds nothing that needs a clean exit
+        os.waitpid(pid, 0)
+        self._inbox.close()
+        with contextlib.suppress(BrokenPipeError):  # bytes left by a failed send
+            self._outbox.close()
+
+    def _fork(self, lanes) -> None:
+        half = LANES // 2
+        down, up = os.pipe(), os.pipe()  # (read, write) to the worker and back
+        pid = os.fork()
+        if pid == 0:  # the worker, which never returns
+            status = 1
+            try:
+                os.close(down[1])
+                os.close(up[0])
+                self._inbox, self._outbox = open(down[0], "rb"), open(up[1], "wb")
+                self._first, self._lanes = half, lanes[half:]
+                self._serve()
+                status = 0
+            except Exception:
+                import traceback
+                traceback.print_exc()
+            finally:
+                os._exit(status)
+        os.close(down[0])
+        os.close(up[1])
+        self._pid = pid
+        self._inbox, self._outbox = open(up[0], "rb"), open(down[1], "wb")
+        self._lanes = lanes[:half]
+        # the state vector of each of the worker's lanes, as of the last window
+        self._theirs = [svec for _, _, svec in lanes[half:]]
 
     def _start(self):
         """(env, state, state vector) of a new episode on the next dataset."""
-        env = next(self._envs)
+        env = self._envs[self._started % len(self._envs)]
+        self._started += 1
         state = env.reset()
         return env, state, state_vec(state)
+
+    def _send(self, message) -> None:
+        pickle.dump(message, self._outbox, pickle.HIGHEST_PROTOCOL)
+        self._outbox.flush()
+
+    def _tell(self, finished: int) -> None:
+        """End a tick: send the other part, if any, how many lanes finished."""
+        self._ticks += 1
+        if self._outbox is not None:
+            self._outbox.write(bytes((finished,)))
+            self._outbox.flush()
+
+    def _hear(self, ticks: int) -> None:
+        """Add to `_started` the episodes that the other part, if any,
+        starts in the lanes it finished at its first `ticks` ticks."""
+        if self._inbox is None or self._heard >= ticks:
+            return
+        counts = self._inbox.read(ticks - self._heard)
+        if len(counts) < ticks - self._heard:
+            raise EOFError("the other part of the collector ended")
+        self._started += sum(counts)
+        self._heard = ticks
+
+    def _restart(self) -> list[np.ndarray]:
+        """Start new episodes in the lanes that finished at the last tick,
+        each on the dataset after those of every episode that a lane before
+        it started: the other part's finished lanes of the earlier ticks
+        come first, and of the last tick too when its lanes come first.
+        Returns the new episodes' state vectors."""
+        if not self._finished:
+            return []
+        self._hear(self._ticks - (self._first == 0))
+        started = []
+        for i in self._finished:
+            self._lanes[i] = lane = self._start()
+            started.append(lane[2])
+        self._finished = []
+        return started
+
+    def _tick(self, disc: nn.DiscriminatorNet, uniforms: np.ndarray) -> list:
+        """Step this process's lanes among the tick's first len(uniforms);
+        each step with the length of the episode it finishes, or 0."""
+        k = len(uniforms)
+        # so neither pipe fills, however long the episodes run
+        self._hear(self._ticks - _LAG)
+        lanes = self._lanes[:max(0, k - self._first)]
+        if not lanes:
+            self._tell(0)
+            return []
+        mine = slice(self._first, self._first + len(lanes))
+        svecs = np.zeros((k, self.layout.state_dim))
+        svecs[mine] = [svec for _, _, svec in lanes]
+        heads, used, logps, actions = decide(
+            self.policy, svecs, [state.current for _, state, _ in lanes],
+            uniforms[mine], mine)
+        # the discriminator sees the heads each action uses, as for expert
+        # steps
+        avecs = encode_action(np.array(used), self.layout)
+        steps = []
+        for i, (action, logp) in enumerate(zip(actions, logps.tolist())):
+            env, state, svec = lanes[i]
+            next_state = env.step(state, action)
+            next_svec = state_vec(next_state, svec)
+            step = Step(state=svec, heads=heads[i], action_vec=avecs[i],
+                        next_state=next_svec, done=next_state.done,
+                        logprob=logp)
+            if self.cfg.penalty_enabled:
+                step.penalty = incoherence_penalty(next_state.action_history)
+            if next_state.done:
+                steps.append((step, len(next_state.action_history)))
+                self._finished.append(i)
+            else:
+                steps.append((step, 0))
+                self._lanes[i] = env, next_state, next_svec
+        self._tell(len(self._finished))
+        x = np.zeros((k, svecs.shape[1] + avecs.shape[1]))
+        x[mine] = np.concatenate([svecs[mine], avecs], axis=1)
+        d_probs, _ = disc.forward(x)
+        for (step, _), d_prob in zip(steps, d_probs[mine].tolist()):
+            step.reward = imitation_reward(d_prob, step.penalty)
+        return steps
+
+    def _window(self, disc: nn.DiscriminatorNet, uniforms: np.ndarray):
+        """This process's steps of a window of len(uniforms) steps, tick by
+        tick, and the state vectors of the episodes its lanes started."""
+        ticks, started = [], []
+        for start in range(0, len(uniforms), LANES):
+            started += self._restart()
+            ticks.append(self._tick(disc, uniforms[start:start + LANES]))
+        started += self._restart()
+        self._hear(self._ticks)
+        return ticks, started
+
+    def _serve(self) -> None:
+        """The worker: one window per message, until the pipe closes."""
+        disc = None
+        while True:
+            try:
+                flat, sizes, disc_flat, uniforms = pickle.load(self._inbox)
+            except EOFError:
+                return
+            self.policy.flat[...] = flat
+            if disc is None or disc.net.sizes != sizes:
+                disc = nn.DiscriminatorNet(sizes[0], sizes[1:-1])
+            disc.flat[...] = disc_flat
+            ticks, started = self._window(disc, uniforms)
+            pairs = [pair for tick in ticks for pair in tick]
+            steps = [step for step, _ in pairs]
+            self._send({
+                "heads": np.array([s.heads for s in steps]),
+                "action_vec": np.array([s.action_vec for s in steps]),
+                "next_state": np.array([s.next_state for s in steps]),
+                "kept": [s.next_state is s.state for s in steps],
+                **{name: [getattr(s, name) for s in steps]
+                   for name in ("done", "penalty", "reward", "logprob")},
+                "length": [length for _, length in pairs],
+                "started": np.array(started)})
+
+    def _rebuild(self, n_steps: int, ticks, theirs: dict) -> list:
+        """Each tick's steps of this process followed by the worker's,
+        rebuilt from the arrays it sent: a rebuilt step's state is its
+        lane's previous next state, or the state vector its episode started
+        in, and a next state the worker's step kept (STOP's) is its state,
+        as in one process."""
+        half = len(self._lanes)
+        j = r = 0
+        for start, tick in zip(range(0, n_steps, LANES), ticks):
+            for lane in range(min(LANES, n_steps - start) - half):
+                state = self._theirs[lane]
+                next_state = (state if theirs["kept"][j]
+                              else theirs["next_state"][j])
+                step = Step(state=state, heads=theirs["heads"][j],
+                            action_vec=theirs["action_vec"][j],
+                            next_state=next_state, done=theirs["done"][j],
+                            penalty=theirs["penalty"][j],
+                            reward=theirs["reward"][j],
+                            logprob=theirs["logprob"][j])
+                if step.done:
+                    self._theirs[lane] = theirs["started"][r]
+                    r += 1
+                else:
+                    self._theirs[lane] = next_state
+                tick.append((step, theirs["length"][j]))
+                j += 1
+        return ticks
 
     def collect(self, disc: nn.DiscriminatorNet, n_steps: int,
                 buffer: deque) -> list[Step]:
         """The next `n_steps` steps with rewards from the current
         discriminator; appends them to the buffer and returns them. Each
         tick steps the first min(LANES, steps left) lanes with one policy
-        and one discriminator forward."""
+        and one discriminator forward in each part."""
+        uniforms = self.rng.random((n_steps, N_HEADS))
+        try:
+            if self._pid is not None:
+                self._send((self.policy.flat, disc.net.sizes, disc.flat,
+                            uniforms))
+            ticks, _ = self._window(disc, uniforms)
+            if self._pid is not None:
+                ticks = self._rebuild(n_steps, ticks, pickle.load(self._inbox))
+        except (EOFError, BrokenPipeError) as exc:
+            raise RuntimeError(f"the rollout worker (pid {self._pid}) "
+                               f"ended") from exc
         out = []
-        cfg, lanes = self.cfg, self._lanes
-        while len(out) < n_steps:
-            k = min(len(lanes), n_steps - len(out))
-            svecs = np.stack([svec for _, _, svec in lanes[:k]])
-            displays = [state.current for _, state, _ in lanes[:k]]
-            heads, used, logps, actions = decide(self.policy, svecs, displays,
-                                                 self.rng)
-            # the discriminator sees the heads each action uses, as for
-            # expert steps
-            avecs = encode_action(np.array(used), self.layout)
-            steps = []
-            for i, (action, logp) in enumerate(zip(actions, logps.tolist())):
-                env, state, svec = lanes[i]
-                next_state = env.step(state, action)
-                next_svec = state_vec(next_state, svec)
-                step = Step(state=svec, heads=heads[i], action_vec=avecs[i],
-                            next_state=next_svec, done=next_state.done,
-                            logprob=logp)
-                if cfg.penalty_enabled:
-                    step.penalty = incoherence_penalty(next_state.action_history)
-                steps.append(step)
-                if next_state.done:
-                    self.episode_lengths.append(len(next_state.action_history))
-                    lanes[i] = self._start()
-                else:
-                    lanes[i] = env, next_state, next_svec
-            d_probs, _ = disc.forward(np.concatenate([svecs, avecs], axis=1))
-            for step, d_prob in zip(steps, d_probs.tolist()):
-                step.reward = imitation_reward(d_prob, step.penalty)
-            buffer.extend(steps)
-            out.extend(steps)
+        for tick in ticks:
+            for step, length in tick:
+                out.append(step)
+                if step.done:
+                    self.episode_lengths.append(length)
+        buffer.extend(out)
         return out
 
 
@@ -463,40 +689,40 @@ def train_gail(cfg: TrainConfig, datasets, expert, metrics_sink=None,
         return result
 
     buffer = deque(maxlen=cfg.buffer_capacity)
-    collector = RolloutCollector(policy, datasets, layout, cfg,
-                                 derive_rng(cfg.seed, STREAM_ROLLOUT))
     update_rng = derive_rng(cfg.seed, STREAM_UPDATE)
     policy_opt = nn.Adam(policy.flat, cfg.lr_adv)
     value_opt = nn.Adam(value.flat, cfg.lr_adv)
     disc_opt = nn.Adam(disc.flat, cfg.lr_adv)
-
-    starts = range(0, cfg.total_interactions, cfg.train_interval)
-    for interval, start in enumerate(starts, start=1):
-        n = min(cfg.train_interval, cfg.total_interactions - start)
-        before_eps = len(collector.episode_lengths)
-        steps = collector.collect(disc, n, buffer)
-        disc_loss, disc_acc = update_discriminator(disc, disc_opt, buffer,
-                                                   expert_steps, cfg, update_rng)
-        batch = assemble_mixed_batch(buffer, expert_steps, policy, disc, cfg,
-                                     update_rng)
-        adv, targets = _advantages(value, batch, cfg)
-        ppo_update(policy, policy_opt, batch, adv, cfg)
-        value_loss = value_update(value, value_opt, batch, targets)
-        new_eps = collector.episode_lengths[before_eps:]
-        record = {
-            "interval": interval,
-            "disc_acc": round(disc_acc, 6),
-            "mean_reward": round(float(np.mean([s.reward for s in steps])), 6),
-            "mean_penalty": round(float(np.mean([s.penalty for s in steps])), 6),
-            "mean_ep_len": round(float(np.mean(new_eps)) if new_eps else 0.0, 6),
-        }
-        if not (all(map(math.isfinite, (disc_loss, value_loss, *record.values())))
-                and all(np.isfinite(net.flat).all()
-                        for net in (policy, value, disc))):
-            raise FloatingPointError(f"adversarial training went non-finite in "
-                                     f"interval {interval}")
-        if metrics_sink is not None:
-            metrics_sink(record)
+    with RolloutCollector(policy, datasets, layout, cfg,
+                          derive_rng(cfg.seed, STREAM_ROLLOUT)) as collector:
+        starts = range(0, cfg.total_interactions, cfg.train_interval)
+        for interval, start in enumerate(starts, start=1):
+            n = min(cfg.train_interval, cfg.total_interactions - start)
+            before_eps = len(collector.episode_lengths)
+            steps = collector.collect(disc, n, buffer)
+            disc_loss, disc_acc = update_discriminator(
+                disc, disc_opt, buffer, expert_steps, cfg, update_rng)
+            batch = assemble_mixed_batch(buffer, expert_steps, policy, disc,
+                                         cfg, update_rng)
+            adv, targets = _advantages(value, batch, cfg)
+            ppo_update(policy, policy_opt, batch, adv, cfg)
+            value_loss = value_update(value, value_opt, batch, targets)
+            new_eps = collector.episode_lengths[before_eps:]
+            record = {
+                "interval": interval,
+                "disc_acc": round(disc_acc, 6),
+                "mean_reward": round(float(np.mean([s.reward for s in steps])), 6),
+                "mean_penalty": round(float(np.mean([s.penalty for s in steps])), 6),
+                "mean_ep_len": round(float(np.mean(new_eps)) if new_eps else 0.0, 6),
+            }
+            if not (all(map(math.isfinite,
+                            (disc_loss, value_loss, *record.values())))
+                    and all(np.isfinite(net.flat).all()
+                            for net in (policy, value, disc))):
+                raise FloatingPointError(f"adversarial training went "
+                                         f"non-finite in interval {interval}")
+            if metrics_sink is not None:
+                metrics_sink(record)
     return result
 
 

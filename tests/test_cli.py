@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -286,6 +287,43 @@ def test_generate_refuses_to_overwrite_its_inputs(run_dir, data_dir, tmp_path,
                    tmp_path / "ds1.csv", "--out", out) == 1, out
         assert f"is the {flag} file" in capsys.readouterr().err, out
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_outputs_never_replace_inputs(run_dir, data_dir, tmp_path, capsys,
+                                      monkeypatch):
+    """An --out that would write over an input, however it is spelled, is
+    a usage error raised before any file is read or written: `generate`'s
+    session file on the dataset's schema sidecar, and `train`'s, `measure`'s
+    and `eval`'s directory on the one that holds the input CSVs, whose
+    `manifest.json` is `synth`'s record."""
+    data = tmp_path / "data"
+    data.mkdir()
+    for name in ("ds1.csv", "ds1.schema.json", "ds1.train.json",
+                 "ds1.eval.json", "manifest.json"):
+        (data / name).write_bytes((data_dir / name).read_bytes())
+    ckpt = run_dir / "checkpoint.json"
+    before = {p.name: p.read_bytes() for p in data.iterdir()}
+    sidecar = data / "new" / ".." / "ds1.schema.json"
+    runs = [
+        (["generate", "--checkpoint", ckpt, "--dataset", data / "ds1.csv",
+          "--out", sidecar], "the --dataset file's schema sidecar"),
+        (["train", "--data", data, "--datasets", "ds1", "--no-bc",
+          "--out", data / "new" / ".."], "the --data directory"),
+        (["measure", "--session", data / "ds1.eval.json", "--dataset",
+          data / "ds1.csv", "--out", data], "the directory of the --dataset"),
+        (["eval", "--sessions", data / "ds1.eval.json", "--data", data,
+          "--datasets", "ds1", "--out", data], "the --data directory"),
+        (["eval", "--checkpoint", ckpt, "--data", data, "--datasets", "ds1",
+          "--out", data], "the --data directory"),
+    ]
+    for argv, what in runs:
+        assert run(*argv) == 1, argv
+        assert f"is {what}" in capsys.readouterr().err, argv
+        assert {p.name: p.read_bytes() for p in data.iterdir()} == before
+    monkeypatch.chdir(data)  # `train` without --out writes here
+    assert run("train", "--data", ".", "--datasets", "ds1") == 1
+    assert "is the --data directory" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in data.iterdir()} == before
 
 
 def test_measure_table(data_dir, capsys):
@@ -690,6 +728,64 @@ def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
     assert first == outputs(1)
 
 
+# `train` with the CPU probe reading argv[1]; prints how many workers forked
+_PARTS_TRAIN = """\
+import os, sys
+from autoeda import cli, train
+train._cpus = lambda: int(sys.argv[1])
+forks, fork = [], os.fork
+def counted():
+    pid = fork()
+    if pid:
+        forks.append(pid)
+    return pid
+os.fork = counted
+code = cli.main(sys.argv[2:])
+print("workers forked:", len(forks))
+sys.exit(code)
+"""
+
+
+def test_train_in_two_parts_writes_what_one_part_does(data_dir, tmp_path):
+    """A toy `train --no-bc --deterministic` under `python -X dev -W
+    error::ResourceWarning`, with a forked worker and without: both exit 0
+    with no warning, write byte-identical metrics and checkpoints, and
+    leave no process of their session behind."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    config = tmp_path / "train.json"
+    config.write_text(json.dumps({"total_interactions": 200,
+                                  "train_interval": 57, "horizon": 5}))
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    outputs = {}
+    for cpus in (2, 1):
+        out = tmp_path / f"cpus{cpus}"
+        with subprocess.Popen(
+                [sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
+                 "-c", _PARTS_TRAIN, str(cpus), "train", "--data",
+                 str(data_dir), "--datasets", "ds1,ds2", "--config",
+                 str(config), "--no-bc", "--deterministic", "--seed", "4",
+                 "--out", str(out)],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                env=env, start_new_session=True) as proc:
+            try:
+                stdout, stderr = proc.communicate(timeout=120)
+            finally:
+                proc.kill()  # a no-op once it has exited
+        try:  # its process group outlives it only through a child left behind
+            os.killpg(proc.pid, 0)
+        except ProcessLookupError:
+            pass
+        else:
+            os.killpg(proc.pid, signal.SIGKILL)
+            pytest.fail(f"a process of the cpus={cpus} run outlived it")
+        assert proc.returncode == 0, stderr[-2000:]
+        assert "Warning" not in stderr, stderr[-2000:]
+        assert f"workers forked: {cpus - 1}" in stdout
+        outputs[cpus] = [(out / name).read_bytes()
+                         for name in ("metrics.ndjson", "checkpoint.json")]
+    assert outputs[2] == outputs[1]
+
+
 def test_importing_the_cli_loads_no_numpy():
     """`--deterministic` pins BLAS threads in `main` through environment
     variables, which only take effect while numpy is not yet loaded."""
@@ -784,7 +880,7 @@ def test_synth_accepts_the_edges_of_each_range(tmp_path):
 
 def test_data_errors_exit_two(tmp_path, data_dir, run_dir, capsys):
     assert run("train", "--data", tmp_path, "--datasets", "nope",
-               "--out", tmp_path) == 2
+               "--out", tmp_path / "run") == 2
     assert run("measure", "--session", tmp_path / "missing.json",
                "--dataset", data_dir / "ds1.csv") == 2
     bad = tmp_path / "bad.json"

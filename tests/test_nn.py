@@ -94,8 +94,8 @@ def test_discriminator_output_strictly_inside_unit_interval():
 def test_sample_action_deterministic_distribution():
     dists = [np.array([[0.0, 1.0, 0.0, 0.0]]), np.array([[1.0, 0.0]]),
              np.array([[0.0, 1.0]]), np.array([[1.0, 0.0]]), np.array([[1.0, 0.0]])]
-    (idx,), (logp,) = nn.sample_action(dists, np.random.default_rng(0),
-                                       RELEVANT_HEADS)
+    (idx,), (logp,) = nn.sample_action(
+        dists, np.random.default_rng(0).random((1, 5)), RELEVANT_HEADS)
     assert idx[0] == 1 and idx[1] == 0 and idx[2] == 1
     assert logp == pytest.approx(0.0)
 
@@ -105,7 +105,8 @@ def test_sample_action_back_masks_other_heads():
     dists = [np.array([[0.0, 0.0, 1.0, 0.0]]),  # kind = BACK
              np.array([[0.5, 0.5]]), np.array([[0.25] * 4]),
              np.array([[0.2] * 5]), np.array([[0.1] * 10])]
-    (idx,), (logp,) = nn.sample_action(dists, rng, RELEVANT_HEADS)
+    (idx,), (logp,) = nn.sample_action(dists, rng.random((1, 5)),
+                                       RELEVANT_HEADS)
     assert idx[0] == 2
     assert logp == pytest.approx(math.log(1.0))
 
@@ -115,7 +116,7 @@ def test_sample_action_frequencies_within_three_sigma():
     probs = np.array([0.5, 0.2, 0.2, 0.1])
     n = 100_000
     dists = [np.tile(probs, (n, 1))] + [np.ones((n, 1))] * 4
-    idx, _ = nn.sample_action(dists, rng, RELEVANT_HEADS)
+    idx, _ = nn.sample_action(dists, rng.random((n, 5)), RELEVANT_HEADS)
     counts = np.bincount(idx[:, 0], minlength=4)
     for k, p in enumerate(probs):
         sigma = math.sqrt(p * (1 - p) / n)

@@ -89,8 +89,9 @@ def _adversarial_run(toy, cfg, rounds=5):
     for w, _ in head_views(policy):
         w += head_rng.normal(scale=0.5, size=w.shape)
     buffer = deque(maxlen=cfg.buffer_capacity)
-    RolloutCollector(policy, [toy], layout, cfg,
-                     derive_rng(cfg.seed, 2)).collect(disc, 40, buffer)
+    with RolloutCollector(policy, [toy], layout, cfg,
+                          derive_rng(cfg.seed, 2)) as collector:
+        collector.collect(disc, 40, buffer)
     expert = toy_expert(toy, cfg)
     update_rng = derive_rng(cfg.seed, 3)
     opts = [nn.Adam(net.flat, 1e-2) for net in (policy, value, disc)]
@@ -184,7 +185,8 @@ def _same_rows(probs, rng, ref_rng, relevant):
     """One batched draw against the reference sampler on each row in turn,
     with the same generator on each side: the same indices and log-probs,
     bit for bit."""
-    idx, logp = nn.sample_action(probs, rng, relevant)
+    idx, logp = nn.sample_action(probs, rng.random((len(probs[0]), len(probs))),
+                                 relevant)
     assert idx.shape == (len(probs[0]), len(probs)) and idx.dtype == np.int64
     assert logp.shape == (len(probs[0]),) and logp.dtype == np.float64
     for r in range(len(probs[0])):

@@ -1,7 +1,9 @@
 """The rollout code against the loops it replaced, kept in
 `rollout_reference.py`. With one lane, every collected step, episode length,
 generated session, sampled batch and rng state must be the same bit for
-bit; with the default lanes, each step must agree with a batch-1 forward."""
+bit; with the default lanes, each step must agree with a batch-1 forward,
+and a collector whose forked worker steps half of the lanes must collect
+what one process does, bit for bit."""
 
 from collections import deque
 
@@ -78,14 +80,14 @@ def collect_both(datasets, cfg, windows):
     layout = HeadLayout(len(datasets[0].columns), cfg.term_bins)
     policy, disc = nets(layout, cfg.seed)
     rng, ref_rng = derive_rng(cfg.seed, 2), derive_rng(cfg.seed, 2)
-    collector = RolloutCollector(policy, datasets, layout, cfg, rng)
     reference = ref.RolloutCollector(datasets, layout, cfg, ref_rng)
     buffer, ref_buffer = deque(maxlen=cfg.buffer_capacity), \
         ref.ReplayBuffer(cfg.buffer_capacity)
-    for n in windows:
-        assert_steps_equal(collector.collect(disc, n, buffer),
-                           reference.collect(policy, disc, n, ref_buffer))
-        assert collector.episode_lengths == reference.episode_lengths
+    with RolloutCollector(policy, datasets, layout, cfg, rng) as collector:
+        for n in windows:
+            assert_steps_equal(collector.collect(disc, n, buffer),
+                               reference.collect(policy, disc, n, ref_buffer))
+            assert collector.episode_lengths == reference.episode_lengths
     assert_steps_equal(list(buffer), list(ref_buffer._items))
     assert rng.bit_generator.state == ref_rng.bit_generator.state
     return layout, policy, disc, buffer, ref_buffer, collector
@@ -201,13 +203,16 @@ def test_lockstep_lanes_agree_with_batch_one_forwards(pair, monkeypatch):
     each window returns its steps; each log-prob and reward is the one a
     batch-1 forward gives; each lane's steps chain state to state, and a
     finished lane restarts on the next dataset of the cycle; finished
-    lengths and the lanes' steps in flight account for every step."""
+    lengths and the lanes' steps in flight account for every step. One
+    process steps every lane, so `_lanes` holds them all."""
     monkeypatch.setattr(train, "LANES", LANES)
+    monkeypatch.setattr(train, "_cpus", lambda: 1)
     cfg = cfg_for(buffer_capacity=256)
     layout = HeadLayout(3, cfg.term_bins)
     policy, disc = nets(layout, cfg.seed)
     collector = RolloutCollector(policy, pair, layout, cfg,
                                  derive_rng(cfg.seed, 2))
+    assert collector._pid is None
     buffer = deque(maxlen=cfg.buffer_capacity)
     resets = [ref.state_from_history(EdaEnv(ds, cfg.horizon).reset().history)
               for ds in pair]
@@ -241,3 +246,51 @@ def test_lockstep_lanes_agree_with_batch_one_forwards(pair, monkeypatch):
                 assert np.array_equal(b.state, resets[(LANES + j) % len(pair)])
             else:
                 assert b.state is a.next_state
+
+
+def collect_in_parts(datasets, cfg, windows, cpus, monkeypatch):
+    """The steps of each window, the episode lengths, the buffer and the
+    rollout rng's state of a collector at the default lane count, built
+    while the CPU probe reads `cpus`."""
+    monkeypatch.setattr(train, "LANES", LANES)
+    monkeypatch.setattr(train, "_cpus", lambda: cpus)
+    layout = HeadLayout(len(datasets[0].columns), cfg.term_bins)
+    policy, disc = nets(layout, cfg.seed)
+    rng = derive_rng(cfg.seed, 2)
+    buffer = deque(maxlen=cfg.buffer_capacity)
+    with RolloutCollector(policy, datasets, layout, cfg, rng) as collector:
+        assert (collector._pid is not None) == (cpus > 1)
+        steps = [collector.collect(disc, n, buffer) for n in windows]
+    return steps, collector.episode_lengths, list(buffer), \
+        rng.bit_generator.state
+
+
+@pytest.mark.parametrize("penalty", [True, False])
+def test_two_parts_collect_what_one_part_does(pair, penalty, monkeypatch):
+    """A collector whose worker steps lanes LANES // 2 on returns, window
+    by window, the steps one process returns, bit for bit and sharing
+    state arrays as they do, with the same episode lengths, buffer order
+    and final rng state; the 25-step window ends on a 9-lane tick, where
+    the worker steps one lane."""
+    cfg = cfg_for(penalty_enabled=penalty, buffer_capacity=1024)
+    windows = (7, 25, 64, 512)
+    one = collect_in_parts(pair, cfg, windows, 1, monkeypatch)
+    two = collect_in_parts(pair, cfg, windows, 2, monkeypatch)
+    for got, want in zip(two[0], one[0]):
+        assert_steps_equal(got, want)
+    assert two[1] == one[1] and len(one[1]) > LANES
+    assert_steps_equal(two[2], one[2])
+    assert [id(step) for step in two[2]] == \
+        [id(step) for window in two[0] for step in window]
+    assert identities(two[2]) == identities(one[2])
+    assert two[3] == one[3]
+
+
+def identities(steps):
+    """Each step's state and next state as the position of its array
+    object among all the arrays the steps hold, first seen first: a state
+    that is the step before's next state, and a STOP's next state that is
+    its state, are one object."""
+    first = {}
+    return [first.setdefault(id(a), len(first))
+            for step in steps for a in (step.state, step.next_state)]

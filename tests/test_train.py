@@ -1,6 +1,9 @@
+import contextlib
 import json
 import math
+import os
 import re
+import signal
 from collections import deque
 from pathlib import Path
 
@@ -9,7 +12,8 @@ import pytest
 
 from autoeda import env, evaluation, nn, tabular, train
 from autoeda.env import (BACK, HEAD_MASKS, STOP, ActionSpec, EdaEnv, HeadLayout,
-                         heads_from_action, replay, state_vec_len, walk)
+                         Trajectory, heads_from_action, replay, state_vec_len,
+                         walk)
 from autoeda.tabular import Dataset, FilterPredicate, Grouping
 from rollout_reference import one_hot, state_from_history
 from row_engine import dataset_rows
@@ -250,9 +254,10 @@ def _fresh_nets(dataset, cfg, hidden=(16, 16)):
 def test_horizon_one_episodes(toy):
     cfg = small_cfg(horizon=1)
     layout, policy, _, disc = _fresh_nets(toy, cfg)
-    collector = RolloutCollector(policy, [toy], layout, cfg, derive_rng(0, 2))
     buf = deque(maxlen=64)
-    transitions = collector.collect(disc, 10, buf)
+    with RolloutCollector(policy, [toy], layout, cfg,
+                          derive_rng(0, 2)) as collector:
+        transitions = collector.collect(disc, 10, buf)
     assert all(t.done for t in transitions)
     assert collector.episode_lengths == [1] * 10
 
@@ -260,9 +265,11 @@ def test_horizon_one_episodes(toy):
 def test_no_penalty_rewards_are_pure_imitation(toy):
     cfg = small_cfg(penalty_enabled=False)
     layout, policy, _, disc = _fresh_nets(toy, cfg)
-    collector = RolloutCollector(policy, [toy], layout, cfg, derive_rng(0, 2))
     buf = deque(maxlen=64)
-    for t in collector.collect(disc, 30, buf):
+    with RolloutCollector(policy, [toy], layout, cfg,
+                          derive_rng(0, 2)) as collector:
+        transitions = collector.collect(disc, 30, buf)
+    for t in transitions:
         (d,), _ = disc.forward(np.concatenate([t.state, t.action_vec])[None])
         assert t.penalty == 0.0
         assert t.reward == pytest.approx(-math.log(1 - d))
@@ -273,10 +280,10 @@ def test_rollouts_deterministic(toy):
     streams = []
     for _ in range(2):
         layout, policy, _, disc = _fresh_nets(toy, cfg)
-        collector = RolloutCollector(policy, [toy], layout, cfg,
-                                     derive_rng(9, 2))
         buf = deque(maxlen=64)
-        ts = collector.collect(disc, 25, buf)
+        with RolloutCollector(policy, [toy], layout, cfg,
+                              derive_rng(9, 2)) as collector:
+            ts = collector.collect(disc, 25, buf)
         streams.append([(t.reward, tuple(t.heads), t.done) for t in ts])
     assert streams[0] == streams[1]
 
@@ -298,12 +305,16 @@ def recording_steps(monkeypatch):
 def test_collected_states_are_those_of_their_histories(toy, monkeypatch):
     """Each collected step's state and next state equal, bit for bit,
     `state_from_history` of the episode states before and after it, across
-    windows that split episodes and episodes that end by STOP or horizon."""
+    windows that split episodes and episodes that end by STOP or horizon.
+    One process steps every lane, so every `EdaEnv.step` is recorded."""
+    monkeypatch.setattr(train, "_cpus", lambda: 1)
     transitions = recording_steps(monkeypatch)
     cfg = small_cfg(horizon=5)
     layout, policy, _, disc = _fresh_nets(toy, cfg)
-    collector = RolloutCollector(policy, [toy], layout, cfg, derive_rng(4, 2))
-    steps = [t for n in (37, 50, 9) for t in collector.collect(disc, n, deque())]
+    with RolloutCollector(policy, [toy], layout, cfg,
+                          derive_rng(4, 2)) as collector:
+        steps = [t for n in (37, 50, 9)
+                 for t in collector.collect(disc, n, deque())]
     assert len(steps) == len(transitions) == 96
     assert {int(t.heads[0]) for t in steps} == {0, 1, 2, 3}
     for t, (before, after) in zip(steps, transitions):
@@ -373,7 +384,8 @@ def test_a_collect_window_computes_only_what_it_reads(synthetic_dataset,
     """One window at the default lane count on a fresh copy of the
     synthetic table computes no group aggregate, and encodes once per view
     a step appends to its episode's history (GROUP, FILTER and BACK, not
-    STOP)."""
+    STOP). One process steps every lane, so every call is counted."""
+    monkeypatch.setattr(train, "_cpus", lambda: 1)
     ds = Dataset("fresh", synthetic_dataset.columns, dataset_rows(synthetic_dataset))
     aggregates, encoded = [], []
     monkeypatch.setattr(tabular, "_group_aggregates",
@@ -383,8 +395,9 @@ def test_a_collect_window_computes_only_what_it_reads(synthetic_dataset,
                         lambda d, base: encoded.append(d) or encode(d, base))
     cfg = small_cfg(horizon=12)
     layout, policy, _, disc = _fresh_nets(ds, cfg)
-    collector = RolloutCollector(policy, [ds], layout, cfg, derive_rng(3, 2))
-    steps = collector.collect(disc, 512, deque())
+    with RolloutCollector(policy, [ds], layout, cfg,
+                          derive_rng(3, 2)) as collector:
+        steps = collector.collect(disc, 512, deque())
     kinds = [int(t.heads[0]) for t in steps]
     assert kinds.count(0) > 0
     assert aggregates == []
@@ -395,15 +408,18 @@ def test_a_collect_window_computes_only_what_it_reads(synthetic_dataset,
 
 def test_a_collect_window_takes_each_decisions_heads_once(toy, monkeypatch):
     """One window calls `action_heads` once per step, and no other code
-    path recomputes the head values an action uses."""
+    path recomputes the head values an action uses. One process steps
+    every lane, so every call is counted."""
+    monkeypatch.setattr(train, "_cpus", lambda: 1)
     calls = []
     action_heads = env.action_heads
     monkeypatch.setattr(env, "action_heads",
                         lambda h, d: calls.append(h) or action_heads(h, d))
     cfg = small_cfg(horizon=5)
     layout, policy, _, disc = _fresh_nets(toy, cfg)
-    collector = RolloutCollector(policy, [toy], layout, cfg, derive_rng(4, 2))
-    steps = collector.collect(disc, 50, deque())
+    with RolloutCollector(policy, [toy], layout, cfg,
+                          derive_rng(4, 2)) as collector:
+        steps = collector.collect(disc, 50, deque())
     assert len(calls) == len(steps) == 50
 
 
@@ -425,9 +441,10 @@ def test_discriminator_symmetric_batch_zero_gradient(toy):
 def test_discriminator_update_equalizes_batch_sizes(toy):
     cfg = small_cfg(batch_disc=8)
     layout, policy, _, disc = _fresh_nets(toy, cfg)
-    collector = RolloutCollector(policy, [toy], layout, cfg, derive_rng(0, 2))
     buf = deque(maxlen=256)
-    collector.collect(disc, 40, buf)  # buffer much larger than batch
+    with RolloutCollector(policy, [toy], layout, cfg,
+                          derive_rng(0, 2)) as collector:
+        collector.collect(disc, 40, buf)  # buffer much larger than batch
     from autoeda.env import Trajectory
     expert = prepare_expert_steps([toy], [Trajectory("toy", (F_A, G_A, BACK))],
                                   layout, cfg)
@@ -470,9 +487,10 @@ def test_discriminator_separates_toy_streams(toy):
 def test_mixed_batch_is_exactly_half_and_half(toy):
     cfg = small_cfg(batch_policy=8)
     layout, policy, value, disc = _fresh_nets(toy, cfg)
-    collector = RolloutCollector(policy, [toy], layout, cfg, derive_rng(5, 2))
     buf = deque(maxlen=64)
-    collector.collect(disc, 16, buf)
+    with RolloutCollector(policy, [toy], layout, cfg,
+                          derive_rng(5, 2)) as collector:
+        collector.collect(disc, 16, buf)
     from autoeda.env import Trajectory
     expert = prepare_expert_steps(
         [toy], [Trajectory("toy", (F_A, G_A, BACK, STOP))], layout, cfg)
@@ -486,9 +504,10 @@ def test_mixed_batch_is_exactly_half_and_half(toy):
 
 def _ppo_batch(toy, cfg):
     layout, policy, value, disc = _fresh_nets(toy, cfg)
-    collector = RolloutCollector(policy, [toy], layout, cfg, derive_rng(2, 2))
     buf = deque(maxlen=256)
-    collector.collect(disc, 32, buf)
+    with RolloutCollector(policy, [toy], layout, cfg,
+                          derive_rng(2, 2)) as collector:
+        collector.collect(disc, 32, buf)
     from autoeda.env import Trajectory
     expert = prepare_expert_steps([toy], [Trajectory("toy", (F_A, G_A, BACK, STOP))],
                                   layout, cfg)
@@ -781,6 +800,91 @@ def test_non_finite_policy_stops_adversarial_training(toy, monkeypatch):
                    result_callback=lambda r: held.update(result=r))
     assert [r["interval"] for r in sunk] == [1]
     assert np.isnan(held["result"].policy.flat).all()
+
+
+# ---------------------------------------------------------------------------
+# the rollout worker
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in this process if the block runs longer."""
+    def expire(*_):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def forked_workers(monkeypatch):
+    """Two parts from now on, and the pid of each worker forked."""
+    monkeypatch.setattr(train, "_cpus", lambda: 2)
+    pids = []
+    fork = os.fork
+
+    def recorded():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recorded)
+    return pids
+
+
+def assert_reaped(pid):
+    with pytest.raises(ChildProcessError):
+        os.waitpid(pid, os.WNOHANG)
+
+
+@pytest.mark.parametrize("poison", [False, True], ids=["returns", "raises"])
+def test_train_gail_ends_its_rollout_worker(toy, monkeypatch, poison):
+    """Whether adversarial training returns or raises FloatingPointError,
+    the worker it forked is gone and reaped when `train_gail` is done."""
+    pids = forked_workers(monkeypatch)
+    ppo_update = train.ppo_update
+
+    def poisoned(policy, *args):
+        out = ppo_update(policy, *args)
+        policy.flat[0] = math.nan
+        return out
+
+    if poison:
+        monkeypatch.setattr(train, "ppo_update", poisoned)
+    cfg = small_cfg(bc_enabled=False)
+    expert = [Trajectory("toy", (F_A, G_A, BACK, STOP))]
+    with deadline(60):
+        if poison:
+            with pytest.raises(FloatingPointError):
+                train_gail(cfg, [toy], expert)
+        else:
+            train_gail(cfg, [toy], expert)
+    assert len(pids) == 1
+    assert_reaped(pids[0])
+
+
+def test_a_killed_worker_ends_the_window_with_an_error(toy, monkeypatch):
+    """A worker killed mid-window makes `collect` raise, not hang; closing
+    the collector reaps it."""
+    pids = forked_workers(monkeypatch)
+    cfg = small_cfg()
+    layout, policy, _, disc = _fresh_nets(toy, cfg)
+    collector = RolloutCollector(policy, [toy], layout, cfg, derive_rng(0, 2))
+    decide = train.decide  # the worker, forked already, keeps its own
+
+    def killing(*args):
+        os.kill(pids[0], signal.SIGKILL)
+        return decide(*args)
+
+    monkeypatch.setattr(train, "decide", killing)
+    with collector, deadline(30):
+        with pytest.raises(RuntimeError, match="rollout worker"):
+            collector.collect(disc, 512, deque())
+    assert_reaped(pids[0])
 
 
 def test_load_checkpoint_refuses_old_version_and_wrong_length(tmp_path, toy):
